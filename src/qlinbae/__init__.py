@@ -12,7 +12,7 @@ from .errors import (DimensionError, InstabilityError, InternalConsistencyError,
                      SingularityError, ValidationError, WellPosednessError)
 from .qsys import (QuantumLinearSystem, Realization, ac_realization,
                    michelson_system, new_system, quad_realization,
-                   random_system, validation_report)
+                   random_system)
 
 __version__ = "0.1.0"
 
@@ -20,8 +20,7 @@ __all__ = [
     "bae", "errors", "feedback", "kalman", "matcore", "qnd", "qsys",
     "smesim", "xferfn",
     "QuantumLinearSystem", "Realization", "ac_realization", "new_system",
-    "quad_realization", "random_system", "validation_report",
-    "michelson_system",
+    "quad_realization", "random_system", "michelson_system",
     "QLinBAEError", "DimensionError", "ValidationError", "PreconditionError",
     "SingularityError", "InternalConsistencyError", "WellPosednessError",
     "ResourceError", "InstabilityError",

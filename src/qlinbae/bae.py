@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import close_to, inf_norm, is_imag, is_real
+from .matcore import DEFAULT_TOL, close_to, inf_norm, is_imag, is_real
 from .qsys import quad_realization
 from .xferfn import block_pattern
-
-DEFAULT_TOL = 1e-9
 
 # transfer pairs, named (output_quadrature, input_quadrature)
 QP = ("q_out", "p_in")

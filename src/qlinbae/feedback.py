@@ -11,11 +11,9 @@ from scipy import optimize
 
 from . import bae
 from .errors import DimensionError, WellPosednessError
-from .matcore import inf_norm
+from .matcore import DEFAULT_TOL, inf_norm
 from .qsys import QuantumLinearSystem, new_system, quad_realization
 from .xferfn import COND_LIMIT, eval_tf
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class FeedbackNetwork:
             )
         if sb.shape != (self.m2, self.m2):
             raise DimensionError(f"s_b must be {self.m2}x{self.m2}, got {sb.shape}")
-        if inf_norm(sb @ sb.conj().T - np.eye(self.m2)) > 1e-9:
+        if inf_norm(sb @ sb.conj().T - np.eye(self.m2)) > DEFAULT_TOL:
             raise DimensionError("s_b must be unitary")
         object.__setattr__(self, "s_b", sb)
 
@@ -265,7 +263,7 @@ def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, sb, sg, branch):
         net = make_network(omega_minus, omega_plus, k11, k12, k21, k22, sb,
                            s_plant=sg)
         red = reduce_network(net)
-    except Exception:
+    except WellPosednessError:
         return np.full(n_res, 1e6)
     c_bar = np.hstack([red.c_minus, red.c_plus])
     c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)

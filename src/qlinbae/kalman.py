@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import inf_norm, j_sym
-
-DEFAULT_TOL = 1e-9
+from .matcore import DEFAULT_TOL, inf_norm, j_sym
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
-from .matcore import close_to, delta, inf_norm
+from .matcore import DEFAULT_TOL, close_to, delta, inf_norm
 from .qsys import quad_realization
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def coupling_properties(sys, tol=DEFAULT_TOL):
     cross = cm @ cp.T
     scale = max(inf_norm(cm), inf_norm(cp), 1.0)
     return {
-        "self_adjoint": inf_norm(cm - cp.conj()) <= tol * scale,
+        "self_adjoint": close_to(cm, cp.conj(), tol),
         "mutually_commuting": inf_norm(cross - cross.T) <= tol * scale ** 2,
     }
 
@@ -212,14 +210,16 @@ class QNDVariableReport:
     witnesses: tuple
 
 
-def _rows_vanish(r, rows, tol, scale):
-    n2 = r.a.shape[0]
-    n = n2 // 2
-    res = 0.0
-    for i in rows:
-        other = [j for j in range(n2) if (j < n) != (rows[0] < n)]
-        res = max(res, inf_norm(r.a[np.ix_([i], other)]), inf_norm(r.b[[i], :]))
+def _rows_vanish(r, rows, other, tol, scale):
+    """True when the drift of one quadrature's state rows involves neither the
+    other quadrature's states nor the inputs."""
+    res = max(inf_norm(r.a[rows, other]), inf_norm(r.b[rows, :]))
     return res <= tol * scale
+
+
+def _witness(label, a_sub, c_sub, tol):
+    rank = observability_rank(a_sub, c_sub, tol)
+    return ObservabilityWitness(label, rank, rank == a_sub.shape[0])
 
 
 def qnd_variable_report(sys, tol=DEFAULT_TOL):
@@ -227,15 +227,14 @@ def qnd_variable_report(sys, tol=DEFAULT_TOL):
     cases, confirming both that the quadrature's state rows are driven by
     nothing but itself and that the cited observability test passes.
 
-    Cases handled:
-      p_coupling (C- = -C+, Omega- = -Omega+): p evolves autonomously; p is
-        QND if (Im Omega-, -Im C-) or (Im Omega-, Re C-) is observable.
-      q_coupling (C- = C+, Omega- = Omega+): q evolves autonomously; q is
-        QND if (Im Omega-, Im C-) or (Im Omega-, Re C-) is observable.
-      imag_omega_q / imag_omega_p (Omega purely imaginary, each coupling block
-        real or purely imaginary, C- = +/-C+ without the Omega sign pairing):
-        the matching quadrature is QND if (i(Omega- +/- Omega+), C-) is
-        observable.
+    Cases handled, in this order, each first for p (sign -1) and then for q
+    (sign +1):
+      p_coupling / q_coupling (C- = sign C+, Omega- = sign Omega+): the
+        quadrature evolves autonomously; it is QND if (Im Omega-, sign Im C-)
+        or (Im Omega-, Re C-) is observable.
+      imag_omega_p / imag_omega_q (Omega purely imaginary, each coupling block
+        real or purely imaginary, C- = sign C+ without the Omega sign pairing):
+        the quadrature is QND if (i(Omega- + sign Omega+), C-) is observable.
       passive_real (C+ = 0, C- real, Omega- = Omega+): the transfer function
         is block diagonal but no quadrature decouples — no QND variable.
     """
@@ -249,70 +248,43 @@ def qnd_variable_report(sys, tol=DEFAULT_TOL):
                                  False, ())
     r = quad_realization(sys)
     scale = max(inf_norm(r.a), inf_norm(r.b), 1.0)
-
-    p_coupling = (inf_norm(cm + cp) <= tol * cscale
-                  and inf_norm(om + op) <= tol * oscale)
-    q_coupling = (inf_norm(cm - cp) <= tol * cscale
-                  and inf_norm(om - op) <= tol * oscale)
-    passive_real = (inf_norm(cp) <= tol * cscale
-                    and inf_norm(np.imag(cm)) <= tol * cscale
-                    and inf_norm(om - op) <= tol * oscale)
-
-    if p_coupling and inf_norm(cm) > tol:
-        rows = list(range(n, 2 * n))
-        structural = _rows_vanish(r, rows, tol, scale)
-        a_sub = np.imag(om)
-        pairs = (("(-Im C-)", -np.imag(cm)), ("(Re C-)", np.real(cm)))
-        witnesses = tuple(
-            ObservabilityWitness(f"(Im Omega-, {lbl})",
-                                 observability_rank(a_sub, c_sub, tol),
-                                 is_observable(a_sub, c_sub, tol))
-            for lbl, c_sub in pairs
-        )
-        verdict = structural and any(w.full for w in witnesses)
-        return QNDVariableReport(False, verdict, "p_coupling", structural, witnesses)
-
-    if q_coupling and inf_norm(cm) > tol:
-        rows = list(range(n))
-        structural = _rows_vanish(r, rows, tol, scale)
-        a_sub = np.imag(om)
-        pairs = (("(Im C-)", np.imag(cm)), ("(Re C-)", np.real(cm)))
-        witnesses = tuple(
-            ObservabilityWitness(f"(Im Omega-, {lbl})",
-                                 observability_rank(a_sub, c_sub, tol),
-                                 is_observable(a_sub, c_sub, tol))
-            for lbl, c_sub in pairs
-        )
-        verdict = structural and any(w.full for w in witnesses)
-        return QNDVariableReport(verdict, False, "q_coupling", structural, witnesses)
-
     omega_imag = (inf_norm(np.real(om)) <= tol * oscale
                   and inf_norm(np.real(op)) <= tol * oscale)
     blocks_pure = all(
         inf_norm(np.real(x)) <= tol * cscale or inf_norm(np.imag(x)) <= tol * cscale
         for x in (cm, cp)
     )
-    if omega_imag and blocks_pure:
-        if inf_norm(cm + cp) <= tol * cscale:
-            rows = list(range(n, 2 * n))
-            structural = _rows_vanish(r, rows, tol, scale)
-            a_sub = np.real(1j * (om - op))
-            w = ObservabilityWitness("(i(Omega- - Omega+), C-)",
-                                     observability_rank(a_sub, cm, tol),
-                                     is_observable(a_sub, cm, tol))
-            return QNDVariableReport(False, structural and w.full,
-                                     "imag_omega_p", structural, (w,))
-        if inf_norm(cm - cp) <= tol * cscale:
-            rows = list(range(n))
-            structural = _rows_vanish(r, rows, tol, scale)
-            a_sub = np.real(1j * (om + op))
-            w = ObservabilityWitness("(i(Omega- + Omega+), C-)",
-                                     observability_rank(a_sub, cm, tol),
-                                     is_observable(a_sub, cm, tol))
-            return QNDVariableReport(structural and w.full, False,
-                                     "imag_omega_q", structural, (w,))
+    q_rows, p_rows = slice(0, n), slice(n, 2 * n)
 
-    if passive_real:
+    for case in ("coupling", "imag_omega"):
+        for quad, sign, rows, other in (("p", -1.0, p_rows, q_rows),
+                                        ("q", 1.0, q_rows, p_rows)):
+            if not close_to(cm, sign * cp, tol):
+                continue
+            if case == "coupling":
+                if not (close_to(om, sign * op, tol) and inf_norm(cm) > tol):
+                    continue
+                name = f"{quad}_coupling"
+                im_label = "(-Im C-)" if quad == "p" else "(Im C-)"
+                witnesses = tuple(
+                    _witness(f"(Im Omega-, {lbl})", np.imag(om), c_sub, tol)
+                    for lbl, c_sub in ((im_label, sign * np.imag(cm)),
+                                       ("(Re C-)", np.real(cm))))
+            else:
+                if not (omega_imag and blocks_pure):
+                    continue
+                name = f"imag_omega_{quad}"
+                op_sign = "-" if quad == "p" else "+"
+                witnesses = (_witness(f"(i(Omega- {op_sign} Omega+), C-)",
+                                      np.real(1j * (om + sign * op)), cm, tol),)
+            structural = _rows_vanish(r, rows, other, tol, scale)
+            verdict = structural and any(w.full for w in witnesses)
+            return QNDVariableReport(quad == "q" and verdict,
+                                     quad == "p" and verdict,
+                                     name, structural, witnesses)
+
+    if (inf_norm(cp) <= tol * cscale and inf_norm(np.imag(cm)) <= tol * cscale
+            and close_to(om, op, tol)):
         return QNDVariableReport(False, False, "passive_real (no QND variable)",
                                  False, ())
 

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import matcore
 from .errors import InternalConsistencyError, ValidationError
-from .matcore import delta, flat_adjoint, inf_norm, j_diag, quadrature_transform
+from .matcore import (DEFAULT_TOL, delta, flat_adjoint, inf_norm, j_diag,
+                      quadrature_transform)
 
-VALIDATION_TOL = 1e-9
 EQUALITY_TOL = 1e-12
 
 
@@ -74,33 +74,22 @@ def _as_matrix(x, name, shape):
     return x
 
 
-def new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol=VALIDATION_TOL):
+def new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol=DEFAULT_TOL):
     """Build a validated system; raises ValidationError naming every violation."""
     c_minus = np.atleast_2d(np.asarray(c_minus, dtype=complex))
     m, n = c_minus.shape
     violations = []
-    try:
-        s = _as_matrix(s, "S", (m, m))
-    except ValidationError as exc:
-        violations += exc.violations
-        s = None
-    try:
-        c_plus = _as_matrix(c_plus, "C_plus", (m, n))
-    except ValidationError as exc:
-        violations += exc.violations
-        c_plus = None
-    try:
-        omega_minus = _as_matrix(omega_minus, "Omega_minus", (n, n))
-    except ValidationError as exc:
-        violations += exc.violations
-        omega_minus = None
-    try:
-        omega_plus = _as_matrix(omega_plus, "Omega_plus", (n, n))
-    except ValidationError as exc:
-        violations += exc.violations
-        omega_plus = None
+    checked = []
+    for value, name, shape in ((s, "S", (m, m)), (c_plus, "C_plus", (m, n)),
+                               (omega_minus, "Omega_minus", (n, n)),
+                               (omega_plus, "Omega_plus", (n, n))):
+        try:
+            checked.append(_as_matrix(value, name, shape))
+        except ValidationError as exc:
+            violations += exc.violations
     if violations:
         raise ValidationError(violations)
+    s, c_plus, omega_minus, omega_plus = checked
 
     matcore.check_finite(c_minus, "C_minus")
     scale_s = max(inf_norm(s), 1.0)
@@ -113,15 +102,6 @@ def new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol=VALIDATION_TOL):
     if violations:
         raise ValidationError(violations)
     return QuantumLinearSystem(s, c_minus, c_plus, omega_minus, omega_plus)
-
-
-def validation_report(s, c_minus, c_plus, omega_minus, omega_plus, tol=VALIDATION_TOL):
-    """Non-raising variant of new_system: returns (system-or-None, violations)."""
-    try:
-        sys_ = new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol)
-        return sys_, []
-    except ValidationError as exc:
-        return None, exc.violations
 
 
 def ac_realization(sys):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, PreconditionError, ResourceError
+from .matcore import DEFAULT_TOL
 
 DIM_CAP = 4096
 CLIP_FLOOR = -1e-8
@@ -80,7 +81,7 @@ def build_truncated_operators(sys, fock_dim):
                               a_ops=tuple(a_ops), l_ops=tuple(l_ops), h=h)
 
 
-def spectral_projections(l_hermitian, tol=1e-9):
+def spectral_projections(l_hermitian, tol=DEFAULT_TOL):
     """Spectral decomposition of a Hermitian measurement operator with
     eigenvalues clustered within tol; returns [(eigenvalue, projector)]."""
     l = np.asarray(l_hermitian, dtype=complex)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularityError
-from .matcore import inf_norm, j_diag
+from .matcore import DEFAULT_TOL, flat_adjoint, inf_norm, j_diag
 from .qsys import ac_realization
 
 COND_LIMIT = 1e12
@@ -87,7 +87,7 @@ def _sub(x, m, which):
     return x[i * m:(i + 1) * m, j * m:(j + 1) * m]
 
 
-def block_pattern(r, tol=1e-9, freqs=None):
+def block_pattern(r, tol=DEFAULT_TOL, freqs=None):
     """Certify which quadrature blocks of G[s] vanish identically.
 
     A block is Zero iff all its Markov parameters up to order 2*(2n)-1
@@ -132,17 +132,9 @@ def block_pattern(r, tol=1e-9, freqs=None):
 
 def sigma_tf(sys, s, cond_limit=COND_LIMIT):
     """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat."""
-    from .matcore import flat_adjoint
-
     cc = sys.coupling
-    n = sys.n_modes
-    m = complex(s) * np.eye(2 * n) + 1j * j_diag(n) @ sys.omega
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularityError(
-            f"sigma resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
-        )
-    return 0.5 * cc @ np.linalg.solve(m, flat_adjoint(cc))
+    a = -1j * j_diag(sys.n_modes) @ sys.omega
+    return 0.5 * cc @ _resolvent_solve(a, complex(s), flat_adjoint(cc), cond_limit)
 
 
 def cayley_tf(sys, s):

@@ -66,6 +66,18 @@ def test_validate_broken_exits_nonzero(tmp_path, capsys):
     assert out["violations"]
 
 
+def test_validate_uses_requested_tolerance(tmp_path, capsys):
+    # S = (1 + 1e-6) I is unitary within 1e-3 but not within the default 1e-9
+    doc = _michelson_doc()
+    doc["S"] = cli.emit_complex_matrix((1.0 + 1e-6) * np.eye(2))
+    path = _write(tmp_path, doc)
+    assert cli.main(["validate", path, "--tol", "1e-3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["valid"] is True and out["violations"] == []
+    assert out["tolerance"] == 1e-3
+    assert cli.main(["validate", path]) == 1
+
+
 def test_realize_quadrature(tmp_path, capsys):
     path = _write(tmp_path, _michelson_doc())
     assert cli.main(["realize", path, "--form", "quad"]) == 0

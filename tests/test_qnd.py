@@ -209,6 +209,8 @@ def test_p_coupling_report_observable():
     assert rep.structural_rows_vanish
     assert rep.p_is_qnd and not rep.q_is_qnd
     assert any(w.full for w in rep.witnesses)
+    assert [w.pair_label for w in rep.witnesses] == [
+        "(Im Omega-, (-Im C-))", "(Im Omega-, (Re C-))"]
 
 
 def test_q_coupling_report_observable():
@@ -217,6 +219,8 @@ def test_q_coupling_report_observable():
     rep = qnd.qnd_variable_report(sys_obj)
     assert rep.case_matched == "q_coupling"
     assert rep.q_is_qnd and not rep.p_is_qnd
+    assert [w.pair_label for w in rep.witnesses] == [
+        "(Im Omega-, (Im C-))", "(Im Omega-, (Re C-))"]
 
 
 def test_p_coupling_report_unobservable():
@@ -227,7 +231,9 @@ def test_p_coupling_report_unobservable():
     assert rep.case_matched == "p_coupling"
     assert rep.structural_rows_vanish
     assert not rep.p_is_qnd
-    assert all(w.rank < 2 for w in rep.witnesses)
+    assert all(w.rank < 2 and not w.full for w in rep.witnesses)
+    assert [w.pair_label for w in rep.witnesses] == [
+        "(Im Omega-, (-Im C-))", "(Im Omega-, (Re C-))"]
 
 
 @pytest.mark.parametrize("which,c_style", [
@@ -244,6 +250,8 @@ def test_imag_omega_variants(which, c_style):
         assert rep.case_matched == f"imag_omega_{which}"
         assert rep.structural_rows_vanish
         (witness,) = rep.witnesses
+        sign_label = "-" if which == "p" else "+"
+        assert witness.pair_label == f"(i(Omega- {sign_label} Omega+), C-)"
         flagged = rep.p_is_qnd if which == "p" else rep.q_is_qnd
         assert flagged == witness.full
         om, op = sys_obj.omega_minus, sys_obj.omega_plus

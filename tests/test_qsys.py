@@ -43,19 +43,23 @@ def test_new_system_rejects_nonsymmetric_omega_plus():
     assert any("Omega_plus" in v for v in e.value.violations)
 
 
-def test_validation_report_collects_multiple_violations():
-    sys_obj, violations = qsys.validation_report(
-        2.0 * np.eye(1), np.ones((1, 2)), np.zeros((1, 2)),
-        np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
-    assert sys_obj is None
-    assert len(violations) >= 2
+@pytest.mark.parametrize("args", [
+    # non-unitary S and non-Hermitian Omega-
+    (2.0 * np.eye(1), np.ones((1, 2)), np.zeros((1, 2)),
+     np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))),
+    # S and Omega+ of the wrong shape
+    (np.eye(2), np.ones((1, 2)), np.zeros((1, 2)),
+     np.zeros((2, 2)), np.zeros((3, 3))),
+], ids=["invariants", "shapes"])
+def test_new_system_collects_multiple_violations(args):
+    with pytest.raises(ValidationError) as e:
+        qsys.new_system(*args)
+    assert len(e.value.violations) >= 2
 
 
-def test_validation_report_clean_system():
-    sys_obj, violations = qsys.validation_report(
-        np.eye(1), np.ones((1, 1)), np.zeros((1, 1)),
-        np.zeros((1, 1)), np.zeros((1, 1)))
-    assert violations == []
+def test_new_system_clean_system():
+    sys_obj = qsys.new_system(np.eye(1), np.ones((1, 1)), np.zeros((1, 1)),
+                              np.zeros((1, 1)), np.zeros((1, 1)))
     assert sys_obj.n_modes == 1 and sys_obj.m_channels == 1
 
 
