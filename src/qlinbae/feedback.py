@@ -105,6 +105,23 @@ def _loop_gain(net):
     return net.s_b @ np.linalg.inv(loop)
 
 
+def _reduce_arrays(k11, k12, k21, k22, s12, s22, w, omega_minus, omega_plus):
+    """Reduced (C-, C+, Omega-, Omega+) for the loop gain w, on raw arrays
+    and without validation; reduce_network states the formulas."""
+    c_minus = k11 + s12 @ w @ k21
+    c_plus = k12 + s12 @ w @ k22
+    f = (k11.conj().T @ s12 + k21.conj().T @ s22) @ w
+    g = (k12.conj().T @ s12 + k22.conj().T @ s22) @ w
+    m = f @ k21
+    nn = f @ k22
+    p = g @ k21
+    q = g @ k22
+    mq = m + q.T
+    omega_minus = omega_minus + (mq - mq.conj().T) / 2j
+    omega_plus = omega_plus + (nn + nn.T - p.conj().T - p.conj()) / 2j
+    return c_minus, c_plus, omega_minus, omega_plus
+
+
 def reduce_network(net, tol=DEFAULT_TOL):
     """Eliminate the looped channels and return the equivalent m1-channel
     system.
@@ -123,17 +140,9 @@ def reduce_network(net, tol=DEFAULT_TOL):
     """
     w = _loop_gain(net)
     s_red = net.s11 + net.s12 @ w @ net.s21
-    c_minus = net.k11 + net.s12 @ w @ net.k21
-    c_plus = net.k12 + net.s12 @ w @ net.k22
-    f = (net.k11.conj().T @ net.s12 + net.k21.conj().T @ net.s22) @ w
-    g = (net.k12.conj().T @ net.s12 + net.k22.conj().T @ net.s22) @ w
-    m = f @ net.k21
-    nn = f @ net.k22
-    p = g @ net.k21
-    q = g @ net.k22
-    mq = m + q.T
-    omega_minus = net.plant.omega_minus + (mq - mq.conj().T) / 2j
-    omega_plus = net.plant.omega_plus + (nn + nn.T - p.conj().T - p.conj()) / 2j
+    c_minus, c_plus, omega_minus, omega_plus = _reduce_arrays(
+        net.k11, net.k12, net.k21, net.k22, net.s12, net.s22, w,
+        net.plant.omega_minus, net.plant.omega_plus)
     return new_system(s=s_red, c_minus=c_minus, c_plus=c_plus,
                       omega_minus=omega_minus, omega_plus=omega_plus, tol=tol)
 
@@ -159,8 +168,11 @@ def crossterm_hamiltonian_shift(net):
 def closed_loop_tf(net, s):
     """Direct frequency-domain oracle: evaluate the full plant's quadrature
     transfer function and algebraically close the loop u2 = Sigma_b y2."""
-    r = quad_realization(net.plant)
-    g = eval_tf(r, s)
+    return _close_loop(net, quad_realization(net.plant), s)
+
+
+def _close_loop(net, plant_realization, s):
+    g = eval_tf(plant_realization, s)
     m, m1, m2 = net.plant.m_channels, net.m1, net.m2
     idx1 = np.r_[0:m1, m:m + m1]
     idx2 = np.r_[m1:m, m + m1:2 * m]
@@ -189,11 +201,12 @@ def verify_reduction(net, tol=DEFAULT_TOL, omegas=None):
     if omegas is None:
         omegas = np.logspace(-2, 2, 16)
     reduced = quad_realization(reduce_network(net, tol=tol))
+    plant = quad_realization(net.plant)
     dev = 0.0
     scale = 1.0
     for w in omegas:
         s = 1j * w
-        direct = closed_loop_tf(net, s)
+        direct = _close_loop(net, plant, s)
         red = eval_tf(reduced, s)
         dev = max(dev, float(inf_norm(direct - red)))
         scale = max(scale, float(inf_norm(direct)))
@@ -254,29 +267,23 @@ def _sg_matrix(tag, m1, m2):
     return np.atleast_2d(np.asarray(tag, dtype=complex))
 
 
-def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, sb, sg, branch):
+def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
+                      branch):
     """Residual vector whose squared norm is the design objective with the
-    coupling-structure branch ('real' or 'imag') fixed."""
+    coupling-structure branch ('real' or 'imag') fixed; s12, s22 and the
+    loop gain w belong to one validated, well-posed topology."""
     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
-    n_res = 2 * n * n + 2 * m1 * (2 * n)
-    try:
-        net = make_network(omega_minus, omega_plus, k11, k12, k21, k22, sb,
-                           s_plant=sg)
-        red = reduce_network(net)
-    except WellPosednessError:
-        return np.full(n_res, 1e6)
-    c_bar = np.hstack([red.c_minus, red.c_plus])
+    c_minus, c_plus, om, op = _reduce_arrays(k11, k12, k21, k22, s12, s22, w,
+                                             omega_minus, omega_plus)
+    c_bar = np.hstack([c_minus, c_plus])
     c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
-    return np.concatenate([np.real(red.omega_minus).ravel(),
-                           np.real(red.omega_plus).ravel(),
+    return np.concatenate([np.real(om).ravel(), np.real(op).ravel(),
                            c_part.ravel()])
 
 
-def _design_objective(x, omega_minus, omega_plus, m1, m2, n, sb, sg):
-    return min(
-        float(np.sum(_design_residuals(x, omega_minus, omega_plus,
-                                       m1, m2, n, sb, sg, branch) ** 2))
-        for branch in ("imag", "real"))
+def _design_objective(x, *fixed):
+    return min(float(np.sum(_design_residuals(x, *fixed, branch) ** 2))
+               for branch in ("imag", "real"))
 
 
 def _unpack(x, m1, m2, n):
@@ -313,10 +320,16 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     once per coupling-structure branch) of the objective
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
-    Candidates with J below search_cfg.threshold are re-validated through
-    reduce_network and certified with bae.certify_bae (at a tolerance no
-    finer than the achieved residual); an empty list carries no error — the
-    best objective found is available from the returned diagnostics.
+    Validation runs once per topology and once per candidate, never per
+    residual: each (plant scattering, beamsplitter) topology is validated
+    through make_network, and its loop gain W = S_b (I - S22 S_b)^{-1},
+    which does not depend on the gains, is computed once. A topology whose
+    loop is singular is skipped (its random starts are still drawn, so later
+    topologies see the same starts). Candidates with J below
+    search_cfg.threshold are re-validated through reduce_network and
+    certified with bae.certify_bae (at a tolerance no finer than the
+    achieved residual); an empty list carries no error — the best objective
+    found is available from the returned diagnostics.
     """
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
@@ -344,15 +357,21 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
                             np.zeros((m2, n)), np.zeros((m2, n)))]
             starts += [cfg.start_scale * rng.standard_normal(dim)
                        for _ in range(cfg.n_starts - 1)]
+            topology = make_network(omega_minus, omega_plus,
+                                    *_unpack(starts[0], m1, m2, n), sb,
+                                    s_plant=sg)
+            try:
+                w = _loop_gain(topology)
+            except WellPosednessError:
+                continue  # W ignores the gains: singular for every start
+            fixed = (omega_minus, omega_plus, m1, m2, n,
+                     topology.s12, topology.s22, w)
             for x0 in starts:
-                if _design_objective(x0, omega_minus, omega_plus,
-                                     m1, m2, n, sb, sg) >= 1e12:
+                if _design_objective(x0, *fixed) >= 1e12:
                     continue
                 for branch in ("imag", "real"):
                     res = optimize.least_squares(
-                        _design_residuals, x0,
-                        args=(omega_minus, omega_plus, m1, m2, n, sb, sg,
-                              branch),
+                        _design_residuals, x0, args=(*fixed, branch),
                         method="trf", max_nfev=cfg.refine_maxiter,
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
                     j = float(np.sum(res.fun ** 2))

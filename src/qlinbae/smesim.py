@@ -115,11 +115,31 @@ class SMETrajectoryBatch:
     max_repair_mass: float
 
 
-def _lindblad_drift(rho, h, l_ops, ldl):
-    out = -1j * (h @ rho - rho @ h)
-    for lj, ljdlj in zip(l_ops, ldl):
-        out += lj @ rho @ lj.conj().T - 0.5 * (ljdlj @ rho + rho @ ljdlj)
-    return out
+def _dagger(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _maybe_below_floor(rho, shift):
+    """Flags states whose smallest eigenvalue may lie below -shift.
+
+    A batched Cholesky factorization of rho + shift*I, vectorized over the
+    trajectory axis: a non-positive pivot means rho + shift*I is not
+    positive definite. It costs a fraction of a batched eigendecomposition
+    and is backward stable, so with shift well inside the clip floor every
+    state that needs repair is flagged."""
+    n_traj, d, _ = rho.shape
+    a = rho + shift * np.eye(d)
+    fac = np.zeros_like(a)
+    flagged = np.zeros(n_traj, dtype=bool)
+    for k in range(d):
+        row = fac[:, k, :k]
+        pivot = a[:, k, k].real - np.einsum("tj,tj->t", row, row.conj()).real
+        flagged |= ~(pivot > 0.0)
+        root = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
+        fac[:, k, k] = root
+        below = (fac[:, k + 1:, :k] @ row.conj()[:, :, None])[:, :, 0]
+        fac[:, k + 1:, k] = (a[:, k + 1:, k] - below) / root[:, None]
+    return flagged
 
 
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
@@ -129,7 +149,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
       drho = L*(rho) dt
            + sum_j (L_j rho + rho L_j^dag - Tr[rho (L_j + L_j^dag)] rho) dnu_j
     with innovation increments dnu_j ~ Normal(0, dt), independent per
-    channel. Each step Hermitizes, clips eigenvalues below -1e-8 to zero
+    channel. rho0 is Hermitized once. Each step Hermitizes, clips
+    eigenvalues below -1e-8 to zero
     (any single step needing more than repair_budget of repaired mass per
     trajectory aborts with an instability error) and renormalizes the
     trace. Trajectories use
@@ -177,8 +198,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
     times = np.array([i * dt for i in store_idx])
     values = np.empty((n_traj, len(store_idx), len(obs)))
 
-    rho = np.broadcast_to(rho0, (n_traj, d, d)).copy()
-    lsum = [l + l.conj().T for l in l_ops]
+    rho = np.broadcast_to(0.5 * (rho0 + _dagger(rho0)), (n_traj, d, d)).copy()
+    l_dag = [_dagger(l) for l in l_ops]
     max_trace_dev = 0.0
     repair = np.zeros(n_traj)
 
@@ -186,30 +207,43 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
         for k, x in enumerate(obs):
             values[:, slot, k] = np.einsum("tij,ji->t", rho, x).real
 
+    # With K = -iH - 1/2 sum_j L_j^dag L_j the drift is
+    # K rho + rho K^dag + sum_j L_j rho L_j^dag. rho is Hermitian at the
+    # start of every step, so X rho + rho X^dag is formed as Y + Y^dag
+    # from the single product Y = X rho.
+    k_gen = -1j * h - 0.5 * sum(ldl, np.zeros_like(h))
     slot = 0
     record(slot)
     for step in range(n_steps):
-        drho = _lindblad_drift(rho, h, l_ops, ldl) * dt
-        for j in range(m):
-            exp_j = np.einsum("tij,ji->t", rho, lsum[j]).real
-            mj = (l_ops[j] @ rho + rho @ l_ops[j].conj().T
-                  - exp_j[:, None, None] * rho)
+        kr = k_gen @ rho
+        drho = kr + _dagger(kr)
+        lrs = [l @ rho for l in l_ops]
+        for lr, ld in zip(lrs, l_dag):
+            drho += lr @ ld
+        drho *= dt
+        for j, lr in enumerate(lrs):
+            exp_j = 2.0 * np.einsum("tii->t", lr).real
+            mj = lr + _dagger(lr) - exp_j[:, None, None] * rho
             drho += mj * noise[:, step, j, None, None]
         rho = rho + drho
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        rho = 0.5 * (rho + _dagger(rho))
         tr = np.einsum("tii->t", rho).real
         max_trace_dev = max(max_trace_dev, float(np.abs(tr - 1.0).max()))
-        w, v = np.linalg.eigh(rho)
-        bad = w < CLIP_FLOOR
-        if bad.any():
+        idx = np.flatnonzero(_maybe_below_floor(rho, 0.5 * -CLIP_FLOOR))
+        if idx.size:
+            w, v = np.linalg.eigh(rho[idx])
+            bad = w < CLIP_FLOOR
             step_mass = np.where(bad, -w, 0.0).sum(axis=1)
-            repair = np.maximum(repair, step_mass)
+            repair[idx] = np.maximum(repair[idx], step_mass)
             if step_mass.max() > repair_budget:
                 raise InstabilityError(
                     f"single-step positivity repair mass "
                     f"{step_mass.max():.3e} exceeds {repair_budget}; reduce dt")
-            w = np.where(w < CLIP_FLOOR, 0.0, w)
-            rho = np.einsum("tik,tk,tjk->tij", v, w, v.conj())
+            fix = bad.any(axis=1)
+            if fix.any():
+                w, v = np.where(bad, 0.0, w)[fix], v[fix]
+                fixed = np.einsum("tik,tk,tjk->tij", v, w, v.conj())
+                rho[idx[fix]] = 0.5 * (fixed + _dagger(fixed))
         tr = np.einsum("tii->t", rho).real
         rho /= tr[:, None, None]
         if step + 1 in store_set:

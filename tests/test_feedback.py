@@ -97,16 +97,66 @@ def test_anchor_network_oracle_and_crossterm_shift():
 
 # ---------------------------------------------------------------- designer
 
-def test_designer_trivial_target():
+def _validated_residuals(x, om, op, m1, m2, n, sb, sg, branch):
+    """The design residual through the validated path: make_network and
+    reduce_network on the unpacked gains."""
+    net = feedback.make_network(om, op, *feedback._unpack(x, m1, m2, n), sb,
+                                s_plant=sg)
+    red = feedback.reduce_network(net)
+    c_bar = np.hstack([red.c_minus, red.c_plus])
+    c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
+    return np.concatenate([np.real(red.omega_minus).ravel(),
+                           np.real(red.omega_plus).ravel(), c_part.ravel()])
+
+
+def test_design_residuals_match_validated_reduction():
+    """The search's residual, on the loop gain hoisted once per topology,
+    is bit-identical to the one built through make_network and
+    reduce_network, so hoisting cannot move the optimizer's path."""
+    nets = [_anchor_network()]
+    rng = np.random.default_rng(2)
+    nets += [random_feedback_network(rng, n=2, m1=2, m2=2) for _ in range(20)]
+    for net in nets:
+        m1, m2, n = net.m1, net.m2, net.plant.n_modes
+        om, op = net.plant.omega_minus, net.plant.omega_plus
+        x = feedback._pack(net.k11, net.k12, net.k21, net.k22)
+        for sg_tag in ("identity", "swap"):
+            sg = feedback._sg_matrix(sg_tag, m1, m2)
+            topology = feedback.make_network(om, op, net.k11, net.k12,
+                                             net.k21, net.k22, net.s_b,
+                                             s_plant=sg)
+            w = feedback._loop_gain(topology)
+            for branch in ("imag", "real"):
+                hoisted = feedback._design_residuals(
+                    x, om, op, m1, m2, n, topology.s12, topology.s22, w,
+                    branch)
+                assert np.array_equal(hoisted, _validated_residuals(
+                    x, om, op, m1, m2, n, net.s_b, sg, branch))
+
+
+def test_designer_trivial_target(monkeypatch):
     """An already purely imaginary Hamiltonian needs no loop: the search
-    must return certified candidates from the open-loop start."""
+    must return certified candidates from the open-loop start. The identity
+    beamsplitter on the identity plant makes I - S22 S_b = 0 for every gain,
+    so that topology is skipped without running the optimizer."""
+    calls = []
+    least_squares = feedback.optimize.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["args"])
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(feedback.optimize, "least_squares", counting)
     om = np.array([[1.0j * 0.0]])  # zero is trivially purely imaginary
     op = np.array([[0.5j]])
     cfg = feedback.SearchConfig(n_starts=2, seed=1)
     cands = feedback.design_couplings(om, op, (1, 1), search_cfg=cfg,
                                       s_b_candidates=("identity", "-i"),
                                       s_g_candidates=("identity",))
+    # only the -i topology runs: two starts, one refinement per branch
+    assert len(calls) == 2 * cfg.n_starts
     assert cands
+    assert all(np.array_equal(c.s_b, -1j * np.eye(1)) for c in cands)
     best = cands[0]
     assert best.objective <= 1e-12
     assert best.report.consistency

@@ -161,6 +161,26 @@ def test_positivity_instability_detection():
                                  tracked=[("L", ops.l_ops[0])])
 
 
+def test_cholesky_gate_flags_every_state_below_the_clip_floor():
+    """The batched Cholesky gate in front of the repair eigendecomposition
+    must flag every state whose smallest eigenvalue is below CLIP_FLOOR,
+    and no state that is positive semidefinite."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(4000, 6, 2)) + 1j * rng.normal(size=(4000, 6, 2))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    rho /= np.einsum("tii->t", rho).real[:, None, None]
+    rho -= rng.uniform(0.0, 3e-8, size=4000)[:, None, None] * np.eye(6)
+    shift = 0.5 * -smesim.CLIP_FLOOR
+    flagged = smesim._maybe_below_floor(rho, shift)
+    w_min = np.linalg.eigvalsh(rho).min(axis=1)
+    below = w_min < smesim.CLIP_FLOOR
+    assert below.sum() > 1000
+    assert np.all(flagged[below])
+    assert not np.any(flagged[w_min > -shift + 1e-12])
+    assert not np.any(smesim._maybe_below_floor(
+        np.broadcast_to(np.eye(6) / 6.0, (3, 6, 6)).copy(), shift))
+
+
 def test_store_every_subsampling():
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
     rho0 = _ground_state_mixture(4)
