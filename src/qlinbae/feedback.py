@@ -10,10 +10,10 @@ import numpy as np
 from scipy import optimize
 
 from . import bae
-from .errors import DimensionError, WellPosednessError
+from .errors import DimensionError, SingularityError, WellPosednessError
 from .matcore import DEFAULT_TOL, inf_norm
 from .qsys import QuantumLinearSystem, new_system, quad_realization
-from .xferfn import COND_LIMIT, eval_tf
+from .xferfn import COND_LIMIT, _tf_points, eval_tf
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,11 @@ def crossterm_hamiltonian_shift(net):
 def closed_loop_tf(net, s):
     """Direct frequency-domain oracle: evaluate the full plant's quadrature
     transfer function and algebraically close the loop u2 = Sigma_b y2."""
-    return _close_loop(net, quad_realization(net.plant), s)
+    return _close_loop(net, eval_tf(quad_realization(net.plant), s))
 
 
-def _close_loop(net, plant_realization, s):
-    g = eval_tf(plant_realization, s)
+def _close_loop(net, g):
+    """Close the loop u2 = Sigma_b y2 around the plant's quadrature G at one point."""
     m, m1, m2 = net.plant.m_channels, net.m1, net.m2
     idx1 = np.r_[0:m1, m:m + m1]
     idx2 = np.r_[m1:m, m + m1:2 * m]
@@ -196,18 +196,21 @@ class ReductionReport:
 
 
 def verify_reduction(net, tol=DEFAULT_TOL, omegas=None):
-    """Compare eval_tf of the reduced system against the directly
+    """Compare the reduced system's transfer function against the directly
     interconnected closed loop at sampled frequencies."""
     if omegas is None:
         omegas = np.logspace(-2, 2, 16)
-    reduced = quad_realization(reduce_network(net, tol=tol))
-    plant = quad_realization(net.plant)
+    points = [1j * w for w in omegas]
+    reduced = _tf_points(quad_realization(reduce_network(net, tol=tol)), points)
+    plant = _tf_points(quad_realization(net.plant), points)
     dev = 0.0
     scale = 1.0
-    for w in omegas:
-        s = 1j * w
-        direct = _close_loop(net, plant, s)
-        red = eval_tf(reduced, s)
+    for g, red in zip(plant, reduced):
+        if isinstance(g, SingularityError):
+            raise g
+        direct = _close_loop(net, g)
+        if isinstance(red, SingularityError):
+            raise red
         dev = max(dev, float(inf_norm(direct - red)))
         scale = max(scale, float(inf_norm(direct)))
     return ReductionReport(max_deviation=dev, scale=scale,

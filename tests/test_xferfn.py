@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinbae import matcore, qsys, xferfn
-from qlinbae.errors import PreconditionError
+from qlinbae.errors import PreconditionError, SingularityError
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -53,7 +53,6 @@ def test_eval_tf_singularity_at_pole():
     sys_obj = qsys.new_system(np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)),
                               np.eye(1), np.zeros((1, 1)))
     r = qsys.ac_realization(sys_obj)
-    from qlinbae.errors import SingularityError
     with pytest.raises(SingularityError):
         xferfn.eval_tf(r, -1j)
 
@@ -114,3 +113,127 @@ def test_frequency_sweep_shapes_and_resonance_nan():
     assert np.all(np.isfinite(rows[0]))
     assert np.all(np.isnan(rows[1]))
     assert np.all(np.isfinite(rows[2]))
+
+
+# ------------------------------------------------------ resolvent guard
+
+def _reference_tf(r, omegas):
+    """Per-point reference: np.linalg.cond and np.linalg.solve at every
+    point; None where the guard must call the point singular."""
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
+    out = []
+    for w in omegas:
+        m = complex(1j * w) * np.eye(a.shape[0]) - a
+        cond = np.linalg.cond(m)
+        singular = not np.isfinite(cond) or cond > xferfn.COND_LIMIT
+        out.append(None if singular else d + c @ np.linalg.solve(m, b))
+    return out
+
+
+def _reference_sweep(r, omegas):
+    return np.array([np.full(r.d.shape, np.nan) if g is None else np.abs(g)
+                     for g in _reference_tf(r, omegas)])
+
+
+def _reference_pattern(r, freqs, tol=matcore.DEFAULT_TOL):
+    """block_pattern with a per-block, per-point loop of inf_norm calls."""
+    m = r.m_channels
+    blocks = {"qq": (0, 0), "qp": (0, 1), "pq": (1, 0), "pp": (1, 1)}
+    scale = max(matcore.inf_norm(x) for x in (r.a, r.b, r.c, r.d, 1.0))
+    gs = [g for g in _reference_tf(r, freqs) if g is not None]
+
+    def peak(mats, i, j):
+        return max([0.0] + [matcore.inf_norm(x[i * m:(i + 1) * m, j * m:(j + 1) * m])
+                            for x in mats])
+
+    params = xferfn.markov_params(r, 2 * r.a.shape[0])
+    certs = {}
+    for name, (i, j) in blocks.items():
+        mk, fq = peak(params, i, j), peak(gs, i, j)
+        certs[name] = xferfn.BlockCert(mk <= tol * scale and fq <= tol * scale, mk, fq)
+    return xferfn.BlockPattern(**certs)
+
+
+def _pole_grid(r, rng):
+    """A log grid plus each axis pole of r, exactly and at pole * (1 + 1e-13);
+    every other grid is shuffled, since the guard must not depend on order."""
+    eig = np.linalg.eigvals(np.asarray(r.a, dtype=complex))
+    poles = [lam.imag for lam in eig if abs(lam.real) <= 1e-9 * max(abs(lam), 1.0)]
+    grid = np.concatenate([np.logspace(-3.0, 3.0, 40), poles,
+                           np.multiply(poles, 1 + 1e-13)])
+    return rng.permutation(grid) if rng.integers(2) else np.sort(grid)
+
+
+def test_guard_matches_per_point_cond_and_solve():
+    """frequency_sweep, block_pattern and eval_tf agree bit for bit with an
+    SVD condition number at every point, also at and next to axis poles."""
+    couplings = ("zero", "generic", "zero", "real", "zero", "imag")
+    singular = 0
+    for i in range(120):
+        rng = np.random.default_rng(i)
+        sys_obj = qsys.random_system(rng, 1 + i % 6, 1 + i % 2,
+                                     coupling=couplings[i % 6])
+        r = qsys.quad_realization(sys_obj)
+        omegas = _pole_grid(r, rng)
+        rows = xferfn.frequency_sweep(r, omegas)
+        assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
+        assert xferfn.block_pattern(r, freqs=omegas) == _reference_pattern(r, omegas)
+        for w in omegas[np.isnan(rows).all(axis=(1, 2))]:
+            singular += 1
+            m = complex(1j * w) * np.eye(r.a.shape[0]) - r.a
+            with pytest.raises(SingularityError) as err:
+                xferfn.eval_tf(r, 1j * w)
+            assert err.value.cond == np.linalg.cond(m)
+    assert singular >= 100
+
+
+def test_guard_is_exact_where_cond_crosses_the_limit():
+    """On a one-ulp grid across cond2 = COND_LIMIT next to an axis pole, the
+    computed cond jitters by roundoff; the factor-2 margin keeps the Weyl
+    cover out of that band, so every verdict there is the SVD's."""
+    crossings = 0
+    for i in range(40):
+        rng = np.random.default_rng(1000 + i)
+        r = qsys.quad_realization(qsys.random_system(rng, 1 + i % 8, 1 + i % 2,
+                                                     coupling="zero"))
+        a = np.asarray(r.a, dtype=complex)
+
+        def cond(w):
+            return np.linalg.cond(complex(1j * w) * np.eye(a.shape[0]) - a)
+
+        for lam in np.linalg.eigvals(a):
+            near, far = lam.imag, lam.imag + 1e-3
+            if near <= 0 or abs(lam.real) > 1e-9 * abs(lam) \
+                    or not cond(near) > xferfn.COND_LIMIT >= cond(far):
+                continue
+            while (mid := 0.5 * (near + far)) not in (near, far):
+                if cond(mid) > xferfn.COND_LIMIT:
+                    near = mid
+                else:
+                    far = mid
+            crossings += 1
+            grid = far + np.arange(400, -100, -1) * np.spacing(far)
+            assert np.array_equal(xferfn.frequency_sweep(r, grid),
+                                  _reference_sweep(r, grid), equal_nan=True)
+    assert crossings >= 20
+
+
+def test_guard_skips_svds_between_anchors(monkeypatch):
+    """The Weyl cover, not an SVD per point, decides most of a sorted grid;
+    a one-point evaluation always anchors."""
+    r = qsys.quad_realization(
+        qsys.random_system(np.random.default_rng(8), 8, 2))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(xferfn.np.linalg, "svd", counting_svd)
+    rows = xferfn.frequency_sweep(r, np.logspace(-3.0, 3.0, 200))
+    assert np.all(np.isfinite(rows))
+    assert 0 < len(calls) < 100
+    calls.clear()
+    xferfn.eval_tf(r, 0.3j)
+    assert len(calls) == 1
