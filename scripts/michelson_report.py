@@ -24,7 +24,7 @@ def main():
     args = ap.parse_args()
 
     sys_obj = qsys.michelson_system(args.mass, args.omega_m, args.lam)
-    report = bae.certify_bae(sys_obj, pattern_tol=1e-10)
+    report = bae.certify_bae(sys_obj, tol=1e-10)
 
     print(f"mass={args.mass} omega_m={args.omega_m} lambda={args.lam}")
     print("matched conditions:",

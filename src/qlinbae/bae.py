@@ -6,7 +6,7 @@ recomputes the blocks from the state-space realization and checks that
 every matched condition's prediction is actually certified.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,11 +160,11 @@ def diagnose_conditions(sys, tol=DEFAULT_TOL):
     return matched
 
 
-def certify_bae(sys, tol=DEFAULT_TOL, pattern_tol=None):
+def certify_bae(sys, tol=DEFAULT_TOL):
     """Certify zero transfer pairs from the realization and reconcile them
     with the catalog's predictions."""
     matched = diagnose_conditions(sys, tol)
-    pattern = block_pattern(quad_realization(sys), tol=pattern_tol or tol)
+    pattern = block_pattern(quad_realization(sys), tol=tol)
     certified = frozenset(
         _PAIR_FOR_BLOCK[name] for name in pattern.zero_blocks()
     )

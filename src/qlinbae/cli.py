@@ -3,10 +3,12 @@ report/CSV emission.
 
 Spec files are JSON with keys modes, channels, S, C_minus, C_plus,
 Omega_minus, Omega_plus; complex entries are two-element [re, im] arrays.
-Optional sections: feedback (split, k11, k12, k21, k22, beamsplitter),
+Optional sections: feedback (split, beamsplitter, k11, k12, k21, k22),
 kalman (A_co, B_co, C_co or Gamma_q/Gamma_p), sim (fock_dim, dt, T,
-n_traj, seed). Exit status: 0 success, 1 validation/precondition failure,
-2 internal-consistency error.
+n_traj, seed). `feedback reduce` uses the spec's own system as the plant;
+the optional k** keys are cross-checks that must match its rows of C_minus
+(k11, k21) or C_plus (k12, k22) within --tol. Exit status: 0 success,
+1 validation/precondition failure, 2 internal-consistency error.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import numpy as np
 from . import bae, feedback, kalman, qnd, smesim
 from .errors import (InternalConsistencyError, PreconditionError,
                      QLinBAEError, ValidationError, WellPosednessError)
-from .matcore import DEFAULT_TOL
+from .matcore import DEFAULT_TOL, close_to
 from .qsys import ac_realization, new_system, quad_realization
 from .xferfn import block_pattern, eval_tf, frequency_sweep
 
@@ -210,25 +212,35 @@ def cmd_qnd(args):
     return 0
 
 
-def _network_from_doc(sys_obj, doc):
+def _network_from_doc(sys_obj, doc, tol):
+    """The spec's system as the plant of its feedback section's loop."""
     fb = doc.get("feedback")
     if fb is None:
         raise ValueError("spec file has no 'feedback' section")
-    m1, m2 = fb["split"]
-    return feedback.make_network(
-        omega_minus=sys_obj.omega_minus, omega_plus=sys_obj.omega_plus,
-        k11=parse_complex_matrix(fb["k11"], "feedback.k11"),
-        k12=parse_complex_matrix(fb["k12"], "feedback.k12"),
-        k21=parse_complex_matrix(fb["k21"], "feedback.k21"),
-        k22=parse_complex_matrix(fb["k22"], "feedback.k22"),
-        s_b=parse_complex_matrix(fb["beamsplitter"], "feedback.beamsplitter"),
-    )
+    split = fb["split"]
+    if not (isinstance(split, list) and len(split) == 2
+            and all(isinstance(v, int) and v >= 1 for v in split)):
+        raise ValueError(f"feedback.split must be two positive integers, got {split!r}")
+    m1, m2 = split
+    net = feedback.FeedbackNetwork(
+        plant=sys_obj, m1=m1, m2=m2,
+        s_b=parse_complex_matrix(fb["beamsplitter"], "feedback.beamsplitter"))
+    for key in ("k11", "k12", "k21", "k22"):
+        if key not in fb:
+            continue
+        given = parse_complex_matrix(fb[key], f"feedback.{key}")
+        block = getattr(net, key)
+        if given.shape != block.shape or not close_to(given, block, tol):
+            c_name = "C_minus" if key[2] == "1" else "C_plus"
+            raise ValueError(f"feedback.{key} does not match its rows of "
+                             f"{c_name} within tolerance {tol}")
+    return net
 
 
 def cmd_feedback(args):
     sys_obj, doc = load_spec(args.spec, args.tol)
     if args.action == "reduce":
-        net = _network_from_doc(sys_obj, doc)
+        net = _network_from_doc(sys_obj, doc, args.tol)
         reduced = feedback.reduce_network(net, tol=args.tol)
         check = feedback.verify_reduction(net, tol=args.tol)
         _write_json({

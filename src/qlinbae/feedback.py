@@ -4,7 +4,7 @@ Hamiltonian purely imaginary (the structure that enables back-action
 evasion in the reduced single-port system).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -14,6 +14,10 @@ from .errors import DimensionError, SingularityError, WellPosednessError
 from .matcore import DEFAULT_TOL, inf_norm
 from .qsys import QuantumLinearSystem, new_system, quad_realization
 from .xferfn import COND_LIMIT, _tf_points, eval_tf
+
+REDUCTION_OMEGAS = np.logspace(-2, 2, 16)
+CANDIDATE_THRESHOLD = 1e-12  # largest design objective kept as a candidate
+REFINE_MAXITER = 400  # residual evaluations per least-squares refinement
 
 
 @dataclass(frozen=True)
@@ -195,12 +199,10 @@ class ReductionReport:
     passed: bool
 
 
-def verify_reduction(net, tol=DEFAULT_TOL, omegas=None):
+def verify_reduction(net, tol=DEFAULT_TOL):
     """Compare the reduced system's transfer function against the directly
-    interconnected closed loop at sampled frequencies."""
-    if omegas is None:
-        omegas = np.logspace(-2, 2, 16)
-    points = [1j * w for w in omegas]
+    interconnected closed loop at the frequencies REDUCTION_OMEGAS."""
+    points = [1j * w for w in REDUCTION_OMEGAS]
     reduced = _tf_points(quad_realization(reduce_network(net, tol=tol)), points)
     plant = _tf_points(quad_realization(net.plant), points)
     dev = 0.0
@@ -214,17 +216,14 @@ def verify_reduction(net, tol=DEFAULT_TOL, omegas=None):
         dev = max(dev, float(inf_norm(direct - red)))
         scale = max(scale, float(inf_norm(direct)))
     return ReductionReport(max_deviation=dev, scale=scale,
-                           frequencies=tuple(float(w) for w in omegas),
+                           frequencies=tuple(float(w) for w in REDUCTION_OMEGAS),
                            passed=dev <= tol * scale)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     n_starts: int = 32
-    refine_maxiter: int = 400
-    threshold: float = 1e-12
     seed: int = 0
-    start_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,9 @@ DEFAULT_SG_CANDIDATES = ("identity", "swap")
 
 
 def _sb_matrix(tag, m2):
-    if isinstance(tag, str):
-        return {"identity": np.eye(m2),
-                "i": 1j * np.eye(m2),
-                "-i": -1j * np.eye(m2)}[tag]
-    return np.atleast_2d(np.asarray(tag, dtype=complex))
+    return {"identity": np.eye(m2),
+            "i": 1j * np.eye(m2),
+            "-i": -1j * np.eye(m2)}[tag]
 
 
 def _sg_matrix(tag, m1, m2):
@@ -257,17 +254,15 @@ def _sg_matrix(tag, m1, m2):
     'swap' (m1 == m2 only) routes the external inputs to the looped outputs
     and vice versa, letting the loop shift the Hamiltonian by an arbitrary
     Hermitian form instead of a sign-definite one."""
-    if isinstance(tag, str):
-        if tag == "identity":
-            return np.eye(m1 + m2)
-        if tag == "swap":
-            if m1 != m2:
-                return None
-            z = np.zeros((m1, m1))
-            eye = np.eye(m1)
-            return np.block([[z, eye], [eye, z]])
-        raise ValueError(f"unknown plant-scattering tag {tag!r}")
-    return np.atleast_2d(np.asarray(tag, dtype=complex))
+    if tag == "identity":
+        return np.eye(m1 + m2)
+    if tag == "swap":
+        if m1 != m2:
+            return None
+        z = np.zeros((m1, m1))
+        eye = np.eye(m1)
+        return np.block([[z, eye], [eye, z]])
+    raise ValueError(f"unknown plant-scattering tag {tag!r}")
 
 
 def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
@@ -282,11 +277,6 @@ def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
     c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
     return np.concatenate([np.real(om).ravel(), np.real(op).ravel(),
                            c_part.ravel()])
-
-
-def _design_objective(x, *fixed):
-    return min(float(np.sum(_design_residuals(x, *fixed, branch) ** 2))
-               for branch in ("imag", "real"))
 
 
 def _unpack(x, m1, m2, n):
@@ -328,11 +318,12 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     through make_network, and its loop gain W = S_b (I - S22 S_b)^{-1},
     which does not depend on the gains, is computed once. A topology whose
     loop is singular is skipped (its random starts are still drawn, so later
-    topologies see the same starts). Candidates with J below
-    search_cfg.threshold are re-validated through reduce_network and
+    topologies see the same starts). Candidates with J at most
+    CANDIDATE_THRESHOLD are re-validated through reduce_network and
     certified with bae.certify_bae (at a tolerance no finer than the
-    achieved residual); an empty list carries no error — the best objective
-    found is available from the returned diagnostics.
+    achieved residual), and returned sorted by J. An empty list carries no
+    error; design_couplings.last_best holds the best (J, x, s_b, s_plant)
+    found.
     """
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
@@ -358,8 +349,7 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
             # already optimal when the Hamiltonian needs no cancellation
             starts = [_pack(np.ones((m1, n)), np.zeros((m1, n)),
                             np.zeros((m2, n)), np.zeros((m2, n)))]
-            starts += [cfg.start_scale * rng.standard_normal(dim)
-                       for _ in range(cfg.n_starts - 1)]
+            starts += [rng.standard_normal(dim) for _ in range(cfg.n_starts - 1)]
             topology = make_network(omega_minus, omega_plus,
                                     *_unpack(starts[0], m1, m2, n), sb,
                                     s_plant=sg)
@@ -370,17 +360,15 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
             fixed = (omega_minus, omega_plus, m1, m2, n,
                      topology.s12, topology.s22, w)
             for x0 in starts:
-                if _design_objective(x0, *fixed) >= 1e12:
-                    continue
                 for branch in ("imag", "real"):
                     res = optimize.least_squares(
                         _design_residuals, x0, args=(*fixed, branch),
-                        method="trf", max_nfev=cfg.refine_maxiter,
+                        method="trf", max_nfev=REFINE_MAXITER,
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
                     j = float(np.sum(res.fun ** 2))
                     if j < best[0]:
                         best = (j, res.x.copy(), sb, sg)
-                    if j > cfg.threshold:
+                    if j > CANDIDATE_THRESHOLD:
                         continue
                     k11, k12, k21, k22 = _unpack(res.x, m1, m2, n)
                     net = make_network(omega_minus, omega_plus,

@@ -7,12 +7,14 @@ coupling blocks (Gamma_co_q, Gamma_co_p) from which the real matrices are
 assembled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .matcore import DEFAULT_TOL, inf_norm, j_sym
+
+MARKOV_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class KalmanCoSubsystem:
     c_co: np.ndarray
     gamma_q: np.ndarray = None
     gamma_p: np.ndarray = None
-    gamma_h_nonzero: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.a_co, dtype=float)
@@ -89,14 +90,13 @@ def b_from_gamma(gamma_q, gamma_p):
     return j_sym(r2 // 2).real @ c.T @ j_sym(m2 // 2).real
 
 
-def from_gamma(a_co, gamma_q, gamma_p, gamma_h_nonzero=False):
+def from_gamma(a_co, gamma_q, gamma_p):
     """Assemble a KalmanCoSubsystem from complex coupling blocks."""
     c = c_from_gamma(gamma_q, gamma_p)
     b = b_from_gamma(gamma_q, gamma_p)
     return KalmanCoSubsystem(a_co=a_co, b_co=b, c_co=c,
                              gamma_q=np.atleast_2d(np.asarray(gamma_q, dtype=complex)),
-                             gamma_p=np.atleast_2d(np.asarray(gamma_p, dtype=complex)),
-                             gamma_h_nonzero=gamma_h_nonzero)
+                             gamma_p=np.atleast_2d(np.asarray(gamma_p, dtype=complex)))
 
 
 def check_kalman_bae(k, tol=DEFAULT_TOL):
@@ -128,9 +128,9 @@ def structural_premise_residual(k):
     return float(inf_norm(k.c_co @ k.a_co - 0.5 * k.c_co @ k.b_co @ k.c_co))
 
 
-def markov_identity_check(k, order=6, tol=DEFAULT_TOL):
+def markov_identity_check(k, tol=DEFAULT_TOL):
     """Residual of C_co A_co^k B_co = (1/2^k)(C_co B_co)^{k+1} for
-    k = 1..order. The identity follows from the structural premise
+    k = 1..MARKOV_ORDER. The identity follows from the structural premise
     C_co A_co = (1/2) C_co B_co C_co, whose own residual is reported so a
     premise failure is flagged rather than silently producing noise."""
     premise = structural_premise_residual(k)
@@ -139,7 +139,7 @@ def markov_identity_check(k, order=6, tol=DEFAULT_TOL):
     residual = 0.0
     a_pow = np.eye(k.a_co.shape[0])
     cb_pow = cb
-    for kk in range(1, order + 1):
+    for kk in range(1, MARKOV_ORDER + 1):
         a_pow = a_pow @ k.a_co
         cb_pow = cb_pow @ cb
         lhs = k.c_co @ a_pow @ k.b_co

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 
 DEFAULT_TOL = 1e-9
+EQUALITY_TOL = 1e-12  # relative residue allowed where exact algebra gives 0
 
 
 def inf_norm(x):
@@ -149,15 +150,17 @@ def quadrature_transform(n):
     return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2.0)
 
 
-def to_real(x, tol=1e-12, context="matrix"):
-    """Strip a negligible imaginary part, raising if it is not negligible."""
+def to_real(x, context="matrix"):
+    """Strip an imaginary part of at most EQUALITY_TOL times the matrix
+    scale, raising if it is larger."""
     from .errors import InternalConsistencyError
 
     x = np.asarray(x, dtype=complex)
     scale = max(inf_norm(x), 1.0)
     residue = inf_norm(np.imag(x))
-    if residue > tol * scale:
+    if residue > EQUALITY_TOL * scale:
         raise InternalConsistencyError(
-            f"{context}: imaginary residue {residue:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"{context}: imaginary residue {residue:.3e} exceeds "
+            f"{EQUALITY_TOL:.1e} * {scale:.3e}"
         )
     return np.real(x).copy()

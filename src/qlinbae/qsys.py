@@ -6,16 +6,14 @@ C-, C+ (L = C- a + C+ a^#), and Hamiltonian blocks Omega-, Omega+
 (H = (1/2) adag_breve Delta(Omega-, Omega+) a_breve). Natural units, hbar=1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
 from .errors import InternalConsistencyError, ValidationError
-from .matcore import (DEFAULT_TOL, delta, flat_adjoint, inf_norm, j_diag,
-                      quadrature_transform)
-
-EQUALITY_TOL = 1e-12
+from .matcore import (DEFAULT_TOL, EQUALITY_TOL, delta, flat_adjoint, inf_norm,
+                      j_diag, quadrature_transform)
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ def jh_matrix(sys):
     )
 
 
-def quad_realization(sys, tol=EQUALITY_TOL):
+def quad_realization(sys):
     """Real quadrature form obtained by conjugating with V_n, V_m.
 
     The conjugated matrices are checked against the explicit Re/Im block
@@ -165,15 +163,15 @@ def quad_realization(sys, tol=EQUALITY_TOL):
     c_q = vm @ ac.c @ vn.conj().T
     d_q = vm @ ac.d @ vm.conj().T
 
-    a = matcore.to_real(a_q, tol, "quadrature A")
-    b = matcore.to_real(b_q, tol, "quadrature B")
-    c = matcore.to_real(c_q, tol, "quadrature C")
-    d = matcore.to_real(d_q, tol, "quadrature D")
+    a = matcore.to_real(a_q, "quadrature A")
+    b = matcore.to_real(b_q, "quadrature B")
+    c = matcore.to_real(c_q, "quadrature C")
+    d = matcore.to_real(d_q, "quadrature D")
 
     cc, bb, dd = _quad_blocks(sys)
     scale = max(inf_norm(c), inf_norm(b), inf_norm(d), 1.0)
     for got, want, name in ((c, cc, "C"), (b, bb, "B"), (d, dd, "D")):
-        if inf_norm(got - want) > 100 * tol * scale:
+        if inf_norm(got - want) > 100 * EQUALITY_TOL * scale:
             raise InternalConsistencyError(
                 f"quadrature {name} disagrees with its block formula"
             )
@@ -181,7 +179,7 @@ def quad_realization(sys, tol=EQUALITY_TOL):
 
 
 def random_system(rng, n, m, omega="generic", coupling="generic",
-                  scattering="identity", c_relation="free", scale=1.0):
+                  scattering="identity", c_relation="free"):
     """Draw a random valid system exercising a chosen structural family.
 
     omega: "generic" | "imag" | "zero" | "equal_re" | "opposite_re"
@@ -190,11 +188,11 @@ def random_system(rng, n, m, omega="generic", coupling="generic",
     c_relation: "free" | "equal" | "opposite"  (forces C+ = +/- C-)
     """
     def ginibre(r, c):
-        return (rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))) * scale
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
 
-    re_sym = lambda: _sym(rng.standard_normal((n, n))) * scale
-    im_antisym = lambda: _antisym(rng.standard_normal((n, n))) * scale
-    im_sym = lambda: _sym(rng.standard_normal((n, n))) * scale
+    re_sym = lambda: _sym(rng.standard_normal((n, n)))
+    im_antisym = lambda: _antisym(rng.standard_normal((n, n)))
+    im_sym = lambda: _sym(rng.standard_normal((n, n)))
 
     if omega == "generic":
         om = _herm(ginibre(n, n))
@@ -215,11 +213,11 @@ def random_system(rng, n, m, omega="generic", coupling="generic",
     if coupling == "generic":
         cm, cp = ginibre(m, n), ginibre(m, n)
     elif coupling == "real":
-        cm = rng.standard_normal((m, n)) * scale + 0j
-        cp = rng.standard_normal((m, n)) * scale + 0j
+        cm = rng.standard_normal((m, n)) + 0j
+        cp = rng.standard_normal((m, n)) + 0j
     elif coupling == "imag":
-        cm = 1j * rng.standard_normal((m, n)) * scale
-        cp = 1j * rng.standard_normal((m, n)) * scale
+        cm = 1j * rng.standard_normal((m, n))
+        cp = 1j * rng.standard_normal((m, n))
     elif coupling == "zero":
         cm = np.zeros((m, n), dtype=complex)
         cp = np.zeros((m, n), dtype=complex)

@@ -142,8 +142,7 @@ def _maybe_below_floor(rho, shift):
     return flagged
 
 
-def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
-                  repair_budget=REPAIR_BUDGET):
+def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     """Euler-Maruyama integration of the diffusive conditioned-state
     equation
       drho = L*(rho) dt
@@ -151,7 +150,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
     with innovation increments dnu_j ~ Normal(0, dt), independent per
     channel. rho0 is Hermitized once. Each step Hermitizes, clips
     eigenvalues below -1e-8 to zero
-    (any single step needing more than repair_budget of repaired mass per
+    (any single step needing more than REPAIR_BUDGET of repaired mass per
     trajectory aborts with an instability error) and renormalizes the
     trace. Trajectories use
     independent counter-based
@@ -235,10 +234,10 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1,
             bad = w < CLIP_FLOOR
             step_mass = np.where(bad, -w, 0.0).sum(axis=1)
             repair[idx] = np.maximum(repair[idx], step_mass)
-            if step_mass.max() > repair_budget:
+            if step_mass.max() > REPAIR_BUDGET:
                 raise InstabilityError(
                     f"single-step positivity repair mass "
-                    f"{step_mass.max():.3e} exceeds {repair_budget}; reduce dt")
+                    f"{step_mass.max():.3e} exceeds {REPAIR_BUDGET}; reduce dt")
             fix = bad.any(axis=1)
             if fix.any():
                 w, v = np.where(bad, 0.0, w)[fix], v[fix]
@@ -267,17 +266,14 @@ class MartingaleEntry:
     passed: bool
 
 
-def martingale_stats(batch, names=None):
+def martingale_stats(batch):
     """Ensemble mean and standard error of each tracked quantity on the
     stored grid; the drift (mean at the final time minus mean at time 0) is
     compared against 3 x (standard error + dt-proportional bias allowance).
     """
-    if names is None:
-        names = batch.tracked_names
     out = []
     n_traj = batch.tracked_values.shape[0]
-    for name in names:
-        k = batch.tracked_names.index(name)
+    for k, name in enumerate(batch.tracked_names):
         vals = batch.tracked_values[:, :, k]
         means = vals.mean(axis=0)
         ses = vals.std(axis=0, ddof=1) / np.sqrt(n_traj)

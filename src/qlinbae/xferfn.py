@@ -7,8 +7,8 @@ the imaginary axis serves as an independent witness.
 
 Every resolvent solve is guarded: s is a singular point (a resonance) when
 the 2-norm condition number cond2(sI - A), computed from an SVD, is not
-finite or exceeds cond_limit. The guard runs an exact SVD only at anchor
-points; between anchors Weyl's bound certifies cond2 <= cond_limit with a
+finite or exceeds COND_LIMIT. The guard runs an exact SVD only at anchor
+points; between anchors Weyl's bound certifies cond2 <= COND_LIMIT with a
 factor-2 margin (see `_resolvent_points`). The verdict and the solved
 values are those of an SVD at every point.
 """
@@ -25,20 +25,19 @@ COND_LIMIT = 1e12
 DEFAULT_FREQS = np.logspace(-3.0, 3.0, 32)
 
 
-def _resolvent_points(a, points, rhs, cond_limit=COND_LIMIT):
+def _resolvent_points(a, points, rhs):
     """Solve (sI - A) X = rhs at each point s, guarding the conditioning.
 
     Yields, per point, X from np.linalg.solve, or the SingularityError (not
     raised) of a point whose cond2(sI - A) is not finite or exceeds
-    cond_limit. cond2 comes from an SVD exactly as np.linalg.cond computes
+    COND_LIMIT. cond2 comes from an SVD exactly as np.linalg.cond computes
     it, but only at anchors. Shifting s from an anchor s0 by d = |s - s0|
     moves every singular value of sI - A by at most d (Weyl), so
     cond2(sI - A) <= (smax0 + d) / (smin0 - d) while smin0 > d. A point
-    where that bound is at most cond_limit / 2 is accepted without an SVD:
+    where that bound is at most COND_LIMIT / 2 is accepted without an SVD:
     the factor 2 absorbs the roundoff of computed singular values (relative
-    error about n * eps * cond, ~1e-2 for n <= 64 at the default 1e12, and
-    below 1/2 for any limit up to ~1e13), so the SVD would have accepted it
-    too. Any other point gets its own SVD and
+    error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12), so the
+    SVD would have accepted it too. Any other point gets its own SVD and
     becomes the next anchor; a singular point leaves no anchor. The bound
     holds for any point order, but a sorted grid needs fewer anchors.
     """
@@ -52,14 +51,14 @@ def _resolvent_points(a, points, rhs, cond_limit=COND_LIMIT):
             s0, smax0, smin0 = anchor
             d = abs(s - s0)
             lo = smin0 - d  # lower bound on smin(sI - A)
-            certified = lo > 0 and (smax0 + d) / lo <= cond_limit / 2
+            certified = lo > 0 and (smax0 + d) / lo <= COND_LIMIT / 2
         if not certified:
             sv = np.linalg.svd(m, compute_uv=False)
             with np.errstate(all="ignore"):
                 cond = sv[0] / sv[-1]
             if np.isnan(cond) and not np.isnan(m).any():
                 cond = np.float64(np.inf)  # np.linalg.cond's NaN rule
-            if not np.isfinite(cond) or cond > cond_limit:
+            if not np.isfinite(cond) or cond > COND_LIMIT:
                 anchor = None
                 yield SingularityError(
                     f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
@@ -69,12 +68,12 @@ def _resolvent_points(a, points, rhs, cond_limit=COND_LIMIT):
         yield np.linalg.solve(m, rhs)
 
 
-def _tf_points(r, points, cond_limit=COND_LIMIT):
+def _tf_points(r, points):
     """Yield D + C (sI - A)^{-1} B, or the point's SingularityError, per point."""
     c = np.asarray(r.c, dtype=complex)
     d = np.asarray(r.d, dtype=complex)
     for x in _resolvent_points(np.asarray(r.a, dtype=complex), points,
-                               np.asarray(r.b, dtype=complex), cond_limit):
+                               np.asarray(r.b, dtype=complex)):
         yield x if isinstance(x, SingularityError) else d + c @ x
 
 
@@ -86,13 +85,13 @@ def _single(values):
     return value
 
 
-def eval_tf(r, s, cond_limit=COND_LIMIT):
+def eval_tf(r, s):
     """Evaluate D + C (sI - A)^{-1} B at a complex point s.
 
     Raises SingularityError (with its .cond) unless the exact 2-norm
-    condition number of sI - A is finite and at most cond_limit.
+    condition number of sI - A is finite and at most COND_LIMIT.
     """
-    return _single(_tf_points(r, [s], cond_limit))
+    return _single(_tf_points(r, [s]))
 
 
 def markov_params(r, k):
@@ -184,11 +183,11 @@ def block_pattern(r, tol=DEFAULT_TOL, freqs=None):
     return BlockPattern(**certs)
 
 
-def sigma_tf(sys, s, cond_limit=COND_LIMIT):
+def sigma_tf(sys, s):
     """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat."""
     cc = sys.coupling
     a = -1j * j_diag(sys.n_modes) @ sys.omega
-    return 0.5 * cc @ _single(_resolvent_points(a, [s], flat_adjoint(cc), cond_limit))
+    return 0.5 * cc @ _single(_resolvent_points(a, [s], flat_adjoint(cc)))
 
 
 def cayley_tf(sys, s):
@@ -205,16 +204,16 @@ def cayley_tf(sys, s):
     return (np.eye(m2) - sig) @ np.linalg.solve(np.eye(m2) + sig, dd)
 
 
-def frequency_sweep(r, omegas, cond_limit=COND_LIMIT):
+def frequency_sweep(r, omegas):
     """Evaluate |G(i*omega)| entrywise over a frequency grid.
 
     Returns an array of shape (len(omegas), 2m, 2m) of magnitudes; rows at
     frequencies where the resolvent is ill-conditioned (resonances) are NaN.
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
-    cond_limit; the grid is walked once, with an exact SVD only at anchors
+    COND_LIMIT; the grid is walked once, with an exact SVD only at anchors
     and Weyl's bound, with a factor-2 margin, in between.
     """
     out = np.empty((len(omegas), r.d.shape[0], r.d.shape[1]))
-    for idx, g in enumerate(_tf_points(r, [1j * w for w in omegas], cond_limit)):
+    for idx, g in enumerate(_tf_points(r, [1j * w for w in omegas])):
         out[idx] = np.nan if isinstance(g, SingularityError) else np.abs(g)
     return out

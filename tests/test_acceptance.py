@@ -38,7 +38,7 @@ def test_criterion_01_interferometer_q_measurement(capsys):
     scale = max(matcore.inf_norm(x) for x in (r.a, r.b, r.c, r.d))
     markov_ok = all(matcore.inf_norm(p[:2, 2:]) <= 1e-10 * scale
                     for p in params)
-    report = bae.certify_bae(sys_obj, pattern_tol=1e-10)
+    report = bae.certify_bae(sys_obj, tol=1e-10)
     matched = {m.condition_id for m in report.matched_conditions}
     elapsed = time.perf_counter() - t0
     ok = ("qp" in pattern.zero_blocks() and markov_ok
@@ -81,7 +81,7 @@ def test_criterion_03_structural_catalog(capsys):
         for _ in range(50):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             sys_obj = qsys.random_system(rng, n, m, **FAMILY_KWARGS[cid])
-            report = bae.certify_bae(sys_obj, pattern_tol=1e-10)
+            report = bae.certify_bae(sys_obj, tol=1e-10)
             if not catalog[cid].predicted_pairs <= report.certified_pairs:
                 failures.append(cid)
     ok = not failures

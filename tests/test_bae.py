@@ -60,7 +60,7 @@ def test_catalog_soundness(condition_id):
     for _ in range(20):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         sys_obj = qsys.random_system(rng, n, m, **FAMILY_KWARGS[condition_id])
-        report = bae.certify_bae(sys_obj, pattern_tol=1e-10)
+        report = bae.certify_bae(sys_obj, tol=1e-10)
         matched_ids = {mc.condition_id for mc in report.matched_conditions}
         assert condition_id in matched_ids
         assert cond.predicted_pairs <= report.certified_pairs
@@ -76,7 +76,7 @@ def test_generic_system_matches_nothing():
 
 
 def test_michelson_certifies_q_measurement():
-    report = bae.certify_bae(qsys.michelson_system(), pattern_tol=1e-10)
+    report = bae.certify_bae(qsys.michelson_system(), tol=1e-10)
     assert bae.QP in report.certified_pairs
     assert any(mc.condition_id == "q_coupling_imag_C"
                for mc in report.matched_conditions)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qlinbae import cli, qsys
+from qlinbae import cli, feedback, qsys
 
 
 def _write(tmp_path, doc, name="sys.json"):
@@ -147,6 +147,46 @@ def test_feedback_reduce(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["oracle_passed"] is True
     assert out["reduced"]["channels"] == 1
+
+
+def test_feedback_reduce_uses_the_spec_plant(tmp_path, capsys):
+    """The spec's own system is the plant: its scattering matrix enters the
+    reduction, and the optional k** keys are only checked against it."""
+    base = qsys.random_system(np.random.default_rng(0), 2, 2)
+    theta = 0.7
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    plant = qsys.new_system(rot, base.c_minus, base.c_plus,
+                            base.omega_minus, base.omega_plus)
+    s_b = -1j * np.eye(1)
+    want = feedback.reduce_network(feedback.FeedbackNetwork(plant, 1, 1, s_b))
+    emit = cli.emit_complex_matrix
+    doc = {**cli.emit_spec(plant), "feedback": {
+        "split": [1, 1], "beamsplitter": emit(s_b),
+        "k11": emit(plant.c_minus[:1]), "k12": emit(plant.c_plus[:1]),
+        "k21": emit(plant.c_minus[1:]), "k22": emit(plant.c_plus[1:])}}
+    path = _write(tmp_path, doc)
+    assert cli.main(["feedback", "reduce", path]) == 0
+    with_keys = capsys.readouterr().out
+    reduced = json.loads(with_keys)["reduced"]
+    for key, value in (("S", want.s), ("C_minus", want.c_minus),
+                       ("C_plus", want.c_plus),
+                       ("Omega_minus", want.omega_minus),
+                       ("Omega_plus", want.omega_plus)):
+        assert np.array_equal(cli.parse_complex_matrix(reduced[key], key), value)
+
+    for key in ("k11", "k12", "k21", "k22"):
+        del doc["feedback"][key]
+    assert cli.main(["feedback", "reduce", _write(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == with_keys
+
+    doc["feedback"]["k21"] = emit(plant.c_minus[1:] + 1e-3)
+    assert cli.main(["feedback", "reduce", _write(tmp_path, doc)]) == 1
+    assert "feedback.k21" in capsys.readouterr().err
+
+    doc["feedback"]["split"] = [2, 0]
+    assert cli.main(["feedback", "reduce", _write(tmp_path, doc)]) == 1
+    assert "feedback.split" in capsys.readouterr().err
 
 
 def test_kalman_command(tmp_path, capsys):

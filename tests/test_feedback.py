@@ -194,3 +194,24 @@ def test_designer_indefinite_target_needs_swap_topology():
     assert matcore.is_imag(red.omega_plus, tol=1e-5)
     assert best.report.certified_pairs
     assert best.report.consistency
+
+
+def test_designer_refines_every_start_at_large_scale(monkeypatch):
+    """Every start is refined, whatever the target's scale: at 1e6 times the
+    anchor Hamiltonian the starts' objectives exceed 1e12, and the search
+    must still run both branches from each and reach the threshold."""
+    calls = []
+    least_squares = feedback.optimize.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["args"])
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(feedback.optimize, "least_squares", counting)
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
+                                      search_cfg=cfg, s_b_candidates=("-i",),
+                                      s_g_candidates=("swap",))
+    assert len(calls) == 2 * cfg.n_starts
+    assert cands
+    assert cands[0].objective <= feedback.CANDIDATE_THRESHOLD

@@ -89,7 +89,7 @@ def test_markov_identity_holds_under_premise():
     rng = np.random.default_rng(3)
     for _ in range(20):
         k = random_kalman_subsystem(rng, r=2, m=2, consistent_dynamics=True)
-        out = kalman.markov_identity_check(k, order=6)
+        out = kalman.markov_identity_check(k)
         assert out["premise_holds"]
         scale = max(np.abs(k.c_co).max() * np.abs(k.b_co).max(), 1.0) ** 7
         assert out["residual"] <= 1e-9 * scale
