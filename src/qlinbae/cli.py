@@ -212,19 +212,24 @@ def cmd_qnd(args):
     return 0
 
 
+def _loop_split(split):
+    """feedback.split as (m1, m2), two positive integers."""
+    if not (isinstance(split, list) and len(split) == 2
+            and all(isinstance(v, int) and v >= 1 for v in split)):
+        raise ValueError(f"feedback.split must be two positive integers, got {split!r}")
+    return tuple(split)
+
+
 def _network_from_doc(sys_obj, doc, tol):
     """The spec's system as the plant of its feedback section's loop."""
     fb = doc.get("feedback")
     if fb is None:
         raise ValueError("spec file has no 'feedback' section")
-    split = fb["split"]
-    if not (isinstance(split, list) and len(split) == 2
-            and all(isinstance(v, int) and v >= 1 for v in split)):
-        raise ValueError(f"feedback.split must be two positive integers, got {split!r}")
-    m1, m2 = split
+    m1, m2 = _loop_split(fb["split"])
     net = feedback.FeedbackNetwork(
         plant=sys_obj, m1=m1, m2=m2,
-        s_b=parse_complex_matrix(fb["beamsplitter"], "feedback.beamsplitter"))
+        s_b=parse_complex_matrix(fb["beamsplitter"], "feedback.beamsplitter"),
+        tol=tol)
     for key in ("k11", "k12", "k21", "k22"):
         if key not in fb:
             continue
@@ -252,7 +257,7 @@ def cmd_feedback(args):
         return 0
     # design
     fb = doc.get("feedback", {})
-    split = tuple(fb.get("split", (1, sys_obj.m_channels - 1)))
+    split = _loop_split(fb.get("split", [1, sys_obj.m_channels - 1]))
     cfg = feedback.SearchConfig(seed=args.seed)
     cands = feedback.design_couplings(sys_obj.omega_minus, sys_obj.omega_plus,
                                       split, search_cfg=cfg)

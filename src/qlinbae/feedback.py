@@ -4,7 +4,7 @@ Hamiltonian purely imaginary (the structure that enables back-action
 evasion in the reduced single-port system).
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy import optimize
@@ -23,14 +23,16 @@ REFINE_MAXITER = 400  # residual evaluations per least-squares refinement
 @dataclass(frozen=True)
 class FeedbackNetwork:
     """An (m1+m2)-channel plant whose last m2 output channels are routed
-    through a unitary beamsplitter s_b back into its last m2 inputs."""
+    through a unitary beamsplitter s_b back into its last m2 inputs; s_b's
+    unitarity is checked at tol, which is not stored."""
 
     plant: QuantumLinearSystem
     m1: int
     m2: int
     s_b: np.ndarray
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         sb = np.atleast_2d(np.asarray(self.s_b, dtype=complex))
         if self.m1 + self.m2 != self.plant.m_channels:
             raise DimensionError(
@@ -39,7 +41,7 @@ class FeedbackNetwork:
             )
         if sb.shape != (self.m2, self.m2):
             raise DimensionError(f"s_b must be {self.m2}x{self.m2}, got {sb.shape}")
-        if inf_norm(sb @ sb.conj().T - np.eye(self.m2)) > DEFAULT_TOL:
+        if inf_norm(sb @ sb.conj().T - np.eye(self.m2)) > tol:
             raise DimensionError("s_b must be unitary")
         object.__setattr__(self, "s_b", sb)
 
@@ -111,18 +113,22 @@ def _loop_gain(net):
 
 def _reduce_arrays(k11, k12, k21, k22, s12, s22, w, omega_minus, omega_plus):
     """Reduced (C-, C+, Omega-, Omega+) for the loop gain w, on raw arrays
-    and without validation; reduce_network states the formulas."""
+    and without validation; reduce_network states the formulas. The gains
+    and Omega blocks may carry leading batch axes."""
+    def t(a):
+        return a.swapaxes(-1, -2)
+
     c_minus = k11 + s12 @ w @ k21
     c_plus = k12 + s12 @ w @ k22
-    f = (k11.conj().T @ s12 + k21.conj().T @ s22) @ w
-    g = (k12.conj().T @ s12 + k22.conj().T @ s22) @ w
+    f = (t(k11.conj()) @ s12 + t(k21.conj()) @ s22) @ w
+    g = (t(k12.conj()) @ s12 + t(k22.conj()) @ s22) @ w
     m = f @ k21
     nn = f @ k22
     p = g @ k21
     q = g @ k22
-    mq = m + q.T
-    omega_minus = omega_minus + (mq - mq.conj().T) / 2j
-    omega_plus = omega_plus + (nn + nn.T - p.conj().T - p.conj()) / 2j
+    mq = m + t(q)
+    omega_minus = omega_minus + (mq - t(mq.conj())) / 2j
+    omega_plus = omega_plus + (nn + t(nn) - t(p.conj()) - p.conj()) / 2j
     return c_minus, c_plus, omega_minus, omega_plus
 
 
@@ -269,26 +275,75 @@ def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
                       branch):
     """Residual vector whose squared norm is the design objective with the
     coupling-structure branch ('real' or 'imag') fixed; s12, s22 and the
-    loop gain w belong to one validated, well-posed topology."""
+    loop gain w belong to one validated, well-posed topology. A batch of
+    points x[..., dim] gives residuals [..., len]."""
+    lead = x.shape[:-1]
     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
     c_minus, c_plus, om, op = _reduce_arrays(k11, k12, k21, k22, s12, s22, w,
                                              omega_minus, omega_plus)
-    c_bar = np.hstack([c_minus, c_plus])
+    c_bar = np.concatenate([c_minus, c_plus], axis=-1)
     c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
-    return np.concatenate([np.real(om).ravel(), np.real(op).ravel(),
-                           c_part.ravel()])
+    return np.concatenate([np.real(om).reshape(*lead, -1),
+                           np.real(op).reshape(*lead, -1),
+                           c_part.reshape(*lead, -1)], axis=-1)
 
 
 def _unpack(x, m1, m2, n):
+    lead = x.shape[:-1]
     sizes = [m1 * n, m1 * n, m2 * n, m2 * n]
     mats = []
     pos = 0
     for rows, sz in zip((m1, m1, m2, m2), sizes):
-        re = x[pos:pos + sz].reshape(rows, n)
-        im = x[pos + sz:pos + 2 * sz].reshape(rows, n)
+        re = x[..., pos:pos + sz].reshape(*lead, rows, n)
+        im = x[..., pos + sz:pos + 2 * sz].reshape(*lead, rows, n)
         mats.append(re + 1j * im)
         pos += 2 * sz
     return mats
+
+
+def _quadratic_model(fixed, branch):
+    """Tabulate (r0, L, H) with _design_residuals(x) = r0 + L x + x^T H x / 2
+    exactly, from one batched call of the residual kernel.
+
+    W is fixed, so the reduced C+- = k1. + S12 W k2. are linear in the
+    gains, F and G are real-linear in them (through k1.^dag and k2.^dag),
+    and the Hamiltonian shift, built from the products F k2. and G k2. (and
+    their transposes and conjugates), is real-bilinear; the real and
+    imaginary parts the residual takes are real-linear. The residual is
+    therefore a quadratic polynomial in the packed gains x, and Omega+-
+    enter only its constant term, additively. Tabulated at Omega = 0,
+    where r(0) = 0:
+      L_i  = (r(e_i) - r(-e_i)) / 2,      H_ii = r(e_i) + r(-e_i),
+      H_ij = r(e_i + e_j) - r(e_i) - r(e_j),
+    each exact for a quadratic at unit step. The one Omega-dependent entry,
+    r0 = r(0), is the first point of the same batch, evaluated with the
+    true Omega; tabulating L and H at Omega = 0 keeps them free of
+    roundoff of size eps |Omega| however large the target is.
+    """
+    omega_minus, omega_plus, m1, m2, n, *topology = fixed
+    dim = 4 * n * (m1 + m2)
+    eye = np.eye(dim)
+    pairs = (eye[:, None, :] + eye[None, :, :]).reshape(dim * dim, dim)
+    points = np.concatenate([np.zeros((1, dim)), eye, -eye, pairs])
+    om = np.zeros((len(points), n, n), dtype=complex)
+    op = np.zeros((len(points), n, n), dtype=complex)
+    om[0], op[0] = omega_minus, omega_plus
+    r = _design_residuals(points, om, op, m1, m2, n, *topology, branch)
+    r0, plus, minus = r[0], r[1:dim + 1], r[dim + 1:2 * dim + 1]
+    lin = ((plus - minus) / 2).T
+    hess = (r[2 * dim + 1:].reshape(dim, dim, -1)
+            - plus[:, None, :] - plus[None, :, :])
+    diag = np.arange(dim)
+    hess[diag, diag] = plus + minus
+    return r0, lin, np.moveaxis(hess, -1, 0)
+
+
+def _quadratic_residuals(x, r0, lin, hess):
+    return r0 + (lin + 0.5 * (hess @ x)) @ x
+
+
+def _quadratic_jacobian(x, r0, lin, hess):
+    return lin + hess @ x
 
 
 def _pack(k11, k12, k21, k22):
@@ -309,15 +364,24 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     sign-definite Hermitian form and cannot cancel an indefinite target.
 
     Random multi-start followed by local refinement (trust-region least
-    squares on the residual vector with finite-difference gradients, run
-    once per coupling-structure branch) of the objective
+    squares on the residual vector, run once per coupling-structure branch)
+    of the objective
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
     Validation runs once per topology and once per candidate, never per
     residual: each (plant scattering, beamsplitter) topology is validated
     through make_network, and its loop gain W = S_b (I - S22 S_b)^{-1},
-    which does not depend on the gains, is computed once. A topology whose
-    loop is singular is skipped (its random starts are still drawn, so later
+    which does not depend on the gains, is computed once. With W fixed the
+    residual is exactly quadratic in the packed gains x: the reduced
+    C+- = k1. + S12 W k2. are linear in x, F and G are linear in x, the
+    Omega shift is built from the products F k2. and G k2., and Omega+-
+    enter only additively. So r(x) = r0 + L x + x^T H x / 2 holds exactly;
+    (r0, L, H) is tabulated once per topology and branch (_quadratic_model
+    gives the derivation and the formulas), and the refinement runs on the
+    polynomial with its exact Jacobian L + H x. Each refined point's J is
+    recomputed with the residual kernel itself, so the candidate threshold
+    and last_best never rest on the tabulation. A topology whose loop is
+    singular is skipped (its random starts are still drawn, so later
     topologies see the same starts). Candidates with J at most
     CANDIDATE_THRESHOLD are re-validated through reduce_network and
     certified with bae.certify_bae (at a tolerance no finer than the
@@ -359,13 +423,18 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
                 continue  # W ignores the gains: singular for every start
             fixed = (omega_minus, omega_plus, m1, m2, n,
                      topology.s12, topology.s22, w)
+            models = {branch: _quadratic_model(fixed, branch)
+                      for branch in ("imag", "real")}
             for x0 in starts:
                 for branch in ("imag", "real"):
                     res = optimize.least_squares(
-                        _design_residuals, x0, args=(*fixed, branch),
+                        _quadratic_residuals, x0, jac=_quadratic_jacobian,
+                        args=models[branch],
                         method="trf", max_nfev=REFINE_MAXITER,
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
-                    j = float(np.sum(res.fun ** 2))
+                    # gate on the kernel itself, not on the tabulation
+                    r = _design_residuals(res.x, *fixed, branch)
+                    j = float(np.sum(r ** 2))
                     if j < best[0]:
                         best = (j, res.x.copy(), sb, sg)
                     if j > CANDIDATE_THRESHOLD:

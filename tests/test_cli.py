@@ -121,8 +121,8 @@ def test_qnd_command(tmp_path, capsys):
     assert "qnd_variables" in out and "siso" not in out
 
 
-def test_feedback_reduce(tmp_path, capsys):
-    doc = {
+def _anchor_network_doc():
+    return {
         "modes": 2, "channels": 2,
         "S": cli.emit_complex_matrix(np.eye(2)),
         "C_minus": cli.emit_complex_matrix(
@@ -142,11 +142,26 @@ def test_feedback_reduce(tmp_path, capsys):
             "beamsplitter": cli.emit_complex_matrix(-1j * np.eye(1)),
         },
     }
-    path = _write(tmp_path, doc)
+
+
+def test_feedback_reduce(tmp_path, capsys):
+    path = _write(tmp_path, _anchor_network_doc())
     assert cli.main(["feedback", "reduce", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["oracle_passed"] is True
     assert out["reduced"]["channels"] == 1
+
+
+def test_feedback_reduce_checks_the_beamsplitter_at_tol(tmp_path, capsys):
+    # s_b = (1 + 1e-6)(-i) is unitary within 1e-3 but not within 1e-9
+    doc = _anchor_network_doc()
+    doc["feedback"]["beamsplitter"] = cli.emit_complex_matrix(
+        (1.0 + 1e-6) * -1j * np.eye(1))
+    path = _write(tmp_path, doc)
+    assert cli.main(["feedback", "reduce", path, "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_passed"] is True
+    assert cli.main(["feedback", "reduce", path]) == 1
+    assert "s_b must be unitary" in capsys.readouterr().err
 
 
 def test_feedback_reduce_uses_the_spec_plant(tmp_path, capsys):
@@ -187,6 +202,44 @@ def test_feedback_reduce_uses_the_spec_plant(tmp_path, capsys):
     doc["feedback"]["split"] = [2, 0]
     assert cli.main(["feedback", "reduce", _write(tmp_path, doc)]) == 1
     assert "feedback.split" in capsys.readouterr().err
+
+
+def _design_doc():
+    """1 mode, 2 channels, Omega- = 0 and Omega+ = 0.5i: already purely
+    imaginary, so the open-loop start certifies."""
+    emit = cli.emit_complex_matrix
+    return {"modes": 1, "channels": 2, "S": emit(np.eye(2)),
+            "C_minus": emit(np.array([[1.0], [0.5]])),
+            "C_plus": emit(np.array([[0.0], [0.0]])),
+            "Omega_minus": emit(np.zeros((1, 1))),
+            "Omega_plus": emit(np.array([[0.5j]])),
+            "feedback": {"split": [1, 1]}}
+
+
+def test_feedback_design(tmp_path, capsys):
+    path = _write(tmp_path, _design_doc())
+    assert cli.main(["feedback", "design", path, "--max-candidates", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    entries = out["candidates"]
+    assert len(entries) == 3 <= out["n_candidates"]
+    objectives = [e["objective"] for e in entries]
+    assert objectives == sorted(objectives)
+    assert objectives[-1] <= feedback.CANDIDATE_THRESHOLD
+    assert all(e["certified_pairs"] for e in entries)
+
+
+def test_feedback_design_validates_the_split(tmp_path, capsys):
+    """design checks feedback.split as reduce does, including the default
+    [1, channels - 1], which is [1, 0] for a 1-channel spec."""
+    doc = _michelson_doc()
+    doc["feedback"] = {"split": [1, -1]}
+    assert cli.main(["feedback", "design", _write(tmp_path, doc)]) == 1
+    assert "feedback.split must be two positive integers" in capsys.readouterr().err
+    one_channel = cli.emit_spec(qsys.new_system(
+        np.eye(1), np.ones((1, 1)), np.zeros((1, 1)),
+        np.zeros((1, 1)), np.zeros((1, 1))))
+    assert cli.main(["feedback", "design", _write(tmp_path, one_channel)]) == 1
+    assert "feedback.split must be two positive integers" in capsys.readouterr().err
 
 
 def test_kalman_command(tmp_path, capsys):

@@ -215,3 +215,91 @@ def test_designer_refines_every_start_at_large_scale(monkeypatch):
     assert len(calls) == 2 * cfg.n_starts
     assert cands
     assert cands[0].objective <= feedback.CANDIDATE_THRESHOLD
+
+
+def _topologies():
+    """((net index, plant tag), fixed residual arguments) for the anchor and
+    20 random two-plus-two-channel networks, each at its own target and at
+    1e6 times it, on the identity and swap plant topologies with the
+    network's beamsplitter."""
+    nets = [_anchor_network()]
+    rng = np.random.default_rng(3)
+    nets += [random_feedback_network(rng, n=2, m1=2, m2=2) for _ in range(20)]
+    for k, net in enumerate(nets):
+        m1, m2, n = net.m1, net.m2, net.plant.n_modes
+        for scale in (1.0, 1e6):
+            om = scale * net.plant.omega_minus
+            op = scale * net.plant.omega_plus
+            for sg_tag in ("identity", "swap"):
+                topology = feedback.make_network(
+                    om, op, net.k11, net.k12, net.k21, net.k22, net.s_b,
+                    s_plant=feedback._sg_matrix(sg_tag, m1, m2))
+                yield (k, sg_tag), (om, op, m1, m2, n, topology.s12,
+                                    topology.s22, feedback._loop_gain(topology))
+
+
+def test_quadratic_model_is_the_residual():
+    """The tabulated polynomial equals the residual kernel, and its Jacobian
+    equals the kernel's central difference at unit step (exact for a
+    quadratic), within 1e-12 (1 + |x|^2) max(1, |Omega|). L and H do not
+    depend on Omega at all: at 1e6 times the target they are bit for bit
+    those at the target, and r0 is the target's real part."""
+    rng = np.random.default_rng(4)
+    tables = {}
+    for label, fixed in _topologies():
+        om, op, m1, m2, n = fixed[:5]
+        dim = 4 * n * (m1 + m2)
+        bound_scale = max(1.0, np.abs(om).max(), np.abs(op).max())
+        eye = np.eye(dim)
+        for branch in ("imag", "real"):
+            r0, lin, hess = feedback._quadratic_model(fixed, branch)
+            assert np.array_equal(r0[:2 * om.size], np.concatenate(
+                [np.real(om).ravel(), np.real(op).ravel()]))
+            key = (*label, branch)
+            if key in tables:
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(tables.pop(key), (lin, hess)))
+            else:
+                tables[key] = (lin, hess)
+            for _ in range(3):
+                x = rng.standard_normal(dim) * 3.0 / np.sqrt(dim)
+                bound = 1e-12 * (1.0 + x @ x) * bound_scale
+                kernel = feedback._design_residuals(x, *fixed, branch)
+                model = feedback._quadratic_residuals(x, r0, lin, hess)
+                assert np.max(np.abs(model - kernel)) <= bound
+                central = (feedback._design_residuals(x + eye, *fixed, branch)
+                           - feedback._design_residuals(x - eye, *fixed, branch)).T / 2
+                jac = feedback._quadratic_jacobian(x, r0, lin, hess)
+                assert np.max(np.abs(jac - central)) <= bound
+    assert not tables  # every table was compared with its 1e6 scaling
+
+
+def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
+    """One tabulation per (topology, branch) and one gate per refinement:
+    the residual kernel's call count does not grow with the optimizer's
+    evaluations, so finite differences cannot return unnoticed."""
+    kernel_calls, evals = [], []
+    design_residuals = feedback._design_residuals
+    least_squares = feedback.optimize.least_squares
+
+    def counting_kernel(*args):
+        kernel_calls.append(args[0].shape)
+        return design_residuals(*args)
+
+    def counting_solver(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        evals.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(feedback, "_design_residuals", counting_kernel)
+    monkeypatch.setattr(feedback.optimize, "least_squares", counting_solver)
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
+                              s_b_candidates=("-i",),
+                              s_g_candidates=("identity", "swap"))
+    n_tables = 2 * 2  # topologies x branches
+    assert len(evals) == n_tables * cfg.n_starts
+    assert len(kernel_calls) == n_tables * (1 + cfg.n_starts)
+    assert sum(evals) > len(kernel_calls)
+    # the tabulations are batched, the gates single points
+    assert sum(len(s) == 2 for s in kernel_calls) == n_tables
