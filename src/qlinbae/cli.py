@@ -145,10 +145,15 @@ def cmd_realize(args):
 
 
 def cmd_tf(args):
+    if args.sweep:
+        wmin, wmax, npts = args.sweep
+        if not (np.isfinite(wmin) and np.isfinite(wmax) and wmin > 0 and wmax > 0
+                and npts >= 1 and npts.is_integer()):
+            raise ValueError("--sweep WMIN WMAX NPTS needs finite WMIN, WMAX > 0 "
+                             f"and an integer NPTS >= 1, got {wmin:g} {wmax:g} {npts:g}")
     sys_obj, _ = load_spec(args.spec, args.tol)
     r = quad_realization(sys_obj)
     if args.sweep:
-        wmin, wmax, npts = args.sweep
         omegas = np.logspace(np.log10(wmin), np.log10(wmax), int(npts))
         values = frequency_sweep(r, omegas)
         m = sys_obj.m_channels

@@ -113,6 +113,8 @@ class SMETrajectoryBatch:
     final_states: np.ndarray     # (n_traj, d, d)
     max_trace_deviation: float
     max_repair_mass: float
+    repair_counts: np.ndarray    # (n_steps,) trajectories repaired at each step
+    worst_trace_step: int        # step of max_trace_deviation (None: no steps)
 
 
 def _dagger(x):
@@ -159,6 +161,10 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
     stored grid (every store_every steps, endpoints included).
+
+    The batch reports, per step, how many trajectories had eigenvalues
+    clipped (repair_counts) and the first step whose trace deviation before
+    renormalization is max_trace_deviation (worst_trace_step).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
@@ -200,7 +206,9 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     rho = np.broadcast_to(0.5 * (rho0 + _dagger(rho0)), (n_traj, d, d)).copy()
     l_dag = [_dagger(l) for l in l_ops]
     max_trace_dev = 0.0
+    worst_trace_step = 0 if n_steps else None
     repair = np.zeros(n_traj)
+    repair_counts = np.zeros(n_steps, dtype=int)
 
     def record(slot):
         for k, x in enumerate(obs):
@@ -227,7 +235,9 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         rho = rho + drho
         rho = 0.5 * (rho + _dagger(rho))
         tr = np.einsum("tii->t", rho).real
-        max_trace_dev = max(max_trace_dev, float(np.abs(tr - 1.0).max()))
+        trace_dev = float(np.abs(tr - 1.0).max())
+        if trace_dev > max_trace_dev:
+            max_trace_dev, worst_trace_step = trace_dev, step
         idx = np.flatnonzero(_maybe_below_floor(rho, 0.5 * -CLIP_FLOOR))
         if idx.size:
             w, v = np.linalg.eigh(rho[idx])
@@ -239,6 +249,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
                     f"single-step positivity repair mass "
                     f"{step_mass.max():.3e} exceeds {REPAIR_BUDGET}; reduce dt")
             fix = bad.any(axis=1)
+            repair_counts[step] = np.count_nonzero(fix)
             if fix.any():
                 w, v = np.where(bad, 0.0, w)[fix], v[fix]
                 fixed = np.einsum("tik,tk,tjk->tij", v, w, v.conj())
@@ -253,7 +264,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         times=times, tracked_names=names, tracked_values=values,
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
         final_states=rho, max_trace_deviation=max_trace_dev,
-        max_repair_mass=float(repair.max()))
+        max_repair_mass=float(repair.max()), repair_counts=repair_counts,
+        worst_trace_step=worst_trace_step)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,23 @@ the imaginary axis serves as an independent witness.
 
 Every resolvent solve is guarded: s is a singular point (a resonance) when
 the 2-norm condition number cond2(sI - A), computed from an SVD, is not
-finite or exceeds COND_LIMIT. The guard runs an exact SVD only at anchor
-points; between anchors Weyl's bound certifies cond2 <= COND_LIMIT with a
-factor-2 margin (see `_resolvent_points`). The verdict and the solved
-values are those of an SVD at every point.
+finite or exceeds COND_LIMIT. On a grid, one eigendecomposition
+A V = V Lambda + R bounds cond2(sI - A) at every point at once: with
+kappa = cond2(V) and rho = ||R||_F / smin(V),
+
+    sI - A = V (sI - Lambda) V^{-1} - R V^{-1},
+
+so smax(sI - A) <= kappa * max|s - lambda| + rho (triangle inequality) and
+smin(sI - A) >= min|s - lambda| / kappa - rho (Bauer-Fike for the first
+term, Weyl for the residual), hence
+
+    cond2(sI - A) <= (kappa * max|s - lambda| + rho)
+                     / (min|s - lambda| / kappa - rho)
+
+wherever the denominator is positive. A point whose bound is at most
+COND_LIMIT / 2 is accepted without an SVD; every other point gets its own
+SVD (see `_resolvent_points`). The verdict and the solved values are those
+of an SVD at every point.
 """
 
 from dataclasses import dataclass
@@ -25,46 +38,62 @@ COND_LIMIT = 1e12
 DEFAULT_FREQS = np.logspace(-3.0, 3.0, 32)
 
 
+def _cond_bound(a, points):
+    """Upper bounds on cond2(sI - A) at each point from one eigendecomposition
+    (derived in the module docstring).
+
+    rho = ||R||_F / smin(V) majorizes ||R V^{-1}||_2, so the residual of the
+    computed decomposition is part of the bound. A point gets inf where the
+    denominator is not positive, and every point does when eig fails (it
+    rejects a non-finite A) or V is singular: there is no certificate then.
+    """
+    none = np.full(len(points), np.inf)
+    try:
+        lam, v = np.linalg.eig(a)
+        sv = np.linalg.svd(v, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return none
+    if not sv[-1] > 0:
+        return none
+    kappa = sv[0] / sv[-1]
+    rho = np.linalg.norm(a @ v - v * lam) / sv[-1]
+    dist = np.abs(np.asarray(points, dtype=complex)[:, None] - lam)
+    with np.errstate(all="ignore"):
+        lo = dist.min(axis=1) / kappa - rho  # lower bound on smin(sI - A)
+        return np.where(lo > 0, (kappa * dist.max(axis=1) + rho) / lo, np.inf)
+
+
 def _resolvent_points(a, points, rhs):
     """Solve (sI - A) X = rhs at each point s, guarding the conditioning.
 
     Yields, per point, X from np.linalg.solve, or the SingularityError (not
     raised) of a point whose cond2(sI - A) is not finite or exceeds
-    COND_LIMIT. cond2 comes from an SVD exactly as np.linalg.cond computes
-    it, but only at anchors. Shifting s from an anchor s0 by d = |s - s0|
-    moves every singular value of sI - A by at most d (Weyl), so
-    cond2(sI - A) <= (smax0 + d) / (smin0 - d) while smin0 > d. A point
-    where that bound is at most COND_LIMIT / 2 is accepted without an SVD:
-    the factor 2 absorbs the roundoff of computed singular values (relative
-    error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12), so the
-    SVD would have accepted it too. Any other point gets its own SVD and
-    becomes the next anchor; a singular point leaves no anchor. The bound
-    holds for any point order, but a sorted grid needs fewer anchors.
+    COND_LIMIT. A call of more than one point computes `_cond_bound` once;
+    a point whose bound is at most COND_LIMIT / 2 is accepted without an
+    SVD. The factor 2 absorbs the roundoff of computed singular values
+    (relative error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12)
+    and of the computed decomposition, so the SVD would have accepted the
+    point too. Every other point, and the point of a one-point call (where
+    eig costs more than the SVD it would save), gets an exact SVD, with
+    cond2 computed exactly as np.linalg.cond computes it.
     """
     eye = np.eye(a.shape[0])
-    anchor = None  # (s0, smax0, smin0) of the last point with an exact SVD
-    for s in points:
+    certified = (_cond_bound(a, points) <= COND_LIMIT / 2 if len(points) > 1
+                 else np.zeros(len(points), dtype=bool))
+    for s, skip_svd in zip(points, certified):
         s = complex(s)
         m = s * eye - a
-        certified = False
-        if anchor is not None:
-            s0, smax0, smin0 = anchor
-            d = abs(s - s0)
-            lo = smin0 - d  # lower bound on smin(sI - A)
-            certified = lo > 0 and (smax0 + d) / lo <= COND_LIMIT / 2
-        if not certified:
+        if not skip_svd:
             sv = np.linalg.svd(m, compute_uv=False)
             with np.errstate(all="ignore"):
                 cond = sv[0] / sv[-1]
             if np.isnan(cond) and not np.isnan(m).any():
                 cond = np.float64(np.inf)  # np.linalg.cond's NaN rule
             if not np.isfinite(cond) or cond > COND_LIMIT:
-                anchor = None
                 yield SingularityError(
                     f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
                 )
                 continue
-            anchor = (s, sv[0], sv[-1])
         yield np.linalg.solve(m, rhs)
 
 
@@ -210,8 +239,11 @@ def frequency_sweep(r, omegas):
     Returns an array of shape (len(omegas), 2m, 2m) of magnitudes; rows at
     frequencies where the resolvent is ill-conditioned (resonances) are NaN.
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
-    COND_LIMIT; the grid is walked once, with an exact SVD only at anchors
-    and Weyl's bound, with a factor-2 margin, in between.
+    COND_LIMIT. One eigendecomposition of A bounds cond2 on the whole grid
+    (Bauer-Fike plus the residual term rho, see the module docstring);
+    rows whose bound is at most COND_LIMIT / 2 skip the SVD, and the rest,
+    typically those next to a resonance or of a strongly non-normal A
+    (large cond2(V)), get an exact SVD each.
     """
     out = np.empty((len(omegas), r.d.shape[0], r.d.shape[1]))
     for idx, g in enumerate(_tf_points(r, [1j * w for w in omegas])):

@@ -104,6 +104,18 @@ def test_tf_sweep_csv(tmp_path):
     assert len(lines) == 5  # header + 4 frequencies
 
 
+@pytest.mark.parametrize("sweep", [("0", "100", "4"), ("-1", "100", "4"),
+                                   ("1", "inf", "4"), ("nan", "100", "4"),
+                                   ("1", "100", "2.7"), ("1", "100", "0"),
+                                   ("1", "100", "inf")])
+def test_tf_sweep_rejects_bad_bounds(tmp_path, capsys, sweep):
+    path = _write(tmp_path, _michelson_doc())
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["tf", path, "--sweep", *sweep, "--out", str(out_file)]) == 1
+    assert "--sweep" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
 def test_bae_reports_certified_pair(tmp_path, capsys):
     path = _write(tmp_path, _michelson_doc())
     assert cli.main(["bae", path]) == 0

@@ -181,6 +181,40 @@ def test_cholesky_gate_flags_every_state_below_the_clip_floor():
         np.broadcast_to(np.eye(6) / 6.0, (3, 6, 6)).copy(), shift))
 
 
+def test_batch_reports_repairs_per_step():
+    """repair_counts counts the trajectories clipped at each step and
+    worst_trace_step is the first step of the largest trace deviation; a
+    shorter run on the same noise streams reproduces both as prefixes."""
+    ops = smesim.build_truncated_operators(_measured_mode(coupling=2.0),
+                                           fock_dim=6)
+    rho0 = _ground_state_mixture(6)
+
+    def run(steps):
+        return smesim.simulate_qsme(ops, rho0, dt=1e-3, T=steps * 1e-3,
+                                    n_traj=8, seed=0, tracked=[])
+
+    batch = run(200)
+    assert batch.repair_counts.shape == (200,)
+    assert 0 < batch.repair_counts.sum() and batch.repair_counts.max() <= 8
+    assert batch.max_repair_mass > 0.0
+    worst = batch.worst_trace_step
+    head = run(worst + 1)
+    assert np.array_equal(head.repair_counts, batch.repair_counts[:worst + 1])
+    assert (head.worst_trace_step, head.max_trace_deviation) == \
+        (worst, batch.max_trace_deviation)
+    assert run(worst).max_trace_deviation < batch.max_trace_deviation
+
+
+def test_batch_reports_no_repairs_on_a_clean_run():
+    ops = smesim.build_truncated_operators(_measured_mode(coupling=0.5),
+                                           fock_dim=6)
+    batch = smesim.simulate_qsme(ops, _ground_state_mixture(6), dt=1e-3,
+                                 T=0.05, n_traj=8, seed=0, tracked=[])
+    assert np.array_equal(batch.repair_counts, np.zeros(50, dtype=int))
+    assert batch.max_repair_mass == 0.0
+    assert 0 <= batch.worst_trace_step < 50
+
+
 def test_store_every_subsampling():
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
     rho0 = _ground_state_mixture(4)

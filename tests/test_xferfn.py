@@ -189,8 +189,8 @@ def test_guard_matches_per_point_cond_and_solve():
 
 def test_guard_is_exact_where_cond_crosses_the_limit():
     """On a one-ulp grid across cond2 = COND_LIMIT next to an axis pole, the
-    computed cond jitters by roundoff; the factor-2 margin keeps the Weyl
-    cover out of that band, so every verdict there is the SVD's."""
+    computed cond jitters by roundoff; the factor-2 margin keeps the
+    certificate out of that band, so every verdict there is the SVD's."""
     crossings = 0
     for i in range(40):
         rng = np.random.default_rng(1000 + i)
@@ -218,22 +218,163 @@ def test_guard_is_exact_where_cond_crosses_the_limit():
     assert crossings >= 20
 
 
-def test_guard_skips_svds_between_anchors(monkeypatch):
-    """The Weyl cover, not an SVD per point, decides most of a sorted grid;
-    a one-point evaluation always anchors."""
+def _counting(monkeypatch, name):
+    """Count the calls xferfn makes to np.linalg.<name>."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(xferfn.np.linalg, name, counted)
+    return calls
+
+
+def test_guard_takes_one_eig_per_grid(monkeypatch):
+    """One eigendecomposition certifies a whole generic grid, with one SVD
+    for cond2(V) and none per point; a one-point evaluation takes its own
+    SVD and no eig."""
     r = qsys.quad_realization(
         qsys.random_system(np.random.default_rng(8), 8, 2))
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(xferfn.np.linalg, "svd", counting_svd)
+    svds, eigs = _counting(monkeypatch, "svd"), _counting(monkeypatch, "eig")
     rows = xferfn.frequency_sweep(r, np.logspace(-3.0, 3.0, 200))
     assert np.all(np.isfinite(rows))
-    assert 0 < len(calls) < 100
-    calls.clear()
+    assert (len(eigs), len(svds)) == (1, 1)
+    svds.clear()
+    eigs.clear()
     xferfn.eval_tf(r, 0.3j)
-    assert len(calls) == 1
+    assert (len(eigs), len(svds)) == (0, 1)
+
+
+def _eig_fails(a):
+    raise np.linalg.LinAlgError("eig did not converge")
+
+
+def _eig_singular_v(a):
+    return np.linalg.eigvals(a), np.zeros(a.shape, dtype=complex)
+
+
+@pytest.mark.parametrize("eig", [_eig_fails, _eig_singular_v])
+def test_guard_without_certificate_takes_an_svd_per_point(monkeypatch, eig):
+    """When eig fails or returns a singular V there is no certificate, and
+    every point is decided by its own SVD, with the same outputs."""
+    r = qsys.quad_realization(qsys.michelson_system())
+    omegas = np.array([0.5, 1.0, 2.0, 30.0])
+    svds = _counting(monkeypatch, "svd")
+    monkeypatch.setattr(xferfn.np.linalg, "eig", eig)
+    rows = xferfn.frequency_sweep(r, omegas)
+    assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
+    points = len(svds) - (eig is _eig_singular_v)  # minus the SVD of V
+    assert points == len(omegas)
+
+
+# ------------------------------------------------- non-normal certificate
+
+def _rotation(w):
+    """The 2 x 2 quadrature block of an undamped mode: eigenvalues +/- i w."""
+    return np.array([[0.0, w], [-w, 0.0]])
+
+
+def _jordan_like(t, gap, rotate, w0=1.0):
+    """A quadrature realization whose A = [[R(w0), t I], [0, R(w0 + gap)]]
+    is upper block triangular: its axis eigenvalues i w0 and i (w0 + gap)
+    have condition numbers about t / gap, and gap = 0 makes A exactly
+    defective. `rotate` applies a random orthogonal similarity, so eig no
+    longer meets a triangular matrix and its residual R is not zero."""
+    a = np.block([[_rotation(w0), t * np.eye(2)],
+                  [np.zeros((2, 2)), _rotation(w0 + gap)]])
+    rng = np.random.default_rng(7)
+    if rotate:
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        a = q @ a @ q.T
+    return qsys.Realization("quadrature", a, rng.standard_normal((4, 2)),
+                            rng.standard_normal((2, 4)), np.eye(2))
+
+
+NON_NORMAL = [(t, gap, rotate) for t in (1e2, 1e4, 1e6)
+              for gap in (1e-3, 1e-6, 0.0) for rotate in (False, True)]
+
+
+def _crossing_grid(w0=1.0):
+    """A log grid plus points that close in on the axis pole i w0 from
+    cond2 ~ 1 to past COND_LIMIT, with a fine stretch across 1e11..1e13
+    for the undamped mode alone (cond2 = (2 w0 + d) / d at w0 + d)."""
+    return np.concatenate([np.logspace(-3.0, 3.0, 40),
+                           w0 + w0 * np.logspace(-16.0, 0.0, 49),
+                           w0 + 2 * w0 / np.geomspace(1e11, 1e13, 41), [w0]])
+
+
+def _cond(a, w):
+    return np.linalg.cond(complex(1j * w) * np.eye(a.shape[0]) - a)
+
+
+@pytest.mark.parametrize("t, gap, rotate", NON_NORMAL)
+def test_certificate_is_exact_on_non_normal_a(t, gap, rotate):
+    """Highly non-normal and defective A: sweep and block witness agree bit
+    for bit with an SVD at every point, on a grid that crosses COND_LIMIT."""
+    r = _jordan_like(t, gap, rotate)
+    grid = _crossing_grid()
+    rows = xferfn.frequency_sweep(r, grid)
+    assert np.array_equal(rows, _reference_sweep(r, grid), equal_nan=True)
+    assert xferfn.block_pattern(r, freqs=grid) == _reference_pattern(r, grid)
+    nan = np.isnan(rows).all(axis=(1, 2))
+    assert nan.any() and not nan.all()
+
+
+@pytest.mark.parametrize("t, gap, rotate", NON_NORMAL + [(0.0, 1.0, True)])
+def test_certificate_bounds_cond(t, gap, rotate):
+    """The bound dominates the SVD condition number up to the SVD's own
+    roundoff (relative n * eps * cond) wherever it is at most COND_LIMIT;
+    t = 0 is a normal A, where the bound is tight."""
+    r = _jordan_like(t, gap, rotate)
+    a = np.asarray(r.a, dtype=complex)
+    grid = _crossing_grid()
+    bound = xferfn._cond_bound(a, list(1j * grid))
+    conds = np.array([_cond(a, w) for w in grid])
+    covered = bound <= xferfn.COND_LIMIT
+    slack = 1 + a.shape[0] * np.finfo(float).eps * bound[covered]
+    assert np.all(conds[covered] <= bound[covered] * slack)
+    assert np.all(bound > 0)
+
+
+def test_certificate_skips_only_well_conditioned_points(monkeypatch):
+    """Every point that gets no SVD has np.linalg.cond <= COND_LIMIT / 2,
+    also next to COND_LIMIT on a normal A, where the bound is tight."""
+    skipped = 0
+    for t, gap, rotate in NON_NORMAL + [(0.0, 1.0, True), (0.0, 1.0, False)]:
+        r = _jordan_like(t, gap, rotate)
+        a = np.asarray(r.a, dtype=complex)
+        grid = _crossing_grid()
+        svds = _counting(monkeypatch, "svd")
+        xferfn.frequency_sweep(r, grid)
+        for w in grid:
+            m = complex(1j * w) * np.eye(4) - a
+            if not any(np.array_equal(m, x) for x in svds):
+                skipped += 1
+                assert _cond(a, w) <= xferfn.COND_LIMIT / 2
+        monkeypatch.undo()
+    assert skipped > 0
+
+
+def test_certificate_carries_the_eig_residual(monkeypatch):
+    """An eigendecomposition off by 1e-9 in every eigenvalue still yields a
+    valid bound: rho = ||A V - V Lambda||_F / smin(V) carries the error.
+    Points just beyond each pole, where |s - lambda| is twice the true
+    distance, would be over-certified without it."""
+    r = _jordan_like(0.0, 1.0, True)
+    a = np.asarray(r.a, dtype=complex)
+    shift = 1e-9j
+    eig = np.linalg.eig
+
+    def shifted(x):
+        lam, v = eig(x)
+        return lam + shift, v
+
+    monkeypatch.setattr(xferfn.np.linalg, "eig", shifted)
+    lam = eig(a)[0]
+    points = list(np.concatenate([lam - shift * k for k in (0.5, 1.0, 2.0, 4.0)]))
+    bound = xferfn._cond_bound(a, points)
+    conds = np.array([np.linalg.cond(s * np.eye(4) - a) for s in points])
+    finite = np.isfinite(bound)
+    assert finite.any() and np.all(conds[finite] <= bound[finite])
