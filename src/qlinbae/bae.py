@@ -149,10 +149,12 @@ class BAEReport:
 
 
 def diagnose_conditions(sys, tol=DEFAULT_TOL):
-    """Evaluate every cataloged hypothesis set against the parameter set."""
+    """Evaluate every cataloged hypothesis set against the parameter set,
+    each of the distinct predicates once."""
+    holds = {h: predicate(sys, tol) for h, predicate in _PREDICATES.items()}
     matched = []
     for cond in CONDITION_CATALOG:
-        checked = {h: _PREDICATES[h](sys, tol) for h in cond.hypotheses}
+        checked = {h: holds[h] for h in cond.hypotheses}
         if all(checked.values()):
             matched.append(
                 MatchedCondition(cond.condition_id, checked, cond.predicted_pairs)

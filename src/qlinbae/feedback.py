@@ -10,7 +10,7 @@ import numpy as np
 from scipy import optimize
 
 from . import bae
-from .errors import DimensionError, SingularityError, WellPosednessError
+from .errors import DimensionError, WellPosednessError
 from .matcore import DEFAULT_TOL, inf_norm
 from .qsys import QuantumLinearSystem, new_system, quad_realization
 from .xferfn import COND_LIMIT, _tf_points, eval_tf
@@ -209,16 +209,17 @@ def verify_reduction(net, tol=DEFAULT_TOL):
     """Compare the reduced system's transfer function against the directly
     interconnected closed loop at the frequencies REDUCTION_OMEGAS."""
     points = [1j * w for w in REDUCTION_OMEGAS]
-    reduced = _tf_points(quad_realization(reduce_network(net, tol=tol)), points)
-    plant = _tf_points(quad_realization(net.plant), points)
+    reduced, reduced_singular = _tf_points(
+        quad_realization(reduce_network(net, tol=tol)), points)
+    plant, plant_singular = _tf_points(quad_realization(net.plant), points)
     dev = 0.0
     scale = 1.0
-    for g, red in zip(plant, reduced):
-        if isinstance(g, SingularityError):
-            raise g
+    for i, (g, red) in enumerate(zip(plant, reduced)):
+        if i in plant_singular:
+            raise plant_singular[i]
         direct = _close_loop(net, g)
-        if isinstance(red, SingularityError):
-            raise red
+        if i in reduced_singular:
+            raise reduced_singular[i]
         dev = max(dev, float(inf_norm(direct - red)))
         scale = max(scale, float(inf_norm(direct)))
     return ReductionReport(max_deviation=dev, scale=scale,

@@ -7,9 +7,15 @@ the imaginary axis serves as an independent witness.
 
 Every resolvent solve is guarded: s is a singular point (a resonance) when
 the 2-norm condition number cond2(sI - A), computed from an SVD, is not
-finite or exceeds COND_LIMIT. On a grid, one eigendecomposition
-A V = V Lambda + R bounds cond2(sI - A) at every point at once: with
-kappa = cond2(V) and rho = ||R||_F / smin(V),
+finite or exceeds COND_LIMIT. A grid of more than one point takes one
+complex Schur form A = Z T Z^H (Z unitary, T upper triangular), which
+serves both the guard and the solve (the triangular variant of Laub,
+IEEE TAC 26(2):407-408, 1981; Golub & Van Loan, sec. 7.6).
+
+The guard. The eigendecomposition T V_T = V_T Lambda of the triangular
+factor gives eigenvectors V = Z V_T of A, and with the residual
+R = A V - V Lambda, measured against A itself, kappa = cond2(V) and
+rho = ||R||_F / smin(V),
 
     sI - A = V (sI - Lambda) V^{-1} - R V^{-1},
 
@@ -20,10 +26,39 @@ term, Weyl for the residual), hence
     cond2(sI - A) <= (kappa * max|s - lambda| + rho)
                      / (min|s - lambda| / kappa - rho)
 
-wherever the denominator is positive. A point whose bound is at most
-COND_LIMIT / 2 is accepted without an SVD; every other point gets its own
-SVD (see `_resolvent_points`). The verdict and the solved values are those
-of an SVD at every point.
+wherever the denominator is positive. Nothing here assumes that Z, T or
+V_T is exact: their errors, the Schur backward error included, land in R.
+A point whose bound is at most COND_LIMIT / 2 is certified without an
+SVD; every other point gets its own SVD (see `_resolvent_points`), so the
+verdict at every point is that of an SVD.
+
+The solve. At the certified points, (sI - T) Y = Z^H B is solved by one
+back-substitution vectorized over the points, and G = D + (C Z) Y. The
+Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
+eps ||A||_F and Z unitary to working precision. Back-substitution solves
+(sI - T + F) y = f with |F| <= N eps |sI - T| entrywise (Higham, Accuracy
+and Stability of Numerical Algorithms, Thm 8.5), so ||F||_2 is of order
+N eps (|s| + ||A||_F); the rounding of f = Z^H B is of the same order
+relative to ||B||_2 <= (|s| + ||A||_F) ||X||_2. So the computed
+X = Z Y solves (sI - A + Delta) X = B with ||Delta||_2 <= c N eps
+(|s| + ||A||_F), where c is a modest constant (the worst-case
+componentwise analysis carries another sqrt(N)), and to first order
+
+    ||X - X_exact||_2 <= c N eps beta(s) ||X||_2,
+    beta(s) = (|s| + ||A||_F) / smin(sI - A).
+
+Applying C costs c N eps beta(s) ||C||_2 ||X||_2 (beta >= 1), and adding
+D one more rounding of G, so
+
+    ||G - G_exact||_2 <= delta(s) = c N eps (beta(s) ||C||_2 ||X||_2
+                                             + ||G||_2).
+
+LU with partial pivoting (np.linalg.solve) obeys a bound of the same form,
+so the Schur value and the per-point value differ by at most 2 delta(s).
+At a certified point the guard gives smin(sI - A) >= min|s - lambda| /
+kappa - rho > 0, so beta(s) is finite there and bounded by the guard's
+own numbers. Points the guard does not certify, and the one point of
+`eval_tf` and `sigma_tf`, keep np.linalg.solve.
 """
 
 from dataclasses import dataclass
@@ -38,18 +73,21 @@ COND_LIMIT = 1e12
 DEFAULT_FREQS = np.logspace(-3.0, 3.0, 32)
 
 
-def _cond_bound(a, points):
-    """Upper bounds on cond2(sI - A) at each point from one eigendecomposition
-    (derived in the module docstring).
+def _cond_bound(a, t, z, points):
+    """Upper bounds on cond2(sI - A) at each point from the Schur form
+    A = Z T Z^H (derived in the module docstring).
 
-    rho = ||R||_F / smin(V) majorizes ||R V^{-1}||_2, so the residual of the
-    computed decomposition is part of the bound. A point gets inf where the
-    denominator is not positive, and every point does when eig fails (it
-    rejects a non-finite A) or V is singular: there is no certificate then.
+    The eigenvectors of A are V = Z V_T, with V_T those of the triangular T.
+    rho = ||A V - V Lambda||_F / smin(V) majorizes ||R V^{-1}||_2, so the
+    residual of the computed decomposition, Schur backward error included,
+    is part of the bound. A point gets inf where the denominator is not
+    positive, and every point does when eig fails or V is singular: there
+    is no certificate then.
     """
     none = np.full(len(points), np.inf)
     try:
-        lam, v = np.linalg.eig(a)
+        lam, vt = np.linalg.eig(t)
+        v = z @ vt
         sv = np.linalg.svd(v, compute_uv=False)
     except np.linalg.LinAlgError:
         return none
@@ -57,60 +95,97 @@ def _cond_bound(a, points):
         return none
     kappa = sv[0] / sv[-1]
     rho = np.linalg.norm(a @ v - v * lam) / sv[-1]
-    dist = np.abs(np.asarray(points, dtype=complex)[:, None] - lam)
+    dist = np.abs(points[:, None] - lam)
     with np.errstate(all="ignore"):
         lo = dist.min(axis=1) / kappa - rho  # lower bound on smin(sI - A)
         return np.where(lo > 0, (kappa * dist.max(axis=1) + rho) / lo, np.inf)
 
 
-def _resolvent_points(a, points, rhs):
-    """Solve (sI - A) X = rhs at each point s, guarding the conditioning.
+def _schur_solve(t, z, points, rhs, lhs):
+    """lhs (sI - A)^{-1} rhs at every point from A = Z T Z^H, as a
+    (points, rows of lhs, columns of rhs) array.
 
-    Yields, per point, X from np.linalg.solve, or the SingularityError (not
-    raised) of a point whose cond2(sI - A) is not finite or exceeds
-    COND_LIMIT. A call of more than one point computes `_cond_bound` once;
-    a point whose bound is at most COND_LIMIT / 2 is accepted without an
-    SVD. The factor 2 absorbs the roundoff of computed singular values
-    (relative error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12)
-    and of the computed decomposition, so the SVD would have accepted the
-    point too. Every other point, and the point of a one-point call (where
-    eig costs more than the SVD it would save), gets an exact SVD, with
-    cond2 computed exactly as np.linalg.cond computes it.
+    One back-substitution for (sI - T) Y = Z^H rhs over all points at
+    once: row k of Y is (f_k + T[k, k+1:] Y[k+1:]) / (s - T[k, k]), one
+    product of a row of T with the contiguous (N - k - 1) x P*m slab below.
     """
+    n, p, m = t.shape[0], len(points), rhs.shape[1]
+    f = z.conj().T @ rhs
+    pivots = points[:, None] - np.diag(t)
+    y = np.empty((n, p, m), dtype=complex)
+    for k in range(n - 1, -1, -1):
+        below = t[k, k + 1:] @ y[k + 1:].reshape(n - k - 1, p * m)
+        y[k] = (f[k] + below.reshape(p, m)) / pivots[:, k, None]
+    return ((lhs @ z) @ y.reshape(n, p * m)).reshape(-1, p, m).transpose(1, 0, 2)
+
+
+def _resolvent_points(a, points, rhs, lhs):
+    """lhs (sI - A)^{-1} rhs at each point s, guarding the conditioning.
+
+    Returns the values, a (points, rows of lhs, columns of rhs) array whose
+    rows at singular points are NaN, and a dict from the index of each
+    singular point to its SingularityError (not raised): cond2(sI - A) is
+    not finite or exceeds COND_LIMIT there.
+
+    A call of more than one point takes one complex Schur form of A. It
+    certifies, through `_cond_bound`, every point whose bound is at most
+    COND_LIMIT / 2, and solves all certified points in one `_schur_solve`;
+    their values lie within the forward-error bound delta(s) of the module
+    docstring. The factor 2 absorbs the roundoff of computed singular
+    values (relative error about n * eps * cond, ~1e-2 for n <= 64 at
+    cond = 1e12) and of the computed decomposition, so the SVD would have
+    accepted the point too. Every other point, and the point of a one-point
+    call (where the factorization costs more than the SVD it would save),
+    gets an exact SVD, with cond2 computed exactly as np.linalg.cond
+    computes it, and lhs @ np.linalg.solve(sI - A, rhs).
+    """
+    points = np.asarray(points, dtype=complex)
+    values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
+    certified = np.zeros(len(points), dtype=bool)
+    if len(points) > 1:
+        import scipy.linalg  # on first use, so importing xferfn does not load it
+
+        try:
+            t, z = scipy.linalg.schur(a, output="complex")
+        except (ValueError, np.linalg.LinAlgError):  # a non-finite A, no convergence
+            pass
+        else:
+            certified = _cond_bound(a, t, z, points) <= COND_LIMIT / 2
+            if certified.any():
+                values[certified] = _schur_solve(t, z, points[certified], rhs, lhs)
     eye = np.eye(a.shape[0])
-    certified = (_cond_bound(a, points) <= COND_LIMIT / 2 if len(points) > 1
-                 else np.zeros(len(points), dtype=bool))
-    for s, skip_svd in zip(points, certified):
-        s = complex(s)
+    singular = {}
+    for i in np.flatnonzero(~certified):
+        s = complex(points[i])
         m = s * eye - a
-        if not skip_svd:
-            sv = np.linalg.svd(m, compute_uv=False)
-            with np.errstate(all="ignore"):
-                cond = sv[0] / sv[-1]
-            if np.isnan(cond) and not np.isnan(m).any():
-                cond = np.float64(np.inf)  # np.linalg.cond's NaN rule
-            if not np.isfinite(cond) or cond > COND_LIMIT:
-                yield SingularityError(
-                    f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
-                )
-                continue
-        yield np.linalg.solve(m, rhs)
+        sv = np.linalg.svd(m, compute_uv=False)
+        with np.errstate(all="ignore"):
+            cond = sv[0] / sv[-1]
+        if np.isnan(cond) and not np.isnan(m).any():
+            cond = np.float64(np.inf)  # np.linalg.cond's NaN rule
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            singular[int(i)] = SingularityError(
+                f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
+            )
+        else:
+            values[i] = lhs @ np.linalg.solve(m, rhs)
+    return values, singular
 
 
 def _tf_points(r, points):
-    """Yield D + C (sI - A)^{-1} B, or the point's SingularityError, per point."""
-    c = np.asarray(r.c, dtype=complex)
-    d = np.asarray(r.d, dtype=complex)
-    for x in _resolvent_points(np.asarray(r.a, dtype=complex), points,
-                               np.asarray(r.b, dtype=complex)):
-        yield x if isinstance(x, SingularityError) else d + c @ x
+    """D + C (sI - A)^{-1} B at each point, with NaN rows at the singular
+    points, and the dict of their SingularityErrors (see `_resolvent_points`)."""
+    values, singular = _resolvent_points(
+        np.asarray(r.a, dtype=complex), points,
+        np.asarray(r.b, dtype=complex), np.asarray(r.c, dtype=complex))
+    return np.asarray(r.d, dtype=complex) + values, singular
 
 
-def _single(values):
+def _single(result):
     """The value of a one-point evaluation; raises its SingularityError."""
-    (value,) = values
-    if isinstance(value, SingularityError):
-        raise value
+    (value,), singular = result
+    if singular:
+        raise singular[0]
     return value
 
 
@@ -197,9 +272,8 @@ def block_pattern(r, tol=DEFAULT_TOL, freqs=None):
         freqs = DEFAULT_FREQS
     # a singular point is a marginally stable pole on the axis; Markov data
     # still decides there
-    max_freq = _block_maxima(
-        [g for g in _tf_points(r, [1j * w for w in freqs])
-         if not isinstance(g, SingularityError)], m)
+    g, singular = _tf_points(r, [1j * w for w in freqs])
+    max_freq = _block_maxima(np.delete(g, list(singular), axis=0), m)
 
     certs = {
         name: BlockCert(
@@ -216,7 +290,7 @@ def sigma_tf(sys, s):
     """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat."""
     cc = sys.coupling
     a = -1j * j_diag(sys.n_modes) @ sys.omega
-    return 0.5 * cc @ _single(_resolvent_points(a, [s], flat_adjoint(cc)))
+    return _single(_resolvent_points(a, [s], flat_adjoint(cc), 0.5 * cc))
 
 
 def cayley_tf(sys, s):
@@ -239,13 +313,14 @@ def frequency_sweep(r, omegas):
     Returns an array of shape (len(omegas), 2m, 2m) of magnitudes; rows at
     frequencies where the resolvent is ill-conditioned (resonances) are NaN.
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
-    COND_LIMIT. One eigendecomposition of A bounds cond2 on the whole grid
-    (Bauer-Fike plus the residual term rho, see the module docstring);
-    rows whose bound is at most COND_LIMIT / 2 skip the SVD, and the rest,
-    typically those next to a resonance or of a strongly non-normal A
-    (large cond2(V)), get an exact SVD each.
+    COND_LIMIT. One complex Schur form A = Z T Z^H serves the whole grid:
+    eig(T), with eigenvectors V = Z V_T, bounds cond2 at every point
+    (Bauer-Fike plus the residual term rho, see the module docstring), and
+    the rows whose bound is at most COND_LIMIT / 2 skip the SVD and come
+    from one back-substitution in T, each within the forward-error bound
+    delta(i*omega) derived there. The rest, typically rows next to a
+    resonance or of a strongly non-normal A (large cond2(V)), get an exact
+    SVD and np.linalg.solve each.
     """
-    out = np.empty((len(omegas), r.d.shape[0], r.d.shape[1]))
-    for idx, g in enumerate(_tf_points(r, [1j * w for w in omegas])):
-        out[idx] = np.nan if isinstance(g, SingularityError) else np.abs(g)
-    return out
+    g, _ = _tf_points(r, [1j * w for w in omegas])
+    return np.abs(g)

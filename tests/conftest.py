@@ -165,3 +165,24 @@ def random_feedback_network(rng, n=2, m1=1, m2=2):
         loop = np.eye(m2) - net.s22 @ net.s_b
         if np.linalg.cond(loop) < 1e6:
             return net
+
+
+def schur_deviation_bound(r, s):
+    """2 delta(s), the bound of the xferfn module docstring on how far its
+    Schur-form value of G(s) lies from the per-point np.linalg.solve one,
+    with the constant c set to 2:
+
+        4 N eps (beta(s) ||C||_2 ||X||_2 + ||G||_2),
+        beta(s) = (|s| + ||A||_F) / smin(sI - A),
+
+    with X = (sI - A)^{-1} B and G = D + C X from the per-point solve. Over
+    the families, pole grids and non-normal A of test_xferfn the largest
+    deviation is about a quarter of N eps (beta ||C|| ||X|| + ||G||).
+    """
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
+    n = a.shape[0]
+    m = s * np.eye(n) - a
+    x = np.linalg.solve(m, b)
+    beta = (abs(s) + np.linalg.norm(a)) / np.linalg.svd(m, compute_uv=False)[-1]
+    return 4 * n * np.finfo(float).eps * (
+        beta * np.linalg.norm(c, 2) * np.linalg.norm(x, 2) + np.linalg.norm(d + c @ x, 2))

@@ -1,5 +1,6 @@
 """Catalog soundness and closed-form checks for zero-block certification."""
 
+import itertools
 import zlib
 
 import numpy as np
@@ -65,6 +66,50 @@ def test_catalog_soundness(condition_id):
         assert condition_id in matched_ids
         assert cond.predicted_pairs <= report.certified_pairs
         assert report.consistency
+
+
+def _diagnose_per_condition(sys_obj, tol=matcore.DEFAULT_TOL):
+    """Reference: the catalog matched condition by condition, calling a
+    predicate once for every condition it appears in."""
+    matched = []
+    for cond in bae.CONDITION_CATALOG:
+        checked = {h: bae._PREDICATES[h](sys_obj, tol) for h in cond.hypotheses}
+        if all(checked.values()):
+            matched.append(bae.MatchedCondition(cond.condition_id, checked,
+                                                cond.predicted_pairs))
+    return matched
+
+
+def test_diagnose_evaluates_each_predicate_once(monkeypatch):
+    """Over every random_system family, diagnose_conditions calls each
+    distinct predicate once and returns the reference's MatchedConditions."""
+    calls = []
+
+    def counting(name, predicate):
+        def counted(sys_obj, tol):
+            calls.append(name)
+            return predicate(sys_obj, tol)
+        return counted
+
+    counted = {h: counting(h, p) for h, p in bae._PREDICATES.items()}
+    rng = np.random.default_rng(4)
+    matched = 0
+    for omega, coupling, scattering, relation in itertools.product(
+            ("generic", "imag", "zero", "equal_re", "opposite_re"),
+            ("generic", "real", "imag", "zero"),
+            ("identity", "real", "imag", "generic"),
+            ("free", "equal", "opposite")):
+        sys_obj = qsys.random_system(rng, 2, 2, omega=omega, coupling=coupling,
+                                     scattering=scattering, c_relation=relation)
+        want = _diagnose_per_condition(sys_obj)
+        monkeypatch.setattr(bae, "_PREDICATES", counted)
+        calls.clear()
+        got = bae.diagnose_conditions(sys_obj)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(bae._PREDICATES)
+        assert got == want
+        matched += len(got)
+    assert matched >= 300
 
 
 def test_generic_system_matches_nothing():

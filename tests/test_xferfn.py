@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinbae import matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError, SingularityError
+
+from conftest import schur_deviation_bound
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -154,6 +157,28 @@ def _reference_pattern(r, freqs, tol=matcore.DEFAULT_TOL):
     return xferfn.BlockPattern(**certs)
 
 
+def _assert_sweep_matches(r, omegas, rows):
+    """NaN rows exactly as the per-point reference; every other row within
+    the Schur forward-error bound of it (see schur_deviation_bound)."""
+    ref = _reference_sweep(r, omegas)
+    assert np.array_equal(np.isnan(rows), np.isnan(ref))
+    regular = ~np.isnan(ref).all(axis=(1, 2))
+    for w, row, want in zip(omegas[regular], rows[regular], ref[regular]):
+        assert np.abs(row - want).max() <= schur_deviation_bound(r, 1j * w)
+
+
+def _assert_pattern_matches(r, freqs):
+    """Zero verdicts and Markov maxima exactly as the per-point reference;
+    frequency maxima within the largest Schur bound over the regular points."""
+    got, ref = xferfn.block_pattern(r, freqs=freqs), _reference_pattern(r, freqs)
+    slack = max([0.0] + [schur_deviation_bound(r, 1j * w)
+                         for w, g in zip(freqs, _reference_tf(r, freqs)) if g is not None])
+    for name in ("qq", "qp", "pq", "pp"):
+        got_block, ref_block = getattr(got, name), getattr(ref, name)
+        assert (got_block.zero, got_block.max_markov) == (ref_block.zero, ref_block.max_markov)
+        assert abs(got_block.max_freq - ref_block.max_freq) <= slack
+
+
 def _pole_grid(r, rng):
     """A log grid plus each axis pole of r, exactly and at pole * (1 + 1e-13);
     every other grid is shuffled, since the guard must not depend on order."""
@@ -165,8 +190,10 @@ def _pole_grid(r, rng):
 
 
 def test_guard_matches_per_point_cond_and_solve():
-    """frequency_sweep, block_pattern and eval_tf agree bit for bit with an
-    SVD condition number at every point, also at and next to axis poles."""
+    """frequency_sweep, block_pattern and eval_tf agree with an SVD
+    condition number at every point, also at and next to axis poles: NaN
+    rows, zero verdicts and SingularityError.cond exactly, values within
+    the Schur forward-error bound."""
     couplings = ("zero", "generic", "zero", "real", "zero", "imag")
     singular = 0
     for i in range(120):
@@ -176,8 +203,8 @@ def test_guard_matches_per_point_cond_and_solve():
         r = qsys.quad_realization(sys_obj)
         omegas = _pole_grid(r, rng)
         rows = xferfn.frequency_sweep(r, omegas)
-        assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
-        assert xferfn.block_pattern(r, freqs=omegas) == _reference_pattern(r, omegas)
+        _assert_sweep_matches(r, omegas, rows)
+        _assert_pattern_matches(r, omegas)
         for w in omegas[np.isnan(rows).all(axis=(1, 2))]:
             singular += 1
             m = complex(1j * w) * np.eye(r.a.shape[0]) - r.a
@@ -218,33 +245,92 @@ def test_guard_is_exact_where_cond_crosses_the_limit():
     assert crossings >= 20
 
 
-def _counting(monkeypatch, name):
-    """Count the calls xferfn makes to np.linalg.<name>."""
+def _counting(monkeypatch, name, module=np.linalg):
+    """Count the calls xferfn makes to <module>.<name> (np.linalg by default;
+    xferfn reaches numpy and scipy.linalg through their module objects)."""
     calls = []
-    real = getattr(np.linalg, name)
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(xferfn.np.linalg, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_guard_takes_one_eig_per_grid(monkeypatch):
-    """One eigendecomposition certifies a whole generic grid, with one SVD
-    for cond2(V) and none per point; a one-point evaluation takes its own
-    SVD and no eig."""
+def test_grid_takes_one_schur_form(monkeypatch):
+    """One Schur form serves a whole generic 200-point grid: one eig, on its
+    triangular factor, one SVD for cond2(V) and no per-point solve. A
+    one-point evaluation takes its own SVD and solve and no factorization."""
     r = qsys.quad_realization(
         qsys.random_system(np.random.default_rng(8), 8, 2))
-    svds, eigs = _counting(monkeypatch, "svd"), _counting(monkeypatch, "eig")
+    schurs = _counting(monkeypatch, "schur", scipy.linalg)
+    eigs, svds, solves = (_counting(monkeypatch, name)
+                          for name in ("eig", "svd", "solve"))
     rows = xferfn.frequency_sweep(r, np.logspace(-3.0, 3.0, 200))
     assert np.all(np.isfinite(rows))
-    assert (len(eigs), len(svds)) == (1, 1)
-    svds.clear()
-    eigs.clear()
+    assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 1, 1, 0)
+    assert np.array_equal(eigs[0], np.triu(eigs[0]))
+    assert not np.array_equal(schurs[0], np.triu(schurs[0]))
+    for calls in (schurs, eigs, svds, solves):
+        calls.clear()
     xferfn.eval_tf(r, 0.3j)
-    assert (len(eigs), len(svds)) == (0, 1)
+    assert (len(schurs), len(eigs), len(svds), len(solves)) == (0, 0, 1, 1)
+
+
+def _schur_fails(a, output):
+    raise np.linalg.LinAlgError("Schur form not found")
+
+
+def test_guard_without_schur_form_takes_an_svd_per_point(monkeypatch):
+    """When the Schur form fails there is no certificate and no Schur solve:
+    every point gets its own SVD and solve, bit for bit as the reference."""
+    r = qsys.quad_realization(qsys.michelson_system())
+    omegas = np.array([0.5, 1.0, 2.0, 30.0])
+    monkeypatch.setattr(scipy.linalg, "schur", _schur_fails)
+    svds = _counting(monkeypatch, "svd")
+    rows = xferfn.frequency_sweep(r, omegas)
+    assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
+    assert len(svds) == len(omegas)
+
+
+def _assert_values_match(r, omegas):
+    """The stacked values against the per-point cond + solve reference: the
+    same singular points and SingularityError.cond, NaN there, and every
+    other value within the Schur bound; one-point eval_tf is bit for bit
+    the reference at every point."""
+    values, singular = xferfn._tf_points(r, [1j * w for w in omegas])
+    ref = _reference_tf(r, omegas)
+    assert sorted(singular) == [i for i, g in enumerate(ref) if g is None]
+    a = np.asarray(r.a, dtype=complex)
+    for i, (w, g) in enumerate(zip(omegas, ref)):
+        if g is None:
+            assert np.isnan(values[i]).all()
+            with pytest.raises(SingularityError) as err:
+                xferfn.eval_tf(r, 1j * w)
+            assert err.value.cond == singular[i].cond == _cond(a, w)
+        else:
+            assert np.linalg.norm(values[i] - g, 2) <= schur_deviation_bound(r, 1j * w)
+            assert np.array_equal(xferfn.eval_tf(r, 1j * w), g)
+
+
+FAMILIES = [{}, dict(coupling="real"), dict(coupling="imag"),
+            dict(coupling="zero"), dict(omega="imag", scattering="real"),
+            dict(omega="equal_re", coupling="real", scattering="imag"),
+            dict(omega="opposite_re", coupling="imag", c_relation="equal"),
+            dict(omega="zero", scattering="generic")]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_schur_values_match_per_point_solve(n):
+    """At n = 8, 16 and 32 modes, over the random families on shuffled or
+    sorted grids through every axis pole, the Schur-form values stay within
+    the forward-error bound of the per-point reference."""
+    for i, family in enumerate(FAMILIES):
+        rng = np.random.default_rng(100 * n + i)
+        r = qsys.quad_realization(qsys.random_system(rng, n, 2, **family))
+        _assert_values_match(r, _pole_grid(r, rng))
 
 
 def _eig_fails(a):
@@ -305,19 +391,31 @@ def _crossing_grid(w0=1.0):
                            w0 + 2 * w0 / np.geomspace(1e11, 1e13, 41), [w0]])
 
 
+def _schur(a):
+    return scipy.linalg.schur(a, output="complex")
+
+
 def _cond(a, w):
     return np.linalg.cond(complex(1j * w) * np.eye(a.shape[0]) - a)
 
 
+@pytest.mark.parametrize("t, gap, rotate", NON_NORMAL + [(0.0, 1.0, True)])
+def test_schur_values_match_on_non_normal_a(t, gap, rotate):
+    """Highly non-normal and defective A on a grid that crosses COND_LIMIT:
+    the Schur-form values stay within the forward-error bound."""
+    _assert_values_match(_jordan_like(t, gap, rotate), _crossing_grid())
+
+
 @pytest.mark.parametrize("t, gap, rotate", NON_NORMAL)
 def test_certificate_is_exact_on_non_normal_a(t, gap, rotate):
-    """Highly non-normal and defective A: sweep and block witness agree bit
-    for bit with an SVD at every point, on a grid that crosses COND_LIMIT."""
+    """Highly non-normal and defective A: sweep and block witness agree
+    with an SVD at every point, on a grid that crosses COND_LIMIT (NaN rows
+    and zero verdicts exactly, values within the Schur bound)."""
     r = _jordan_like(t, gap, rotate)
     grid = _crossing_grid()
     rows = xferfn.frequency_sweep(r, grid)
-    assert np.array_equal(rows, _reference_sweep(r, grid), equal_nan=True)
-    assert xferfn.block_pattern(r, freqs=grid) == _reference_pattern(r, grid)
+    _assert_sweep_matches(r, grid, rows)
+    _assert_pattern_matches(r, grid)
     nan = np.isnan(rows).all(axis=(1, 2))
     assert nan.any() and not nan.all()
 
@@ -330,7 +428,7 @@ def test_certificate_bounds_cond(t, gap, rotate):
     r = _jordan_like(t, gap, rotate)
     a = np.asarray(r.a, dtype=complex)
     grid = _crossing_grid()
-    bound = xferfn._cond_bound(a, list(1j * grid))
+    bound = xferfn._cond_bound(a, *_schur(a), 1j * grid)
     conds = np.array([_cond(a, w) for w in grid])
     covered = bound <= xferfn.COND_LIMIT
     slack = 1 + a.shape[0] * np.finfo(float).eps * bound[covered]
@@ -374,7 +472,7 @@ def test_certificate_carries_the_eig_residual(monkeypatch):
     monkeypatch.setattr(xferfn.np.linalg, "eig", shifted)
     lam = eig(a)[0]
     points = list(np.concatenate([lam - shift * k for k in (0.5, 1.0, 2.0, 4.0)]))
-    bound = xferfn._cond_bound(a, points)
+    bound = xferfn._cond_bound(a, *_schur(a), np.array(points))
     conds = np.array([np.linalg.cond(s * np.eye(4) - a) for s in points])
     finite = np.isfinite(bound)
     assert finite.any() and np.all(conds[finite] <= bound[finite])
