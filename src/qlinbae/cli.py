@@ -33,10 +33,11 @@ SCHEMA_VERSION = 1
 def parse_complex_matrix(node, where):
     """Nested lists with scalar or [re, im] entries -> complex ndarray."""
     def entry(x):
-        if isinstance(x, (int, float)):
+        # type(), not isinstance(): a JSON boolean is a Python int subclass
+        if type(x) in (int, float):
             return complex(x)
         if (isinstance(x, list) and len(x) == 2
-                and all(isinstance(v, (int, float)) for v in x)):
+                and all(type(v) in (int, float) for v in x)):
             return complex(x[0], x[1])
         raise ValueError(
             f"{where}: entries must be numbers or [re, im] pairs, got {x!r}")
@@ -44,9 +45,9 @@ def parse_complex_matrix(node, where):
     if not isinstance(node, list) or not node:
         raise ValueError(f"{where}: expected a non-empty matrix (list of rows)")
     rows = node if isinstance(node[0], list) and (
-        not node[0] or isinstance(node[0][0], (list, int, float))) else [node]
+        not node[0] or type(node[0][0]) in (list, int, float)) else [node]
     # a bare [re, im] pair is a 1x1 matrix
-    if (len(node) == 2 and all(isinstance(v, (int, float)) for v in node)):
+    if (len(node) == 2 and all(type(v) in (int, float) for v in node)):
         return np.array([[entry(node)]])
     out = [[entry(x) for x in row] for row in rows]
     widths = {len(r) for r in out}
@@ -77,7 +78,9 @@ def load_spec(path, tol=DEFAULT_TOL):
         omega_plus=parse_complex_matrix(doc["Omega_plus"], "Omega_plus"),
         tol=tol,
     )
-    if sys_obj.n_modes != doc["modes"] or sys_obj.m_channels != doc["channels"]:
+    declared = (doc["modes"], doc["channels"])
+    if (declared != (sys_obj.n_modes, sys_obj.m_channels)
+            or any(isinstance(v, bool) for v in declared)):
         raise ValueError(
             f"spec file {path}: declared modes/channels "
             f"({doc['modes']}, {doc['channels']}) do not match matrix shapes "
@@ -159,9 +162,8 @@ def cmd_tf(args):
         m = sys_obj.m_channels
         header = ["omega"] + [f"abs_G_{i}_{j}" for i in range(2 * m)
                               for j in range(2 * m)]
-        rows = [[f"{w:.12g}"] + [f"{abs(values[k][i, j]):.12g}"
-                                 for i in range(2 * m) for j in range(2 * m)]
-                for k, w in enumerate(omegas)]
+        rows = [[f"{w:.12g}"] + [f"{x:.12g}" for x in row.ravel()]
+                for w, row in zip(omegas, values)]
         _write_csv(header, rows, args.out)
     else:
         g = eval_tf(r, 1j * args.omega)
@@ -304,11 +306,23 @@ def cmd_kalman(args):
 def cmd_simulate(args):
     sys_obj, doc = load_spec(args.spec, args.tol)
     sec = doc.get("sim", {})
-    fock_dim = args.fock_dim or sec.get("fock_dim", 8)
-    dt = args.dt or sec.get("dt", 1e-3)
-    T = args.T or sec.get("T", 1.0)
-    n_traj = args.traj or sec.get("n_traj", 500)
-    seed = args.seed if args.seed is not None else sec.get("seed", 0)
+    # a flag overrides the spec whenever it is given; all are checked first
+    count = lambda x: type(x) is int and x >= 2  # type(): JSON true is an int
+    finite = lambda x: type(x) in (int, float) and np.isfinite(x)
+    settings = []
+    for key, flag, given, default, ok, requirement in (
+            ("fock_dim", "--fock-dim", args.fock_dim, 8, count, "an integer >= 2"),
+            ("dt", "--dt", args.dt, 1e-3, lambda x: finite(x) and x > 0, "finite, > 0"),
+            ("T", "--T", args.T, 1.0, lambda x: finite(x) and x >= 0, "finite, >= 0"),
+            ("n_traj", "--traj", args.traj, 500, count, "an integer >= 2"),
+            ("seed", "--seed", args.seed, 0, lambda x: type(x) is int and x >= 0,
+             "an integer >= 0")):
+        value = given if given is not None else sec.get(key, default)
+        if not ok(value):
+            raise ValueError(f"simulate setting {key} ({flag} or sim.{key}) "
+                             f"must be {requirement}, got {value!r}")
+        settings.append(value)
+    fock_dim, dt, T, n_traj, seed = settings
     ops = smesim.build_truncated_operators(sys_obj, fock_dim)
     tracked = [(f"L{j}", 0.5 * (l + l.conj().T))
                for j, l in enumerate(ops.l_ops)]
@@ -316,7 +330,7 @@ def cmd_simulate(args):
     gs[0] = 1.0
     rho0 = 0.5 * np.outer(gs, gs) + 0.5 * np.eye(ops.dim) / ops.dim
     batch = smesim.simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked,
-                                 store_every=max(1, batch_stride(dt, T)))
+                                 store_every=max(1, int(round(T / dt)) // 100))
     stats = smesim.martingale_stats(batch)
     header = ["time"] + [f"{e.name}_mean" for e in stats] + [
         f"{e.name}_se" for e in stats]
@@ -330,10 +344,6 @@ def cmd_simulate(args):
                         "passed": e.passed} for e in stats}
     print(json.dumps({"martingale": summary}, indent=2), file=_sys.stderr)
     return 0
-
-
-def batch_stride(dt, T):
-    return max(1, int(round(T / dt)) // 100)
 
 
 # ---------------------------------------------------------------- driver

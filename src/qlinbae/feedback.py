@@ -11,7 +11,7 @@ from scipy import optimize
 
 from . import bae
 from .errors import DimensionError, WellPosednessError
-from .matcore import DEFAULT_TOL, inf_norm
+from .matcore import DEFAULT_TOL, inf_norm, quadrature_image
 from .qsys import QuantumLinearSystem, new_system, quad_realization
 from .xferfn import COND_LIMIT, _tf_points, eval_tf
 
@@ -190,9 +190,7 @@ def _close_loop(net, g):
     g12 = g[np.ix_(idx1, idx2)]
     g21 = g[np.ix_(idx2, idx1)]
     g22 = g[np.ix_(idx2, idx2)]
-    sb = net.s_b
-    sigma_b = np.block([[np.real(sb), -np.imag(sb)],
-                        [np.imag(sb), np.real(sb)]])
+    sigma_b = quadrature_image(net.s_b)
     inner = np.eye(2 * m2) - sigma_b @ g22
     return g11 + g12 @ np.linalg.solve(inner, sigma_b @ g21)
 

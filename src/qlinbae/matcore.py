@@ -150,6 +150,30 @@ def quadrature_transform(n):
     return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2.0)
 
 
+def quadrature_image(u, v=None):
+    """V_k Delta(U, V) V_r^dagger for k x r blocks U, V (V = 0 if omitted).
+
+    With V_k = (1/sqrt(2)) [[I, I], [-iI, iI]] the product multiplies out to
+
+        (1/2) [[(U + U^#) + (V + V^#),   i(U - U^#) - i(V - V^#)],
+               [-i(U - U^#) - i(V - V^#), (U + U^#) - (V + V^#)]],
+
+    and X + X^# = 2 Re X, X - X^# = 2i Im X make it the real matrix
+
+        [[Re(U + V), -Im(U - V)],
+         [Im(U + V),  Re(U - V)]].
+    """
+    u = np.asarray(u, dtype=complex)
+    plus, minus = (u, u) if v is None else (u + v, u - v)
+    k, r = u.shape
+    out = np.empty((2 * k, 2 * r))
+    out[:k, :r] = plus.real
+    out[:k, r:] = -minus.imag
+    out[k:, :r] = plus.imag
+    out[k:, r:] = minus.real
+    return out
+
+
 def to_real(x, context="matrix"):
     """Strip an imaginary part of at most EQUALITY_TOL times the matrix
     scale, raising if it is larger."""

@@ -4,6 +4,9 @@ A system is the parameter set (S, C-, C+, Omega-, Omega+) of an n-mode,
 m-channel linear quantum system: scattering matrix S, coupling blocks
 C-, C+ (L = C- a + C+ a^#), and Hamiltonian blocks Omega-, Omega+
 (H = (1/2) adag_breve Delta(Omega-, Omega+) a_breve). Natural units, hbar=1.
+
+Each ac_realization matrix is a doubled-up Delta(U, V), with quadrature image
+[[Re(U+V), -Im(U-V)], [Im(U+V), Re(U-V)]]; quad_realization checks all four.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ import numpy as np
 from . import matcore
 from .errors import InternalConsistencyError, ValidationError
 from .matcore import (DEFAULT_TOL, EQUALITY_TOL, delta, flat_adjoint, inf_norm,
-                      j_diag, quadrature_transform)
+                      j_diag, quadrature_image, quadrature_transform)
 
 
 @dataclass(frozen=True)
@@ -114,67 +117,35 @@ def ac_realization(sys):
     return Realization("annihilation_creation", aa, bb, cc, dd)
 
 
-def _quad_blocks(sys):
-    """Explicit Re/Im block formulas for the quadrature-form C, B, D."""
-    cm, cp, s = sys.c_minus, sys.c_plus, sys.s
-    dd = np.block(
-        [[np.real(s), -np.imag(s)], [np.imag(s), np.real(s)]]
-    )
-    cc = np.block(
-        [
-            [np.real(cm + cp), -np.imag(cm - cp)],
-            [np.imag(cm + cp), np.real(cm - cp)],
-        ]
-    )
-    cmh, cph = cm.conj().T, cp.conj().T
-    bb = -np.block(
-        [
-            [np.real(cmh - cph), -np.imag(cmh - cph)],
-            [np.imag(cmh + cph), np.real(cmh + cph)],
-        ]
-    ) @ dd
-    return cc, bb, dd
-
-
-def jh_matrix(sys):
-    """The quadrature drift contribution J_n*HH in its Re/Im block form."""
-    om, op = sys.omega_minus, sys.omega_plus
-    return np.block(
-        [
-            [np.imag(om + op), np.real(om - op)],
-            [-np.real(om + op), np.imag(om - op)],
-        ]
-    )
-
-
 def quad_realization(sys):
     """Real quadrature form obtained by conjugating with V_n, V_m.
 
-    The conjugated matrices are checked against the explicit Re/Im block
-    formulas and against a negligible imaginary residue before the real
-    parts are returned.
+    Each conjugated matrix is checked for a negligible imaginary residue and
+    against matcore.quadrature_image of its doubled-up blocks (A at its own
+    scale, B, C, D at their joint one) before the real parts are returned.
     """
-    n, m = sys.n_modes, sys.m_channels
-    vn = quadrature_transform(n)
-    vm = quadrature_transform(m)
+    vn = quadrature_transform(sys.n_modes)
+    vm = quadrature_transform(sys.m_channels)
     ac = ac_realization(sys)
-    a_q = vn @ ac.a @ vn.conj().T
-    b_q = vn @ ac.b @ vm.conj().T
-    c_q = vm @ ac.c @ vn.conj().T
-    d_q = vm @ ac.d @ vm.conj().T
+    a, b, c, d = (
+        matcore.to_real(left @ x @ right.conj().T, f"quadrature {name}")
+        for name, left, x, right in (("A", vn, ac.a, vn), ("B", vn, ac.b, vm),
+                                     ("C", vm, ac.c, vn), ("D", vm, ac.d, vm)))
 
-    a = matcore.to_real(a_q, "quadrature A")
-    b = matcore.to_real(b_q, "quadrature B")
-    c = matcore.to_real(c_q, "quadrature C")
-    d = matcore.to_real(d_q, "quadrature D")
-
-    cc, bb, dd = _quad_blocks(sys)
+    cm, cp, s = sys.c_minus, sys.c_plus, sys.s
+    cmh, cpt = cm.conj().T, cp.T
+    a_want = quadrature_image(
+        -1j * sys.omega_minus - 0.5 * (cmh @ cm - cpt @ cp.conj()),
+        -1j * sys.omega_plus - 0.5 * (cmh @ cp - cpt @ cm.conj()))
     scale = max(inf_norm(c), inf_norm(b), inf_norm(d), 1.0)
-    for got, want, name in ((c, cc, "C"), (b, bb, "B"), (d, dd, "D")):
-        if inf_norm(got - want) > 100 * EQUALITY_TOL * scale:
+    for got, want, name, at in (
+            (a, a_want, "A", max(inf_norm(a), 1.0)),
+            (b, quadrature_image(-cmh @ s, cpt @ s.conj()), "B", scale),
+            (c, quadrature_image(cm, cp), "C", scale),
+            (d, quadrature_image(s), "D", scale)):
+        if inf_norm(got - want) > 100 * EQUALITY_TOL * at:
             raise InternalConsistencyError(
-                f"quadrature {name} disagrees with its block formula"
-            )
+                f"quadrature {name} disagrees with its closed form")
     return Realization("quadrature", a, b, c, d)
 
 

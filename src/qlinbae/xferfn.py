@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularityError
-from .matcore import DEFAULT_TOL, flat_adjoint, inf_norm, j_diag
+from .matcore import DEFAULT_TOL, delta, flat_adjoint, inf_norm, j_diag
 from .qsys import ac_realization
 
 COND_LIMIT = 1e12
@@ -298,12 +298,7 @@ def cayley_tf(sys, s):
     (I - Sigma[s]) (I + Sigma[s])^{-1} D; independent of the realization path."""
     sig = sigma_tf(sys, s)
     m2 = sig.shape[0]
-    dd = np.block(
-        [
-            [sys.s, np.zeros_like(sys.s)],
-            [np.zeros_like(sys.s), sys.s.conj()],
-        ]
-    )
+    dd = delta(sys.s, np.zeros_like(sys.s))
     return (np.eye(m2) - sig) @ np.linalg.solve(np.eye(m2) + sig, dd)
 
 

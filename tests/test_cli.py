@@ -49,6 +49,33 @@ def test_load_spec_rejects_missing_key(tmp_path):
         cli.load_spec(path)
 
 
+_ONE = [1, 0]
+_ZERO = [0, 0]
+
+
+@pytest.mark.parametrize("value", [
+    [[[True, False], [False, False]], [[False, False], [True, False]]],
+    [[_ONE, _ZERO], [_ZERO, ["1", 0]]],
+    [[_ONE, _ZERO], [_ONE]],
+    [],
+    [[[1, 0, 0], _ZERO], [_ZERO, _ONE]],
+], ids=["boolean", "string", "ragged", "empty", "three_element_entry"])
+def test_validate_rejects_malformed_matrices(tmp_path, capsys, value):
+    doc = _michelson_doc()
+    doc["S"] = value
+    assert cli.main(["validate", _write(tmp_path, doc)]) == 1
+    assert "error: S: " in capsys.readouterr().err
+
+
+def test_validate_rejects_boolean_dimensions(tmp_path, capsys):
+    doc = cli.emit_spec(qsys.new_system(np.eye(1), np.ones((1, 1)),
+                                        np.zeros((1, 1)), np.zeros((1, 1)),
+                                        np.zeros((1, 1))))
+    doc["modes"] = True
+    assert cli.main(["validate", _write(tmp_path, doc)]) == 1
+    assert "declared modes/channels" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- commands
 
 def test_validate_ok(tmp_path, capsys):
@@ -281,6 +308,50 @@ def test_simulate_command(tmp_path, capsys):
     assert len(lines) > 2
     summary = json.loads(capsys.readouterr().err)
     assert "martingale" in summary
+
+
+def _sim_doc(**sim):
+    doc = _michelson_doc()
+    doc["sim"] = {"fock_dim": 3, "dt": 1e-3, "T": 0.01, "n_traj": 3,
+                  "seed": 0, **sim}
+    return doc
+
+
+def test_simulate_flag_overrides_whenever_given(tmp_path, capsys):
+    """--T 0 is a zero-length run, not 'use the spec's T'."""
+    out_file = tmp_path / "traj.csv"
+    assert cli.main(["simulate", _write(tmp_path, _sim_doc()), "--T", "0",
+                     "--out", str(out_file)]) == 0
+    lines = out_file.read_text().strip().splitlines()
+    assert lines[0].startswith("time,")
+    assert lines[1:] == ["0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("sim,flags,key", [
+    ({"dt": 0}, [], "dt"),
+    ({"T": -1}, [], "T"),
+    ({"n_traj": 1}, [], "n_traj"),
+    ({"fock_dim": 1}, [], "fock_dim"),
+    ({"n_traj": 2.5}, [], "n_traj"),
+    ({"dt": True}, [], "dt"),
+    ({"seed": "abc"}, [], "seed"),
+    ({"seed": -1}, [], "seed"),
+    ({}, ["--dt", "0"], "dt"),
+    ({}, ["--dt", "nan"], "dt"),
+    ({}, ["--T", "-1"], "T"),
+    ({}, ["--T", "inf"], "T"),
+    ({}, ["--traj", "0"], "n_traj"),
+    ({}, ["--fock-dim", "1"], "fock_dim"),
+], ids=["spec_dt_0", "spec_T_negative", "spec_n_traj_1", "spec_fock_dim_1",
+        "spec_n_traj_fractional", "spec_dt_boolean", "spec_seed_string",
+        "spec_seed_negative", "flag_dt_0", "flag_dt_nan", "flag_T_negative",
+        "flag_T_inf", "flag_traj_0", "flag_fock_dim_1"])
+def test_simulate_rejects_bad_settings(tmp_path, capsys, sim, flags, key):
+    out_file = tmp_path / "traj.csv"
+    path = _write(tmp_path, _sim_doc(**sim))
+    assert cli.main(["simulate", path, *flags, "--out", str(out_file)]) == 1
+    assert f"simulate setting {key} " in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 def test_unknown_spec_file_errors(capsys):

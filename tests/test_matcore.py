@@ -144,9 +144,10 @@ def test_bogoliubov_and_symplectic_predicates(seed, n):
 @settings(max_examples=50, deadline=None)
 def test_quadrature_transform_realifies_doubled_up(seed, k, r):
     rng = _rng(seed)
-    d = matcore.delta(rand_complex(rng, (k, r)), rand_complex(rng, (k, r)))
+    u, v = rand_complex(rng, (k, r)), rand_complex(rng, (k, r))
     vk = matcore.quadrature_transform(k)
     vr = matcore.quadrature_transform(r)
     assert np.allclose(vk @ vk.conj().T, np.eye(2 * k))
-    image = vk @ d @ vr.conj().T
+    image = vk @ matcore.delta(u, v) @ vr.conj().T
     assert matcore.inf_norm(np.imag(image)) < 1e-12
+    assert np.allclose(image, matcore.quadrature_image(u, v))

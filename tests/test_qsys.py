@@ -1,12 +1,14 @@
 """Validation and state-space realization tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinbae import matcore, qsys
-from qlinbae.errors import ValidationError
+from qlinbae.errors import InternalConsistencyError, ValidationError
 
 from conftest import rand_complex, rand_hermitian, rand_symmetric, rand_unitary
 
@@ -106,17 +108,20 @@ def test_quad_realization_is_unitary_image_of_ac(seed):
     assert np.allclose(quad.d, vm @ ac.d @ vm.conj().T)
 
 
-@given(seeds)
-@settings(max_examples=40, deadline=None)
-def test_jh_matrix_blocks(seed):
-    sys_obj = _random(seed)
-    om, op = sys_obj.omega_minus, sys_obj.omega_plus
-    n = sys_obj.n_modes
-    jh = qsys.jh_matrix(sys_obj)
-    assert np.allclose(jh[:n, :n], np.imag(om + op))
-    assert np.allclose(jh[:n, n:], np.real(om - op))
-    assert np.allclose(jh[n:, :n], -np.real(om + op))
-    assert np.allclose(jh[n:, n:], np.imag(om - op))
+def test_quad_realization_cross_checks_a(monkeypatch):
+    """A drift whose -(1/2) C^flat C term has the wrong sign is still
+    doubled-up and real in quadratures; only the check of A catches it."""
+    sys_obj = _random(5, n=2, m=2)
+    ac_realization = qsys.ac_realization
+
+    def flipped(s):
+        r = ac_realization(s)
+        return dataclasses.replace(
+            r, a=r.a + matcore.flat_adjoint(r.c) @ r.c)
+
+    monkeypatch.setattr(qsys, "ac_realization", flipped)
+    with pytest.raises(InternalConsistencyError, match="quadrature A"):
+        qsys.quad_realization(sys_obj)
 
 
 # ----------------------------------------------------------- random families
