@@ -3,16 +3,17 @@ report/CSV emission.
 
 Spec files are JSON with keys modes, channels, S, C_minus, C_plus,
 Omega_minus, Omega_plus; complex entries are two-element [re, im] arrays.
-Optional sections: feedback (split, beamsplitter, k11, k12, k21, k22),
-kalman (A_co, B_co, C_co or Gamma_q/Gamma_p), sim (fock_dim, dt, T,
-n_traj, seed). `feedback reduce` uses the spec's own system as the plant;
-the optional k** keys are cross-checks that must match its rows of C_minus
-(k11, k21) or C_plus (k12, k22) within --tol. Exit status: 0 success,
-1 validation/precondition failure, 2 internal-consistency error.
+Optional sections, each a JSON object: feedback (split, beamsplitter, k11,
+k12, k21, k22), kalman (A_co, B_co, C_co or Gamma_q/Gamma_p), sim (fock_dim,
+dt, T, n_traj, seed). `feedback reduce` uses the spec's own system as the
+plant; the optional k** keys are cross-checks that must match its rows of
+C_minus (k11, k21) or C_plus (k12, k22) within --tol. Exit status:
+0 success, 1 validation/precondition failure, 2 internal-consistency error.
 """
 
 import argparse
 import csv
+import functools
 import json
 import sys as _sys
 
@@ -58,14 +59,16 @@ def parse_complex_matrix(node, where):
 
 def emit_complex_matrix(mat):
     mat = np.atleast_2d(np.asarray(mat))
-    return [[[float(np.real(x)), float(np.imag(x))] for x in row]
-            for row in mat]
+    return np.stack([mat.real, mat.imag], -1).astype(float).tolist()
 
 
 def load_spec(path, tol=DEFAULT_TOL):
     """Parse a spec file and validate its system once, at tolerance tol."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec file {path}: top level must be a JSON object, "
+                         f"got {doc!r}")
     for key in ("modes", "channels", "S", "C_minus", "C_plus",
                 "Omega_minus", "Omega_plus"):
         if key not in doc:
@@ -86,6 +89,19 @@ def load_spec(path, tol=DEFAULT_TOL):
             f"({doc['modes']}, {doc['channels']}) do not match matrix shapes "
             f"({sys_obj.n_modes}, {sys_obj.m_channels})")
     return sys_obj, doc
+
+
+def _section(doc, key, required=False):
+    """The spec's section `key`, which must be a JSON object when present;
+    {} when absent and not required."""
+    if key not in doc:
+        if required:
+            raise ValueError(f"spec file has no {key!r} section")
+        return {}
+    sec = doc[key]
+    if not isinstance(sec, dict):
+        raise ValueError(f"spec section {key!r} must be a JSON object, got {sec!r}")
+    return sec
 
 
 def emit_spec(sys_obj):
@@ -162,8 +178,9 @@ def cmd_tf(args):
         m = sys_obj.m_channels
         header = ["omega"] + [f"abs_G_{i}_{j}" for i in range(2 * m)
                               for j in range(2 * m)]
-        rows = [[f"{w:.12g}"] + [f"{x:.12g}" for x in row.ravel()]
-                for w, row in zip(omegas, values)]
+        rows = [[f"{w:.12g}"] + [f"{x:.12g}" for x in row]
+                for w, row in zip(omegas.tolist(),
+                                  values.reshape(len(omegas), -1).tolist())]
         _write_csv(header, rows, args.out)
     else:
         g = eval_tf(r, 1j * args.omega)
@@ -229,9 +246,7 @@ def _loop_split(split):
 
 def _network_from_doc(sys_obj, doc, tol):
     """The spec's system as the plant of its feedback section's loop."""
-    fb = doc.get("feedback")
-    if fb is None:
-        raise ValueError("spec file has no 'feedback' section")
+    fb = _section(doc, "feedback", required=True)
     m1, m2 = _loop_split(fb["split"])
     net = feedback.FeedbackNetwork(
         plant=sys_obj, m1=m1, m2=m2,
@@ -263,7 +278,7 @@ def cmd_feedback(args):
         }, args.out)
         return 0
     # design
-    fb = doc.get("feedback", {})
+    fb = _section(doc, "feedback")
     split = _loop_split(fb.get("split", [1, sys_obj.m_channels - 1]))
     cfg = feedback.SearchConfig(seed=args.seed)
     cands = feedback.design_couplings(sys_obj.omega_minus, sys_obj.omega_plus,
@@ -283,9 +298,7 @@ def cmd_feedback(args):
 
 def cmd_kalman(args):
     _, doc = load_spec(args.spec, args.tol)
-    sec = doc.get("kalman")
-    if sec is None:
-        raise ValueError("spec file has no 'kalman' section")
+    sec = _section(doc, "kalman", required=True)
     if "Gamma_q" in sec:
         k = kalman.from_gamma(
             a_co=np.real(parse_complex_matrix(sec["A_co"], "kalman.A_co")),
@@ -305,7 +318,7 @@ def cmd_kalman(args):
 
 def cmd_simulate(args):
     sys_obj, doc = load_spec(args.spec, args.tol)
-    sec = doc.get("sim", {})
+    sec = _section(doc, "sim")
     # a flag overrides the spec whenever it is given; all are checked first
     count = lambda x: type(x) is int and x >= 2  # type(): JSON true is an int
     finite = lambda x: type(x) in (int, float) and np.isfinite(x)
@@ -334,11 +347,10 @@ def cmd_simulate(args):
     stats = smesim.martingale_stats(batch)
     header = ["time"] + [f"{e.name}_mean" for e in stats] + [
         f"{e.name}_se" for e in stats]
-    rows = []
-    for i, t in enumerate(batch.times):
-        rows.append([f"{t:.12g}"]
-                    + [f"{e.means[i]:.12g}" for e in stats]
-                    + [f"{e.standard_errors[i]:.12g}" for e in stats])
+    columns = [batch.times] + [e.means for e in stats] + [
+        e.standard_errors for e in stats]
+    rows = [[f"{x:.12g}" for x in row]
+            for row in np.column_stack(columns).tolist()]
     _write_csv(header, rows, args.out)
     summary = {e.name: {"drift": e.drift, "allowance": e.allowance,
                         "passed": e.passed} for e in stats}
@@ -348,7 +360,10 @@ def cmd_simulate(args):
 
 # ---------------------------------------------------------------- driver
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="qlinbae",
         description="Analysis toolkit for linear quantum systems: "

@@ -7,7 +7,6 @@ evasion in the reduced single-port system).
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import bae
 from .errors import DimensionError, WellPosednessError
@@ -388,6 +387,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     error; design_couplings.last_best holds the best (J, x, s_b, s_plant)
     found.
     """
+    from scipy import optimize  # on first use, so importing feedback does not load it
+
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
     omega_minus = np.atleast_2d(np.asarray(omega_minus, dtype=complex))

@@ -1,11 +1,16 @@
 """End-to-end command-line tests against temporary spec files."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from qlinbae import cli, feedback, qsys
+from qlinbae.xferfn import frequency_sweep
 
 
 def _write(tmp_path, doc, name="sys.json"):
@@ -30,7 +35,56 @@ def test_matrix_encoding_roundtrip():
     mat = np.array([[1.0 + 2.0j, -3.0], [0.0, 4.0j]])
     encoded = cli.emit_complex_matrix(mat)
     decoded = cli.parse_complex_matrix(encoded, "test")
-    assert np.allclose(decoded, mat)
+    assert np.array_equal(decoded, mat)
+
+
+def _emit_per_entry(mat):
+    """The entry-by-entry emitter that emit_complex_matrix replaced."""
+    mat = np.atleast_2d(np.asarray(mat))
+    return [[[float(np.real(x)), float(np.imag(x))] for x in row]
+            for row in mat]
+
+
+@pytest.mark.parametrize("mat", [
+    np.array([[1.0 + 2.0j, -3.0 - 0.5j], [1e-300j, 4.0j]]),
+    np.array([[1.5, -3.0], [0.0, 2.0 ** 60]]),
+    np.array([[1, -3], [0, 7]]),
+    np.array([[np.nan, np.inf], [-np.inf, complex(np.nan, -np.inf)]]),
+    np.array([[-0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), 1.0]]),
+    np.array([[complex(0.1, 0.2)]]),
+    np.array([0.1, -0.2j, 3]),
+], ids=["complex", "real", "integer", "nan_inf", "negative_zero", "1x1", "1d"])
+def test_emit_matches_the_per_entry_emitter(mat):
+    new, old = cli.emit_complex_matrix(mat), _emit_per_entry(mat)
+    # repr tells NaN, -0.0 and int from float apart, where == does not
+    assert repr(new) == repr(old)
+    assert json.dumps(new, indent=2) == json.dumps(old, indent=2)
+    assert all(type(x) is float for row in new for pair in row for x in pair)
+
+
+def test_import_loads_no_scipy():
+    """Importing the package and its CLI loads no scipy; the designer loads
+    scipy.optimize on its first call."""
+    code = textwrap.dedent("""
+        import json, sys
+        import qlinbae, qlinbae.cli
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+        at_import = loaded()
+        qlinbae.feedback.design_couplings(
+            [[0.0]], [[0.5j]], (1, 1), s_b_candidates=("-i",),
+            search_cfg=qlinbae.feedback.SearchConfig(n_starts=1))
+        print(json.dumps([at_import, "scipy.optimize" in loaded()]))
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, optimize_after_design = json.loads(proc.stdout)
+    assert at_import == []
+    assert optimize_after_design
 
 
 def test_spec_roundtrip(tmp_path):
@@ -65,6 +119,28 @@ def test_validate_rejects_malformed_matrices(tmp_path, capsys, value):
     doc["S"] = value
     assert cli.main(["validate", _write(tmp_path, doc)]) == 1
     assert "error: S: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,value", [
+    (["simulate"], "sim", 5),
+    (["simulate"], "sim", None),
+    (["feedback", "reduce"], "feedback", 5),
+    (["feedback", "design"], "feedback", 5),
+    (["kalman"], "kalman", 5),
+    (["validate"], None, 5),
+], ids=["sim_number", "sim_null", "feedback_reduce_number",
+        "feedback_design_number", "kalman_number", "top_level_number"])
+def test_spec_sections_must_be_objects(tmp_path, capsys, command, section, value):
+    """A present optional section, and the spec itself, must be a JSON
+    object; anything else is a one-line error, not a traceback."""
+    doc = value if section is None else {**_michelson_doc(), section: value}
+    assert cli.main([*command, _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if section is None:
+        assert "top level must be a JSON object" in err
+    else:
+        assert f"spec section {section!r} must be a JSON object" in err
 
 
 def test_validate_rejects_boolean_dimensions(tmp_path, capsys):
@@ -105,6 +181,29 @@ def test_validate_uses_requested_tolerance(tmp_path, capsys):
     assert cli.main(["validate", path]) == 1
 
 
+def test_parser_reuse_leaks_no_values(tmp_path, capsys):
+    """One parser serves every call in a process; no flag's value carries
+    over into the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    doc = _michelson_doc()
+    doc["S"] = cli.emit_complex_matrix((1.0 + 1e-6) * np.eye(2))
+    near = _write(tmp_path, doc, "near_unitary.json")
+    assert cli.main(["validate", near, "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-3
+    assert cli.main(["validate", near]) == 1
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-9
+    path = _write(tmp_path, _michelson_doc())
+    sweep = tmp_path / "sweep.csv"
+    assert cli.main(["tf", path, "--sweep", "0.5", "2.0", "4",
+                     "--out", str(sweep)]) == 0
+    assert len(sweep.read_text().splitlines()) == 5
+    assert cli.main(["tf", path, "--omega", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)  # no --sweep or --out carried over
+    assert out["omega"] == 2.0
+    first = cli.build_parser().parse_args(["tf", path])
+    assert first is not cli.build_parser().parse_args(["tf", path])
+
+
 def test_realize_quadrature(tmp_path, capsys):
     path = _write(tmp_path, _michelson_doc())
     assert cli.main(["realize", path, "--form", "quad"]) == 0
@@ -129,6 +228,24 @@ def test_tf_sweep_csv(tmp_path):
                      "--out", str(out_file)]) == 0
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 frequencies
+
+
+def test_tf_sweep_rows_match_numpy_formatting(tmp_path):
+    """Each CSV field is f"{x:.12g}" of the numpy value, NaN rows included:
+    with zero coupling the poles sit on the axis at omega = 1 and 2."""
+    zero = np.zeros((1, 2))
+    system = qsys.new_system(np.eye(1), zero, zero, np.diag([1.0, 2.0]),
+                             np.zeros((2, 2)))
+    path = _write(tmp_path, cli.emit_spec(system))
+    out_file = tmp_path / "sweep.csv"
+    assert cli.main(["tf", path, "--sweep", "0.5", "2.0", "3",
+                     "--out", str(out_file)]) == 0
+    omegas = np.logspace(np.log10(0.5), np.log10(2.0), 3)
+    values = frequency_sweep(qsys.quad_realization(system), omegas)
+    expected = [",".join([f"{w:.12g}"] + [f"{x:.12g}" for x in values[k].ravel()])
+                for k, w in enumerate(omegas)]
+    assert out_file.read_text().splitlines()[1:] == expected
+    assert any("nan" in row for row in expected)
 
 
 @pytest.mark.parametrize("sweep", [("0", "100", "4"), ("-1", "100", "4"),

@@ -3,6 +3,7 @@ coupling-gain designer."""
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from qlinbae import bae, feedback, matcore, qsys, xferfn
 from qlinbae.errors import DimensionError, WellPosednessError
@@ -172,13 +173,13 @@ def test_designer_trivial_target(monkeypatch):
     beamsplitter on the identity plant makes I - S22 S_b = 0 for every gain,
     so that topology is skipped without running the optimizer."""
     calls = []
-    least_squares = feedback.optimize.least_squares
+    least_squares = optimize.least_squares
 
     def counting(*args, **kwargs):
         calls.append(kwargs["args"])
         return least_squares(*args, **kwargs)
 
-    monkeypatch.setattr(feedback.optimize, "least_squares", counting)
+    monkeypatch.setattr(optimize, "least_squares", counting)
     om = np.array([[1.0j * 0.0]])  # zero is trivially purely imaginary
     op = np.array([[0.5j]])
     cfg = feedback.SearchConfig(n_starts=2, seed=1)
@@ -223,13 +224,13 @@ def test_designer_refines_every_start_at_large_scale(monkeypatch):
     anchor Hamiltonian the starts' objectives exceed 1e12, and the search
     must still run both branches from each and reach the threshold."""
     calls = []
-    least_squares = feedback.optimize.least_squares
+    least_squares = optimize.least_squares
 
     def counting(*args, **kwargs):
         calls.append(kwargs["args"])
         return least_squares(*args, **kwargs)
 
-    monkeypatch.setattr(feedback.optimize, "least_squares", counting)
+    monkeypatch.setattr(optimize, "least_squares", counting)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
                                       search_cfg=cfg, s_b_candidates=("-i",),
@@ -302,7 +303,7 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
     evaluations, so finite differences cannot return unnoticed."""
     kernel_calls, evals = [], []
     design_residuals = feedback._design_residuals
-    least_squares = feedback.optimize.least_squares
+    least_squares = optimize.least_squares
 
     def counting_kernel(*args):
         kernel_calls.append(args[0].shape)
@@ -314,7 +315,7 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
         return res
 
     monkeypatch.setattr(feedback, "_design_residuals", counting_kernel)
-    monkeypatch.setattr(feedback.optimize, "least_squares", counting_solver)
+    monkeypatch.setattr(optimize, "least_squares", counting_solver)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
                               s_b_candidates=("-i",),
