@@ -164,6 +164,8 @@ def cmd_realize(args):
 
 
 def cmd_tf(args):
+    if not np.isfinite(args.omega):
+        raise ValueError(f"--omega needs a finite frequency, got {args.omega:g}")
     if args.sweep:
         wmin, wmax, npts = args.sweep
         if not (np.isfinite(wmin) and np.isfinite(wmax) and wmin > 0 and wmax > 0
@@ -428,6 +430,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol needs a finite value > 0, got {args.tol:g}")
         return args.func(args)
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=_sys.stderr)

@@ -10,7 +10,11 @@ the 2-norm condition number cond2(sI - A), computed from an SVD, is not
 finite or exceeds COND_LIMIT. A grid of more than one point takes one
 complex Schur form A = Z T Z^H (Z unitary, T upper triangular), which
 serves both the guard and the solve (the triangular variant of Laub,
-IEEE TAC 26(2):407-408, 1981; Golub & Van Loan, sec. 7.6).
+IEEE TAC 26(2):407-408, 1981; Golub & Van Loan, sec. 7.6). A complex A
+gets it from LAPACK zgees. A real A, such as every quadrature A, gets the
+real Schur form (dgees, about 3 times cheaper at N = 64), and one
+block-diagonal unitary rotation triangularizes its 2 x 2 blocks (see
+`_schur_form`).
 
 The guard. The eigendecomposition T V_T = V_T Lambda of the triangular
 factor gives eigenvectors V = Z V_T of A, and with the residual
@@ -27,7 +31,8 @@ term, Weyl for the residual), hence
                      / (min|s - lambda| / kappa - rho)
 
 wherever the denominator is positive. Nothing here assumes that Z, T or
-V_T is exact: their errors, the Schur backward error included, land in R.
+V_T is exact: their errors, the Schur backward error and the rounding of
+the real-to-complex rotation included, land in R.
 A point whose bound is at most COND_LIMIT / 2 is certified without an
 SVD; every other point gets its own SVD (see `_resolvent_points`), so the
 verdict at every point is that of an SVD.
@@ -35,7 +40,10 @@ verdict at every point is that of an SVD.
 The solve. At the certified points, (sI - T) Y = Z^H B is solved by one
 back-substitution vectorized over the points, and G = D + (C Z) Y. The
 Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
-eps ||A||_F and Z unitary to working precision. Back-substitution solves
+eps ||A||_F and Z unitary to working precision. For a real A this holds
+for the rotated form as well: the rotation G is unitary to working
+precision, so its rounding and that of the products with it join E and
+the departure of Z from unitarity. Back-substitution solves
 (sI - T + F) y = f with |F| <= N eps |sI - T| entrywise (Higham, Accuracy
 and Stability of Numerical Algorithms, Thm 8.5), so ||F||_2 is of order
 N eps (|s| + ||A||_F); the rounding of f = Z^H B is of the same order
@@ -119,6 +127,39 @@ def _schur_solve(t, z, points, rhs, lhs):
     return ((lhs @ z) @ y.reshape(n, p * m)).reshape(-1, p, m).transpose(1, 0, 2)
 
 
+def _schur_form(a):
+    """The complex Schur form A = Z T Z^H: Z unitary, T upper triangular.
+
+    A complex A takes LAPACK zgees. A real A takes the real Schur form
+    A = Z_r T_r Z_r^T (dgees). Each 2 x 2 diagonal block of T_r holds one
+    complex pair, in the standard form [[a, b], [c, a]] with b c < 0, and
+    x = (p, i q), p = sqrt(|b| / (|b| + |c|)), q = sqrt(|c| / (|b| + |c|)),
+    is a unit eigenvector of the block, for the eigenvalue
+    a + i sign(b) sqrt(-b c) (since b q^2 = -c p^2). So the unitary
+    [x, x_perp] = [[p, i q], [i q, p]] makes the block upper triangular.
+    The blocks are disjoint, so these rotations form one block-diagonal
+    unitary G, and T = G^H T_r G, Z = Z_r G (Golub & Van Loan,
+    sec. 7.4.1); the block sub-diagonal, zero in exact arithmetic, is set
+    to zero.
+    """
+    import scipy.linalg  # on first use, so importing xferfn does not load it
+
+    if np.iscomplexobj(a):
+        return scipy.linalg.schur(a, output="complex")
+    t, z = scipy.linalg.schur(a, output="real")
+    k = np.flatnonzero(t.diagonal(-1))
+    if not len(k):
+        return t.astype(complex), z.astype(complex)
+    k1 = k + 1
+    b, c = np.abs(t.diagonal(1)[k]), np.abs(t.diagonal(-1)[k])
+    g = np.eye(len(t), dtype=complex)
+    g[k, k] = g[k1, k1] = np.sqrt(b / (b + c))
+    g[k, k1] = g[k1, k] = 1j * np.sqrt(c / (b + c))
+    t = g.conj().T @ t @ g
+    t[k1, k] = 0
+    return t, z @ g
+
+
 def _resolvent_points(a, points, rhs, lhs):
     """lhs (sI - A)^{-1} rhs at each point s, guarding the conditioning.
 
@@ -127,26 +168,25 @@ def _resolvent_points(a, points, rhs, lhs):
     singular point to its SingularityError (not raised): cond2(sI - A) is
     not finite or exceeds COND_LIMIT there.
 
-    A call of more than one point takes one complex Schur form of A. It
-    certifies, through `_cond_bound`, every point whose bound is at most
-    COND_LIMIT / 2, and solves all certified points in one `_schur_solve`;
-    their values lie within the forward-error bound delta(s) of the module
-    docstring. The factor 2 absorbs the roundoff of computed singular
-    values (relative error about n * eps * cond, ~1e-2 for n <= 64 at
-    cond = 1e12) and of the computed decomposition, so the SVD would have
-    accepted the point too. Every other point, and the point of a one-point
-    call (where the factorization costs more than the SVD it would save),
-    gets an exact SVD, with cond2 computed exactly as np.linalg.cond
-    computes it, and lhs @ np.linalg.solve(sI - A, rhs).
+    A call of more than one point takes one complex Schur form of A (for
+    a real A, the real Schur form plus one block-diagonal rotation; see
+    `_schur_form`). It certifies, through `_cond_bound`, every point whose
+    bound is at most COND_LIMIT / 2, and solves all certified points in
+    one `_schur_solve`; their values lie within the forward-error bound
+    delta(s) of the module docstring. The factor 2 absorbs the roundoff of
+    computed singular values (relative error about n * eps * cond, ~1e-2
+    for n <= 64 at cond = 1e12) and of the computed decomposition, so the
+    SVD would have accepted the point too. Every other point, and the point
+    of a one-point call (where the factorization costs more than the SVD it
+    would save), gets an exact SVD, with cond2 computed exactly as
+    np.linalg.cond computes it, and lhs @ np.linalg.solve(sI - A, rhs).
     """
     points = np.asarray(points, dtype=complex)
     values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
     certified = np.zeros(len(points), dtype=bool)
     if len(points) > 1:
-        import scipy.linalg  # on first use, so importing xferfn does not load it
-
         try:
-            t, z = scipy.linalg.schur(a, output="complex")
+            t, z = _schur_form(a)
         except (ValueError, np.linalg.LinAlgError):  # a non-finite A, no convergence
             pass
         else:
@@ -158,7 +198,12 @@ def _resolvent_points(a, points, rhs, lhs):
     for i in np.flatnonzero(~certified):
         s = complex(points[i])
         m = s * eye - a
-        sv = np.linalg.svd(m, compute_uv=False)
+        try:
+            sv = np.linalg.svd(m, compute_uv=False)
+        except np.linalg.LinAlgError:
+            if np.isfinite(m).all():
+                raise
+            sv = np.full(1, np.nan)  # LAPACK does not converge on a non-finite m
         with np.errstate(all="ignore"):
             cond = sv[0] / sv[-1]
         if np.isnan(cond) and not np.isnan(m).any():
@@ -176,8 +221,7 @@ def _tf_points(r, points):
     """D + C (sI - A)^{-1} B at each point, with NaN rows at the singular
     points, and the dict of their SingularityErrors (see `_resolvent_points`)."""
     values, singular = _resolvent_points(
-        np.asarray(r.a, dtype=complex), points,
-        np.asarray(r.b, dtype=complex), np.asarray(r.c, dtype=complex))
+        np.asarray(r.a), points, np.asarray(r.b), np.asarray(r.c))
     return np.asarray(r.d, dtype=complex) + values, singular
 
 
@@ -308,11 +352,13 @@ def frequency_sweep(r, omegas):
     Returns an array of shape (len(omegas), 2m, 2m) of magnitudes; rows at
     frequencies where the resolvent is ill-conditioned (resonances) are NaN.
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
-    COND_LIMIT. One complex Schur form A = Z T Z^H serves the whole grid:
-    eig(T), with eigenvectors V = Z V_T, bounds cond2 at every point
-    (Bauer-Fike plus the residual term rho, see the module docstring), and
-    the rows whose bound is at most COND_LIMIT / 2 skip the SVD and come
-    from one back-substitution in T, each within the forward-error bound
+    COND_LIMIT. One complex Schur form A = Z T Z^H serves the whole grid
+    (for the real quadrature A, its real Schur form with the 2 x 2 blocks
+    triangularized by one block-diagonal rotation): eig(T), with
+    eigenvectors V = Z V_T, bounds cond2 at every point (Bauer-Fike plus
+    the residual term rho, see the module docstring), and the rows whose
+    bound is at most COND_LIMIT / 2 skip the SVD and come from one
+    back-substitution in T, each within the forward-error bound
     delta(i*omega) derived there. The rest, typically rows next to a
     resonance or of a strongly non-normal A (large cond2(V)), get an exact
     SVD and np.linalg.solve each.

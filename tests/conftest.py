@@ -11,6 +11,42 @@ from scipy.linalg import null_space
 
 from qlinbae import qsys
 
+# random_system keyword arguments that realize each cataloged hypothesis set
+FAMILY_KWARGS = {
+    "bilateral_diag_real_coupling": dict(omega="imag", coupling="real",
+                                         scattering="real"),
+    "bilateral_diag_imag_coupling": dict(omega="imag", coupling="imag",
+                                         scattering="real"),
+    "bilateral_offdiag_real_coupling": dict(omega="imag", coupling="real",
+                                            scattering="imag"),
+    "bilateral_offdiag_imag_coupling": dict(omega="imag", coupling="imag",
+                                            scattering="imag"),
+    "equal_re_omega_S_real_C_real": dict(omega="equal_re", coupling="real",
+                                         scattering="real"),
+    "equal_re_omega_S_real_C_imag": dict(omega="equal_re", coupling="imag",
+                                         scattering="real"),
+    "equal_re_omega_S_imag_C_real": dict(omega="equal_re", coupling="real",
+                                         scattering="imag"),
+    "equal_re_omega_S_imag_C_imag": dict(omega="equal_re", coupling="imag",
+                                         scattering="imag"),
+    "opposite_re_omega_S_real_C_real": dict(omega="opposite_re",
+                                            coupling="real",
+                                            scattering="real"),
+    "opposite_re_omega_S_real_C_imag": dict(omega="opposite_re",
+                                            coupling="imag",
+                                            scattering="real"),
+    "opposite_re_omega_S_imag_C_real": dict(omega="opposite_re",
+                                            coupling="real",
+                                            scattering="imag"),
+    "opposite_re_omega_S_imag_C_imag": dict(omega="opposite_re",
+                                            coupling="imag",
+                                            scattering="imag"),
+    "q_coupling_imag_C": dict(coupling="imag", scattering="real",
+                              c_relation="equal"),
+    "p_coupling_imag_C": dict(coupling="imag", scattering="real",
+                              c_relation="opposite"),
+}
+
 
 def rand_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -177,7 +213,9 @@ def schur_deviation_bound(r, s):
 
     with X = (sI - A)^{-1} B and G = D + C X from the per-point solve. Over
     the families, pole grids and non-normal A of test_xferfn the largest
-    deviation is about a quarter of N eps (beta ||C|| ||X|| + ||G||).
+    deviation is about 0.4 N eps (beta ||C|| ||X|| + ||G||), on the small
+    random systems of the pole-grid test; it stays below 0.1 on the
+    families at n >= 8 and below 0.2 on the non-normal A.
     """
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
     n = a.shape[0]

@@ -11,6 +11,7 @@ import pytest
 from qlinbae import bae, feedback, kalman, matcore, qnd, qsys, smesim, xferfn
 
 from conftest import (
+    FAMILY_KWARGS,
     autonomous_quadrature_system,
     commuting_interaction_system,
     random_feedback_network,
@@ -18,7 +19,6 @@ from conftest import (
     siso_conserved_quadrature_system,
     special_case_system,
 )
-from test_bae import FAMILY_KWARGS
 from test_feedback import K11, K12, K21, K22, OM_MINUS, OM_PLUS
 from test_qnd import _three_forms
 

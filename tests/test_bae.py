@@ -9,41 +9,7 @@ import pytest
 from qlinbae import bae, matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError
 
-# random_system keyword arguments that realize each cataloged hypothesis set
-FAMILY_KWARGS = {
-    "bilateral_diag_real_coupling": dict(omega="imag", coupling="real",
-                                         scattering="real"),
-    "bilateral_diag_imag_coupling": dict(omega="imag", coupling="imag",
-                                         scattering="real"),
-    "bilateral_offdiag_real_coupling": dict(omega="imag", coupling="real",
-                                            scattering="imag"),
-    "bilateral_offdiag_imag_coupling": dict(omega="imag", coupling="imag",
-                                            scattering="imag"),
-    "equal_re_omega_S_real_C_real": dict(omega="equal_re", coupling="real",
-                                         scattering="real"),
-    "equal_re_omega_S_real_C_imag": dict(omega="equal_re", coupling="imag",
-                                         scattering="real"),
-    "equal_re_omega_S_imag_C_real": dict(omega="equal_re", coupling="real",
-                                         scattering="imag"),
-    "equal_re_omega_S_imag_C_imag": dict(omega="equal_re", coupling="imag",
-                                         scattering="imag"),
-    "opposite_re_omega_S_real_C_real": dict(omega="opposite_re",
-                                            coupling="real",
-                                            scattering="real"),
-    "opposite_re_omega_S_real_C_imag": dict(omega="opposite_re",
-                                            coupling="imag",
-                                            scattering="real"),
-    "opposite_re_omega_S_imag_C_real": dict(omega="opposite_re",
-                                            coupling="real",
-                                            scattering="imag"),
-    "opposite_re_omega_S_imag_C_imag": dict(omega="opposite_re",
-                                            coupling="imag",
-                                            scattering="imag"),
-    "q_coupling_imag_C": dict(coupling="imag", scattering="real",
-                              c_relation="equal"),
-    "p_coupling_imag_C": dict(coupling="imag", scattering="real",
-                              c_relation="opposite"),
-}
+from conftest import FAMILY_KWARGS
 
 CATALOG_BY_ID = {c.condition_id: c for c in bae.CONDITION_CATALOG}
 

@@ -260,6 +260,23 @@ def test_tf_sweep_rejects_bad_bounds(tmp_path, capsys, sweep):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["validate", "--tol", "nan"], ["validate", "--tol", "inf"],
+    ["bae", "--tol", "-1"], ["bae", "--tol", "0"], ["qnd", "--tol", "-inf"],
+    ["tf", "--omega", "nan"], ["tf", "--omega", "inf"], ["tf", "--omega", "-inf"],
+])
+def test_rejects_tol_and_omega_that_mean_nothing(tmp_path, capsys, args):
+    """--tol must be finite and > 0 and --omega finite: anything else exits
+    1 with one line naming the flag, and writes no output."""
+    command, flag, value = args
+    path = _write(tmp_path, _michelson_doc())
+    out_file = tmp_path / "out.json"
+    assert cli.main([command, path, f"{flag}={value}", "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and flag in err
+    assert not out_file.exists()
+
+
 def test_bae_reports_certified_pair(tmp_path, capsys):
     path = _write(tmp_path, _michelson_doc())
     assert cli.main(["bae", path]) == 0

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlinbae import matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError, SingularityError
 
-from conftest import schur_deviation_bound
+from conftest import FAMILY_KWARGS, schur_deviation_bound
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -259,24 +260,68 @@ def _counting(monkeypatch, name, module=np.linalg):
     return calls
 
 
+def _recording_schur(monkeypatch):
+    """Record (A, output) of every call xferfn makes to scipy.linalg.schur."""
+    calls = []
+    schur = scipy.linalg.schur
+
+    def recorded(a, output):
+        calls.append((a, output))
+        return schur(a, output=output)
+
+    monkeypatch.setattr(scipy.linalg, "schur", recorded)
+    return calls
+
+
 def test_grid_takes_one_schur_form(monkeypatch):
     """One Schur form serves a whole generic 200-point grid: one eig, on its
-    triangular factor, one SVD for cond2(V) and no per-point solve. A
-    one-point evaluation takes its own SVD and solve and no factorization."""
-    r = qsys.quad_realization(
-        qsys.random_system(np.random.default_rng(8), 8, 2))
-    schurs = _counting(monkeypatch, "schur", scipy.linalg)
+    triangular factor, one SVD for cond2(V) and no per-point solve. The real
+    quadrature A gets the real Schur form, the complex A of the
+    annihilation-creation realization the complex one. A one-point
+    evaluation takes its own SVD and solve and no factorization."""
+    sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2)
+    r = qsys.quad_realization(sys_obj)
+    grid = np.logspace(-3.0, 3.0, 200)
+    schurs = _recording_schur(monkeypatch)
     eigs, svds, solves = (_counting(monkeypatch, name)
                           for name in ("eig", "svd", "solve"))
-    rows = xferfn.frequency_sweep(r, np.logspace(-3.0, 3.0, 200))
+    rows = xferfn.frequency_sweep(r, grid)
     assert np.all(np.isfinite(rows))
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 1, 1, 0)
     assert np.array_equal(eigs[0], np.triu(eigs[0]))
-    assert not np.array_equal(schurs[0], np.triu(schurs[0]))
+    a, output = schurs[0]
+    assert (a.dtype, output) == (np.float64, "real")
+    assert not np.array_equal(a, np.triu(a))
     for calls in (schurs, eigs, svds, solves):
         calls.clear()
     xferfn.eval_tf(r, 0.3j)
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (0, 0, 1, 1)
+    svds.clear()
+    solves.clear()
+    rows = xferfn.frequency_sweep(qsys.ac_realization(sys_obj), grid)
+    assert np.all(np.isfinite(rows))
+    assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 1, 1, 0)
+    assert (schurs[0][0].dtype, schurs[0][1]) == (np.complex128, "complex")
+
+
+def test_non_finite_a_takes_an_svd_per_point(monkeypatch):
+    """A real A with a NaN entry has no Schur form, and no SVD converges on
+    it: every point takes its own SVD and is singular, with a NaN row and
+    cond NaN."""
+    r = qsys.quad_realization(qsys.michelson_system())
+    a = r.a.copy()
+    a[0, 1] = np.nan
+    r = qsys.Realization("quadrature", a, r.b, r.c, r.d)
+    omegas = np.array([0.5, 1.0, 2.0, 30.0])
+    schurs = _recording_schur(monkeypatch)
+    svds = _counting(monkeypatch, "svd")
+    values, singular = xferfn._tf_points(r, 1j * omegas)
+    assert [output for _, output in schurs] == ["real"]
+    assert len(svds) == len(omegas)
+    assert np.isnan(values).all()
+    assert sorted(singular) == list(range(len(omegas)))
+    assert all(np.isnan(err.cond) for err in singular.values())
+    assert np.isnan(xferfn.frequency_sweep(r, omegas)).all()
 
 
 def _schur_fails(a, output):
@@ -391,10 +436,6 @@ def _crossing_grid(w0=1.0):
                            w0 + 2 * w0 / np.geomspace(1e11, 1e13, 41), [w0]])
 
 
-def _schur(a):
-    return scipy.linalg.schur(a, output="complex")
-
-
 def _cond(a, w):
     return np.linalg.cond(complex(1j * w) * np.eye(a.shape[0]) - a)
 
@@ -428,7 +469,7 @@ def test_certificate_bounds_cond(t, gap, rotate):
     r = _jordan_like(t, gap, rotate)
     a = np.asarray(r.a, dtype=complex)
     grid = _crossing_grid()
-    bound = xferfn._cond_bound(a, *_schur(a), 1j * grid)
+    bound = xferfn._cond_bound(r.a, *xferfn._schur_form(r.a), 1j * grid)
     conds = np.array([_cond(a, w) for w in grid])
     covered = bound <= xferfn.COND_LIMIT
     slack = 1 + a.shape[0] * np.finfo(float).eps * bound[covered]
@@ -472,7 +513,71 @@ def test_certificate_carries_the_eig_residual(monkeypatch):
     monkeypatch.setattr(xferfn.np.linalg, "eig", shifted)
     lam = eig(a)[0]
     points = list(np.concatenate([lam - shift * k for k in (0.5, 1.0, 2.0, 4.0)]))
-    bound = xferfn._cond_bound(a, *_schur(a), np.array(points))
+    bound = xferfn._cond_bound(r.a, *xferfn._schur_form(r.a), np.array(points))
     conds = np.array([np.linalg.cond(s * np.eye(4) - a) for s in points])
     finite = np.isfinite(bound)
     assert finite.any() and np.all(conds[finite] <= bound[finite])
+
+
+# ------------------------------------------- real-to-complex Schur form
+
+def _assert_complex_schur_form(a):
+    """_schur_form(A) is a complex Schur form of A, with c = 10: Z unitary
+    to c N eps, T exactly upper triangular, ||Z T Z^H - A||_F <= c N eps
+    ||A||_F, and diag(T) the eigenvalues of A as a multiset, each within
+    the Bauer-Fike radius c N eps ||A||_F cond2(V) of its partner (V the
+    eigenvectors of A). Returns T."""
+    t, z = xferfn._schur_form(a)
+    n = a.shape[0]
+    tol = 10 * n * np.finfo(float).eps
+    assert t.dtype == z.dtype == np.complex128
+    assert np.array_equal(t, np.triu(t))
+    assert np.linalg.norm(z.conj().T @ z - np.eye(n)) <= tol
+    assert np.linalg.norm(z @ t @ z.conj().T - a) <= tol * np.linalg.norm(a)
+    lam, v = np.linalg.eig(a)
+    dist = np.abs(np.diag(t)[:, None] - lam)
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert dist[rows, cols].max() <= tol * np.linalg.norm(a) * np.linalg.cond(v)
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_schur_form_on_the_catalog_families(n):
+    """The quadrature A of every catalog family, at n = 2, 8 and 32 modes."""
+    for i, family in enumerate(sorted(FAMILY_KWARGS)):
+        rng = np.random.default_rng(100 * n + i)
+        sys_obj = qsys.random_system(rng, n, 2, **FAMILY_KWARGS[family])
+        _assert_complex_schur_form(qsys.quad_realization(sys_obj).a)
+
+
+@pytest.mark.parametrize("t, gap, rotate", NON_NORMAL)
+def test_schur_form_on_non_normal_a(t, gap, rotate):
+    _assert_complex_schur_form(_jordan_like(t, gap, rotate).a)
+
+
+def _rotated(a, seed=5):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(a.shape))
+    return q @ a @ q.T
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_schur_form_on_repeated_complex_pairs(coupled):
+    """The pair +/- 2i three times and +/- i once, in 2 x 2 diagonal blocks,
+    coupled above them or not, under a random orthogonal similarity."""
+    a = scipy.linalg.block_diag(*[_rotation(w) for w in (2.0, 2.0, 2.0, 1.0)])
+    if coupled:
+        a += np.triu(np.random.default_rng(6).standard_normal(a.shape), 2)
+    _assert_complex_schur_form(_rotated(a))
+
+
+def test_schur_form_with_real_eigenvalues_only_is_real():
+    """With no complex pair there is no 2 x 2 block: T is the real factor."""
+    a = np.diag([-3.0, -1.0, 0.5, 2.0, 4.0, 7.0]) + np.triu(
+        np.random.default_rng(6).standard_normal((6, 6)), 1)
+    for x in (_rotated(a), a + a.T):
+        assert not _assert_complex_schur_form(x).imag.any()
+
+
+def test_schur_form_of_the_zero_matrix():
+    t = _assert_complex_schur_form(np.zeros((4, 4)))
+    assert not t.any()
