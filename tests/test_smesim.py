@@ -148,6 +148,71 @@ def test_one_step_matches_reference_recomputation():
     assert np.allclose(batch.final_states[0], rho, atol=1e-14)
 
 
+def _two_channel_mode():
+    """One mode read out through two channels, L_1 = a + 0.3 a^dag and
+    L_2 = 0.5i a, with the quadratic H of Omega_- = 1, Omega_+ = 0.5."""
+    return qsys.new_system(np.eye(2), np.array([[1.0], [0.5j]]),
+                           np.array([[0.3], [0.0]]), np.array([[1.0]]),
+                           np.array([[0.5]]))
+
+
+def test_steps_match_per_product_reference():
+    """Twenty steps of six two-channel trajectories from a pure state
+    (rank one, so most steps clip) recomputed one matrix product at a time
+    from the equation in the simulate_qsme docstring, on the same Philox
+    streams: drift and measurement terms, Hermitize, clip, renormalize.
+
+    Tolerance, derived before comparing: each entry of one step is a sum of
+    at most 3d products (the d-term inner products of L rho L^dag), so each
+    side rounds it with error at most 3d eps times the sum of the terms'
+    magnitudes (Higham, gamma_n). With ||rho||_2 <= 1 that sum is at most
+    scale = 1 + dt (2||H|| + 2 sum_j ||L_j||^2) + max|dnu| sum_j 4||L_j||.
+    The clip is a projection onto the PSD cone, which is 1-Lipschitz in the
+    Frobenius norm, and the trace division is by a trace within the
+    repaired mass (below 1e-3 here) of 1, so to first order the errors of
+    the n_steps steps add: atol = n_steps * 2 sides * 3d eps * scale
+    (3.5e-13 here, with scale = 2.2)."""
+    ops = smesim.build_truncated_operators(_two_channel_mode(), fock_dim=6)
+    d, h, ls = ops.dim, ops.h, ops.l_ops
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[0, 0] = 1.0
+    dt, n_steps, n_traj, seed = 1e-3, 20, 6, 4
+    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                 n_traj=n_traj, seed=seed, tracked=[])
+
+    counts = np.zeros(n_steps, dtype=int)
+    finals, max_dnu = [], 0.0
+    for child in np.random.SeedSequence(seed).spawn(n_traj):
+        dnu = np.random.Generator(np.random.Philox(child)).normal(
+            0.0, np.sqrt(dt), size=(n_steps, len(ls)))
+        max_dnu = max(max_dnu, np.abs(dnu).max())
+        rho = rho0
+        for step in range(n_steps):
+            new = rho - 1j * (h @ rho - rho @ h) * dt
+            for j, l in enumerate(ls):
+                ldl = l.conj().T @ l
+                new = new + (l @ rho @ l.conj().T
+                             - 0.5 * (ldl @ rho + rho @ ldl)) * dt
+                exp_l = np.trace(rho @ (l + l.conj().T)).real
+                new = new + (l @ rho + rho @ l.conj().T - exp_l * rho) * dnu[step, j]
+            rho = 0.5 * (new + new.conj().T)
+            w, v = np.linalg.eigh(rho)
+            if w.min() < smesim.CLIP_FLOOR:
+                counts[step] += 1
+                w = np.where(w < smesim.CLIP_FLOOR, 0.0, w)
+                rho = v @ np.diag(w) @ v.conj().T
+            rho = rho / np.trace(rho).real
+        finals.append(rho)
+
+    norm = lambda x: np.linalg.norm(x, 2)
+    scale = (1.0 + dt * (2 * norm(h) + 2 * sum(norm(l) ** 2 for l in ls))
+             + max_dnu * sum(4 * norm(l) for l in ls))
+    atol = n_steps * 2 * 3 * d * np.finfo(float).eps * scale
+    assert counts.sum() > n_steps  # the clip is exercised
+    assert np.array_equal(batch.repair_counts, counts)
+    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+
+
 def test_positivity_instability_detection():
     """A wildly large step forces an eigenvalue repair beyond the per-step
     budget and must abort rather than silently project."""
@@ -156,29 +221,51 @@ def test_positivity_instability_detection():
     rho0 = _ground_state_mixture(6)
     from qlinbae.errors import InstabilityError
     with pytest.warns(UserWarning, match="Euler-Maruyama bias"):
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError, match=r"step \d+: trajectory \d+ "
+                           r"needs positivity repair mass .* REPAIR_BUDGET = 0\.05"):
             smesim.simulate_qsme(ops, rho0, dt=0.05, T=1.0, n_traj=8, seed=0,
                                  tracked=[("L", ops.l_ops[0])])
+
+
+def _repaired_states(rng, n, d):
+    """Trace-one PSD states built as the repair builds them, v diag(w) v^dag
+    with w >= 0: ranks run from 1 to d, so most have exact zero
+    eigenvalues that rounding leaves within a few eps of zero."""
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    v, _ = np.linalg.qr(g)
+    w = rng.uniform(0.0, 1.0, size=(n, d))
+    w[np.arange(d) >= rng.integers(1, d + 1, size=n)[:, None]] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    rho = np.einsum("tik,tk,tjk->tij", v, w, v.conj())
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def test_cholesky_gate_flags_every_state_below_the_clip_floor():
     """The batched Cholesky gate in front of the repair eigendecomposition
     must flag every state whose smallest eigenvalue is below CLIP_FLOOR,
-    and no state that is positive semidefinite."""
+    and no state that is positive semidefinite to within the shift, among
+    low-rank states and rank-deficient states with exact zero eigenvalues,
+    each as built and pushed down by up to 3 CLIP_FLOOR, at every
+    fock_dim**n_modes size the CLI reaches up to 27."""
     rng = np.random.default_rng(5)
-    g = rng.normal(size=(4000, 6, 2)) + 1j * rng.normal(size=(4000, 6, 2))
-    rho = g @ g.conj().transpose(0, 2, 1)
-    rho /= np.einsum("tii->t", rho).real[:, None, None]
-    rho -= rng.uniform(0.0, 3e-8, size=4000)[:, None, None] * np.eye(6)
     shift = 0.5 * -smesim.CLIP_FLOOR
-    flagged = smesim._maybe_below_floor(rho, shift)
-    w_min = np.linalg.eigvalsh(rho).min(axis=1)
-    below = w_min < smesim.CLIP_FLOOR
-    assert below.sum() > 1000
-    assert np.all(flagged[below])
-    assert not np.any(flagged[w_min > -shift + 1e-12])
-    assert not np.any(smesim._maybe_below_floor(
-        np.broadcast_to(np.eye(6) / 6.0, (3, 6, 6)).copy(), shift))
+    for d in (2, 4, 8, 9, 27):
+        n = 4000 if d <= 9 else 400
+        g = rng.normal(size=(n, d, 2)) + 1j * rng.normal(size=(n, d, 2))
+        low_rank = g @ g.conj().transpose(0, 2, 1)
+        low_rank /= np.einsum("tii->t", low_rank).real[:, None, None]
+        rho = np.concatenate([low_rank, _repaired_states(rng, n, d)])
+        pushed = rho - rng.uniform(0.0, 3e-8, size=2 * n)[:, None, None] * np.eye(d)
+        rho = np.concatenate([rho, pushed])
+        flagged = smesim._maybe_below_floor(rho, shift)
+        w_min = np.linalg.eigvalsh(rho).min(axis=1)
+        below = w_min < smesim.CLIP_FLOOR
+        above = w_min > -shift + 1e-12
+        assert below.sum() > n // 4 and above.sum() > 2 * n, d
+        assert np.all(flagged[below]), d
+        assert not np.any(flagged[above]), d
+        assert not np.any(smesim._maybe_below_floor(
+            np.broadcast_to(np.eye(d) / d, (3, d, d)).copy(), shift)), d
 
 
 def test_batch_reports_repairs_per_step():
@@ -196,6 +283,8 @@ def test_batch_reports_repairs_per_step():
     batch = run(200)
     assert batch.repair_counts.shape == (200,)
     assert 0 < batch.repair_counts.sum() and batch.repair_counts.max() <= 8
+    assert np.array_equal(batch.final_states,
+                          batch.final_states.conj().swapaxes(-1, -2))
     assert batch.max_repair_mass > 0.0
     worst = batch.worst_trace_step
     head = run(worst + 1)
@@ -231,6 +320,20 @@ def test_rho0_validation():
     with pytest.raises(PreconditionError):
         smesim.simulate_qsme(ops, 2.0 * np.eye(4) / 4.0, dt=1e-3, T=0.01,
                              n_traj=1, seed=0, tracked=[])
+
+
+@pytest.mark.parametrize("setting", [
+    dict(dt=0.0), dict(dt=-1e-3), dict(dt=np.nan), dict(dt=np.inf),
+    dict(T=-0.01), dict(T=np.nan), dict(T=np.inf),
+    dict(n_traj=0), dict(n_traj=2.0), dict(n_traj=True),
+    dict(store_every=0), dict(store_every=1.5)])
+def test_settings_are_checked_up_front(setting):
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
+    kw = dict(dt=1e-3, T=0.01, n_traj=2, seed=0, tracked=[], store_every=1)
+    kw.update(setting)
+    (name,) = setting
+    with pytest.raises(PreconditionError, match=f"setting {name} must be"):
+        smesim.simulate_qsme(ops, _ground_state_mixture(4), **kw)
 
 
 # ---------------------------------------------------------- martingale stats
