@@ -12,8 +12,8 @@ C_minus (k11, k21) or C_plus (k12, k22) within --tol. Exit status:
 """
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import sys as _sys
 
@@ -31,30 +31,40 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------- encoding
 
-def parse_complex_matrix(node, where):
-    """Nested lists with scalar or [re, im] entries -> complex ndarray."""
-    def entry(x):
-        # type(), not isinstance(): a JSON boolean is a Python int subclass
-        if type(x) in (int, float):
-            return complex(x)
-        if (isinstance(x, list) and len(x) == 2
-                and all(type(v) in (int, float) for v in x)):
-            return complex(x[0], x[1])
-        raise ValueError(
-            f"{where}: entries must be numbers or [re, im] pairs, got {x!r}")
+_REAL = frozenset({int, float})  # by type(): a JSON boolean is an int subclass
 
+
+def parse_complex_matrix(node, where):
+    """Nested lists with scalar or [re, im] entries -> complex ndarray.
+
+    Every entry becomes a pair (a scalar x becomes (x, 0)), the pairs'
+    leaves are type-checked together and numpy converts them in one call.
+    """
     if not isinstance(node, list) or not node:
         raise ValueError(f"{where}: expected a non-empty matrix (list of rows)")
-    rows = node if isinstance(node[0], list) and (
-        not node[0] or type(node[0][0]) in (list, int, float)) else [node]
-    # a bare [re, im] pair is a 1x1 matrix
-    if (len(node) == 2 and all(type(v) in (int, float) for v in node)):
-        return np.array([[entry(node)]])
-    out = [[entry(x) for x in row] for row in rows]
-    widths = {len(r) for r in out}
+    if len(node) == 2 and all(type(v) in _REAL for v in node):
+        rows = [[node]]  # a bare [re, im] pair is a 1x1 matrix
+    elif isinstance(node[0], list) and (
+            not node[0] or type(node[0][0]) in (list, int, float)):
+        rows = node
+    else:
+        rows = [node]
+    not_lists = [row for row in rows if type(row) is not list]
+    if not_lists:
+        raise ValueError(f"{where}: every row must be a list, got {not_lists[0]!r}")
+    pairs = [x if type(x) is list else (x, 0)
+             for x in itertools.chain.from_iterable(rows)]
+    leaves = list(itertools.chain.from_iterable(pairs))
+    if not (set(map(len, pairs)) <= {2} and set(map(type, leaves)) <= _REAL):
+        bad = next(p for p in pairs
+                   if len(p) != 2 or not all(type(v) in _REAL for v in p))
+        raise ValueError(f"{where}: entries must be numbers or [re, im] pairs, "
+                         f"got {bad if type(bad) is list else bad[0]!r}")
+    widths = set(map(len, rows))
     if len(widths) != 1:
         raise ValueError(f"{where}: ragged rows {sorted(widths)}")
-    return np.array(out, dtype=complex)
+    return np.array(leaves, dtype=float).view(complex).reshape(
+        len(rows), widths.pop())
 
 
 def emit_complex_matrix(mat):
@@ -116,9 +126,69 @@ def emit_spec(sys_obj):
     }
 
 
+# The C encoder: one line, ", " between items. It is the one json.dumps
+# uses without indent; with indent=2 the standard library runs its
+# pure-Python encoder instead, which costs about a microsecond per value.
+_ONE_LINE = json.JSONEncoder().encode
+_NUMBER_LEAVES = frozenset({float, int, bool, type(None)})
+
+
+def _leaf_depth(items):
+    """k when the non-empty list `items` nests lists exactly k deep with no
+    empty list and only number, boolean or null leaves; None otherwise."""
+    level, k = items, 1
+    while True:
+        kinds = set(map(type, level))
+        if kinds <= _NUMBER_LEAVES:
+            return k
+        if kinds != {list} or not all(level):
+            return None
+        level, k = list(itertools.chain.from_iterable(level)), k + 1
+
+
+def _grid_text(items, depth, k):
+    """json.dumps(items, indent=2) of a list nested k deep as _leaf_depth
+    requires, at nesting depth `depth`. Between two leaves the one-line
+    text holds j closing brackets, ", " and j opening brackets, where j
+    levels roll over; each such separator maps to one fixed indented one."""
+    lead = ["\n" + "  " * (depth + i) for i in range(k + 1)]
+    text = _ONE_LINE(items)[k:-k]
+    for j in range(k - 1, -1, -1):
+        closes = "".join(lead[i] + "]" for i in range(k - 1, k - 1 - j, -1))
+        opens = "".join(lead[i] + "[" for i in range(k - j, k))
+        text = text.replace("]" * j + ", " + "[" * j,
+                            closes + "," + opens + lead[k])
+    return ("".join("[" + lead[i] for i in range(1, k + 1)) + text
+            + "".join(lead[i] + "]" for i in range(k - 1, -1, -1)))
+
+
+def _json_text(doc, depth):
+    """json.dumps(doc, indent=2), byte for byte, for doc nested `depth`
+    levels deep. The C encoder writes every scalar and every list of
+    numbers nested to one depth (each emitted matrix); the layout around
+    them is joined here."""
+    pad = "\n" + "  " * depth
+    if type(doc) is dict and doc and all(type(key) is str for key in doc):
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join(
+            _ONE_LINE(key) + ": " + _json_text(value, depth + 1)
+            for key, value in doc.items()) + pad + "}")
+    if type(doc) is list and doc:
+        k = _leaf_depth(doc)
+        if k is not None:
+            return _grid_text(doc, depth, k)
+        inner = pad + "  "
+        return ("[" + inner + ("," + inner).join(
+            _json_text(item, depth + 1) for item in doc) + pad + "]")
+    if type(doc) in _NUMBER_LEAVES or type(doc) is str:
+        return _ONE_LINE(doc)
+    # empty containers, tuples, subclasses, dicts with non-string keys;
+    # no JSON string holds a raw newline, so each one is a line break
+    return json.dumps(doc, indent=2).replace("\n", pad)
+
+
 def _write_json(doc, out):
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    text = json.dumps(doc, indent=2)
+    text = _json_text({"schema_version": SCHEMA_VERSION, **doc}, 0)
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -126,18 +196,17 @@ def _write_json(doc, out):
         print(text)
 
 
-def _write_csv(header, rows, out):
+def _write_csv(header, columns, out):
+    """A header line, then one line per row of np.column_stack(columns),
+    each field f"{x:.12g}"; no field needs CSV quoting."""
+    row = ",".join(["{:.12g}"] * len(header)).format
+    text = ",".join(header) + "\n" + "".join(
+        row(*values) + "\n" for values in np.column_stack(columns).tolist())
     if out:
-        fh = open(out, "w", encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        fh = _sys.stdout
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
+        _sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------- commands
@@ -180,10 +249,7 @@ def cmd_tf(args):
         m = sys_obj.m_channels
         header = ["omega"] + [f"abs_G_{i}_{j}" for i in range(2 * m)
                               for j in range(2 * m)]
-        rows = [[f"{w:.12g}"] + [f"{x:.12g}" for x in row]
-                for w, row in zip(omegas.tolist(),
-                                  values.reshape(len(omegas), -1).tolist())]
-        _write_csv(header, rows, args.out)
+        _write_csv(header, [omegas, values.reshape(len(omegas), -1)], args.out)
     else:
         g = eval_tf(r, 1j * args.omega)
         _write_json({"omega": args.omega, "G": emit_complex_matrix(g)}, args.out)
@@ -351,12 +417,10 @@ def cmd_simulate(args):
         f"{e.name}_se" for e in stats]
     columns = [batch.times] + [e.means for e in stats] + [
         e.standard_errors for e in stats]
-    rows = [[f"{x:.12g}" for x in row]
-            for row in np.column_stack(columns).tolist()]
-    _write_csv(header, rows, args.out)
+    _write_csv(header, columns, args.out)
     summary = {e.name: {"drift": e.drift, "allowance": e.allowance,
                         "passed": e.passed} for e in stats}
-    print(json.dumps({"martingale": summary}, indent=2), file=_sys.stderr)
+    print(_json_text({"martingale": summary}, 0), file=_sys.stderr)
     return 0
 
 

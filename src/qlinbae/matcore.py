@@ -10,7 +10,6 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 
 DEFAULT_TOL = 1e-9
-EQUALITY_TOL = 1e-12  # relative residue allowed where exact algebra gives 0
 
 
 def inf_norm(x):
@@ -173,18 +172,3 @@ def quadrature_image(u, v=None):
     out[k:, r:] = minus.real
     return out
 
-
-def to_real(x, context="matrix"):
-    """Strip an imaginary part of at most EQUALITY_TOL times the matrix
-    scale, raising if it is larger."""
-    from .errors import InternalConsistencyError
-
-    x = np.asarray(x, dtype=complex)
-    scale = max(inf_norm(x), 1.0)
-    residue = inf_norm(np.imag(x))
-    if residue > EQUALITY_TOL * scale:
-        raise InternalConsistencyError(
-            f"{context}: imaginary residue {residue:.3e} exceeds "
-            f"{EQUALITY_TOL:.1e} * {scale:.3e}"
-        )
-    return np.real(x).copy()

@@ -6,7 +6,8 @@ C-, C+ (L = C- a + C+ a^#), and Hamiltonian blocks Omega-, Omega+
 (H = (1/2) adag_breve Delta(Omega-, Omega+) a_breve). Natural units, hbar=1.
 
 Each ac_realization matrix is a doubled-up Delta(U, V), with quadrature image
-[[Re(U+V), -Im(U-V)], [Im(U+V), Re(U-V)]]; quad_realization checks all four.
+[[Re(U+V), -Im(U-V)], [Im(U+V), Re(U-V)]]; quad_realization builds all four
+from these closed forms, not by multiplying out V Delta(U, V) V^dag.
 """
 
 from dataclasses import dataclass
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import InternalConsistencyError, ValidationError
-from .matcore import (DEFAULT_TOL, EQUALITY_TOL, delta, flat_adjoint, inf_norm,
-                      j_diag, quadrature_image, quadrature_transform)
+from .errors import ValidationError
+from .matcore import (DEFAULT_TOL, delta, flat_adjoint, inf_norm, j_diag,
+                      quadrature_image)
 
 
 @dataclass(frozen=True)
@@ -118,35 +119,26 @@ def ac_realization(sys):
 
 
 def quad_realization(sys):
-    """Real quadrature form obtained by conjugating with V_n, V_m.
+    """Real quadrature form: each matrix of ac_realization conjugated by
+    V_n, V_m, taken in closed form with matcore.quadrature_image.
 
-    Each conjugated matrix is checked for a negligible imaginary residue and
-    against matcore.quadrature_image of its doubled-up blocks (A at its own
-    scale, B, C, D at their joint one) before the real parts are returned.
+    With C^flat C = Delta(C-^dag C- - C+^T C+^#, C-^dag C+ - C+^T C-^#) and
+    -i J_n Delta(Omega-, Omega+) = Delta(-i Omega-, -i Omega+), the four
+    doubled-up blocks are
+    A: (-i Omega- - (1/2)(C-^dag C- - C+^T C+^#),
+        -i Omega+ - (1/2)(C-^dag C+ - C+^T C-^#)),
+    B = -C^flat Delta(S, 0): (-C-^dag S, C+^T S^#),
+    C: (C-, C+) and D: (S, 0). Entries that the structure makes zero come
+    out as exact zeros, where the conjugation leaves roundoff.
     """
-    vn = quadrature_transform(sys.n_modes)
-    vm = quadrature_transform(sys.m_channels)
-    ac = ac_realization(sys)
-    a, b, c, d = (
-        matcore.to_real(left @ x @ right.conj().T, f"quadrature {name}")
-        for name, left, x, right in (("A", vn, ac.a, vn), ("B", vn, ac.b, vm),
-                                     ("C", vm, ac.c, vn), ("D", vm, ac.d, vm)))
-
     cm, cp, s = sys.c_minus, sys.c_plus, sys.s
     cmh, cpt = cm.conj().T, cp.T
-    a_want = quadrature_image(
+    a = quadrature_image(
         -1j * sys.omega_minus - 0.5 * (cmh @ cm - cpt @ cp.conj()),
         -1j * sys.omega_plus - 0.5 * (cmh @ cp - cpt @ cm.conj()))
-    scale = max(inf_norm(c), inf_norm(b), inf_norm(d), 1.0)
-    for got, want, name, at in (
-            (a, a_want, "A", max(inf_norm(a), 1.0)),
-            (b, quadrature_image(-cmh @ s, cpt @ s.conj()), "B", scale),
-            (c, quadrature_image(cm, cp), "C", scale),
-            (d, quadrature_image(s), "D", scale)):
-        if inf_norm(got - want) > 100 * EQUALITY_TOL * at:
-            raise InternalConsistencyError(
-                f"quadrature {name} disagrees with its closed form")
-    return Realization("quadrature", a, b, c, d)
+    return Realization("quadrature", a,
+                       quadrature_image(-cmh @ s, cpt @ s.conj()),
+                       quadrature_image(cm, cp), quadrature_image(s))
 
 
 def random_system(rng, n, m, omega="generic", coupling="generic",

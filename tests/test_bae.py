@@ -1,5 +1,6 @@
 """Catalog soundness and closed-form checks for zero-block certification."""
 
+import dataclasses
 import itertools
 import zlib
 
@@ -76,6 +77,56 @@ def test_diagnose_evaluates_each_predicate_once(monkeypatch):
         assert got == want
         matched += len(got)
     assert matched >= 300
+
+
+def test_block_predicates_match_the_doubled_up_ones():
+    """The C and Omega predicates test the blocks (U, V) at their joint
+    scale and give exactly the verdicts of is_real / is_imag on the
+    doubled-up Delta(U, V), over every random_system family, with and
+    without a perturbation near the tolerance."""
+    rng = np.random.default_rng(6)
+    changed = 0  # families whose verdicts some perturbation and tol change
+    for omega, coupling, scattering, relation in itertools.product(
+            ("generic", "imag", "zero", "equal_re", "opposite_re"),
+            ("generic", "real", "imag", "zero"),
+            ("identity", "real", "imag", "generic"),
+            ("free", "equal", "opposite")):
+        base = qsys.random_system(rng, 2, 2, omega=omega, coupling=coupling,
+                                  scattering=scattering, c_relation=relation)
+        verdicts = set()
+        for eps in (0.0, 1e-12, 1e-9, 1e-6):
+            noise = lambda x: eps * (rng.standard_normal(x.shape)
+                                     + 1j * rng.standard_normal(x.shape))
+            sys_obj = dataclasses.replace(
+                base, c_plus=base.c_plus + noise(base.c_plus),
+                omega_minus=base.omega_minus + noise(base.omega_minus))
+            for tol in (1e-12, 1e-9, 1e-6):
+                got = (bae._hyp_c_real(sys_obj, tol), bae._hyp_c_imag(sys_obj, tol),
+                       bae._hyp_omega_imag(sys_obj, tol))
+                want = (matcore.is_real(sys_obj.coupling, tol),
+                        matcore.is_imag(sys_obj.coupling, tol),
+                        matcore.is_imag(sys_obj.omega, tol))
+                assert got == want, (omega, coupling, scattering, relation, eps, tol)
+                verdicts.add(want)
+        changed += len(verdicts) > 1
+    assert changed >= 150
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_structural_zeros_are_exact(n):
+    """On every cataloged family without a phase rotation, the closed-form
+    quadrature realization keeps the predicted blocks exactly zero, so every
+    Markov parameter of them is 0.0 and certification is consistent at any
+    size."""
+    rng = np.random.default_rng(n)
+    for condition_id, kwargs in sorted(FAMILY_KWARGS.items()):
+        report = bae.certify_bae(qsys.random_system(rng, n, 2, **kwargs))
+        assert report.consistency, condition_id
+        predicted = CATALOG_BY_ID[condition_id].predicted_pairs
+        for name, pair in bae._PAIR_FOR_BLOCK.items():
+            if pair in predicted:
+                assert getattr(report.pattern, name).max_markov == 0.0, (
+                    condition_id, name)
 
 
 def test_generic_system_matches_nothing():

@@ -8,6 +8,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlinbae import cli, feedback, qsys
 from qlinbae.xferfn import frequency_sweep
@@ -62,6 +64,104 @@ def test_emit_matches_the_per_entry_emitter(mat):
     assert all(type(x) is float for row in new for pair in row for x in pair)
 
 
+def _parse_per_entry(node, where):
+    """The entry-by-entry decoder that parse_complex_matrix replaced."""
+    def entry(x):
+        if type(x) in (int, float):
+            return complex(x)
+        if (isinstance(x, list) and len(x) == 2
+                and all(type(v) in (int, float) for v in x)):
+            return complex(x[0], x[1])
+        raise ValueError(
+            f"{where}: entries must be numbers or [re, im] pairs, got {x!r}")
+
+    if not isinstance(node, list) or not node:
+        raise ValueError(f"{where}: expected a non-empty matrix (list of rows)")
+    rows = node if isinstance(node[0], list) and (
+        not node[0] or type(node[0][0]) in (list, int, float)) else [node]
+    if (len(node) == 2 and all(type(v) in (int, float) for v in node)):
+        return np.array([[entry(node)]])
+    out = [[entry(x) for x in row] for row in rows]
+    widths = {len(r) for r in out}
+    if len(widths) != 1:
+        raise ValueError(f"{where}: ragged rows {sorted(widths)}")
+    return np.array(out, dtype=complex)
+
+
+_numbers = st.one_of(
+    st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+                     2.0**60]))
+_scalars = st.one_of(_numbers, st.booleans(), st.none(), st.text(max_size=4),
+                     st.text(alphabet='"\\/\n\t\x00 é☃\u2028', max_size=4))
+
+
+@st.composite
+def _grids(draw, entries):
+    """A rows x cols list of lists of `entries`; cols may be 0."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+_entries = st.one_of(_numbers, st.lists(_numbers, min_size=2, max_size=2))
+_matrix_nodes = st.one_of(
+    _grids(_entries), st.lists(_entries, min_size=1, max_size=4),
+    st.recursive(_scalars, lambda kids: st.lists(kids, max_size=3),
+                 max_leaves=12))
+
+
+@given(_matrix_nodes)
+@settings(max_examples=200, deadline=None)
+def test_decoder_matches_the_per_entry_decoder(node):
+    """The vectorized decoder returns the per-entry decoder's matrix bit for
+    bit, mixed scalar and [re, im] entries included, and rejects what it
+    rejects with the same message. A row that is not a list is a ValueError
+    naming the matrix: the per-entry decoder raised TypeError on a number
+    row and took an empty string for an empty row."""
+    try:
+        want = _parse_per_entry(node, "S")
+    except (ValueError, TypeError) as exc:
+        want = exc
+    try:
+        got = cli.parse_complex_matrix(node, "S")
+    except ValueError as exc:
+        got = exc
+    if "every row must be a list" in str(got):
+        assert not all(type(row) is list for row in node)
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert type(got) is ValueError and str(got) == str(want)
+
+
+def _emitted(shape):
+    size = int(np.prod(shape))
+    values = st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True),
+                      min_size=size, max_size=size)
+    return values.map(lambda v: cli.emit_complex_matrix(
+        np.array(v, dtype=complex).reshape(shape)))
+
+
+_matrices = st.sampled_from([(3,), (1, 1), (2, 3), (4, 4)]).flatmap(_emitted)
+_documents = st.recursive(
+    st.one_of(_scalars, _matrices, _grids(_numbers)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+    max_leaves=20)
+
+
+@given(_documents)
+@settings(max_examples=200, deadline=None)
+def test_writer_is_indented_json_dumps(doc):
+    """Nested dicts and lists of numbers (NaN, infinities, -0.0, big ints),
+    booleans, null, escaped and non-ASCII strings, empty containers and
+    emitted 1-D, 1x1 and n x m matrices: the writer's text is json.dumps's."""
+    assert cli._json_text(doc, 0) == json.dumps(doc, indent=2)
+
+
 def test_import_loads_no_scipy():
     """Importing the package and its CLI loads no scipy; the designer loads
     scipy.optimize on its first call."""
@@ -113,7 +213,9 @@ _ZERO = [0, 0]
     [[_ONE, _ZERO], [_ONE]],
     [],
     [[[1, 0, 0], _ZERO], [_ZERO, _ONE]],
-], ids=["boolean", "string", "ragged", "empty", "three_element_entry"])
+    [[_ONE, _ZERO], 5],
+], ids=["boolean", "string", "ragged", "empty", "three_element_entry",
+        "row_not_a_list"])
 def test_validate_rejects_malformed_matrices(tmp_path, capsys, value):
     doc = _michelson_doc()
     doc["S"] = value
@@ -392,7 +494,9 @@ def _design_doc():
 def test_feedback_design(tmp_path, capsys):
     path = _write(tmp_path, _design_doc())
     assert cli.main(["feedback", "design", path, "--max-candidates", "3"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    out = json.loads(text)
     entries = out["candidates"]
     assert len(entries) == 3 <= out["n_candidates"]
     objectives = [e["objective"] for e in entries]
@@ -415,15 +519,16 @@ def test_feedback_design_validates_the_split(tmp_path, capsys):
     assert "feedback.split must be two positive integers" in capsys.readouterr().err
 
 
-def test_kalman_command(tmp_path, capsys):
-    doc = _michelson_doc()
+def _kalman_doc():
     kappa = 2.0
-    doc["kalman"] = {
+    return {**_michelson_doc(), "kalman": {
         "A_co": cli.emit_complex_matrix(-0.5 * kappa * np.eye(2)),
         "B_co": cli.emit_complex_matrix(-np.sqrt(kappa) * np.eye(2)),
-        "C_co": cli.emit_complex_matrix(np.sqrt(kappa) * np.eye(2)),
-    }
-    path = _write(tmp_path, doc)
+        "C_co": cli.emit_complex_matrix(np.sqrt(kappa) * np.eye(2))}}
+
+
+def test_kalman_command(tmp_path, capsys):
+    path = _write(tmp_path, _kalman_doc())
     assert cli.main(["kalman", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["theorem"]["q_wrt_p"] and out["theorem"]["p_wrt_q"]
@@ -440,8 +545,9 @@ def test_simulate_command(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0].startswith("time,")
     assert len(lines) > 2
-    summary = json.loads(capsys.readouterr().err)
-    assert "martingale" in summary
+    err = capsys.readouterr().err
+    assert err == json.dumps(json.loads(err), indent=2) + "\n"
+    assert "martingale" in json.loads(err)
 
 
 def _sim_doc(**sim):
@@ -486,6 +592,34 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys, sim, flags, key):
     assert cli.main(["simulate", path, *flags, "--out", str(out_file)]) == 1
     assert f"simulate setting {key} " in capsys.readouterr().err
     assert not out_file.exists()
+
+
+def _siso_doc():
+    return cli.emit_spec(qsys.new_system(np.eye(1), [[1.0j]], [[1.0j]],
+                                         [[1.0]], [[0.5]]))
+
+
+@pytest.mark.parametrize("command,doc,code", [
+    (["validate"], _michelson_doc, 0),
+    (["validate"], _broken_doc, 1),
+    (["realize", "--form", "quad"], _michelson_doc, 0),
+    (["realize", "--form", "ac"], _michelson_doc, 0),
+    (["tf", "--omega", "2.0"], _michelson_doc, 0),
+    (["bae"], _michelson_doc, 0),
+    (["qnd"], _michelson_doc, 0),
+    (["qnd"], _siso_doc, 0),
+    (["feedback", "reduce"], _anchor_network_doc, 0),
+    (["kalman"], _kalman_doc, 0),
+], ids=["validate", "validate_broken", "realize_quad", "realize_ac", "tf",
+        "bae", "qnd", "qnd_siso", "feedback_reduce", "kalman"])
+def test_every_report_is_indented_json_dumps(tmp_path, command, doc, code):
+    """Each report file holds json.dumps(report, indent=2) and a newline,
+    byte for byte (the designer's report and simulate's stderr summary are
+    checked in their own tests)."""
+    out_file = tmp_path / "report.json"
+    assert cli.main([*command, _write(tmp_path, doc()), "--out", str(out_file)]) == code
+    text = out_file.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_unknown_spec_file_errors(capsys):

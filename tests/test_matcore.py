@@ -50,14 +50,6 @@ def test_check_finite_rejects_nan():
         matcore.check_finite(np.array([[np.nan]]), "bad")
 
 
-def test_to_real_rejects_complex():
-    from qlinbae.errors import InternalConsistencyError
-    with pytest.raises(InternalConsistencyError):
-        matcore.to_real(np.array([[1.0 + 1e-6j]]))
-    out = matcore.to_real(np.array([[1.0 + 0.0j]]))
-    assert out.dtype.kind == "f"
-
-
 # ------------------------------------------------------ adjoint properties
 
 @given(seeds, dims, dims)
