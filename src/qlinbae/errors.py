@@ -46,4 +46,4 @@ class ResourceError(QLinBAEError):
 
 
 class InstabilityError(QLinBAEError):
-    """The stochastic integrator required excessive positivity repair."""
+    """The stochastic integrator produced a non-finite state."""

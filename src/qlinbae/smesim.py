@@ -1,9 +1,11 @@
 """Finite-dimensional stochastic-master-equation trajectory simulation.
 
 Operators are realized on a truncated Fock space; the conditioned density
-operator is integrated by Euler-Maruyama with per-step positivity repair,
-and ensemble statistics test the martingale structure of conditional
-expectations under a measurement that commutes with the dynamics.
+operator is integrated by a Kraus map that keeps it positive by
+construction, the exact master-equation means give a reference for the
+ensemble, and ensemble statistics test the martingale structure of
+conditional expectations under a measurement that commutes with the
+dynamics.
 """
 
 import warnings
@@ -15,8 +17,6 @@ from .errors import InstabilityError, PreconditionError, ResourceError
 from .matcore import DEFAULT_TOL
 
 DIM_CAP = 4096
-CLIP_FLOOR = -1e-8
-REPAIR_BUDGET = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,42 +111,27 @@ class SMETrajectoryBatch:
     dt: float
     n_steps: int
     final_states: np.ndarray     # (n_traj, d, d)
-    max_trace_deviation: float
-    max_repair_mass: float
-    repair_counts: np.ndarray    # (n_steps,) trajectories repaired at each step
-    worst_trace_step: int        # step of max_trace_deviation (None: no steps)
+    max_trace_deviation: float   # largest |Tr(M rho M^dag) - 1| of any step
+    positivity_margin: float     # smallest eigenvalue of any final state
+
+    @property
+    def max_repair_mass(self):
+        """The mass a clip of negative eigenvalues would remove from the
+        worst final state, max(0, -positivity_margin); no step repairs."""
+        return max(0.0, -self.positivity_margin)
 
 
 def _dagger(x):
     return x.conj().swapaxes(-1, -2)
 
 
-def _maybe_below_floor(rho, shift):
-    """Flags states whose smallest eigenvalue may lie below -shift.
-
-    A left-looking Cholesky factorization of rho + shift*I, vectorized over
-    the trajectory axis: column k of the factor is
-    rho[:, k:, k] - fac[:, k:, :k] conj(fac[:, k, :k]), formed by one batched
-    multiply-and-sum, and the shift enters the pivot only. A non-positive (or NaN)
-    pivot means rho + shift*I is not positive definite. Cholesky is backward
-    stable, so with shift well inside the clip floor every state that needs
-    repair is flagged. The factor keeps the trajectory axis last, so every
-    operation runs over contiguous runs of n_traj entries. Measured per
-    call on a 2-core x86 machine, one BLAS thread, after a warm-up call:
-    500 states of dimension 8 take 0.5 ms, against 1.2-1.8 ms for the
-    right-looking form on an explicit rho + shift*I that this replaced and
-    4-5 ms for a batched eigvalsh; 200 states take 0.3 ms (0.56 ms before),
-    20 states 0.18 ms (0.26 ms), and 500 states of dimension 27 7.8 ms
-    (16 ms)."""
-    n_traj, d, _ = rho.shape
-    fac = np.empty((d, d, n_traj), dtype=complex)  # strict lower part read
-    ok = np.empty((d, n_traj), dtype=bool)
-    for k in range(d):
-        col = rho[:, k:, k].T - (fac[k:, :k] * fac[k, :k].conj()).sum(axis=1)
-        pivot = col[0].real + shift
-        ok[k] = pivot > 0.0
-        fac[k + 1:, k] = col[1:] / np.sqrt(np.where(ok[k], pivot, 1.0))
-    return ~ok.all(axis=0)
+def _generator(ops):
+    """The coupling operators as complex arrays and the non-Hermitian
+    generator K = -iH - 1/2 sum_j L_j^dag L_j."""
+    l_ops = [np.asarray(l, dtype=complex) for l in ops.l_ops]
+    k_gen = -1j * ops.h - 0.5 * sum((l.conj().T @ l for l in l_ops),
+                                    np.zeros_like(ops.h))
+    return l_ops, k_gen
 
 
 def _require(ok, name, requirement, value):
@@ -160,45 +145,54 @@ def _is_count(x):
 
 
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
-    """Euler-Maruyama integration of the diffusive conditioned-state
-    equation
+    """Kraus-map integration (Rouchon & Ralph 2015, PRA 91, 012118) of the
+    diffusive conditioned-state equation
       drho = L*(rho) dt
            + sum_j (L_j rho + rho L_j^dag - Tr[rho (L_j + L_j^dag)] rho) dnu_j
-    with innovation increments dnu_j ~ Normal(0, dt), independent per
-    channel. dt must be finite and > 0, T finite and >= 0, n_traj and
-    store_every integers >= 1. rho0 is Hermitized once. Each step clips
-    eigenvalues below CLIP_FLOOR to zero (any single step needing more than
-    REPAIR_BUDGET of repaired mass per trajectory aborts with an
-    InstabilityError naming the step and the trajectory) and renormalizes
-    the trace. Trajectories use independent counter-based RNG streams
-    derived from (seed, trajectory index), so results are reproducible and
+    with innovations dnu_j ~ Normal(0, dt), independent per channel, and
+    L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
+    K = -iH - 1/2 sum_j L_j^dag L_j. dt must be finite and > 0, T finite
+    and >= 0, n_traj and store_every integers >= 1. rho0 is Hermitized
+    once. Trajectories use independent counter-based RNG streams derived
+    from (seed, trajectory index), so results are reproducible and
     order-independent.
 
-    With K = -iH - 1/2 sum_j L_j^dag L_j the Lindblad drift is
-    L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag. rho is exactly
-    Hermitian at the start of every step, so (rho X^dag)^dag = X rho,
-    L_j rho L_j^dag is Hermitian and Tr[rho (L_j + L_j^dag)] =
-    2 Re Tr(rho L_j^dag). The whole increment is therefore Y + Y^dag with
-      Y^dag = dt rho K^dag + sum_j [dnu_j rho L_j^dag
-              + (dt/2) L_j rho L_j^dag - dnu_j Re Tr(rho L_j^dag) rho].
-    Every right product rho K^dag, rho L_j^dag comes from one matrix
-    product of the stacked states with [dt K^dag | L_1^dag | ... ], and
-    sum_j L_j rho L_j^dag = sum_j (rho L_j^dag)^dag L_j^dag from a second.
-    The trace terms add up to -e rho with the real e = sum_j dnu_j
-    Tr[rho (L_j + L_j^dag)]; with Z = Y^dag + e rho / 2 the step is
-      rho <- (1 - e) rho + (Z + Z^dag).
-    Entry (a, b) of Z + Z^dag is fl(z_ab + conj(z_ba)) and entry (b, a) is
-    fl(z_ba + conj(z_ab)), its exact conjugate; scaling by the real 1 - e
-    and adding two exactly Hermitian matrices keep exact conjugate pairs,
-    and so do the repair and the trace division. rho stays Hermitian in
-    floating point with no separate Hermitization.
+    Each step reads the record dy_j = Tr[rho (L_j + L_j^dag)] dt + dnu_j
+    and maps rho <- M rho M^dag / Tr(M rho M^dag) with
+      M = I + K dt + sum_j L_j dy_j
+            + 1/2 sum_jk L_j L_k (dy_j dy_k - delta_jk dt)
+    (M = I + K dt without channels). By the Ito rule dy_j dy_k =
+    delta_jk dt, (sum_j L_j dy_j) rho (sum_k L_k^dag dy_k) supplies the
+    sum_j L_j rho L_j^dag dt of perfect detection, so no separate term
+    adds it; dividing by the trace, 1 + sum_j Tr[rho (L_j + L_j^dag)] dy_j
+    to first order, turns the increments dy_j into the innovations dnu_j.
+
+    Positivity holds by construction: x^dag M rho M^dag x =
+    (M^dag x)^dag rho (M^dag x) >= 0 for every x, and the trace is
+    positive. Nothing is clipped or repaired; rounding alone moves
+    eigenvalues, by about d eps ||M||^2 per step, and positivity_margin
+    reports the smallest eigenvalue of the final states.
+
+    Every stored state is exactly Hermitian: with Y = (M rho) M^dag the
+    step stores (Y + Y^dag) / (2 Re Tr Y), whose entry (b, a),
+    fl(y_ba + conj(y_ab)), is the exact conjugate of entry (a, b), and
+    division by a real keeps the pairs. So Tr[rho (L_j + L_j^dag)] is the
+    real inner product of two Hermitian matrices' float views, one real
+    GEMM for all trajectories. A second real GEMM builds every M: the
+    coefficients (1, dy_j, c_jk) times the float view of the basis
+    [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k], since a real
+    coefficient scales both parts of an entry alike; the double sum is
+    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
+    c_jk = dy_j dy_k.
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
     stored grid (every store_every steps, endpoints included).
 
-    The batch reports, per step, how many trajectories had eigenvalues
-    clipped (repair_counts) and the first step whose trace deviation before
-    renormalization is max_trace_deviation (worst_trace_step).
+    max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
+    normalization, not a rounding error. A step that leaves a NaN or an
+    infinite entry raises InstabilityError naming the step; the entries of
+    a trace-one positive state have modulus at most 1, so the check is on
+    the sum of all entries.
     """
     _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
     _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
@@ -207,21 +201,19 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
              store_every)
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[0]
+    tol = 1e-8  # on the trace and the smallest eigenvalue of rho0
     tr0 = np.trace(rho0).real
-    if abs(tr0 - 1.0) > 1e-8:
+    if abs(tr0 - 1.0) > tol:
         raise PreconditionError(f"rho0 trace {tr0} is not 1")
-    w0 = np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T))
-    if w0.min() < CLIP_FLOOR:
+    if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -tol:
         raise PreconditionError("rho0 is not positive semidefinite")
 
-    h = ops.h
-    l_ops = [np.asarray(l, dtype=complex) for l in ops.l_ops]
-    ldl = [l.conj().T @ l for l in l_ops]
-    gen_scale = np.abs(h).max() + sum(np.abs(l).max() ** 2 for l in l_ops)
+    l_ops, k_gen = _generator(ops)
+    gen_scale = np.abs(ops.h).max() + sum(np.abs(l).max() ** 2 for l in l_ops)
     if dt * gen_scale > 0.1:
         warnings.warn(
             f"dt * generator scale = {dt * gen_scale:.3f} > 0.1; "
-            "the Euler-Maruyama bias may be large", stacklevel=2)
+            "the Kraus-map bias may be large", stacklevel=2)
 
     n_steps = int(round(T / dt))
     m = len(l_ops)
@@ -244,64 +236,43 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
 
     rho = np.broadcast_to(0.5 * (rho0 + _dagger(rho0)), (n_traj, d, d)).copy()
     max_trace_dev = 0.0
-    worst_trace_step = 0 if n_steps else None
-    repair = np.zeros(n_traj)
-    repair_counts = np.zeros(n_steps, dtype=int)
 
     def record(slot):
         for k, x in enumerate(obs):
             values[:, slot, k] = np.einsum("tij,ji->t", rho, x).real
 
-    k_gen = -1j * h - 0.5 * sum(ldl, np.zeros_like(h))
-    l_dag = _dagger(np.array(l_ops, dtype=complex).reshape(m, d, d))
-    right = np.concatenate([dt * _dagger(k_gen), *l_dag], axis=1)
-    left = 0.5 * dt * l_dag.reshape(m * d, d)
-    # lr[t, b, j, a] = (L_j rho)[b, a], so one product sums over j and a
-    lr = np.empty((n_traj, d, m, d), dtype=complex)
-    inc = np.empty_like(rho)
-    # a real scaling of the float view scales both parts of every entry
-    # exactly as complex arithmetic would, at a fraction of its cost
-    rho_re = rho.view(float)
+    jj, kk = np.triu_indices(m)
+    basis = np.array(
+        [np.eye(d) + dt * k_gen, *l_ops,
+         *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
+           for j, k in zip(jj, kk))], dtype=complex)
+    basis_re = basis.view(float).reshape(len(basis), 2 * d * d)
+    record_gain = dt * np.array([l + l.conj().T for l in l_ops],
+                                dtype=complex).reshape(m, d, d)
+    record_gain = record_gain.view(float).reshape(m, 2 * d * d).T
+    pair_scale = np.where(jj == kk, 0.5, 1.0)
+    pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
+    coef = np.ones((n_traj, len(basis)))
+    kraus_rho = np.empty_like(rho)
+    y = np.empty_like(rho)
+    rho_re = rho.view(float).reshape(n_traj, 2 * d * d)
     slot = 0
     record(slot)
     for step in range(n_steps):
-        prods = (rho.reshape(-1, d) @ right).reshape(n_traj, d, m + 1, d)
-        rl = prods[:, :, 1:]  # rho L_j^dag
-        dnu = noise[:, step]
-        np.conjugate(rl.transpose(0, 3, 2, 1), out=lr)
-        z = (lr.reshape(n_traj * d, m * d) @ left).reshape(n_traj, d, d)
-        z += prods[:, :, 0]
-        for j in range(m):
-            z += dnu[:, j, None, None] * rl[:, :, j]
-        e = 2.0 * (dnu * np.einsum("tiji->tj", rl).real).sum(axis=1)
-        np.conjugate(z.swapaxes(-1, -2), out=inc)
-        inc += z
-        rho_re *= (1.0 - e)[:, None, None]
-        rho += inc
-        tr = np.einsum("tii->t", rho).real
-        trace_dev = float(np.abs(tr - 1.0).max())
-        if trace_dev > max_trace_dev:
-            max_trace_dev, worst_trace_step = trace_dev, step
-        idx = np.flatnonzero(_maybe_below_floor(rho, 0.5 * -CLIP_FLOOR))
-        if idx.size:
-            w, v = np.linalg.eigh(rho[idx])
-            bad = w < CLIP_FLOOR
-            step_mass = np.where(bad, -w, 0.0).sum(axis=1)
-            repair[idx] = np.maximum(repair[idx], step_mass)
-            worst = int(np.argmax(step_mass))
-            if step_mass[worst] > REPAIR_BUDGET:
-                raise InstabilityError(
-                    f"step {step}: trajectory {idx[worst]} needs positivity "
-                    f"repair mass {step_mass[worst]:.3e}, above the per-step "
-                    f"budget REPAIR_BUDGET = {REPAIR_BUDGET}; reduce dt")
-            fix = bad.any(axis=1)
-            repair_counts[step] = np.count_nonzero(fix)
-            if fix.any():
-                w, v = np.where(bad, 0.0, w)[fix], v[fix]
-                fixed = np.einsum("tik,tk,tjk->tij", v, w, v.conj())
-                rho[idx[fix]] = 0.5 * (fixed + _dagger(fixed))
-        tr = np.einsum("tii->t", rho).real
-        rho_re /= tr[:, None, None]
+        dy = rho_re @ record_gain + noise[:, step]
+        coef[:, 1:m + 1] = dy
+        coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
+        kraus = (coef @ basis_re).view(complex).reshape(n_traj, d, d)
+        np.matmul(kraus, rho, out=kraus_rho)
+        np.matmul(kraus_rho, _dagger(kraus), out=y)
+        np.conjugate(y.swapaxes(-1, -2), out=rho)
+        rho += y
+        tr = np.einsum("tii->t", rho).real  # 2 Tr(M rho M^dag)
+        max_trace_dev = max(max_trace_dev, float(np.abs(0.5 * tr - 1.0).max()))
+        rho_re /= tr[:, None]
+        if not np.isfinite(rho_re.sum()):
+            raise InstabilityError(
+                f"step {step}: the conditioned state is not finite; reduce dt")
         if step + 1 in store_set:
             slot += 1
             record(slot)
@@ -310,8 +281,34 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         times=times, tracked_names=names, tracked_values=values,
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
         final_states=rho, max_trace_deviation=max_trace_dev,
-        max_repair_mass=float(repair.max()), repair_counts=repair_counts,
-        worst_trace_step=worst_trace_step)
+        positivity_margin=float(np.linalg.eigvalsh(rho).min()))
+
+
+def lindblad_means(ops, rho0, times, tracked):
+    """Exact ensemble means E Tr[rho(t) X] of simulate_qsme's equation at
+    each of times, as a (len(times), len(tracked)) real array.
+
+    The innovation terms have zero mean, so the mean conditioned state
+    solves the master equation d rho / dt = L*(rho) and equals
+    exp(t L*)(rho0). With row-major vectorization vec(A X B) =
+    (A kron B^T) vec(X), L* is the d^2 x d^2 matrix
+      kron(K, I) + kron(I, conj K) + sum_j kron(L_j, conj L_j),
+    and Tr[rho X] = vec(rho) . vec(X^T). Each time takes one expm. rho0 is
+    Hermitized as simulate_qsme Hermitizes it."""
+    from scipy.linalg import expm  # importing the CLI loads no scipy
+
+    l_ops, k_gen = _generator(ops)
+    d = ops.dim
+    eye = np.eye(d)
+    liouvillian = (np.kron(k_gen, eye) + np.kron(eye, k_gen.conj())
+                   + sum((np.kron(l, l.conj()) for l in l_ops),
+                         np.zeros((d * d, d * d), dtype=complex)))
+    rho0 = np.asarray(rho0, dtype=complex)
+    vec0 = (0.5 * (rho0 + rho0.conj().T)).reshape(d * d)
+    probes = np.array([np.asarray(x, dtype=complex).T for _, x in tracked],
+                      dtype=complex).reshape(len(tracked), d * d)
+    return np.array([(probes @ (expm(t * liouvillian) @ vec0)).real
+                     for t in times]).reshape(len(times), len(tracked))
 
 
 @dataclass(frozen=True)

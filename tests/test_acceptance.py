@@ -245,10 +245,21 @@ def test_criterion_09_measurement_martingale(capsys):
     negative_ok = any(not e.passed for e in neg_stats)
     elapsed = time.perf_counter() - t0
     ok = positive_ok and negative_ok and elapsed < 60.0
+    # the exact drifts of the L and L^2 means, from the master equation
+    ends = [0.0, 1.0]
+    exact = np.diff(smesim.lindblad_means(
+        ops, rho0, ends, tracked[:2]), axis=0)[0]
+    exact_neg = np.diff(smesim.lindblad_means(
+        ops_neg, rho0, ends, [("L", ln), ("L2", ln @ ln)]), axis=0)[0]
+    drifts = "; ".join(
+        f"{label} {e.name} {e.drift:+.3f} (exact {x:+.3f})"
+        for label, entries, xs in (("QND", stats, exact),
+                                   ("control", neg_stats, exact_neg))
+        for e, x in zip(entries, xs))
     _report(capsys, 9, ok,
             f"2000-trajectory conditioned means of L, L^2, and all "
             f"eigenprojections drift within 3x allowance; non-commuting "
-            f"control exceeds it; {elapsed:.1f}s")
+            f"control exceeds it; drift {drifts}; {elapsed:.1f}s")
 
 
 def test_criterion_10_structural_qnd_variables(capsys):

@@ -37,6 +37,17 @@ def test_inf_norm_and_close_to():
     assert not matcore.close_to(np.eye(2), np.zeros((2, 2)))
 
 
+def test_inf_norm_of_arrays_lists_scalars_and_empty_input():
+    x = np.array([[1.0 - 2.0j, 0.5], [-3.0, 2.0j]])
+    assert matcore.inf_norm(x) == float(np.max(np.abs(x))) == 3.0
+    assert matcore.inf_norm(x.tolist()) == 3.0
+    assert matcore.inf_norm(-4.0) == 4.0
+    assert matcore.inf_norm(np.float64(-4.0)) == 4.0
+    assert matcore.inf_norm(np.zeros((0, 3))) == 0.0
+    assert matcore.inf_norm([]) == 0.0
+    assert np.isnan(matcore.inf_norm(np.array([1.0, np.nan])))
+
+
 def test_is_real_is_imag_zero_counts_as_both():
     z = np.zeros((2, 2))
     assert matcore.is_real(z) and matcore.is_imag(z)
