@@ -9,7 +9,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import bae
-from .errors import DimensionError, WellPosednessError
+from .errors import DimensionError, PreconditionError, WellPosednessError
 from .matcore import DEFAULT_TOL, inf_norm, quadrature_image
 from .qsys import QuantumLinearSystem, new_system, quad_realization
 from .xferfn import COND_LIMIT, _tf_points, eval_tf
@@ -229,6 +229,15 @@ class SearchConfig:
     n_starts: int = 32
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("n_starts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < low):
+                raise PreconditionError(
+                    f"SearchConfig {name} must be an integer >= {low}, "
+                    f"got {value!r}")
+
 
 @dataclass(frozen=True)
 class DesignCandidate:
@@ -344,6 +353,75 @@ def _quadratic_jacobian(x, r0, lin, hess):
     return lin + hess @ x
 
 
+def _objective_floor(fixed):
+    """A lower bound, certified against rounding, on the objective j that
+    the kernel computes at any gains on this topology, or 0.0 where no
+    bound applies (S12 != 0, or H below is indefinite or within rounding
+    of singular).
+
+    The bound. With S12 = 0, F = k21^dag X and G = k22^dag X, X = S22 W,
+    so M = k21^dag X k21, Q = k22^dag X k22, and the Omega- shift
+    (M + Q^T - (M + Q^T)^dag) / 2i is
+      Delta = k21^dag H k21 + (k22^dag H k22)^T,   H = (X - X^dag) / 2i.
+    If H >= lam I with lam > 0, both terms are Hermitian positive
+    semidefinite (the transpose of one is its conjugate), so Delta is, and
+    so is P = Re Delta = (Delta + conj Delta) / 2. Every residual holds
+    Re Omega-_red = R + P, R = Re Omega-, whose symmetric part A is
+    Frobenius-orthogonal to R's antisymmetric part, hence
+      J >= ||R + P||_F^2 >= ||A + P||_F^2.
+    By Weyl's monotonicity lam_i(A + P) >= lam_i(A), so the positive
+    eigenvalues of A + P dominate those of A and J >= ||A_+||_F^2 = b^2.
+    If H <= -lam I the same argument on -A gives J >= ||A_-||_F^2.
+
+    The margin. Let u be the unit roundoff, K^2 = ||k21||_F^2 + ||k22||_F^2,
+    s = ||S22||_F ||W||_F, and gamma = 8 (N + m2 + 8) u with N the residual
+    length 2n(n + m1). The kernel's three complex products of inner
+    dimension m2 and its additions give a computed Re Omega-_red within
+    gamma (||Omega-||_F + K^2 s) of the exact R + P on the same float
+    S22, W and gains, and its fl(sum r^2) is at least (1 - gamma) times
+    the exact sum of squares of the computed residual. Computing X, H and
+    H's eigenvalues moves them by at most gamma s in all, so with
+    lam = max(lam_min(H), -lam_max(H)) - 2 gamma s > 0 the exact H is
+    definite of that sign and lam bounds its smallest modulus. A's
+    eigenvalues move by at most gamma ||A||_F (eigvalsh is backward
+    stable), and the positive part is 1-Lipschitz, so
+      beta = (1 - gamma) b_computed - sqrt(n) gamma ||A||_F <= b.
+    Rounding alone cannot cap the error, which grows as K^2, so large gains
+    need the shift's size: tr P = tr Delta >= lam K^2, hence
+    ||A + P||_F >= lam K^2 / sqrt(n) - ||A||_F. Where
+    K^2 <= K* = sqrt(n) (||A||_F + beta) / lam, the computed residual's
+    norm is at least beta - gamma (||Omega-||_F + K* s). Where K^2 > K*,
+    it is at least K^2 (lam / sqrt(n) - gamma s) - ||A||_F
+    - gamma ||Omega-||_F, which grows with K^2 once lam > sqrt(n) gamma s
+    (the code asks for twice that) and equals the same value at K*. So
+    every computed j is at least
+      (1 - gamma) (beta - gamma (||Omega-||_F + s K*))^2
+    when the bracket is positive. gamma is several times the first-order
+    constants, which covers second-order terms and the rounding of this
+    function's own arithmetic. On the identity plant, S_b = +-i I gives
+    H = +-I/2.
+    """
+    omega_minus, _, m1, m2, n, s12, s22, w = fixed
+    if s12.any():
+        return 0.0
+    x = s22 @ w
+    h_eigs = np.linalg.eigvalsh((x - x.conj().T) / 2j)
+    gamma = 4 * (2 * n * (n + m1) + m2 + 8) * np.finfo(float).eps
+    s = np.linalg.norm(s22) * np.linalg.norm(w)
+    lam = max(h_eigs[0], -h_eigs[-1]) - 2 * gamma * s
+    if not lam > 2 * np.sqrt(n) * gamma * s:
+        return 0.0
+    sign = 1.0 if h_eigs[0] > 0 else -1.0
+    a = np.real(omega_minus)
+    a = (a + a.T) / 2
+    a_norm = np.linalg.norm(a)
+    beta = ((1 - gamma) * np.linalg.norm(np.maximum(sign * np.linalg.eigvalsh(a), 0.0))
+            - np.sqrt(n) * gamma * a_norm)
+    k_star = np.sqrt(n) * (a_norm + beta) / lam
+    root = beta - gamma * (np.linalg.norm(omega_minus) + s * k_star)
+    return float((1 - gamma) * root ** 2) if root > 0 else 0.0
+
+
 def _pack(k11, k12, k21, k22):
     return np.concatenate([
         np.concatenate([np.real(k).ravel(), np.imag(k).ravel()])
@@ -358,7 +436,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     Hamiltonian is purely imaginary and whose coupling is real or purely
     imaginary — the structure certified by the bilateral zero-block
     conditions. The swap topology is essential when Re(Omega) is indefinite:
-    with identity plant scattering the loop-induced Hamiltonian shift is a
+    with identity plant scattering and a scalar beamsplitter (every
+    s_b candidate here) the loop-induced Hamiltonian shift is a
     sign-definite Hermitian form and cannot cancel an indefinite target.
 
     Random multi-start followed by local refinement (trust-region least
@@ -378,14 +457,20 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     gives the derivation and the formulas), and the refinement runs on the
     polynomial with its exact Jacobian L + H x. Each refined point's J is
     recomputed with the residual kernel itself, so the candidate threshold
-    and last_best never rest on the tabulation. A topology whose loop is
-    singular is skipped (its random starts are still drawn, so later
-    topologies see the same starts). Candidates with J at most
-    CANDIDATE_THRESHOLD are re-validated through reduce_network and
-    certified with bae.certify_bae (at a tolerance no finer than the
-    achieved residual), and returned sorted by J. An empty list carries no
-    error; design_couplings.last_best holds the best (J, x, s_b, s_plant)
-    found.
+    and last_best never rest on the tabulation. A topology is skipped
+    before any tabulation when its loop is singular, or when
+    _objective_floor proves that no gains on it give a computed J at most
+    CANDIDATE_THRESHOLD: with S12 = 0 the Omega- shift is sign-definite
+    wherever (S22 W - (S22 W)^dag) / 2i is, so J is at least the squared
+    norm of the part of Re Omega- of the opposite sign. A skipped
+    topology's random starts are still drawn, so later topologies see the
+    same starts, and the candidates are those the unpruned search finds.
+    Candidates with J at most CANDIDATE_THRESHOLD are re-validated through
+    reduce_network and certified with bae.certify_bae (at a tolerance no
+    finer than the achieved residual), and returned sorted by J. An empty
+    list carries no error; design_couplings.last_best holds the best
+    (J, x, s_b, s_plant) found on the refined topologies (a skipped one
+    is in no refinement).
     """
     from scipy import optimize  # on first use, so importing feedback does not load it
 
@@ -423,6 +508,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
                 continue  # W ignores the gains: singular for every start
             fixed = (omega_minus, omega_plus, m1, m2, n,
                      topology.s12, topology.s22, w)
+            if _objective_floor(fixed) > CANDIDATE_THRESHOLD:
+                continue  # no refinement here can reach a candidate
             models = {branch: _quadratic_model(fixed, branch)
                       for branch in ("imag", "real")}
             for x0 in starts:

@@ -190,9 +190,10 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
 
     max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
     normalization, not a rounding error. A step that leaves a NaN or an
-    infinite entry raises InstabilityError naming the step; the entries of
-    a trace-one positive state have modulus at most 1, so the check is on
-    the sum of all entries.
+    infinite entry raises InstabilityError naming the step, with numpy's
+    overflow and invalid-value warnings silenced so that the error is the
+    one report; the entries of a trace-one positive state have modulus at
+    most 1, so the check is on the sum of all entries.
     """
     _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
     _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
@@ -258,24 +259,27 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     rho_re = rho.view(float).reshape(n_traj, 2 * d * d)
     slot = 0
     record(slot)
-    for step in range(n_steps):
-        dy = rho_re @ record_gain + noise[:, step]
-        coef[:, 1:m + 1] = dy
-        coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
-        kraus = (coef @ basis_re).view(complex).reshape(n_traj, d, d)
-        np.matmul(kraus, rho, out=kraus_rho)
-        np.matmul(kraus_rho, _dagger(kraus), out=y)
-        np.conjugate(y.swapaxes(-1, -2), out=rho)
-        rho += y
-        tr = np.einsum("tii->t", rho).real  # 2 Tr(M rho M^dag)
-        max_trace_dev = max(max_trace_dev, float(np.abs(0.5 * tr - 1.0).max()))
-        rho_re /= tr[:, None]
-        if not np.isfinite(rho_re.sum()):
-            raise InstabilityError(
-                f"step {step}: the conditioned state is not finite; reduce dt")
-        if step + 1 in store_set:
-            slot += 1
-            record(slot)
+    # a non-finite step raises InstabilityError below; numpy's overflow and
+    # invalid-value warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(n_steps):
+            dy = rho_re @ record_gain + noise[:, step]
+            coef[:, 1:m + 1] = dy
+            coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
+            kraus = (coef @ basis_re).view(complex).reshape(n_traj, d, d)
+            np.matmul(kraus, rho, out=kraus_rho)
+            np.matmul(kraus_rho, _dagger(kraus), out=y)
+            np.conjugate(y.swapaxes(-1, -2), out=rho)
+            rho += y
+            tr = np.einsum("tii->t", rho).real  # 2 Tr(M rho M^dag)
+            max_trace_dev = max(max_trace_dev, float(np.abs(0.5 * tr - 1.0).max()))
+            rho_re /= tr[:, None]
+            if not np.isfinite(rho_re.sum()):
+                raise InstabilityError(
+                    f"step {step}: the conditioned state is not finite; reduce dt")
+            if step + 1 in store_set:
+                slot += 1
+                record(slot)
 
     return SMETrajectoryBatch(
         times=times, tracked_names=names, tracked_values=values,

@@ -6,9 +6,9 @@ import pytest
 from scipy import optimize
 
 from qlinbae import bae, feedback, matcore, qsys, xferfn
-from qlinbae.errors import DimensionError, WellPosednessError
+from qlinbae.errors import DimensionError, PreconditionError, WellPosednessError
 
-from conftest import random_feedback_network, schur_deviation_bound
+from conftest import rand_symmetric, random_feedback_network, schur_deviation_bound
 
 # the two-mode worked interconnection used as a regression anchor: an
 # indefinite-real-part Hamiltonian whose loop shift renders it purely
@@ -298,15 +298,17 @@ def test_quadratic_model_is_the_residual():
 
 
 def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
-    """One tabulation per (topology, branch) and one gate per refinement:
-    the residual kernel's call count does not grow with the optimizer's
-    evaluations, so finite differences cannot return unnoticed."""
+    """One tabulation per refined (topology, branch) and one gate per
+    refinement: the residual kernel's call count does not grow with the
+    optimizer's evaluations, so finite differences cannot return unnoticed.
+    The identity routing with S_b = -i is pruned (its floor on the anchor
+    is ||(Re Omega-)_-||_F^2 = 0.026): no tabulation, no refinement."""
     kernel_calls, evals = [], []
     design_residuals = feedback._design_residuals
     least_squares = optimize.least_squares
 
     def counting_kernel(*args):
-        kernel_calls.append(args[0].shape)
+        kernel_calls.append((args[0].shape, args[6].any()))  # s12 != 0: swap
         return design_residuals(*args)
 
     def counting_solver(*args, **kwargs):
@@ -320,9 +322,91 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
     feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
                               s_b_candidates=("-i",),
                               s_g_candidates=("identity", "swap"))
-    n_tables = 2 * 2  # topologies x branches
+    assert all(swap for _, swap in kernel_calls)  # none on the identity
+    n_tables = 2  # the swap topology x branches
     assert len(evals) == n_tables * cfg.n_starts
     assert len(kernel_calls) == n_tables * (1 + cfg.n_starts)
     assert sum(evals) > len(kernel_calls)
     # the tabulations are batched, the gates single points
-    assert sum(len(s) == 2 for s in kernel_calls) == n_tables
+    assert sum(len(shape) == 2 for shape, _ in kernel_calls) == n_tables
+
+
+def _identity_plant_topologies(rng):
+    """(fixed residual arguments, sign of H) on the identity plant, n = 2,
+    m1 = 1: Re Omega- positive definite, negative definite or indefinite,
+    Omega+ real-part-free or generic, m2 in {1, 2}, S_b = e^{i phi} I with
+    H = cot(phi / 2) / 2 I of either sign or (phi = pi) zero, and for m2 = 2
+    S_b = diag(e^{i phi}, e^{-i phi}), whose H is indefinite."""
+    n, m1 = 2, 1
+    for m2 in (1, 2):
+        phases = [(rng.uniform(0.3, np.pi - 0.3),) * m2,
+                  (rng.uniform(np.pi + 0.3, 2 * np.pi - 0.3),) * m2,
+                  (np.pi,) * m2]
+        if m2 == 2:
+            phi = rng.uniform(0.3, np.pi - 0.3)
+            phases.append((phi, -phi))
+        for kind in ("positive", "negative", "indefinite"):
+            for phase in phases:
+                a = rng.standard_normal((n, n))
+                a = a @ a.T + 0.1 * np.eye(n)
+                small = rng.uniform(0.05, 0.5)
+                real = {"positive": a, "negative": -a,
+                        "indefinite": np.diag(rng.permutation([3.0, -small]))}[kind]
+                im = rng.standard_normal((n, n))
+                om = real + 1j * (im - im.T)
+                op = rand_symmetric(rng, n)
+                if rng.random() < 0.5:
+                    op = 1j * op.imag  # lets the shift cancel Re Omega- alone
+                sb = np.diag(np.exp(1j * np.array(phase)))
+                topology = feedback.make_network(
+                    om, op, np.ones((m1, n)), np.zeros((m1, n)),
+                    np.zeros((m2, n)), np.zeros((m2, n)), sb)
+                cot = 1.0 / np.tan(np.array(phase) / 2)
+                sign = 1 if cot.min() > 1e-9 else -1 if cot.max() < -1e-9 else 0
+                yield ((om, op, m1, m2, n, topology.s12, topology.s22,
+                        feedback._loop_gain(topology)), sign)
+
+
+def test_objective_floor_bounds_every_refined_objective():
+    """On the identity plant the floor is ||(Re Omega-)_+||_F^2 where H > 0,
+    ||(Re Omega-)_-||_F^2 where H < 0 and 0 where H is indefinite or zero,
+    and no refinement, run as the designer runs it, gets a kernel J below
+    it. The floor is attained where the shift can cancel the opposite-sign
+    part, so a bound of the wrong sign fails here."""
+    rng = np.random.default_rng(5)
+    attained = below_wrong_sign = 0
+    for fixed, sign in _identity_plant_topologies(rng):
+        om, _, m1, m2, n = fixed[:5]
+        floor = feedback._objective_floor(fixed)
+        eigs = np.linalg.eigvalsh(np.real(om))
+        parts = {s: float(np.sum(np.maximum(s * eigs, 0.0) ** 2)) for s in (1, -1)}
+        want = parts[sign] if sign else 0.0
+        assert want - 1e-9 * (1 + want) <= floor <= want
+        best = np.inf
+        for branch in ("imag", "real"):
+            model = feedback._quadratic_model(fixed, branch)
+            for _ in range(2):
+                res = optimize.least_squares(
+                    feedback._quadratic_residuals,
+                    rng.standard_normal(4 * n * (m1 + m2)),
+                    jac=feedback._quadratic_jacobian, args=model,
+                    method="trf", max_nfev=feedback.REFINE_MAXITER,
+                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                r = feedback._design_residuals(res.x, *fixed, branch)
+                j = float(np.sum(r ** 2))
+                assert j >= floor, (j, floor, sign)
+                best = min(best, j)
+        attained += sign != 0 and best <= floor + 1e-9 * (1 + floor)
+        below_wrong_sign += sign != 0 and best < parts[-sign]
+    assert attained >= 4 and below_wrong_sign >= 4
+
+
+def test_search_config_rejects_bad_counts():
+    """n_starts = 0 or -3 used to run one start; a bool or a float is no
+    count, and numpy rejects a negative seed."""
+    for field, value in [("n_starts", 0), ("n_starts", -3), ("n_starts", 2.0),
+                         ("n_starts", True), ("seed", True), ("seed", 1.5),
+                         ("seed", "0"), ("seed", -1)]:
+        with pytest.raises(PreconditionError, match=f"SearchConfig {field}"):
+            feedback.SearchConfig(**{field: value})
+    assert feedback.SearchConfig(n_starts=np.int64(3), seed=np.int64(7)).n_starts == 3
