@@ -289,9 +289,9 @@ def cmd_qnd(args):
     rep = qnd.qnd_variable_report(sys_obj, tol=args.tol)
     doc["qnd_variables"] = {
         "q_is_qnd": rep.q_is_qnd, "p_is_qnd": rep.p_is_qnd,
-        "case_matched": rep.case_matched,
-        "structural_rows_vanish": rep.structural_rows_vanish,
-        "witnesses": [{"pair": w.pair_label, "rank": w.rank, "full": w.full}
+        "case_matched": rep.case_matched, "dimension": rep.dimension,
+        "isotropy_residual": rep.isotropy_residual,
+        "witnesses": [{"output": w.output, "rank": w.rank, "full": w.full}
                       for w in rep.witnesses],
     }
     if sys_obj.m_channels == 1:

@@ -1,8 +1,8 @@
 """Structural matrix algebra for doubled-up systems.
 
 Doubled-up matrices, the two J-weighted adjoints, Bogoliubov/symplectic
-predicates, and the unitary transform between annihilation-creation and
-quadrature coordinates.
+predicates, the unitary transform between annihilation-creation and
+quadrature coordinates, and an orthonormal Krylov kernel.
 """
 
 import numpy as np
@@ -136,6 +136,41 @@ def structure_test(x, kind, tol=DEFAULT_TOL):
     if kind == "symplectic":
         return inf_norm(x @ sharp_adjoint(x) - np.eye(2 * k)) <= tol * scale
     raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def krylov_basis(a, b, tol):
+    """Orthonormal basis of span[B, AB, A^2 B, ...], the reachable subspace:
+    block Arnoldi in staircase form (Van Dooren, IEEE TAC 26(1):111-129,
+    1981). Each step projects its block off the basis twice and keeps the
+    left singular vectors above a cut, tol ||B||_F for B and tol ||A||_F
+    for each later block A U; no power of A is formed.
+
+    A change of time unit, (A, B, C) -> (cA, sqrt(c) B, sqrt(c) C), scales
+    the first block and its cut by sqrt(c) and each later block cA U (same
+    U, same projections) and its cut by c, so every decision and the basis
+    stay; so does observability, with (A^H, C^H) for (A, B). An orthogonal
+    change of coordinates keeps every singular value and Frobenius norm.
+    """
+    return staircase(a, b, tol * np.linalg.norm(b), tol * np.linalg.norm(a))
+
+
+def staircase(a, b, first_cut, later_cut):
+    """krylov_basis with its two cuts given outright."""
+    n = a.shape[0]
+    basis = np.empty((n, n), dtype=np.result_type(a, b, float))
+    k, block, cut = 0, b, first_cut
+    while k < n:
+        done = basis[:, :k]
+        for _ in range(2):
+            block = block - done @ (done.conj().T @ block)
+        u, sv, _ = np.linalg.svd(block, full_matrices=False)
+        kept = min(int(np.count_nonzero(sv > cut)), n - k)
+        if kept == 0:
+            break
+        basis[:, k:k + kept] = u[:, :kept]
+        k += kept
+        block, cut = a @ u[:, :kept], later_cut
+    return basis[:, :k]
 
 
 def quadrature_transform(n):

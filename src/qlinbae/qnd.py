@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
-from .matcore import DEFAULT_TOL, close_to, delta, inf_norm
+from .matcore import (DEFAULT_TOL, close_to, delta, inf_norm, krylov_basis,
+                      staircase)
 from .qsys import quad_realization
 
 
@@ -131,15 +132,11 @@ SPECIAL_CASES = ("Cplus_zero", "Cminus_zero", "Omegaplus_zero", "Omegaminus_zero
 
 def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
     """Closed-form annihilation/creation-basis transfer function for the four
-    tractable families, each requiring identity scattering and a coupling
-    that commutes with the Hamiltonian. The result is block diagonal and
-    independent of Omega:
-
-    Cplus_zero:      blockdiag of (sI - A)(sI + A)^{-1} and its entrywise
-                     conjugate, A = C- C-^dag / 2.
-    Cminus_zero:     same with A = -C+ C+^dag / 2.
-    Omegaplus_zero / Omegaminus_zero (additionally require C- C+^T
-                     symmetric): A = (C- C-^dag - C+ C+^dag) / 2.
+    tractable families: identity scattering, a coupling that commutes with
+    the Hamiltonian, the named block zero relative to its pair (C-, C+) or
+    (Omega-, Omega+), so in any time unit, and for the Omega cases C- C+^T
+    symmetric. The result, independent of Omega, is blockdiag of
+    (sI - A)(sI + A)^{-1} and its conjugate, A = (C- C-^dag - C+ C+^dag) / 2.
     """
     if case not in SPECIAL_CASES:
         raise PreconditionError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
@@ -149,22 +146,14 @@ def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
         raise PreconditionError(
             "special_case_tf requires a coupling that commutes with the Hamiltonian"
         )
-    cm, cp = sys.c_minus, sys.c_plus
-    if case == "Cplus_zero":
-        if inf_norm(cp) > tol:
-            raise PreconditionError("case Cplus_zero requires C+ = 0")
-        dyn = 0.5 * cm @ cm.conj().T
-    elif case == "Cminus_zero":
-        if inf_norm(cm) > tol:
-            raise PreconditionError("case Cminus_zero requires C- = 0")
-        dyn = -0.5 * cp @ cp.conj().T
-    else:
-        zeroed = sys.omega_plus if case == "Omegaplus_zero" else sys.omega_minus
-        if inf_norm(zeroed) > tol:
-            raise PreconditionError(f"case {case} requires the named Omega block to vanish")
-        if not coupling_properties(sys, tol)["mutually_commuting"]:
-            raise PreconditionError(f"case {case} requires C- C+^T symmetric")
-        dyn = 0.5 * (cm @ cm.conj().T - cp @ cp.conj().T)
+    cm, cp, om, op = sys.c_minus, sys.c_plus, sys.omega_minus, sys.omega_plus
+    pair = (cm, cp) if case.startswith("C") else (om, op)
+    zeroed = pair[1] if "plus" in case else pair[0]
+    if inf_norm(zeroed) > tol * max(map(inf_norm, pair)):
+        raise PreconditionError(f"case {case} requires the named block to vanish")
+    if case.startswith("Omega") and not coupling_properties(sys, tol)["mutually_commuting"]:
+        raise PreconditionError(f"case {case} requires C- C+^T symmetric")
+    dyn = 0.5 * (cm @ cm.conj().T - cp @ cp.conj().T)
     m = sys.m_channels
     s = complex(s)
     eye = np.eye(m)
@@ -175,19 +164,9 @@ def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
 
 
 def observability_rank(a, c, tol=DEFAULT_TOL):
-    """Numerical rank of the stacked observability matrix [C; CA; ...;
-    CA^{n-1}], via singular values with threshold tol * sigma_max."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
-    n = a.shape[0]
-    rows = [c]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ a)
-    stacked = np.vstack(rows)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    """Dimension of the observable subspace of (A, C), reachable for (A^H, C^H)."""
+    a, c = np.atleast_2d(a, c)
+    return krylov_basis(a.conj().T, c.conj().T, tol).shape[1]
 
 
 def is_observable(a, c, tol=DEFAULT_TOL):
@@ -196,7 +175,7 @@ def is_observable(a, c, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class ObservabilityWitness:
-    pair_label: str
+    output: str  # the output quadrature, "q" or "p"
     rank: int
     full: bool
 
@@ -206,86 +185,67 @@ class QNDVariableReport:
     q_is_qnd: bool
     p_is_qnd: bool
     case_matched: str
-    structural_rows_vanish: bool
+    dimension: int
+    basis: np.ndarray
+    isotropy_residual: float
     witnesses: tuple
 
 
-def _rows_vanish(r, rows, other, tol, scale):
-    """True when the drift of one quadrature's state rows involves neither the
-    other quadrature's states nor the inputs."""
-    res = max(inf_norm(r.a[rows, other]), inf_norm(r.b[rows, :]))
-    return res <= tol * scale
-
-
-def _witness(label, a_sub, c_sub, tol):
-    rank = observability_rank(a_sub, c_sub, tol)
-    return ObservabilityWitness(label, rank, rank == a_sub.shape[0])
+def _case_name(sys, tol):
+    """The structural case, each tried first for p (sign -1), then for q:
+    p/q_coupling: C- = sign C+, Omega- = sign Omega+; imag_omega_p/q:
+    C- = sign C+, Omega purely imaginary, each C block real or imaginary;
+    passive_real: C+ = 0, C- real, Omega- = Omega+ (no QND variable)."""
+    cm, cp, om, op = sys.c_minus, sys.c_plus, sys.omega_minus, sys.omega_plus
+    ncm, ncp = inf_norm(cm), inf_norm(cp)
+    if ncm <= tol and ncp <= tol:
+        return "no_case_matched (zero coupling)"
+    c_cut = tol * max(ncm, ncp, 1.0)
+    o_cut = tol * max(inf_norm(om), inf_norm(op), 1.0)
+    signs = [(quad, sign) for quad, sign in (("p", -1.0), ("q", 1.0))
+             if close_to(cm, sign * cp, tol)]
+    for quad, sign in signs:
+        if close_to(om, sign * op, tol) and ncm > tol:
+            return f"{quad}_coupling"
+    if signs and all(inf_norm(x.real) <= o_cut for x in (om, op)) and all(
+            min(inf_norm(x.real), inf_norm(x.imag)) <= c_cut for x in (cm, cp)):
+        return f"imag_omega_{signs[0][0]}"
+    if ncp <= c_cut and inf_norm(cm.imag) <= c_cut and close_to(om, op, tol):
+        return "passive_real (no QND variable)"
+    return "no_case_matched"
 
 
 def qnd_variable_report(sys, tol=DEFAULT_TOL):
-    """Identify a QND quadrature from the structural coupling/Hamiltonian
-    cases, confirming both that the quadrature's state rows are driven by
-    nothing but itself and that the cited observability test passes.
+    """QND variables of the quadrature realization x' = Ax + Bu, y = Cx + Du.
 
-    Cases handled, in this order, each first for p (sign -1) and then for q
-    (sign +1):
-      p_coupling / q_coupling (C- = sign C+, Omega- = sign Omega+): the
-        quadrature evolves autonomously; it is QND if (Im Omega-, sign Im C-)
-        or (Im Omega-, Re C-) is observable.
-      imag_omega_p / imag_omega_q (Omega purely imaginary, each coupling block
-        real or purely imaginary, C- = sign C+ without the Omega sign pairing):
-        the quadrature is QND if (i(Omega- + sign Omega+), C-) is observable.
-      passive_real (C+ = 0, C- real, Omega- = Omega+): the transfer function
-        is block diagonal but no quadrature decouples — no QND variable.
+    The variables v^T x that no input drives and whose derivatives are again
+    such variables span the orthogonal complement V of the reachable
+    subspace of (A, B) (matcore.krylov_basis), a quantum-mechanics-free
+    subsystem (Tsang & Caves, PRX 2, 031016, 2012), in any frame. Reported:
+    V's dimension and orthonormal basis, ||V^T J V||_2 (0 when the variables
+    commute), and per output quadrature x the observability rank of
+    (V^T A V, C_x V), with the cuts tol ||C||_F and tol ||A||_F of the whole
+    system, as V^T A V can be pure roundoff. q_is_qnd (p_is_qnd): V holds
+    span(q) (span(p)), as the q (p) rows of the reachable basis vanish to
+    tol, and a witness is full. case_matched is only a diagnosis.
     """
-    cm, cp = sys.c_minus, sys.c_plus
-    om, op = sys.omega_minus, sys.omega_plus
-    n = sys.n_modes
-    cscale = max(inf_norm(cm), inf_norm(cp), 1.0)
-    oscale = max(inf_norm(om), inf_norm(op), 1.0)
-    if inf_norm(cm) <= tol and inf_norm(cp) <= tol:
-        return QNDVariableReport(False, False, "no_case_matched (zero coupling)",
-                                 False, ())
     r = quad_realization(sys)
-    scale = max(inf_norm(r.a), inf_norm(r.b), 1.0)
-    omega_imag = (inf_norm(np.real(om)) <= tol * oscale
-                  and inf_norm(np.real(op)) <= tol * oscale)
-    blocks_pure = all(
-        inf_norm(np.real(x)) <= tol * cscale or inf_norm(np.imag(x)) <= tol * cscale
-        for x in (cm, cp)
-    )
-    q_rows, p_rows = slice(0, n), slice(n, 2 * n)
-
-    for case in ("coupling", "imag_omega"):
-        for quad, sign, rows, other in (("p", -1.0, p_rows, q_rows),
-                                        ("q", 1.0, q_rows, p_rows)):
-            if not close_to(cm, sign * cp, tol):
-                continue
-            if case == "coupling":
-                if not (close_to(om, sign * op, tol) and inf_norm(cm) > tol):
-                    continue
-                name = f"{quad}_coupling"
-                im_label = "(-Im C-)" if quad == "p" else "(Im C-)"
-                witnesses = tuple(
-                    _witness(f"(Im Omega-, {lbl})", np.imag(om), c_sub, tol)
-                    for lbl, c_sub in ((im_label, sign * np.imag(cm)),
-                                       ("(Re C-)", np.real(cm))))
-            else:
-                if not (omega_imag and blocks_pure):
-                    continue
-                name = f"imag_omega_{quad}"
-                op_sign = "-" if quad == "p" else "+"
-                witnesses = (_witness(f"(i(Omega- {op_sign} Omega+), C-)",
-                                      np.real(1j * (om + sign * op)), cm, tol),)
-            structural = _rows_vanish(r, rows, other, tol, scale)
-            verdict = structural and any(w.full for w in witnesses)
-            return QNDVariableReport(quad == "q" and verdict,
-                                     quad == "p" and verdict,
-                                     name, structural, witnesses)
-
-    if (inf_norm(cp) <= tol * cscale and inf_norm(np.imag(cm)) <= tol * cscale
-            and close_to(om, op, tol)):
-        return QNDVariableReport(False, False, "passive_real (no QND variable)",
-                                 False, ())
-
-    return QNDVariableReport(False, False, "no_case_matched", False, ())
+    n, m = sys.n_modes, sys.m_channels
+    a_cut = tol * np.linalg.norm(r.a)
+    reach = staircase(r.a, r.b, tol * np.linalg.norm(r.b), a_cut)
+    dim = 2 * n - reach.shape[1]
+    v = np.linalg.qr(reach, mode="complete")[0][:, -dim:] if dim else reach[:, :0]
+    witnesses, isotropy = (), 0.0
+    if dim:
+        vq, vp = v[:n], v[n:]
+        isotropy = float(np.linalg.norm(vq.T @ vp - vp.T @ vq, 2))  # V^T J V
+        a_v, c_cut = v.T @ r.a @ v, tol * np.linalg.norm(r.c)
+        for x, rows in (("q", slice(0, m)), ("p", slice(m, 2 * m))):
+            k = staircase(a_v.T, (r.c[rows] @ v).T, c_cut, a_cut).shape[1]
+            witnesses += (ObservabilityWitness(x, k, k == dim),)
+    full = any(w.full for w in witnesses)
+    return QNDVariableReport(
+        q_is_qnd=bool(full and np.linalg.norm(reach[:n]) <= tol),
+        p_is_qnd=bool(full and np.linalg.norm(reach[n:]) <= tol),
+        case_matched=_case_name(sys, tol), dimension=dim, basis=v,
+        isotropy_residual=isotropy, witnesses=witnesses)

@@ -394,6 +394,22 @@ def test_qnd_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["qnd_interaction"] is False  # the interferometer's L and H do not commute
     assert "qnd_variables" in out and "siso" not in out
+    assert out["qnd_variables"]["dimension"] == 0
+    assert out["qnd_variables"]["witnesses"] == []
+
+
+def test_qnd_command_reports_the_qnd_subspace(tmp_path, capsys):
+    # C- = -C+ and Omega- = -Omega+: p evolves on its own and is seen
+    c = [[1.0 + 0.5j]]
+    sys_obj = qsys.new_system(np.eye(1), c, [[-1.0 - 0.5j]], [[0.3]], [[-0.3]])
+    path = _write(tmp_path, cli.emit_spec(sys_obj))
+    assert cli.main(["qnd", path]) == 0
+    rep = json.loads(capsys.readouterr().out)["qnd_variables"]
+    assert rep["p_is_qnd"] is True and rep["q_is_qnd"] is False
+    assert rep["case_matched"] == "p_coupling"
+    assert rep["dimension"] == 1 and rep["isotropy_residual"] == 0.0
+    assert [w["output"] for w in rep["witnesses"]] == ["q", "p"]
+    assert all(w["rank"] == 1 and w["full"] for w in rep["witnesses"])
 
 
 def _anchor_network_doc():

@@ -1,0 +1,95 @@
+"""Metamorphic relations for the QND report and observability: physics
+fixes transformations that must not change a verdict.
+
+  - a uniform mode phase rotation, C- -> e^{i theta} C-,
+    C+ -> e^{-i theta} C+, Omega+ -> e^{-2i theta} Omega+, which leaves
+    G(s) unchanged and rotates every (q, p) pair of the state;
+  - a real orthogonal mode change, C+- -> C+- Q^T, Omega+- -> Q Omega+- Q^T,
+    which leaves G(s) unchanged;
+  - a change of time unit, C+- -> sqrt(c) C+-, Omega+- -> c Omega+-, under
+    which G_c(c s) = G(s).
+
+Each keeps the dimension of the QND subspace, the rank of each output
+quadrature's witness and the observability of (A, C). Which of q and p is
+a QND variable is a statement about the frame, so the phase rotation may
+change q_is_qnd and p_is_qnd; it must not change what the report counts.
+"""
+
+import numpy as np
+import pytest
+
+from qlinbae import qnd, qsys, xferfn
+
+from conftest import autonomous_quadrature_system, imag_omega_coupled_system
+
+
+def _phase(theta):
+    def apply(sys_obj, rng):
+        w = np.exp(1j * theta)
+        return qsys.new_system(sys_obj.s, w * sys_obj.c_minus,
+                               sys_obj.c_plus / w, sys_obj.omega_minus,
+                               sys_obj.omega_plus / w ** 2), 1.0
+    return apply
+
+
+def _mode_change(sys_obj, rng):
+    q = np.linalg.qr(rng.standard_normal((sys_obj.n_modes,) * 2))[0]
+    return qsys.new_system(sys_obj.s, sys_obj.c_minus @ q.T,
+                           sys_obj.c_plus @ q.T,
+                           q @ sys_obj.omega_minus @ q.T,
+                           q @ sys_obj.omega_plus @ q.T), 1.0
+
+
+def _time_unit(c):
+    def apply(sys_obj, rng):
+        return qsys.new_system(sys_obj.s, np.sqrt(c) * sys_obj.c_minus,
+                               np.sqrt(c) * sys_obj.c_plus,
+                               c * sys_obj.omega_minus,
+                               c * sys_obj.omega_plus), c
+    return apply
+
+
+TRANSFORMS = {
+    "phase_0.3": _phase(0.3),
+    "phase_pi/4": _phase(np.pi / 4),
+    "mode_change": _mode_change,
+    "time_unit_1e-3": _time_unit(1e-3),
+    "time_unit_1e3": _time_unit(1e3),
+}
+
+SYSTEMS = {
+    "autonomous_p": lambda rng, n: autonomous_quadrature_system(
+        rng, n=n, m=2, which="p"),
+    "autonomous_q": lambda rng, n: autonomous_quadrature_system(
+        rng, n=n, m=2, which="q"),
+    "imag_omega_p": lambda rng, n: imag_omega_coupled_system(
+        rng, n=n, m=2, which="p", c_style="real"),
+    "imag_omega_q": lambda rng, n: imag_omega_coupled_system(
+        rng, n=n, m=2, which="q", c_style="imag"),
+}
+
+
+def _counts(sys_obj):
+    rep = qnd.qnd_variable_report(sys_obj)
+    r = qsys.quad_realization(sys_obj)
+    return (rep.dimension, [(w.output, w.rank, w.full) for w in rep.witnesses],
+            qnd.is_observable(r.a, r.c))
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("family", sorted(SYSTEMS))
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_qnd_report_counts_are_invariant(n, family, transform):
+    rng = np.random.default_rng([n, sorted(SYSTEMS).index(family),
+                                 sorted(TRANSFORMS).index(transform)])
+    s = 0.7 + 0.4j
+    for _ in range(3):
+        sys_obj = SYSTEMS[family](rng, n)
+        moved, c = TRANSFORMS[transform](sys_obj, rng)
+        g = xferfn.eval_tf(qsys.quad_realization(sys_obj), s)
+        g_moved = xferfn.eval_tf(qsys.quad_realization(moved), c * s)
+        assert np.allclose(g_moved, g, rtol=1e-9, atol=1e-9)
+        ref = _counts(sys_obj)
+        if n <= 2:
+            assert ref[0] == n
+        assert _counts(moved) == ref

@@ -154,3 +154,38 @@ def test_quadrature_transform_realifies_doubled_up(seed, k, r):
     image = vk @ matcore.delta(u, v) @ vr.conj().T
     assert matcore.inf_norm(np.imag(image)) < 1e-12
     assert np.allclose(image, matcore.quadrature_image(u, v))
+
+
+# ----------------------------------------------------------- Krylov kernel
+
+def test_krylov_basis_spans_the_reachable_subspace():
+    # a chain x0 -> x1 -> x2 driven at x0: three reachable directions,
+    # and x3, which nothing drives
+    a = np.diag([1.0, 1.0, 0.0], -1)
+    b = np.array([[1.0], [0.0], [0.0], [0.0]])
+    basis = matcore.krylov_basis(a, b, 1e-9)
+    assert basis.shape == (4, 3)
+    assert np.allclose(basis.conj().T @ basis, np.eye(3))
+    assert np.allclose(basis[3], 0.0)
+    assert matcore.krylov_basis(a, np.zeros((4, 1)), 1e-9).shape == (4, 0)
+    assert matcore.krylov_basis(np.zeros((4, 4)), b, 1e-9).shape == (4, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=12),
+       c=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
+def test_krylov_basis_invariant_under_time_rescaling(seed, n, c):
+    """(A, B) -> (cA, sqrt(c) B) keeps every rank decision, so the span."""
+    rng = _rng(seed)
+    k = int(rng.integers(1, n + 1))
+    w = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    # A block triangular in the basis w: span(w[:, :k]) is invariant, and
+    # B lies inside it, so the reachable subspace has dimension k
+    t = rng.standard_normal((n, n))
+    t[k:, :k] = 0.0
+    a = w @ t @ w.T
+    b = w[:, :k] @ rng.standard_normal((k, 2))
+    ref = matcore.krylov_basis(a, b, 1e-9)
+    scaled = matcore.krylov_basis(c * a, np.sqrt(c) * b, 1e-9)
+    assert ref.shape == scaled.shape == (n, k)
+    assert np.allclose(ref @ ref.T, scaled @ scaled.T, atol=1e-8)

@@ -3,6 +3,7 @@ families, and observability-based QND-variable reports."""
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from qlinbae import matcore, qnd, qsys, xferfn
 from qlinbae.errors import PreconditionError
@@ -169,6 +170,29 @@ def test_special_case_matches_full_evaluation(case):
         assert matcore.inf_norm(g_closed - g_full) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("case", ["Cplus_zero", "Omegaplus_zero"])
+def test_special_case_preconditions_do_not_depend_on_the_time_unit(case):
+    """A block at 1e-12 of its pair counts as zero in every time unit:
+    with C+ = 1e-12 C- (or Omega+ at 1e-12 of Omega-), the system in units
+    c = 1e8 (C+- -> sqrt(c) C+-, Omega+- -> c Omega+-) is accepted as at
+    c = 1, and its transfer function at c s is the one at s."""
+    rng = np.random.default_rng(21)
+    cm = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+    cp = (1e-12 if case == "Cplus_zero" else 0.5j) * cm
+    k = null_space(np.vstack([cm, cp.conj()]))
+    om = k @ np.array([[1.3]]) @ k.conj().T
+    op = k @ np.array([[0.7 - 0.2j]]) @ k.T
+    if case == "Omegaplus_zero":
+        op = 1e-12 * op
+    s = 0.8 + 0.3j
+    ref = qnd.special_case_tf(qsys.new_system(np.eye(1), cm, cp, om, op), case, s)
+    c = 1e8
+    scaled = qsys.new_system(np.eye(1), np.sqrt(c) * cm, np.sqrt(c) * cp,
+                             c * om, c * op)
+    assert np.allclose(qnd.special_case_tf(scaled, case, c * s), ref,
+                       rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("case", ["Cplus_zero", "Cminus_zero"])
 def test_one_sided_coupling_identities(case):
     """With one coupling block absent, the commuting condition collapses
@@ -206,11 +230,11 @@ def test_p_coupling_report_observable():
     sys_obj = autonomous_quadrature_system(rng, n=1, m=1, which="p")
     rep = qnd.qnd_variable_report(sys_obj)
     assert rep.case_matched == "p_coupling"
-    assert rep.structural_rows_vanish
+    assert rep.dimension == 1 and abs(rep.basis[1, 0]) == pytest.approx(1.0)
+    assert rep.isotropy_residual == pytest.approx(0.0, abs=1e-12)
     assert rep.p_is_qnd and not rep.q_is_qnd
     assert any(w.full for w in rep.witnesses)
-    assert [w.pair_label for w in rep.witnesses] == [
-        "(Im Omega-, (-Im C-))", "(Im Omega-, (Re C-))"]
+    assert [w.output for w in rep.witnesses] == ["q", "p"]
 
 
 def test_q_coupling_report_observable():
@@ -219,8 +243,7 @@ def test_q_coupling_report_observable():
     rep = qnd.qnd_variable_report(sys_obj)
     assert rep.case_matched == "q_coupling"
     assert rep.q_is_qnd and not rep.p_is_qnd
-    assert [w.pair_label for w in rep.witnesses] == [
-        "(Im Omega-, (Im C-))", "(Im Omega-, (Re C-))"]
+    assert [w.output for w in rep.witnesses] == ["q", "p"]
 
 
 def test_p_coupling_report_unobservable():
@@ -229,11 +252,11 @@ def test_p_coupling_report_unobservable():
     sys_obj = autonomous_quadrature_system(rng, n=2, m=1, which="p")
     rep = qnd.qnd_variable_report(sys_obj)
     assert rep.case_matched == "p_coupling"
-    assert rep.structural_rows_vanish
+    assert rep.dimension == 2
+    assert np.linalg.norm(rep.basis[:2]) <= 1e-12  # V = span(p)
     assert not rep.p_is_qnd
     assert all(w.rank < 2 and not w.full for w in rep.witnesses)
-    assert [w.pair_label for w in rep.witnesses] == [
-        "(Im Omega-, (-Im C-))", "(Im Omega-, (Re C-))"]
+    assert [w.output for w in rep.witnesses] == ["q", "p"]
 
 
 @pytest.mark.parametrize("which,c_style", [
@@ -241,17 +264,20 @@ def test_p_coupling_report_unobservable():
 ])
 def test_imag_omega_variants(which, c_style):
     """Purely imaginary Hamiltonian blocks with a single coupled quadrature:
-    the verdict must track the observability of (i(Omega- -+ Omega+), C-)."""
+    the verdict must track the observability of (i(Omega- -+ Omega+), C-),
+    seen through the one output quadrature that C- reaches."""
     rng = np.random.default_rng(9)
+    seen = "p" if (which == "p") == (c_style == "real") else "q"
     for _ in range(10):
         sys_obj = imag_omega_coupled_system(rng, n=2, m=2, which=which,
                                             c_style=c_style)
         rep = qnd.qnd_variable_report(sys_obj)
         assert rep.case_matched == f"imag_omega_{which}"
-        assert rep.structural_rows_vanish
-        (witness,) = rep.witnesses
-        sign_label = "-" if which == "p" else "+"
-        assert witness.pair_label == f"(i(Omega- {sign_label} Omega+), C-)"
+        assert rep.dimension == 2
+        witnesses = {w.output: w for w in rep.witnesses}
+        assert sorted(witnesses) == ["p", "q"]
+        witness = witnesses[seen]
+        assert witnesses["q" if seen == "p" else "p"].rank == 0
         flagged = rep.p_is_qnd if which == "p" else rep.q_is_qnd
         assert flagged == witness.full
         om, op = sys_obj.omega_minus, sys_obj.omega_plus
@@ -288,3 +314,8 @@ def test_zero_coupling_matches_no_case():
     rep = qnd.qnd_variable_report(sys_obj)
     assert "no_case_matched" in rep.case_matched
     assert not rep.q_is_qnd and not rep.p_is_qnd
+    # nothing is driven, so every quadrature is a QND variable, but q and p
+    # do not commute and no output sees them
+    assert rep.dimension == 2
+    assert rep.isotropy_residual == pytest.approx(1.0)
+    assert [w.rank for w in rep.witnesses] == [0, 0]
