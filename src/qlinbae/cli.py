@@ -279,11 +279,11 @@ def cmd_bae(args):
 
 def cmd_qnd(args):
     sys_obj, _ = load_spec(args.spec, args.tol)
-    coeffs = qnd.commutator_coeffs(sys_obj)
+    interaction, coeffs = qnd._qnd_interaction(sys_obj, args.tol)
     doc = {
         "tolerance": args.tol,
         "commutator_residual": float(coeffs.max_norm()),
-        "qnd_interaction": qnd.is_qnd_interaction(sys_obj, tol=args.tol),
+        "qnd_interaction": interaction,
         "coupling": qnd.coupling_properties(sys_obj, tol=args.tol),
     }
     rep = qnd.qnd_variable_report(sys_obj, tol=args.tol)

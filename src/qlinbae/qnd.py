@@ -58,6 +58,12 @@ def is_qnd_interaction(sys, tol=DEFAULT_TOL):
     doubled-up identity that the coupling-times-Hamiltonian matrix collapses
     to twice its annihilation-only part — and the two verdicts must agree.
     """
+    return _qnd_interaction(sys, tol)[0]
+
+
+def _qnd_interaction(sys, tol):
+    """is_qnd_interaction's verdict and the commutator coefficients it was
+    read from, for callers that report the coefficients as well."""
     coeffs = commutator_coeffs(sys)
     scale = _interaction_scale(sys)
     direct = coeffs.max_norm() <= tol * scale
@@ -71,7 +77,7 @@ def is_qnd_interaction(sys, tol=DEFAULT_TOL):
             f"coeff norm {coeffs.max_norm():.3e}, collapsed norm "
             f"{inf_norm(collapsed):.3e}, tol*scale {tol * scale:.3e}"
         )
-    return direct
+    return direct, coeffs
 
 
 def coupling_properties(sys, tol=DEFAULT_TOL):

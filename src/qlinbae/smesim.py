@@ -144,6 +144,14 @@ def _is_count(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
+def _real_form(x):
+    """R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), the real
+    2d x 2d form of a complex d x d matrix X:
+    x @ X == (x.view(float) @ R(X)).view(complex) for a complex row x."""
+    return (np.kron(x.real, np.eye(2))
+            + np.kron(x.imag, np.array([[0.0, 1.0], [-1.0, 0.0]])))
+
+
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     """Kraus-map integration (Rouchon & Ralph 2015, PRA 91, 012118) of the
     diffusive conditioned-state equation
@@ -152,10 +160,9 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     with innovations dnu_j ~ Normal(0, dt), independent per channel, and
     L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
     K = -iH - 1/2 sum_j L_j^dag L_j. dt must be finite and > 0, T finite
-    and >= 0, n_traj and store_every integers >= 1. rho0 is Hermitized
-    once. Trajectories use independent counter-based RNG streams derived
-    from (seed, trajectory index), so results are reproducible and
-    order-independent.
+    and >= 0, n_traj and store_every integers >= 1. Trajectories use
+    independent counter-based RNG streams derived from (seed, trajectory
+    index), so results are reproducible and order-independent.
 
     Each step reads the record dy_j = Tr[rho (L_j + L_j^dag)] dt + dnu_j
     and maps rho <- M rho M^dag / Tr(M rho M^dag) with
@@ -167,33 +174,52 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     adds it; dividing by the trace, 1 + sum_j Tr[rho (L_j + L_j^dag)] dy_j
     to first order, turns the increments dy_j into the innovations dnu_j.
 
-    Positivity holds by construction: x^dag M rho M^dag x =
-    (M^dag x)^dag rho (M^dag x) >= 0 for every x, and the trace is
-    positive. Nothing is clipped or repaired; rounding alone moves
-    eigenvalues, by about d eps ||M||^2 per step, and positivity_margin
-    reports the smallest eigenvalue of the final states.
+    The map is linear in rho, so it acts on a factor. rho0 is Hermitized
+    and factored once: with eigh(rho0) = U diag(w) U^dag and only the
+    positive w kept (the precondition rejects any w below -1e-8), the
+    r x d matrix phi = (U sqrt(w))^T, r = rank rho0, gives
+    rho = phi^T conj(phi). Then M rho M^dag = (phi M^T)^T conj(phi M^T),
+    so each step is phi <- phi M^T, and Tr(M rho M^dag) = ||phi M^T||_F^2.
+    Positivity holds by construction: every phi^T conj(phi) is a Gram
+    matrix. Nothing is clipped or repaired; positivity_margin, the
+    smallest eigenvalue of the final states, carries only the rounding of
+    the one product, sum and division that form them, whatever the step
+    count.
 
-    Every stored state is exactly Hermitian: with Y = (M rho) M^dag the
-    step stores (Y + Y^dag) / (2 Re Tr Y), whose entry (b, a),
-    fl(y_ba + conj(y_ab)), is the exact conjugate of entry (a, b), and
-    division by a real keeps the pairs. So Tr[rho (L_j + L_j^dag)] is the
-    real inner product of two Hermitian matrices' float views, one real
-    GEMM for all trajectories. A second real GEMM builds every M: the
-    coefficients (1, dy_j, c_jk) times the float view of the basis
-    [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k], since a real
-    coefficient scales both parts of an entry alike; the double sum is
-    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
-    c_jk = dy_j dy_k.
+    The step runs in real arithmetic on the float view of phi, where a
+    complex row x times X is x.view(float) @ R(X) with
+    R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]). R is real
+    linear, so R(M^T) is the coefficients (1, dy_j, c_jk) times the real
+    forms of the transposed basis [I + K dt, L_j,
+    1/2 (L_j L_k + L_k L_j) for j <= k], one real GEMM for all
+    trajectories; the double sum is symmetric in (j, k), so
+    c_jj = (dy_j^2 - dt) / 2 and, for j < k, c_jk = dy_j dy_k. With
+    rho = phi^T conj(phi) / t, t = ||phi||_F^2, the record
+    Tr[rho dt (L_j + L_j^dag)] is the real dot product of each row of phi
+    with that row times R(dt (L_j + L_j^dag)^T), one more real GEMM,
+    divided by t, and phi <- phi M^T is one batched real product, after
+    which Tr(M rho M^dag) is the new t over the old. Rather than a pass
+    that divides phi, M carries the power of two s with s^2 t in [1/2, 2),
+    which keeps phi near unit norm: scaling by a power of two rounds
+    nothing, so phi^T conj(phi) and t scale together exactly and no
+    stored value moves, and a step with M = I leaves every one of them
+    bit-identical.
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
-    stored grid (every store_every steps, endpoints included).
+    stored grid (every store_every steps, endpoints included). Only there
+    is Y = phi^T conj(phi) formed: Re Tr(rho X) is the real dot product of
+    the float views of Y and X^dag, divided by t. The final states are
+    (Y + Y^dag) / (2t), whose entry (b, a), fl(y_ba + conj(y_ab)) over a
+    real, is the exact conjugate of entry (a, b), so every final state is
+    exactly Hermitian.
 
     max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
-    normalization, not a rounding error. A step that leaves a NaN or an
-    infinite entry raises InstabilityError naming the step, with numpy's
+    normalization, not a rounding error. A step whose new t is not finite
+    and positive raises InstabilityError naming the step, with numpy's
     overflow and invalid-value warnings silenced so that the error is the
-    one report; the entries of a trace-one positive state have modulus at
-    most 1, so the check is on the sum of all entries.
+    one report: a finite positive t bounds every entry of phi and of
+    phi^T conj(phi), so the check is on t alone, and phi can stay finite
+    where the state it stands for overflows.
     """
     _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
     _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
@@ -206,8 +232,11 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     tr0 = np.trace(rho0).real
     if abs(tr0 - 1.0) > tol:
         raise PreconditionError(f"rho0 trace {tr0} is not 1")
-    if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -tol:
+    w, u = np.linalg.eigh(0.5 * (rho0 + rho0.conj().T))
+    if w.min() < -tol:
         raise PreconditionError("rho0 is not positive semidefinite")
+    keep = w > 0
+    r = int(keep.sum())
 
     l_ops, k_gen = _generator(ops)
     gen_scale = np.abs(ops.h).max() + sum(np.abs(l).max() ** 2 for l in l_ops)
@@ -227,6 +256,9 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     names = tuple(name for name, _ in tracked)
     obs = [np.asarray(x, dtype=complex) for _, x in tracked]
     norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
+    # Re Tr(rho X) is the float view of rho dotted with that of X^dag
+    probes = np.array([x.conj().T for x in obs], dtype=complex)
+    probes = probes.view(float).reshape(len(obs), 2 * d * d).T
 
     store_idx = list(range(0, n_steps + 1, store_every))
     if store_idx[-1] != n_steps:
@@ -235,52 +267,64 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     times = np.array([i * dt for i in store_idx])
     values = np.empty((n_traj, len(store_idx), len(obs)))
 
-    rho = np.broadcast_to(0.5 * (rho0 + _dagger(rho0)), (n_traj, d, d)).copy()
+    phi = np.broadcast_to((u[:, keep] * np.sqrt(w[keep])).T,
+                          (n_traj, r, d)).copy()
+    spare = np.empty_like(phi)
+    t = np.einsum("trc,trc->t", phi.view(float), phi.view(float))
+    y = np.empty((n_traj, d, d), dtype=complex)
+    y_re = y.view(float).reshape(n_traj, 2 * d * d)
     max_trace_dev = 0.0
 
     def record(slot):
-        for k, x in enumerate(obs):
-            values[:, slot, k] = np.einsum("tij,ji->t", rho, x).real
+        np.conjugate(phi, out=spare)
+        np.matmul(phi.swapaxes(-1, -2), spare, out=y)
+        values[:, slot] = y_re @ probes / t[:, None]
 
     jj, kk = np.triu_indices(m)
-    basis = np.array(
-        [np.eye(d) + dt * k_gen, *l_ops,
-         *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
-           for j, k in zip(jj, kk))], dtype=complex)
-    basis_re = basis.view(float).reshape(len(basis), 2 * d * d)
-    record_gain = dt * np.array([l + l.conj().T for l in l_ops],
-                                dtype=complex).reshape(m, d, d)
-    record_gain = record_gain.view(float).reshape(m, 2 * d * d).T
+    basis = [np.eye(d) + dt * k_gen, *l_ops,
+             *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
+               for j, k in zip(jj, kk))]
+    basis_re = np.array([_real_form(b.T) for b in basis]).reshape(
+        len(basis), 4 * d * d)
+    record_gain = np.array([_real_form(dt * (l + l.conj().T).T) for l in l_ops])
+    record_gain = record_gain.reshape(m, 2 * d, 2 * d).swapaxes(0, 1).reshape(
+        2 * d, 2 * m * d)  # [R_1 | ... | R_m]
     pair_scale = np.where(jj == kk, 0.5, 1.0)
     pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
     coef = np.ones((n_traj, len(basis)))
-    kraus_rho = np.empty_like(rho)
-    y = np.empty_like(rho)
-    rho_re = rho.view(float).reshape(n_traj, 2 * d * d)
+    kraus_re = np.empty((n_traj, 2 * d, 2 * d))
     slot = 0
     record(slot)
     # a non-finite step raises InstabilityError below; numpy's overflow and
     # invalid-value warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(n_steps):
-            dy = rho_re @ record_gain + noise[:, step]
+            phi_re = phi.view(float)
+            gained = phi_re.reshape(n_traj * r, 2 * d) @ record_gain
+            dy = np.einsum("trjc,trc->tj", gained.reshape(n_traj, r, m, 2 * d),
+                           phi_re) / t[:, None]
+            dy += noise[:, step]
             coef[:, 1:m + 1] = dy
             coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
-            kraus = (coef @ basis_re).view(complex).reshape(n_traj, d, d)
-            np.matmul(kraus, rho, out=kraus_rho)
-            np.matmul(kraus_rho, _dagger(kraus), out=y)
-            np.conjugate(y.swapaxes(-1, -2), out=rho)
-            rho += y
-            tr = np.einsum("tii->t", rho).real  # 2 Tr(M rho M^dag)
-            max_trace_dev = max(max_trace_dev, float(np.abs(0.5 * tr - 1.0).max()))
-            rho_re /= tr[:, None]
-            if not np.isfinite(rho_re.sum()):
+            s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
+            np.matmul(coef * s[:, None], basis_re,
+                      out=kraus_re.reshape(n_traj, 4 * d * d))
+            np.matmul(phi_re, kraus_re, out=spare.view(float))
+            phi, spare = spare, phi
+            new_t = np.einsum("trc,trc->t", phi.view(float), phi.view(float))
+            trace = new_t / (s * s * t)  # Tr(M rho M^dag)
+            t = new_t
+            if not (t.min() > 0.0 and np.isfinite(trace).all()):
                 raise InstabilityError(
                     f"step {step}: the conditioned state is not finite; reduce dt")
+            max_trace_dev = max(max_trace_dev, float(np.abs(trace - 1.0).max()))
             if step + 1 in store_set:
                 slot += 1
                 record(slot)
 
+    # the last step is a stored one, so y is the final phi^T conj(phi)
+    rho = y + _dagger(y)
+    rho /= (2.0 * t)[:, None, None]
     return SMETrajectoryBatch(
         times=times, tracked_names=names, tracked_values=values,
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
@@ -298,7 +342,10 @@ def lindblad_means(ops, rho0, times, tracked):
     (A kron B^T) vec(X), L* is the d^2 x d^2 matrix
       kron(K, I) + kron(I, conj K) + sum_j kron(L_j, conj L_j),
     and Tr[rho X] = vec(rho) . vec(X^T). Each time takes one expm. rho0 is
-    Hermitized as simulate_qsme Hermitizes it."""
+    Hermitized as simulate_qsme Hermitizes it. simulate_qsme's factor
+    also drops rho0's negative eigenvalues, at most 1e-8 in modulus by its
+    precondition, and divides by the trace that remains; this reference
+    keeps rho0 as given."""
     from scipy.linalg import expm  # importing the CLI loads no scipy
 
     l_ops, k_gen = _generator(ops)
@@ -329,9 +376,14 @@ def martingale_stats(batch):
     """Ensemble mean and standard error of each tracked quantity on the
     stored grid; the drift (mean at the final time minus mean at time 0) is
     compared against 3 x (standard error + dt-proportional bias allowance).
+    The standard error needs n_traj >= 2 trajectories.
     """
     out = []
     n_traj = batch.tracked_values.shape[0]
+    if n_traj < 2:
+        raise PreconditionError(
+            f"martingale_stats needs n_traj >= 2 for a standard error, "
+            f"got n_traj = {n_traj}")
     for k, name in enumerate(batch.tracked_names):
         vals = batch.tracked_values[:, :, k]
         means = vals.mean(axis=0)

@@ -243,6 +243,115 @@ def test_steps_match_per_product_reference():
     assert np.abs(no_cross - finals).max() > 100 * atol
 
 
+def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
+    """A first-order bound on |simulate_qsme - _kraus_reference| after
+    n_steps steps from a rank-r rho0, for simulate_qsme's one real product
+    per step.
+
+    Both sides build M with entries bounded by
+      s = 1 + dt ||K|| + sum_j |dy_j| ||L_j||
+            + 1/2 sum_jk (|dy_j dy_k| + dt) ||L_j|| ||L_k||
+    (max |dy| over all steps), and a trace t >= t_min divides each.
+    The reference sums nb_ref = 1 + m + m^2 terms into M and rounds the
+    two products of M rho M^dag, inner dimension d each, so with
+    ||rho||_2 <= 1 a step adds (nb_ref + 2d + 1) eps s^2 / t_min, the 1
+    for the division, doubled by the change in the trace (Higham, gamma_n).
+    simulate_qsme sums nb = 1 + m + m(m + 1) / 2 real terms into R(M^T)
+    and rounds one real product phi R(M^T) of inner dimension 2d; an
+    error in phi enters rho = phi^T conj(phi) / t twice, so a step adds
+    2 (nb + 2d + 1) eps s^2 / t_min, the 1 for dividing the record by t.
+    The power-of-two scale of M rounds nothing. Forming rho once at the
+    end adds (2r + 2rd + 2) eps / t_min: each entry of phi^T conj(phi)
+    sums 2r real products, t sums 2rd squares, and the Hermitian average
+    and the division round once each. To first order the errors of the
+    n_steps steps add."""
+    d, ls = ops.dim, ops.l_ops
+    m = len(ls)
+    norm = lambda x: np.linalg.norm(x, 2)
+    k_gen = -1j * ops.h - 0.5 * sum(l.conj().T @ l for l in ls)
+    lsum = sum(norm(l) for l in ls)
+    s = (1.0 + dt * norm(k_gen) + max_dy * lsum
+         + 0.5 * (max_dy ** 2 + dt) * lsum ** 2)
+    nb_ref, nb = 1 + m + m * m, 1 + m + m * (m + 1) // 2
+    per_step = 2 * (nb_ref + 2 * d + 1) + 2 * (nb + 2 * d + 1)
+    eps = np.finfo(float).eps
+    return (n_steps * per_step * eps * s ** 2
+            + (2 * r + 2 * r * d + 2) * eps) / t_min
+
+
+def _orthonormal_columns(rng, d, k):
+    z = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.7, 0.3)],
+                         ids=["pure", "rank_2"])
+def test_low_rank_factor_matches_per_product_reference(weights):
+    """rho0 of rank 1 and 2 in a random basis, so that the factor phi has
+    one or two rows: twenty two-channel steps agree with _kraus_reference
+    within _one_product_atol."""
+    ops = smesim.build_truncated_operators(_two_channel_mode(), fock_dim=6)
+    d = ops.dim
+    v = _orthonormal_columns(np.random.default_rng(len(weights)), d,
+                             len(weights))
+    rho0 = (v * np.array(weights)) @ v.conj().T
+    assert np.linalg.matrix_rank(rho0, tol=1e-12) == len(weights)
+    dt, n_steps, n_traj, seed = 1e-3, 20, 6, 5
+    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                 n_traj=n_traj, seed=seed, tracked=[])
+    finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
+    t_min = 1.0 - batch.max_trace_deviation
+    assert t_min > 0.5
+    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, len(weights))
+    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+
+
+def test_factor_drops_a_slightly_negative_eigenvalue():
+    """An eigenvalue of -1e-9 is within the precondition's 1e-8; the
+    factor keeps only the positive eigenvalues, so with T = 0 the final
+    state is rho0 without that eigenvector, renormalized, and positive."""
+    d = 4
+    v = _orthonormal_columns(np.random.default_rng(3), d, d)
+    w = np.array([0.6 + 1e-9, 0.4, -1e-9, 0.0])
+    rho0 = (v * w) @ v.conj().T
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=d)
+    batch = smesim.simulate_qsme(ops, rho0, dt=1e-3, T=0.0, n_traj=2,
+                                 seed=0, tracked=[("I", np.eye(d))])
+    dropped = v[:, 2]
+    assert (dropped.conj() @ rho0 @ dropped).real == pytest.approx(-1e-9)
+    expected = (rho0 + 1e-9 * np.outer(dropped, dropped.conj())) / (1 + 1e-9)
+    assert np.allclose(batch.final_states, expected, rtol=0.0, atol=1e-15)
+    assert batch.positivity_margin > -1e-15
+    assert np.allclose(batch.tracked_values, 1.0, rtol=0.0, atol=1e-15)
+    # and the run itself goes through
+    smesim.simulate_qsme(ops, rho0, dt=1e-3, T=0.05, n_traj=2, seed=0,
+                         tracked=[])
+
+
+@pytest.mark.parametrize("n_steps", [10, 2000])
+def test_positivity_margin_is_independent_of_the_step_count(n_steps):
+    """The final states are (Y + Y^dag) / (2t) with Y = phi^T conj(phi)
+    and t = ||phi||_F^2: a Gram matrix over its trace, positive
+    semidefinite for whatever phi the steps left, so rounding enters only
+    where they are formed. Each entry of Y is a complex inner product of
+    length r, off by at most sqrt(2) gamma_{r+2} (|phi|^T |phi|)_ab
+    (Higham), and || |phi|^T |phi| ||_F <= t; the sum and the division add
+    a relative u each, and eigvalsh is backward stable with an error of
+    about d u ||rho||_2 <= d u. So the smallest computed eigenvalue is at
+    least -(2 (r + 2) + 2 + d) u, and the test allows twice that, with
+    eps = 2u, after 10 steps and after 2000 alike. (Rounding each step's
+    M rho M^dag instead leaves about -4e-13 after 2000 steps here.)"""
+    d = 8
+    ops = smesim.build_truncated_operators(_measured_mode(coupling=2.0),
+                                           fock_dim=d)
+    batch = smesim.simulate_qsme(ops, _half_ground_mixture(d), dt=1e-3,
+                                 T=n_steps * 1e-3, n_traj=50, seed=0,
+                                 tracked=[])
+    r = d  # the mixture has full rank
+    bound = (2 * (r + 2) + 2 + d) * np.finfo(float).eps
+    assert batch.positivity_margin >= -bound, batch.positivity_margin
+
+
 # A family-wise bound for comparing ensemble means with the exact Lindblad
 # means (see test_ensemble_means_match_the_lindblad_reference).
 FAMILY_Z = 4.5
@@ -449,3 +558,14 @@ def test_martingale_stats_small_ensemble():
     assert entry.name == "L"
     assert entry.passed, (entry.drift, entry.allowance)
     assert entry.means.shape == batch.times.shape
+
+
+def test_martingale_stats_needs_two_trajectories():
+    """One trajectory has no standard error: the stats raise up front
+    instead of warning and returning a NaN allowance."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
+    batch = smesim.simulate_qsme(ops, _ground_state_mixture(4), dt=1e-3,
+                                 T=0.01, n_traj=1, seed=0,
+                                 tracked=[("L", ops.l_ops[0])])
+    with pytest.raises(PreconditionError, match=r"n_traj >= 2"):
+        smesim.martingale_stats(batch)
