@@ -34,8 +34,8 @@ def main():
     print("prediction consistent with certification:", report.consistency)
     for name in ("qq", "qp", "pq", "pp"):
         cert = getattr(report.pattern, name)
-        print(f"  block {name}: zero={cert.zero} "
-              f"max_markov={cert.max_markov:.3e} max_freq={cert.max_freq:.3e}")
+        print(f"  block {name}: zero={cert.zero} node_max={cert.node_max:.3e} "
+              f"threshold={cert.threshold:.3e} scale={cert.scale:.3e}")
 
     if args.sweep_csv:
         r = qsys.quad_realization(sys_obj)

@@ -26,7 +26,7 @@ from .matcore import DEFAULT_TOL, close_to
 from .qsys import ac_realization, new_system, quad_realization
 from .xferfn import block_pattern, eval_tf, frequency_sweep
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------- encoding
@@ -269,8 +269,8 @@ def cmd_bae(args):
             for m in report.matched_conditions],
         "consistent": report.consistency,
         "block_certificates": {
-            name: {"zero": cert.zero, "max_markov": cert.max_markov,
-                   "max_freq": cert.max_freq}
+            name: {"zero": cert.zero, "node_max": cert.node_max,
+                   "threshold": cert.threshold, "scale": cert.scale}
             for name, cert in (("qq", report.pattern.qq), ("qp", report.pattern.qp),
                                ("pq", report.pattern.pq), ("pp", report.pattern.pp))},
     }, args.out)

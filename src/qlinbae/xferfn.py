@@ -1,45 +1,41 @@
-"""Transfer-function evaluation and exact zero-block certification.
+"""Transfer-function evaluation and zero-block certification.
 
-G[s] = D + C (sI - A)^{-1} B. For a rational transfer function, a block is
-identically zero iff its feedthrough sub-block and all Markov parameters up
-to the Cayley-Hamilton horizon vanish; a log-spaced frequency sweep along
-the imaginary axis serves as an independent witness.
+G(s) = D + C (sI - A)^{-1} B, with N states.
 
-Every resolvent solve is guarded: s is a singular point (a resonance) when
-the 2-norm condition number cond2(sI - A), computed from an SVD, is not
-finite or exceeds COND_LIMIT. A grid of more than one point takes one
-complex Schur form A = Z T Z^H (Z unitary, T upper triangular), which
-serves both the guard and the solve (the triangular variant of Laub,
-IEEE TAC 26(2):407-408, 1981; Golub & Van Loan, sec. 7.6). A complex A
-gets it from LAPACK zgees. A real A, such as every quadrature A, gets the
-real Schur form (dgees, about 3 times cheaper at N = 64), and one
-block-diagonal unitary rotation triangularizes its 2 x 2 blocks (see
-`_schur_form`).
+Zero blocks. G_xy(s) - D_xy = C_x adj(sI - A) B_y / det(sI - A), and the
+numerator has degree at most N - 1, so det(sI - A) G_xy(s) is a polynomial
+of degree at most N. A block G_xy therefore vanishes identically iff it
+vanishes at N + 1 distinct points that are not poles; the extra point
+covers D_xy. No power of A and no horizon enters. `block_pattern` takes
+the nodes
 
-The guard. The eigendecomposition T V_T = V_T Lambda of the triangular
-factor gives eigenvectors V = Z V_T of A, and with the residual
-R = A V - V Lambda, measured against A itself, kappa = cond2(V) and
-rho = ||R||_F / smin(V),
+    s_k = sigma (1 + e^{i phi_k}),  phi_k = pi ((k + 1/2) / (N + 1) - 1/2),
+    k = 0..N,  sigma = max(||A||_F, ||B||_F ||C||_F),
 
-    sI - A = V (sI - Lambda) V^{-1} - R V^{-1},
+on the circle of radius sigma about sigma. Since |phi_k| < pi / 2,
+|s_k| = 2 sigma cos(phi_k / 2) lies in (sqrt(2) sigma, 2 sigma], and
+||A||_2 <= ||A||_F <= sigma, so
 
-so smax(sI - A) <= kappa * max|s - lambda| + rho (triangle inequality) and
-smin(sI - A) >= min|s - lambda| / kappa - rho (Bauer-Fike for the first
-term, Weyl for the residual), hence
+    smin(s_k I - A) >= |s_k| - ||A||_2 > (sqrt(2) - 1) sigma
 
-    cond2(sI - A) <= (kappa * max|s - lambda| + rho)
-                     / (min|s - lambda| / kappa - rho)
+for every A, normal or not: no node is a pole and none needs a guard.
+phi_{N-k} = -phi_k, so s_{N-k} = conj(s_k), and a real realization (every
+quadrature one) has G(conj s) = conj G(s): the nodes k = 0..floor(N/2)
+decide the others. sigma = 0 means A = 0 and B C = 0, so G = D. Under a
+change of time unit (A -> c A, B -> sqrt(c) B, C -> sqrt(c) C), sigma ->
+c sigma and s_k -> c s_k, where G_c(c s) = G(s): the nodes of the new
+system see the same values, so the verdict is invariant by construction.
 
-wherever the denominator is positive. Nothing here assumes that Z, T or
-V_T is exact: their errors, the Schur backward error and the rounding of
-the real-to-complex rotation included, land in R.
-A point whose bound is at most COND_LIMIT / 2 is certified without an
-SVD; every other point gets its own SVD (see `_resolvent_points`), so the
-verdict at every point is that of an SVD.
+The solve. One complex Schur form A = Z T Z^H (Z unitary, T upper
+triangular) serves a whole grid of points (the triangular variant of
+Laub, IEEE TAC 26(2):407-408, 1981; Golub & Van Loan, sec. 7.6): at every
+point, (sI - T) Y = Z^H B is solved by one back-substitution vectorized
+over the points, and G = D + (C Z) Y. A complex A gets its Schur form from
+LAPACK zgees. A real A, such as every quadrature A, gets the real Schur
+form (dgees, about 3 times cheaper at N = 64), and one block-diagonal
+unitary rotation triangularizes its 2 x 2 blocks (see `_schur_form`).
 
-The solve. At the certified points, (sI - T) Y = Z^H B is solved by one
-back-substitution vectorized over the points, and G = D + (C Z) Y. The
-Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
+The Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
 eps ||A||_F and Z unitary to working precision. For a real A this holds
 for the rotated form as well: the rotation G is unitary to working
 precision, so its rounding and that of the products with it join E and
@@ -61,12 +57,54 @@ D one more rounding of G, so
     ||G - G_exact||_2 <= delta(s) = c N eps (beta(s) ||C||_2 ||X||_2
                                              + ||G||_2).
 
-LU with partial pivoting (np.linalg.solve) obeys a bound of the same form,
-so the Schur value and the per-point value differ by at most 2 delta(s).
+At a node, |s_k| + ||A||_F <= 3 sigma and the bound on smin give
+
+    beta(s_k) <= 3 / (sqrt(2) - 1) ~ 7.2,
+    ||C||_2 ||X||_2 <= ||C||_2 ||B||_2 / ((sqrt(2) - 1) sigma)
+                    <= 1 / (sqrt(2) - 1),
+
+since ||B||_2 ||C||_2 <= ||B||_F ||C||_F <= sigma, hence
+
+    delta(s_k) <= c N eps (3 / (sqrt(2) - 1)^2 + ||G(s_k)||_2)
+               ~  c N eps (17.5 + ||G(s_k)||_2),
+
+a fixed multiple of N eps max(1, ||G(s_k)||_2) whatever A, B and C are.
+With ||G||_2 <= 2m max|G_ij| for 2m outputs, a zero block measures at most
+about c N eps (17.5 + 2m) times max(1, max|G_ij|) over the nodes: at
+N = 64, m = 2 and c = 2 that is 6e-13 of it, far below the default
+tolerance 1e-9 that `block_pattern` applies to the same scale.
+
+The guard. The imaginary axis, where `frequency_sweep` and `eval_tf`
+evaluate, can hold poles. Every solve there is guarded: s is a singular
+point (a resonance) when the 2-norm condition number cond2(sI - A),
+computed from an SVD, is not finite or exceeds COND_LIMIT. A grid of more
+than one point takes the Schur form above, which serves both the guard
+and the solve. The eigendecomposition T V_T = V_T Lambda of the triangular
+factor gives eigenvectors V = Z V_T of A, and with the residual
+R = A V - V Lambda, measured against A itself, kappa = cond2(V) and
+rho = ||R||_F / smin(V),
+
+    sI - A = V (sI - Lambda) V^{-1} - R V^{-1},
+
+so smax(sI - A) <= kappa * max|s - lambda| + rho (triangle inequality) and
+smin(sI - A) >= min|s - lambda| / kappa - rho (Bauer-Fike for the first
+term, Weyl for the residual), hence
+
+    cond2(sI - A) <= (kappa * max|s - lambda| + rho)
+                     / (min|s - lambda| / kappa - rho)
+
+wherever the denominator is positive. Nothing here assumes that Z, T or
+V_T is exact: their errors, the Schur backward error and the rounding of
+the real-to-complex rotation included, land in R.
+A point whose bound is at most COND_LIMIT / 2 is certified without an
+SVD and solved in T; every other point gets its own SVD (see
+`_resolvent_points`), so the verdict at every point is that of an SVD.
 At a certified point the guard gives smin(sI - A) >= min|s - lambda| /
 kappa - rho > 0, so beta(s) is finite there and bounded by the guard's
-own numbers. Points the guard does not certify, and the one point of
-`eval_tf` and `sigma_tf`, keep np.linalg.solve.
+own numbers. LU with partial pivoting (np.linalg.solve) obeys a bound of
+the same form as delta(s), so the Schur value and the per-point value
+differ by at most 2 delta(s). Points the guard does not certify, and the
+one point of `eval_tf` and `sigma_tf`, keep np.linalg.solve.
 """
 
 from dataclasses import dataclass
@@ -74,11 +112,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularityError
-from .matcore import DEFAULT_TOL, delta, flat_adjoint, inf_norm, j_diag
-from .qsys import ac_realization
+from .matcore import DEFAULT_TOL, delta, flat_adjoint, j_diag
 
 COND_LIMIT = 1e12
-DEFAULT_FREQS = np.logspace(-3.0, 3.0, 32)
 
 
 def _cond_bound(a, t, z, points):
@@ -243,7 +279,11 @@ def eval_tf(r, s):
 
 
 def markov_params(r, k):
-    """Markov parameter sequence [D, CB, CAB, ..., C A^{k-1} B]."""
+    """Markov parameter sequence [D, CB, CAB, ..., C A^{k-1} B].
+
+    The paper's Markov identity, kept as such: no verdict here uses it,
+    since the powers of A outgrow any fixed threshold (and overflow) as
+    N and the scale of A grow; `block_pattern` needs none of them."""
     if k < 1:
         raise PreconditionError("markov_params requires K >= 1")
     a = np.asarray(r.a, dtype=complex)
@@ -259,11 +299,14 @@ def markov_params(r, k):
 
 @dataclass(frozen=True)
 class BlockCert:
-    """Certification data for one m x m sub-block of a 2m x 2m transfer function."""
+    """Certification data for one m x m sub-block of a 2m x 2m transfer
+    function: the block's largest |entry| over the nodes, and the threshold
+    tol * scale it was held against."""
 
     zero: bool
-    max_markov: float
-    max_freq: float
+    node_max: float
+    threshold: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -288,46 +331,49 @@ _BLOCK_SLICES = {
 }
 
 
-def _block_maxima(mats, m):
-    """Largest |entry| of each m x m quadrature block over a list of 2m x 2m
-    matrices (0.0 for an empty list)."""
-    peak = np.abs(np.array(mats, dtype=complex)).reshape(len(mats), 2, m, 2, m)
-    peak = peak.max(axis=(0, 2, 4), initial=0.0)
-    return {name: float(peak[i, j]) for name, (i, j) in _BLOCK_SLICES.items()}
+def _nodes(r):
+    """The N + 1 nodes s_k = sigma (1 + e^{i phi_k}), k = 0..N, of the
+    module docstring, with sigma = max(||A||_F, ||B||_F ||C||_F); all zero
+    when sigma is."""
+    sigma = max(np.linalg.norm(r.a), np.linalg.norm(r.b) * np.linalg.norm(r.c))
+    k = np.arange(r.a.shape[0] + 1)
+    return sigma * (1 + np.exp(1j * np.pi * ((k + 0.5) / len(k) - 0.5)))
 
 
-def block_pattern(r, tol=DEFAULT_TOL, freqs=None):
+def block_pattern(r, tol=DEFAULT_TOL):
     """Certify which quadrature blocks of G[s] vanish identically.
 
-    A block is Zero iff all its Markov parameters up to order 2*(2n)-1
-    (plus the feedthrough) and its response at the sampled frequencies
-    s = i*omega stay below tol * scale, where scale is the largest
-    max-entry norm among A, B, C, D and 1.
+    G is evaluated at the N + 1 nodes of `_nodes`, where cond2(s_k I - A)
+    <= 3 / (sqrt(2) - 1) whatever A is, so no guard is needed. A block is
+    Zero iff its largest |entry| over the nodes is at most tol * scale,
+    scale = max(1, largest |entry| of G over the nodes): the forward error
+    at a node is a fixed multiple of N eps times that scale (derived in the
+    module docstring), and a block that vanishes at all N + 1 nodes
+    vanishes identically.
+
+    A real realization is solved at k = 0..floor(N/2) only, since its
+    values at s_{N-k} = conj(s_k) are the conjugates; one Schur form and
+    one back-substitution serve all of them. sigma = 0 means G = D.
     """
     if r.form != "quadrature":
         raise PreconditionError("block_pattern requires a quadrature-form realization")
+    a, b, c, d = (np.asarray(x) for x in (r.a, r.b, r.c, r.d))
     m = r.m_channels
-    n2 = r.a.shape[0]
-    scale = max(inf_norm(r.a), inf_norm(r.b), inf_norm(r.c), inf_norm(r.d), 1.0)
-    horizon = 2 * n2  # Cayley-Hamilton: A^k for k >= 2n is a combination of lower powers
-
-    max_markov = _block_maxima(markov_params(r, horizon), m)
-    if freqs is None:
-        freqs = DEFAULT_FREQS
-    # a singular point is a marginally stable pole on the axis; Markov data
-    # still decides there
-    g, singular = _tf_points(r, [1j * w for w in freqs])
-    max_freq = _block_maxima(np.delete(g, list(singular), axis=0), m)
-
-    certs = {
-        name: BlockCert(
-            zero=(max_markov[name] <= tol * scale and max_freq[name] <= tol * scale),
-            max_markov=max_markov[name],
-            max_freq=max_freq[name],
-        )
-        for name in _BLOCK_SLICES
-    }
-    return BlockPattern(**certs)
+    nodes = _nodes(r)
+    if not any(np.iscomplexobj(x) for x in (a, b, c, d)):
+        nodes = nodes[:(len(nodes) + 1) // 2]
+    if nodes.any():
+        g = d + _schur_solve(*_schur_form(a), nodes, b, c)
+    else:
+        g = d[None]
+    peak = np.abs(g).reshape(len(g), 2, m, 2, m).max(axis=(0, 2, 4))
+    scale = max(1.0, float(peak.max()))
+    threshold = tol * scale
+    return BlockPattern(**{
+        name: BlockCert(zero=bool(peak[i, j] <= threshold),
+                        node_max=float(peak[i, j]), threshold=threshold,
+                        scale=scale)
+        for name, (i, j) in _BLOCK_SLICES.items()})
 
 
 def sigma_tf(sys, s):

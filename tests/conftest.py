@@ -203,6 +203,15 @@ def random_feedback_network(rng, n=2, m1=1, m2=2):
             return net
 
 
+def node_error_bound(r):
+    """The bound of the xferfn module docstring on a node value's forward
+    error, over the scale max(1, max |G_ij|) of block_pattern, with the
+    constant c set to 2: 2 N eps (3 / (sqrt(2) - 1)^2 + 2m) for N states
+    and 2m outputs."""
+    return 2 * r.a.shape[0] * np.finfo(float).eps * (
+        3 / (np.sqrt(2) - 1) ** 2 + r.d.shape[0])
+
+
 def schur_deviation_bound(r, s):
     """2 delta(s), the bound of the xferfn module docstring on how far its
     Schur-form value of G(s) lies from the per-point np.linalg.solve one,

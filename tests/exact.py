@@ -1,4 +1,4 @@
-"""Exact-arithmetic ground truth for the rank verdicts.
+"""Exact-arithmetic ground truth for the rank and zero-block verdicts.
 
 Take Gaussian-integer S, C-, C+, Omega-, Omega+ with S a signed
 permutation or i times one. Then 2A, B and C of the quadrature realization
@@ -8,13 +8,23 @@ fraction is the 1/2 of -(1/2) C^flat C. So the Krylov matrix
 [B, (2A) B, ..., (2A)^{N-1} B] and the observability matrix
 [C; C (2A); ...; C (2A)^{N-1}] (N = 2n) are integer matrices, and their
 ranks are decided with no tolerance by Bareiss's fraction-free elimination
-(Math. Comp. 22(103):565-578, 1968) on Python ints.
+(Math. Comp. 22(103):565-578, 1968) on Python ints. D, the quadrature
+image of S, is an integer matrix too, so whether a quadrature block G_xy
+vanishes identically (D_xy = 0 and every Markov parameter
+C_x A^k B_y = C_x (2A)^k B_y / 2^k is zero, k < N by Cayley-Hamilton) is
+decided in Python ints as well.
 
 A real orthogonal mode change (C+- -> C+- Q^T, Omega+- -> Q Omega+- Q^T)
 is the orthogonal similarity blockdiag(Q, Q) of the quadrature
 realization, so the exact ranks of the integer system are also the truth
 for the rotated float system, whose structural zeros are no longer exact
 floating-point zeros.
+
+A uniform mode phase rotation by w = (3 + 4i) / 5 (C- -> w C-,
+C+ -> C+ / w, Omega+ -> Omega+ / w^2) leaves G(s) unchanged, so the integer
+system's zero blocks are also the truth for the rotated float system; w is
+a Gaussian rational of modulus 1, but its float value (0.6, 0.8) is
+inexact in binary, so no structural zero survives as an exact 0.0.
 
 Everything here is test-side and independent of qlinbae's realization:
 the blocks are multiplied out in int64 from the closed forms.
@@ -118,6 +128,38 @@ def integer_realization(s, cm, cp, om, op):
     return _image(u, v), b, _image(cm, cp)
 
 
+def integer_feedthrough(s):
+    """D of the quadrature realization, the image of (S, 0), as int64."""
+    return _image(s, (np.zeros_like(s[0]), np.zeros_like(s[1])))
+
+
+BLOCKS = {"qq": (0, 0), "qp": (0, 1), "pq": (1, 0), "pp": (1, 1)}
+
+
+def _block(x, name, m):
+    i, j = BLOCKS[name]
+    return x[i * m:(i + 1) * m, j * m:(j + 1) * m]
+
+
+def zero_blocks(blocks):
+    """The quadrature blocks of G that vanish identically, for
+    Gaussian-integer blocks (S, C-, C+, Omega-, Omega+): block xy is zero
+    iff D_xy = 0 and C_x (2A)^k B_y = 0 for k < N, in Python ints. Stops
+    as soon as every block has a nonzero term."""
+    a2, b, c = integer_realization(*blocks)
+    d = integer_feedthrough(blocks[0])
+    m = d.shape[0] // 2
+    zero = {name for name in BLOCKS if not _block(d, name, m).any()}
+    a2, x, c = _object(a2), _object(b), _object(c)
+    for _ in range(a2.shape[0]):
+        if not zero:
+            break
+        markov = c @ x
+        zero = {name for name in zero if not any(_block(markov, name, m).flat)}
+        x = a2 @ x
+    return zero
+
+
 def _gauss(rng, shape, kind="complex", span=3):
     re = rng.integers(-span, span + 1, shape)
     im = rng.integers(-span, span + 1, shape)
@@ -168,14 +210,16 @@ def integer_system(rng, family, n, m):
     raise ValueError(f"unknown family {family!r}")
 
 
-def float_system(blocks, q=None):
+def float_system(blocks, q=None, w=1.0, c=1.0):
     """The float system of integer blocks, after the real orthogonal mode
-    change q (none if q is None)."""
+    change q (none if q is None), the mode phase rotation w and the change
+    of time unit c (C+- -> sqrt(c) C+-, Omega+- -> c Omega+-)."""
     s, cm, cp, om, op = (x[0] + 1j * x[1] for x in blocks)
     if q is not None:
         cm, cp = cm @ q.T, cp @ q.T
         om, op = q @ om @ q.T, q @ op @ q.T
-    return qsys.new_system(s, cm, cp, om, op)
+    cm, cp, op = w * cm, cp / w, op / w ** 2
+    return qsys.new_system(s, np.sqrt(c) * cm, np.sqrt(c) * cp, c * om, c * op)
 
 
 def orthogonal(rng, n):

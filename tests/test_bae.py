@@ -10,7 +10,7 @@ import pytest
 from qlinbae import bae, matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError
 
-from conftest import FAMILY_KWARGS
+from conftest import FAMILY_KWARGS, node_error_bound
 
 CATALOG_BY_ID = {c.condition_id: c for c in bae.CONDITION_CATALOG}
 
@@ -116,16 +116,24 @@ def test_block_predicates_match_the_doubled_up_ones():
 def test_structural_zeros_are_exact(n):
     """On every cataloged family without a phase rotation, the closed-form
     quadrature realization keeps the predicted blocks exactly zero, so every
-    Markov parameter of them is 0.0 and certification is consistent at any
+    Markov parameter of them is 0.0; their node maxima stay within the
+    derived forward-error bound, and certification is consistent at any
     size."""
     rng = np.random.default_rng(n)
     for condition_id, kwargs in sorted(FAMILY_KWARGS.items()):
-        report = bae.certify_bae(qsys.random_system(rng, n, 2, **kwargs))
+        sys_obj = qsys.random_system(rng, n, 2, **kwargs)
+        report = bae.certify_bae(sys_obj)
         assert report.consistency, condition_id
+        r = qsys.quad_realization(sys_obj)
+        params = np.array(xferfn.markov_params(r, 2 * r.a.shape[0]))
         predicted = CATALOG_BY_ID[condition_id].predicted_pairs
         for name, pair in bae._PAIR_FOR_BLOCK.items():
             if pair in predicted:
-                assert getattr(report.pattern, name).max_markov == 0.0, (
+                i, j = xferfn._BLOCK_SLICES[name]
+                assert not params[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].any(), (
+                    condition_id, name)
+                cert = getattr(report.pattern, name)
+                assert cert.node_max <= node_error_bound(r) * cert.scale, (
                     condition_id, name)
 
 

@@ -383,9 +383,17 @@ def test_bae_reports_certified_pair(tmp_path, capsys):
     path = _write(tmp_path, _michelson_doc())
     assert cli.main(["bae", path]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert out["schema_version"] == cli.SCHEMA_VERSION == 2
     assert ["q_out", "p_in"] in out["certified_pairs"]
     assert any("q_coupling_imag_C" == m["id"]
                for m in out["matched_conditions"])
+    certs = out["block_certificates"]
+    assert sorted(certs) == ["pp", "pq", "qp", "qq"]
+    for cert in certs.values():
+        assert sorted(cert) == ["node_max", "scale", "threshold", "zero"]
+        assert cert["threshold"] == 1e-9 * cert["scale"]
+        assert cert["zero"] == (cert["node_max"] <= cert["threshold"])
+    assert certs["qp"]["zero"] and not certs["pq"]["zero"]
 
 
 def test_qnd_command(tmp_path, capsys):

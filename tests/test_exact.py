@@ -1,15 +1,19 @@
-"""Float rank verdicts against exact integer arithmetic (tests/exact.py):
-the QND subspace's dimension and observability, after a real orthogonal
-mode change that leaves no exact floating-point zero."""
+"""Float verdicts against exact integer arithmetic (tests/exact.py): the
+QND subspace's dimension and observability, after a real orthogonal mode
+change that leaves no exact floating-point zero, and certify_bae's zero
+blocks, after a mode phase rotation and a change of time unit that leave
+none either."""
 
 import numpy as np
 import pytest
 
-from qlinbae import qnd, qsys
+from qlinbae import bae, qnd, qsys
 
 import exact
 
 SIZES = (2, 4, 8, 12, 16)
+ZERO_BLOCK_SIZES = (2, 4, 8, 16, 32)
+PHASE = (3 + 4j) / 5
 
 
 def test_bareiss_rank_small_cases():
@@ -58,3 +62,36 @@ def test_antisymmetric_pairs_match_exact_observability(n):
         q = exact.orthogonal(rng, n)
         assert qnd.is_observable(a, c) == truth
         assert qnd.is_observable(q @ a @ q.T, c @ q.T) == truth
+
+
+def test_exact_zero_blocks_small_cases():
+    """A decoupled mode (C = 0) leaves G = D; coupling through q alone
+    (C- = C+ = i, Omega- = 1, Omega+ = 0) leaves exactly the q_out <- p_in
+    block zero."""
+    one, zero = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    s = (one, zero)
+    assert exact.zero_blocks((s, (zero, zero), (zero, zero), (one, zero),
+                              (zero, zero))) == {"qp", "pq"}
+    c = (zero, one)
+    assert exact.zero_blocks((s, c, c, (one, zero), (zero, zero))) == {"qp"}
+
+
+@pytest.mark.parametrize("n", ZERO_BLOCK_SIZES)
+def test_zero_blocks_match_exact_markov_parameters(n):
+    """certify_bae's zero blocks are the integer system's, under the phase
+    w = (3 + 4i) / 5 and the time units 1, 1e3 and 1e-3, on every family."""
+    rng = np.random.default_rng(3000 + n)
+    zero = nonzero = 0
+    for family in exact.FAMILIES:
+        for _ in range(6):
+            blocks = exact.integer_system(rng, family, n, 2)
+            truth = exact.zero_blocks(blocks)
+            r = qsys.quad_realization(exact.float_system(blocks))
+            assert np.array_equal(r.d, exact.integer_feedthrough(blocks[0]))
+            for c in (1.0, 1e3, 1e-3):
+                moved = exact.float_system(blocks, w=PHASE, c=c)
+                got = bae.certify_bae(moved).pattern.zero_blocks()
+                assert got == truth, (family, c)
+            zero += len(truth)
+            nonzero += 4 - len(truth)
+    assert zero >= 6 and nonzero >= 36

@@ -240,6 +240,22 @@ def test_designer_refines_every_start_at_large_scale(monkeypatch):
     assert cands[0].objective <= feedback.CANDIDATE_THRESHOLD
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_designer_certifies_the_bilateral_pairs_at_any_scale(scale):
+    """Every candidate of the anchor search, at the anchor target and at
+    1e6 times it, renders the reduced Hamiltonian purely imaginary through
+    the swap routing, and its certificate holds both bilateral
+    off-diagonal zeros, q_out <- q_in and p_out <- p_in, consistently."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands = feedback.design_couplings(scale * OM_MINUS, scale * OM_PLUS, (1, 1),
+                                      search_cfg=cfg, s_b_candidates=("-i",),
+                                      s_g_candidates=("swap",))
+    assert len(cands) == 4
+    for cand in cands:
+        assert {bae.QQ, bae.PP} <= cand.report.certified_pairs
+        assert cand.report.consistency
+
+
 def _topologies():
     """((net index, plant tag), fixed residual arguments) for the anchor and
     20 random two-plus-two-channel networks, each at its own target and at

@@ -1,5 +1,5 @@
-"""Metamorphic relations for the QND report and observability: physics
-fixes transformations that must not change a verdict.
+"""Metamorphic relations for the QND report, observability and the BAE
+zero blocks: physics fixes transformations that must not change a verdict.
 
   - a uniform mode phase rotation, C- -> e^{i theta} C-,
     C+ -> e^{-i theta} C+, Omega+ -> e^{-2i theta} Omega+, which leaves
@@ -7,20 +7,27 @@ fixes transformations that must not change a verdict.
   - a real orthogonal mode change, C+- -> C+- Q^T, Omega+- -> Q Omega+- Q^T,
     which leaves G(s) unchanged;
   - a change of time unit, C+- -> sqrt(c) C+-, Omega+- -> c Omega+-, under
-    which G_c(c s) = G(s).
+    which G_c(c s) = G(s);
+  - a real orthogonal channel rotation, S -> O S O^T, C+- -> O C+-, which
+    leaves A alone and maps each quadrature block G_xy to O G_xy O^T.
 
 Each keeps the dimension of the QND subspace, the rank of each output
 quadrature's witness and the observability of (A, C). Which of q and p is
 a QND variable is a statement about the frame, so the phase rotation may
 change q_is_qnd and p_is_qnd; it must not change what the report counts.
+Each also keeps the quadrature blocks of G that vanish identically, so
+certify_bae's zero blocks and certified pairs. The catalog's predicates
+are statements about the frame as well, so its matched conditions and
+consistency may change under a phase rotation; they are not compared.
 """
 
 import numpy as np
 import pytest
 
-from qlinbae import qnd, qsys, xferfn
+from qlinbae import bae, qnd, qsys, xferfn
 
-from conftest import autonomous_quadrature_system, imag_omega_coupled_system
+from conftest import (FAMILY_KWARGS, autonomous_quadrature_system,
+                      imag_omega_coupled_system)
 
 
 def _phase(theta):
@@ -28,7 +35,7 @@ def _phase(theta):
         w = np.exp(1j * theta)
         return qsys.new_system(sys_obj.s, w * sys_obj.c_minus,
                                sys_obj.c_plus / w, sys_obj.omega_minus,
-                               sys_obj.omega_plus / w ** 2), 1.0
+                               sys_obj.omega_plus / w ** 2), 1.0, None
     return apply
 
 
@@ -37,24 +44,39 @@ def _mode_change(sys_obj, rng):
     return qsys.new_system(sys_obj.s, sys_obj.c_minus @ q.T,
                            sys_obj.c_plus @ q.T,
                            q @ sys_obj.omega_minus @ q.T,
-                           q @ sys_obj.omega_plus @ q.T), 1.0
+                           q @ sys_obj.omega_plus @ q.T), 1.0, None
 
 
-def _time_unit(c):
+def _time_unit(c, then=None):
+    """A change of time unit by c, after the transform `then` if given."""
     def apply(sys_obj, rng):
+        o = None
+        if then is not None:
+            sys_obj, _, o = then(sys_obj, rng)
         return qsys.new_system(sys_obj.s, np.sqrt(c) * sys_obj.c_minus,
                                np.sqrt(c) * sys_obj.c_plus,
                                c * sys_obj.omega_minus,
-                               c * sys_obj.omega_plus), c
+                               c * sys_obj.omega_plus), c, o
     return apply
 
 
+def _channel_rotation(sys_obj, rng):
+    o = np.linalg.qr(rng.standard_normal((sys_obj.m_channels,) * 2))[0]
+    return qsys.new_system(o @ sys_obj.s @ o.T, o @ sys_obj.c_minus,
+                           o @ sys_obj.c_plus, sys_obj.omega_minus,
+                           sys_obj.omega_plus), 1.0, o
+
+
+# name -> transform(system, rng) = (moved system, time unit c, channel
+# rotation O or None); G_moved(c s) = Q G(s) Q^T with Q = diag(O, O)
 TRANSFORMS = {
     "phase_0.3": _phase(0.3),
     "phase_pi/4": _phase(np.pi / 4),
     "mode_change": _mode_change,
     "time_unit_1e-3": _time_unit(1e-3),
     "time_unit_1e3": _time_unit(1e3),
+    "phase_0.3_time_unit_1e3": _time_unit(1e3, then=_phase(0.3)),
+    "channel_rotation": _channel_rotation,
 }
 
 SYSTEMS = {
@@ -85,11 +107,28 @@ def test_qnd_report_counts_are_invariant(n, family, transform):
     s = 0.7 + 0.4j
     for _ in range(3):
         sys_obj = SYSTEMS[family](rng, n)
-        moved, c = TRANSFORMS[transform](sys_obj, rng)
+        moved, c, o = TRANSFORMS[transform](sys_obj, rng)
+        q = np.kron(np.eye(2), np.eye(sys_obj.m_channels) if o is None else o)
         g = xferfn.eval_tf(qsys.quad_realization(sys_obj), s)
         g_moved = xferfn.eval_tf(qsys.quad_realization(moved), c * s)
-        assert np.allclose(g_moved, g, rtol=1e-9, atol=1e-9)
+        assert np.allclose(g_moved, q @ g @ q.T, rtol=1e-9, atol=1e-9)
         ref = _counts(sys_obj)
         if n <= 2:
             assert ref[0] == n
         assert _counts(moved) == ref
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_bae_zero_blocks_are_invariant(n, transform):
+    """On every catalog family, whose structural zeros the reference
+    certifies, the moved system has the same zero blocks and certified
+    pairs, also at n = 32 with a phase and c = 1e3."""
+    rng = np.random.default_rng([n, 100 + sorted(TRANSFORMS).index(transform)])
+    for condition_id, kwargs in sorted(FAMILY_KWARGS.items()):
+        sys_obj = qsys.random_system(rng, n, 2, **kwargs)
+        moved, _, _ = TRANSFORMS[transform](sys_obj, rng)
+        ref, got = bae.certify_bae(sys_obj), bae.certify_bae(moved)
+        assert ref.consistency, condition_id
+        assert got.pattern.zero_blocks() == ref.pattern.zero_blocks(), condition_id
+        assert got.certified_pairs == ref.certified_pairs, condition_id

@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinbae import matcore, qsys, xferfn
+from qlinbae import bae, matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError, SingularityError
 
 from conftest import FAMILY_KWARGS, schur_deviation_bound
@@ -93,7 +93,7 @@ def test_block_pattern_michelson_qp_zero():
     pattern = xferfn.block_pattern(
         qsys.quad_realization(qsys.michelson_system()), tol=1e-10)
     assert "qp" in pattern.zero_blocks()
-    assert pattern.qp.max_markov <= 1e-10
+    assert pattern.qp.node_max <= pattern.qp.threshold == 1e-10 * pattern.qp.scale
     assert not pattern.pq.zero
 
 
@@ -104,6 +104,91 @@ def test_block_pattern_decoupled_quadratures():
                               np.zeros((1, 1)))
     pattern = xferfn.block_pattern(qsys.quad_realization(sys_obj))
     assert pattern.zero_blocks() == {"qp", "pq"}
+
+
+def test_nodes_are_conjugate_paired_and_well_conditioned():
+    """The N + 1 nodes are distinct, in the right half-plane, paired as
+    s_{N-k} = conj(s_k), and cond2(s_k I - A) <= 3 / (sqrt(2) - 1) at each
+    of them, on the catalog families and on non-normal, defective A."""
+    rs = [_jordan_like(t, gap, rotate) for t, gap, rotate in NON_NORMAL]
+    for n in (1, 2, 8):
+        rng = np.random.default_rng(n)
+        rs += [qsys.quad_realization(qsys.random_system(rng, n, 2, **kw))
+               for kw in FAMILY_KWARGS.values()]
+    limit = 3 / (np.sqrt(2) - 1)
+    for r in rs:
+        nodes = xferfn._nodes(r)
+        a = np.asarray(r.a)
+        assert len(nodes) == a.shape[0] + 1
+        assert np.allclose(nodes[::-1], nodes.conj(), rtol=4 * np.finfo(float).eps, atol=0)
+        assert np.all(nodes.real > 0)
+        assert len(np.unique(nodes)) == len(nodes)
+        conds = [np.linalg.cond(s * np.eye(a.shape[0]) - a) for s in nodes]
+        assert max(conds) <= limit * (1 + 1e-12)
+
+
+def _recording_solve(monkeypatch):
+    """Record the points of every _schur_solve call."""
+    calls = []
+    solve = xferfn._schur_solve
+
+    def recorded(t, z, points, rhs, lhs):
+        calls.append(points)
+        return solve(t, z, points, rhs, lhs)
+
+    monkeypatch.setattr(xferfn, "_schur_solve", recorded)
+    return calls
+
+
+def test_complex_realization_takes_every_node(monkeypatch):
+    """A real realization is solved at the N / 2 + 1 nodes with Im s <= 0;
+    a complex one, here a unitary similarity of it with the same G, at all
+    N + 1, and both give the same verdict."""
+    rng = np.random.default_rng(4)
+    sys_obj = qsys.random_system(rng, 3, 2, **FAMILY_KWARGS["q_coupling_imag_C"])
+    r = qsys.quad_realization(sys_obj)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    rc = qsys.Realization("quadrature", u @ r.a @ u.conj().T, u @ r.b,
+                          r.c @ u.conj().T, r.d)
+    points = _recording_solve(monkeypatch)
+    real, cplx = xferfn.block_pattern(r), xferfn.block_pattern(rc)
+    assert [len(p) for p in points] == [4, 7]
+    assert np.all(points[0].imag <= 0) and points[0][-1].imag == 0
+    assert real.zero_blocks() == cplx.zero_blocks() == {"qp"}
+
+
+def test_sigma_zero_pattern_is_that_of_d(monkeypatch):
+    """A = 0 and B = 0 make sigma = 0 and G = D: the verdict reads D alone,
+    with no Schur form."""
+    schurs = _recording_schur(monkeypatch)
+    d = np.array([[1.0, 0.0], [0.0, -2.0]])
+    r = qsys.Realization("quadrature", np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.ones((2, 2)), d)
+    pattern = xferfn.block_pattern(r)
+    assert pattern.zero_blocks() == {"qp", "pq"}
+    assert (pattern.pp.node_max, pattern.pp.scale) == (2.0, 2.0)
+    assert not schurs
+
+
+def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
+    """certify_bae's verdict comes from one real Schur form and one
+    back-substitution: no eig, no SVD, no per-point solve and no call of
+    markov_params."""
+    sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
+                                 **FAMILY_KWARGS["p_coupling_imag_C"])
+    schurs = _recording_schur(monkeypatch)
+    counts = [_counting(monkeypatch, name) for name in ("eig", "svd", "solve")]
+
+    def no_markov(*args):
+        raise AssertionError("markov_params called")
+
+    monkeypatch.setattr(xferfn, "markov_params", no_markov)
+    points = _recording_solve(monkeypatch)
+    report = bae.certify_bae(sys_obj)
+    assert report.consistency and bae.PQ in report.certified_pairs
+    assert [output for _, output in schurs] == ["real"]
+    assert [len(c) for c in counts] == [0, 0, 0]
+    assert [len(p) for p in points] == [9]
 
 
 # -------------------------------------------------------------- sweep
@@ -139,23 +224,21 @@ def _reference_sweep(r, omegas):
                      for g in _reference_tf(r, omegas)])
 
 
-def _reference_pattern(r, freqs, tol=matcore.DEFAULT_TOL):
-    """block_pattern with a per-block, per-point loop of inf_norm calls."""
+def _reference_pattern(r, tol=matcore.DEFAULT_TOL):
+    """block_pattern from np.linalg.solve at all N + 1 nodes, conjugates
+    included, with a per-block, per-node loop of inf_norm calls; and the
+    largest Schur forward-error bound over the nodes."""
     m = r.m_channels
-    blocks = {"qq": (0, 0), "qp": (0, 1), "pq": (1, 0), "pp": (1, 1)}
-    scale = max(matcore.inf_norm(x) for x in (r.a, r.b, r.c, r.d, 1.0))
-    gs = [g for g in _reference_tf(r, freqs) if g is not None]
-
-    def peak(mats, i, j):
-        return max([0.0] + [matcore.inf_norm(x[i * m:(i + 1) * m, j * m:(j + 1) * m])
-                            for x in mats])
-
-    params = xferfn.markov_params(r, 2 * r.a.shape[0])
+    a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
+    nodes = xferfn._nodes(r)
+    gs = [d + c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b) for s in nodes]
+    scale = max([1.0] + [matcore.inf_norm(g) for g in gs])
     certs = {}
-    for name, (i, j) in blocks.items():
-        mk, fq = peak(params, i, j), peak(gs, i, j)
-        certs[name] = xferfn.BlockCert(mk <= tol * scale and fq <= tol * scale, mk, fq)
-    return xferfn.BlockPattern(**certs)
+    for name, (i, j) in {"qq": (0, 0), "qp": (0, 1), "pq": (1, 0), "pp": (1, 1)}.items():
+        peak = max(matcore.inf_norm(g[i * m:(i + 1) * m, j * m:(j + 1) * m]) for g in gs)
+        certs[name] = xferfn.BlockCert(peak <= tol * scale, peak, tol * scale, scale)
+    slack = max(schur_deviation_bound(r, s) for s in nodes)
+    return xferfn.BlockPattern(**certs), slack
 
 
 def _assert_sweep_matches(r, omegas, rows):
@@ -168,16 +251,16 @@ def _assert_sweep_matches(r, omegas, rows):
         assert np.abs(row - want).max() <= schur_deviation_bound(r, 1j * w)
 
 
-def _assert_pattern_matches(r, freqs):
-    """Zero verdicts and Markov maxima exactly as the per-point reference;
-    frequency maxima within the largest Schur bound over the regular points."""
-    got, ref = xferfn.block_pattern(r, freqs=freqs), _reference_pattern(r, freqs)
-    slack = max([0.0] + [schur_deviation_bound(r, 1j * w)
-                         for w, g in zip(freqs, _reference_tf(r, freqs)) if g is not None])
+def _assert_pattern_matches(r):
+    """Zero verdicts exactly as the per-node reference; node maxima and
+    scales within the largest Schur bound over the nodes."""
+    got, (ref, slack) = xferfn.block_pattern(r), _reference_pattern(r)
     for name in ("qq", "qp", "pq", "pp"):
         got_block, ref_block = getattr(got, name), getattr(ref, name)
-        assert (got_block.zero, got_block.max_markov) == (ref_block.zero, ref_block.max_markov)
-        assert abs(got_block.max_freq - ref_block.max_freq) <= slack
+        assert got_block.zero == ref_block.zero
+        assert abs(got_block.node_max - ref_block.node_max) <= slack
+        assert abs(got_block.scale - ref_block.scale) <= slack
+        assert got_block.threshold == matcore.DEFAULT_TOL * got_block.scale
 
 
 def _pole_grid(r, rng):
@@ -191,10 +274,10 @@ def _pole_grid(r, rng):
 
 
 def test_guard_matches_per_point_cond_and_solve():
-    """frequency_sweep, block_pattern and eval_tf agree with an SVD
-    condition number at every point, also at and next to axis poles: NaN
-    rows, zero verdicts and SingularityError.cond exactly, values within
-    the Schur forward-error bound."""
+    """frequency_sweep and eval_tf agree with an SVD condition number at
+    every point, also at and next to axis poles: NaN rows and
+    SingularityError.cond exactly, values within the Schur forward-error
+    bound. block_pattern's zero verdicts are those of a per-node solve."""
     couplings = ("zero", "generic", "zero", "real", "zero", "imag")
     singular = 0
     for i in range(120):
@@ -205,7 +288,7 @@ def test_guard_matches_per_point_cond_and_solve():
         omegas = _pole_grid(r, rng)
         rows = xferfn.frequency_sweep(r, omegas)
         _assert_sweep_matches(r, omegas, rows)
-        _assert_pattern_matches(r, omegas)
+        _assert_pattern_matches(r)
         for w in omegas[np.isnan(rows).all(axis=(1, 2))]:
             singular += 1
             m = complex(1j * w) * np.eye(r.a.shape[0]) - r.a
@@ -449,14 +532,15 @@ def test_schur_values_match_on_non_normal_a(t, gap, rotate):
 
 @pytest.mark.parametrize("t, gap, rotate", NON_NORMAL)
 def test_certificate_is_exact_on_non_normal_a(t, gap, rotate):
-    """Highly non-normal and defective A: sweep and block witness agree
-    with an SVD at every point, on a grid that crosses COND_LIMIT (NaN rows
-    and zero verdicts exactly, values within the Schur bound)."""
+    """Highly non-normal and defective A: the sweep agrees with an SVD at
+    every point, on a grid that crosses COND_LIMIT (NaN rows exactly,
+    values within the Schur bound), and block_pattern with a per-node
+    solve."""
     r = _jordan_like(t, gap, rotate)
     grid = _crossing_grid()
     rows = xferfn.frequency_sweep(r, grid)
     _assert_sweep_matches(r, grid, rows)
-    _assert_pattern_matches(r, grid)
+    _assert_pattern_matches(r)
     nan = np.isnan(rows).all(axis=(1, 2))
     assert nan.any() and not nan.all()
 
