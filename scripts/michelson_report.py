@@ -35,7 +35,8 @@ def main():
     for name in ("qq", "qp", "pq", "pp"):
         cert = getattr(report.pattern, name)
         print(f"  block {name}: zero={cert.zero} node_max={cert.node_max:.3e} "
-              f"threshold={cert.threshold:.3e} scale={cert.scale:.3e}")
+              f"threshold={cert.threshold:.3e} scale={cert.scale:.3e} "
+              f"probe_ratio={cert.probe_ratio:.3e}")
 
     if args.sweep_csv:
         r = qsys.quad_realization(sys_obj)

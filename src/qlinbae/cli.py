@@ -270,7 +270,8 @@ def cmd_bae(args):
         "consistent": report.consistency,
         "block_certificates": {
             name: {"zero": cert.zero, "node_max": cert.node_max,
-                   "threshold": cert.threshold, "scale": cert.scale}
+                   "threshold": cert.threshold, "scale": cert.scale,
+                   "probe_ratio": cert.probe_ratio}
             for name, cert in (("qq", report.pattern.qq), ("qp", report.pattern.qp),
                                ("pq", report.pattern.pq), ("pp", report.pattern.pp))},
     }, args.out)

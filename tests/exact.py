@@ -210,6 +210,24 @@ def integer_system(rng, family, n, m):
     raise ValueError(f"unknown family {family!r}")
 
 
+def chain_system(n, detune=1):
+    """Gaussian-integer blocks of a chain of n modes with unit hopping
+    (Omega- tridiagonal with unit off-diagonals), coupled to one channel at
+    mode 1 only (C- = e_1, C+ = 0, S = 1), the far mode detuned by
+    `detune`. The quadrature input p reaches the output q only through the
+    whole chain and back, so G_qp has high relative degree: its first
+    nonzero Markov parameter C_q A^k B_p has k = 2n - 1, and far from the
+    spectrum it is of size |s|^{-2n}."""
+    zero, one = np.zeros((n, n), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
+    om = np.diag(np.ones(n - 1, dtype=np.int64), 1)
+    om = om + om.T
+    om[n - 1, n - 1] = detune
+    cm = np.zeros((1, n), dtype=np.int64)
+    cm[0, 0] = 1
+    nil = np.zeros_like(cm)
+    return (one, 0 * one), (cm, nil), (nil, nil), (om, zero), (zero, zero)
+
+
 def float_system(blocks, q=None, w=1.0, c=1.0):
     """The float system of integer blocks, after the real orthogonal mode
     change q (none if q is None), the mode phase rotation w and the change

@@ -390,9 +390,10 @@ def test_bae_reports_certified_pair(tmp_path, capsys):
     certs = out["block_certificates"]
     assert sorted(certs) == ["pp", "pq", "qp", "qq"]
     for cert in certs.values():
-        assert sorted(cert) == ["node_max", "scale", "threshold", "zero"]
+        assert sorted(cert) == ["node_max", "probe_ratio", "scale", "threshold", "zero"]
         assert cert["threshold"] == 1e-9 * cert["scale"]
-        assert cert["zero"] == (cert["node_max"] <= cert["threshold"])
+        assert cert["zero"] == (cert["node_max"] <= cert["threshold"]
+                                and cert["probe_ratio"] <= 1)
     assert certs["qp"]["zero"] and not certs["pq"]["zero"]
 
 

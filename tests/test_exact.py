@@ -95,3 +95,21 @@ def test_zero_blocks_match_exact_markov_parameters(n):
             zero += len(truth)
             nonzero += 4 - len(truth)
     assert zero >= 6 and nonzero >= 36
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_zero_blocks_of_a_high_relative_degree_chain(n):
+    """A chain coupled to the field at one end has no zero block, though
+    G_qp is of order |s|^{-2n} far from the spectrum: below the threshold
+    at every node from n = 8 on, it is certified nonzero at the probes,
+    under the phase w = (3 + 4i) / 5 and the time units 1, 1e3 and 1e-3."""
+    for detune in (1, 3):
+        blocks = exact.chain_system(n, detune)
+        assert exact.zero_blocks(blocks) == set()
+        for c in (1.0, 1e3, 1e-3):
+            pattern = bae.certify_bae(exact.float_system(blocks, w=PHASE, c=c)).pattern
+            assert pattern.zero_blocks() == set(), (detune, c)
+            for cert in (pattern.qp, pattern.pq):
+                assert cert.probe_ratio > 1e3
+                if n >= 8:
+                    assert cert.node_max <= cert.threshold

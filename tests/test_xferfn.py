@@ -141,9 +141,10 @@ def _recording_solve(monkeypatch):
 
 
 def test_complex_realization_takes_every_node(monkeypatch):
-    """A real realization is solved at the N / 2 + 1 nodes with Im s <= 0;
-    a complex one, here a unitary similarity of it with the same G, at all
-    N + 1, and both give the same verdict."""
+    """A real realization is solved at the N / 2 + 1 nodes with Im s <= 0
+    and the probes with Im p >= 0; a complex one, here a unitary similarity
+    of it with the same G, at all N + 1 nodes and every probe, and both
+    give the same verdict."""
     rng = np.random.default_rng(4)
     sys_obj = qsys.random_system(rng, 3, 2, **FAMILY_KWARGS["q_coupling_imag_C"])
     r = qsys.quad_realization(sys_obj)
@@ -152,8 +153,13 @@ def test_complex_realization_takes_every_node(monkeypatch):
                           r.c @ u.conj().T, r.d)
     points = _recording_solve(monkeypatch)
     real, cplx = xferfn.block_pattern(r), xferfn.block_pattern(rc)
-    assert [len(p) for p in points] == [4, 7]
-    assert np.all(points[0].imag <= 0) and points[0][-1].imag == 0
+    assert len(points) == 2
+    assert np.array_equal(points[0][:4], xferfn._nodes(r)[:4])
+    assert np.array_equal(points[1][:7], xferfn._nodes(rc))
+    assert np.all(points[0][:4].imag <= 0) and points[0][3].imag == 0
+    # the probes: on the imaginary axis, Im p >= 0 only for the real A
+    assert np.all(points[0][4:].real == 0) and np.all(points[0][4:].imag >= 0)
+    assert np.all(points[1][7:].real == 0) and np.any(points[1][7:].imag < 0)
     assert real.zero_blocks() == cplx.zero_blocks() == {"qp"}
 
 
@@ -170,10 +176,27 @@ def test_sigma_zero_pattern_is_that_of_d(monkeypatch):
     assert not schurs
 
 
+def test_probe_at_a_pole_is_dropped(monkeypatch):
+    """An undamped mode puts its probe exactly on a pole (nu infinite):
+    the probe is not solved and certifies nothing, with no warning, and the
+    verdict is that of the nodes."""
+    points = _recording_solve(monkeypatch)
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    d = np.array([[1.0, 0.0], [0.0, 1.0]])
+    r = qsys.Realization("quadrature", a, np.eye(2), np.zeros((2, 2)), d)
+    t = xferfn._schur_form(a)[0]
+    probe = 1j * abs(t[0, 0].imag)
+    assert t[0, 0].real == 0 and np.isinf(xferfn._inverse_bound(t, np.array([probe])))
+    pattern = xferfn.block_pattern(r)
+    assert pattern.zero_blocks() == {"qp", "pq"}
+    assert all(getattr(pattern, x).probe_ratio == 0.0 for x in ("qq", "qp", "pq", "pp"))
+    assert len(points) == 1 and np.all(points[0].real > 0)
+
+
 def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     """certify_bae's verdict comes from one real Schur form and one
-    back-substitution: no eig, no SVD, no per-point solve and no call of
-    markov_params."""
+    back-substitution over the 9 nodes and the probes: no eig, no SVD, no
+    per-point solve and no call of markov_params."""
     sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
                                  **FAMILY_KWARGS["p_coupling_imag_C"])
     schurs = _recording_schur(monkeypatch)
@@ -188,7 +211,8 @@ def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     assert report.consistency and bae.PQ in report.certified_pairs
     assert [output for _, output in schurs] == ["real"]
     assert [len(c) for c in counts] == [0, 0, 0]
-    assert [len(p) for p in points] == [9]
+    assert len(points) == 1 and len(points[0]) > 9
+    assert np.all(points[0][9:].real == 0)
 
 
 # -------------------------------------------------------------- sweep
@@ -226,17 +250,39 @@ def _reference_sweep(r, omegas):
 
 def _reference_pattern(r, tol=matcore.DEFAULT_TOL):
     """block_pattern from np.linalg.solve at all N + 1 nodes, conjugates
-    included, with a per-block, per-node loop of inf_norm calls; and the
-    largest Schur forward-error bound over the nodes."""
+    included, and at the probes i Im(lambda) for the eigenvalues of
+    np.linalg.eigvals, each held against bar_delta(p) with the exact
+    1 / smin(pI - A) in place of nu(p); a per-block, per-point loop of
+    inf_norm calls. Also returns the largest Schur forward-error bound over
+    the nodes."""
     m = r.m_channels
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
+    n = a.shape[0]
+    eye = np.eye(n)
     nodes = xferfn._nodes(r)
-    gs = [d + c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b) for s in nodes]
+    gs = [d + c @ np.linalg.solve(s * eye - a, b) for s in nodes]
     scale = max([1.0] + [matcore.inf_norm(g) for g in gs])
+    probes = []
+    for lam in np.linalg.eigvals(a):
+        p = 1j * lam.imag
+        smin = np.linalg.svd(p * eye - a, compute_uv=False)[-1]
+        try:
+            g = d + c @ np.linalg.solve(p * eye - a, b)
+        except np.linalg.LinAlgError:  # an exact pole certifies nothing
+            continue
+        with np.errstate(divide="ignore"):
+            gain = (abs(p) + np.linalg.norm(a)) / smin ** 2 * (
+                np.linalg.norm(b) * np.linalg.norm(c))
+        bound = n ** 1.5 * np.finfo(float).eps * (gain + np.linalg.norm(g))
+        probes.append((g, max(tol * scale, bound)))
     certs = {}
     for name, (i, j) in {"qq": (0, 0), "qp": (0, 1), "pq": (1, 0), "pp": (1, 1)}.items():
-        peak = max(matcore.inf_norm(g[i * m:(i + 1) * m, j * m:(j + 1) * m]) for g in gs)
-        certs[name] = xferfn.BlockCert(peak <= tol * scale, peak, tol * scale, scale)
+        def block(g):
+            return matcore.inf_norm(g[i * m:(i + 1) * m, j * m:(j + 1) * m])
+        peak = max(block(g) for g in gs)
+        ratio = max([0.0] + [block(g) / limit for g, limit in probes])
+        certs[name] = xferfn.BlockCert(peak <= tol * scale and ratio <= 1, peak,
+                                       tol * scale, scale, ratio)
     slack = max(schur_deviation_bound(r, s) for s in nodes)
     return xferfn.BlockPattern(**certs), slack
 
@@ -252,7 +298,7 @@ def _assert_sweep_matches(r, omegas, rows):
 
 
 def _assert_pattern_matches(r):
-    """Zero verdicts exactly as the per-node reference; node maxima and
+    """Zero verdicts exactly as the per-point reference; node maxima and
     scales within the largest Schur bound over the nodes."""
     got, (ref, slack) = xferfn.block_pattern(r), _reference_pattern(r)
     for name in ("qq", "qp", "pq", "pp"):
