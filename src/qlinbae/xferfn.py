@@ -93,13 +93,16 @@ chain's resonances. So `block_pattern` also probes G at
 damped resonance peaks whatever its Markov order. The axis can hold poles
 there, and no guard applies: each probe carries instead a bound of its
 own. For the triangular pI - T, the comparison matrix M (diagonal
-|p - T_kk|, off-diagonal -|T_kj|) has M^{-1} >= |(pI - T)^{-1}| entrywise
-(Higham, Thm 8.12), so with the vector 1 of ones
+|p - T_kk|, off-diagonal -|T_kj|) has M^{-1} >= |(pI - T)^{-1}| >= 0
+entrywise (Higham, Thm 8.12), so with the vector 1 of ones
 
-    ||(pI - A)^{-1}||_2 = ||(pI - T)^{-1}||_2 <= sqrt(N) max(M^{-1} 1)
-                                                = nu(p),
+    ||(pI - A)^{-1}||_2 = ||(pI - T)^{-1}||_2 <= ||M^{-1}||_2
+        <= sqrt(||M^{-1}||_1 ||M^{-1}||_inf)
+         = sqrt(max(M^{-T} 1) max(M^{-1} 1)) = nu(p),
 
-one real back-substitution for all probes. With ||X||_2 <= nu(p) ||B||_2,
+one real back-substitution and one forward substitution for all points.
+nu is the module's one resolvent bound: the guard below takes it too.
+With ||X||_2 <= nu(p) ||B||_2,
 beta(p) <= (|p| + ||A||_F) nu(p) and the worst-case constant c = sqrt(N),
 delta(p) is at most
 
@@ -108,10 +111,11 @@ delta(p) is at most
 
 A block whose largest |entry| at a probe exceeds max(tol * scale,
 bar_delta(p)) is nonzero: rounding cannot produce it. The 8-mode chain's
-G_qp exceeds bar_delta by a factor of 3e9 at a probe (4e6 at n = 32),
-while the zero blocks stay below 1e-3 of it on the catalog families
-(n = 2..32) and below 1.2e-2 on the exact integer systems of the tests
-(the largest at n = 2, under a phase rotation). A probe at a pole (nu
+G_qp exceeds bar_delta by a factor of 4e10 at a probe (7e7 at n = 32),
+while the zero blocks stay below 5e-5 of max(tol * scale, bar_delta(p))
+on the catalog families (n = 2..32, 3 draws each) and below 1.4e-4 on
+the exact integer systems of the tests (the largest at n = 4, under a
+phase rotation). A probe at a pole (nu
 infinite) certifies nothing, so a block that is nonzero only through
 resonances where nu is infinite or huge (undamped, or of a very
 non-normal T) is below what the verdict resolves, and is called zero.
@@ -123,32 +127,29 @@ evaluate, can hold poles. Every solve there is guarded: s is a singular
 point (a resonance) when the 2-norm condition number cond2(sI - A),
 computed from an SVD, is not finite or exceeds COND_LIMIT. A grid of more
 than one point takes the Schur form above, which serves both the guard
-and the solve. The eigendecomposition T V_T = V_T Lambda of the triangular
-factor gives eigenvectors V = Z V_T of A, and with the residual
-R = A V - V Lambda, measured against A itself, kappa = cond2(V) and
-rho = ||R||_F / smin(V),
+and the solve, through the probes' nu. With the residual R = A Z - Z T,
+measured against A itself, (sI - A) Z = Z (sI - T) - R, so for a unitary
+Z Weyl gives smin(sI - A) >= 1 / nu(s) - ||R||_F, and with
+smax(sI - A) <= |s| + ||A||_F
 
-    sI - A = V (sI - Lambda) V^{-1} - R V^{-1},
+    cond2(sI - A) <= (|s| + ||A||_F) / (1 / nu(s) - ||R||_F)
 
-so smax(sI - A) <= kappa * max|s - lambda| + rho (triangle inequality) and
-smin(sI - A) >= min|s - lambda| / kappa - rho (Bauer-Fike for the first
-term, Weyl for the residual), hence
-
-    cond2(sI - A) <= (kappa * max|s - lambda| + rho)
-                     / (min|s - lambda| / kappa - rho)
-
-wherever the denominator is positive. Nothing here assumes that Z, T or
-V_T is exact: their errors, the Schur backward error and the rounding of
-the real-to-complex rotation included, land in R.
-A point whose bound is at most COND_LIMIT / 2 is certified without an
-SVD and solved in T; every other point gets its own SVD (see
-`_resolvent_points`), so the verdict at every point is that of an SVD.
-At a certified point the guard gives smin(sI - A) >= min|s - lambda| /
-kappa - rho > 0, so beta(s) is finite there and bounded by the guard's
-own numbers. LU with partial pivoting (np.linalg.solve) obeys a bound of
-the same form as delta(s), so the Schur value and the per-point value
-differ by at most 2 delta(s). Points the guard does not certify, and the
-one point of `eval_tf` and `sigma_tf`, keep np.linalg.solve.
+wherever the denominator is positive. The errors of Z and T, the Schur
+backward error and the rounding of the real-to-complex rotation included,
+land in R; the departure of Z from unitarity, of order N eps, is left to
+the factor 2 below. A point whose bound is at most COND_LIMIT / 2 is
+certified without an SVD and solved in T; every other point gets its own
+SVD (see `_resolvent_points`), so the verdict at every point is that of an
+SVD. M drops the cancellation in (sI - T)^{-1}, so on a strongly
+non-normal T, 1 / nu can lie orders of magnitude below smin and send
+well-conditioned points to the SVD: up to 0.6 % of the points of the
+benchmark's 200-point grid on its catalog systems at n = 32 (seeds 1, 2,
+3 and 7), up to 4 % on other draws. At a certified point beta(s) is
+finite and bounded by the guard's own numbers. LU with partial pivoting
+(np.linalg.solve) obeys a bound of the same form as delta(s), so the
+Schur value and the per-point value differ by at most 2 delta(s). Points
+the guard does not certify, and the one point of `eval_tf` and
+`sigma_tf`, keep np.linalg.solve.
 """
 
 from dataclasses import dataclass
@@ -156,37 +157,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularityError
-from .matcore import DEFAULT_TOL, delta, flat_adjoint, j_diag
+from .matcore import DEFAULT_TOL, check_finite, delta, flat_adjoint, j_diag
 
 COND_LIMIT = 1e12
 
 
 def _cond_bound(a, t, z, points):
     """Upper bounds on cond2(sI - A) at each point from the Schur form
-    A = Z T Z^H (derived in the module docstring).
-
-    The eigenvectors of A are V = Z V_T, with V_T those of the triangular T.
-    rho = ||A V - V Lambda||_F / smin(V) majorizes ||R V^{-1}||_2, so the
-    residual of the computed decomposition, Schur backward error included,
-    is part of the bound. A point gets inf where the denominator is not
-    positive, and every point does when eig fails or V is singular: there
-    is no certificate then.
-    """
-    none = np.full(len(points), np.inf)
-    try:
-        lam, vt = np.linalg.eig(t)
-        v = z @ vt
-        sv = np.linalg.svd(v, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return none
-    if not sv[-1] > 0:
-        return none
-    kappa = sv[0] / sv[-1]
-    rho = np.linalg.norm(a @ v - v * lam) / sv[-1]
-    dist = np.abs(points[:, None] - lam)
-    with np.errstate(all="ignore"):
-        lo = dist.min(axis=1) / kappa - rho  # lower bound on smin(sI - A)
-        return np.where(lo > 0, (kappa * dist.max(axis=1) + rho) / lo, np.inf)
+    A = Z T Z^H (module docstring): (|s| + ||A||_F) / (1 / nu(s) - ||A Z -
+    Z T||_F), and inf where the denominator is not positive."""
+    residual = np.linalg.norm(a @ z - z @ t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = 1 / _inverse_bound(t, points) - residual  # <= smin(sI - A)
+        return np.where(lo > 0, (np.abs(points) + np.linalg.norm(a)) / lo,
+                        np.inf)
 
 
 def _schur_solve(t, z, points, rhs, lhs):
@@ -255,16 +239,17 @@ def _resolvent_points(a, points, rhs, lhs):
 
     A call of more than one point takes one complex Schur form of A (for
     a real A, the real Schur form plus one block-diagonal rotation; see
-    `_schur_form`). It certifies, through `_cond_bound`, every point whose
-    bound is at most COND_LIMIT / 2, and solves all certified points in
-    one `_schur_solve`; their values lie within the forward-error bound
-    delta(s) of the module docstring. The factor 2 absorbs the roundoff of
-    computed singular values (relative error about n * eps * cond, ~1e-2
-    for n <= 64 at cond = 1e12) and of the computed decomposition, so the
-    SVD would have accepted the point too. Every other point, and the point
-    of a one-point call (where the factorization costs more than the SVD it
-    would save), gets an exact SVD, with cond2 computed exactly as
-    np.linalg.cond computes it, and lhs @ np.linalg.solve(sI - A, rhs).
+    `_schur_form`). It certifies, through `_cond_bound` and its nu(s),
+    every point whose bound is at most COND_LIMIT / 2, and solves all
+    certified points in one `_schur_solve`; their values lie within the
+    forward-error bound delta(s) of the module docstring. The factor 2
+    absorbs the roundoff of computed singular values (relative error about
+    n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12) and the departure of
+    Z from unitarity, so the SVD would have accepted the point too. Every
+    other point, and the point of a one-point call (where the
+    factorization costs more than the SVD it would save), gets an exact
+    SVD, with cond2 computed exactly as np.linalg.cond computes it, and
+    lhs @ np.linalg.solve(sI - A, rhs).
     """
     points = np.asarray(points, dtype=complex)
     values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
@@ -394,20 +379,26 @@ def _nodes(r):
 
 
 def _inverse_bound(t, points):
-    """nu(p) >= ||(pI - T)^{-1}||_2 at each point: sqrt(N) times the largest
-    entry of M^{-1} 1, M the comparison matrix of pI - T (module
-    docstring), by one back-substitution over all points. inf or NaN at a
-    pole, and where M^{-1} 1 overflows."""
+    """nu(p) = sqrt(||M^{-1}||_1 ||M^{-1}||_inf) >= ||(pI - T)^{-1}||_2 at
+    each point, M the comparison matrix of pI - T (module docstring). As
+    M^{-1} >= 0, its inf-norm is the largest entry of M^{-1} 1, one
+    back-substitution, and its 1-norm that of M^{-T} 1, one forward
+    substitution, each over all points at once. inf or NaN at a pole, and
+    where either overflows."""
     n = t.shape[0]
     off = np.abs(t)
-    u = np.empty((n, len(points)))
+    rows, cols = np.empty((2, n, len(points)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inverse = 1 / np.abs(points - np.diag(t)[:, None])
         for k in range(n - 1, -1, -1):
-            np.dot(off[k, k + 1:], u[k + 1:], out=u[k])
-            u[k] += 1
-            u[k] *= inverse[k]
-    return np.sqrt(n) * u.max(axis=0)
+            np.dot(off[k, k + 1:], rows[k + 1:], out=rows[k])
+            rows[k] += 1
+            rows[k] *= inverse[k]
+        for k in range(n):
+            np.dot(off[:k, k], cols[:k], out=cols[k])
+            cols[k] += 1
+            cols[k] *= inverse[k]
+        return np.sqrt(rows.max(axis=0) * cols.max(axis=0))
 
 
 def _block_peaks(g, m):
@@ -432,11 +423,14 @@ def block_pattern(r, tol=DEFAULT_TOL):
     A real realization is solved at the nodes k = 0..floor(N/2) and the
     probes with Im p >= 0 only, since its values at conj(s) are the
     conjugates; one Schur form and one back-substitution serve all of
-    them. sigma = 0 means G = D, with no probe.
+    them. sigma = 0 means G = D, with no probe. A non-finite entry of A,
+    B, C or D raises PreconditionError.
     """
     if r.form != "quadrature":
         raise PreconditionError("block_pattern requires a quadrature-form realization")
     a, b, c, d = (np.asarray(x) for x in (r.a, r.b, r.c, r.d))
+    for x, name in zip((a, b, c, d), "ABCD"):
+        check_finite(x, name)
     m = r.m_channels
     nodes = _nodes(r)
     real = not any(np.iscomplexobj(x) for x in (a, b, c, d))
@@ -498,14 +492,14 @@ def frequency_sweep(r, omegas):
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
     COND_LIMIT. One complex Schur form A = Z T Z^H serves the whole grid
     (for the real quadrature A, its real Schur form with the 2 x 2 blocks
-    triangularized by one block-diagonal rotation): eig(T), with
-    eigenvectors V = Z V_T, bounds cond2 at every point (Bauer-Fike plus
-    the residual term rho, see the module docstring), and the rows whose
+    triangularized by one block-diagonal rotation): nu(s), from the
+    comparison matrix of sI - T, and the residual ||A Z - Z T||_F bound
+    cond2 at every point (see the module docstring), and the rows whose
     bound is at most COND_LIMIT / 2 skip the SVD and come from one
     back-substitution in T, each within the forward-error bound
     delta(i*omega) derived there. The rest, typically rows next to a
-    resonance or of a strongly non-normal A (large cond2(V)), get an exact
-    SVD and np.linalg.solve each.
+    resonance or of a strongly non-normal T, get an exact SVD and
+    np.linalg.solve each.
     """
     g, _ = _tf_points(r, [1j * w for w in omegas])
     return np.abs(g)
