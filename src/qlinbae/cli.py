@@ -347,6 +347,9 @@ def cmd_feedback(args):
         }, args.out)
         return 0
     # design
+    if args.max_candidates < 0:
+        raise ValueError(
+            f"--max-candidates needs a value >= 0, got {args.max_candidates}")
     fb = _section(doc, "feedback")
     split = _loop_split(fb.get("split", [1, sys_obj.m_channels - 1]))
     cfg = feedback.SearchConfig(seed=args.seed)

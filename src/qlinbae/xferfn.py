@@ -38,6 +38,17 @@ LAPACK zgees. A real A, such as every quadrature A, gets the real Schur
 form (dgees, about 3 times cheaper at N = 64), and one block-diagonal
 unitary rotation triangularizes its 2 x 2 blocks (see `_schur_form`).
 
+The last Schur form is kept, keyed by the exact dtype, shape and bytes of
+A, and handed out read-only. `certify_bae` followed by a sweep of the same
+system rebuilds the same quadrature A bit for bit, so the two factor it
+once; a one-bit change to A (one ulp, or -0.0 for 0.0) is a new key.
+dgees and zgees are deterministic, so a kept form is the one a new
+factorization would return and every output is unchanged. The memo has one
+entry: it serves consecutive calls on one A, holds one T and one Z however
+many systems a process works through, and a caller that alternates between
+two matrices (the plant and the reduced network of
+`feedback.verify_reduction`) factors each on every call, as without it.
+
 The Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
 eps ||A||_F and Z unitary to working precision. For a real A this holds
 for the rotated form as well: the rotation G is unitary to working
@@ -152,6 +163,7 @@ the guard does not certify, and the one point of `eval_tf` and
 `sigma_tf`, keep np.linalg.solve.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +209,26 @@ def _schur_solve(t, z, points, rhs, lhs):
 
 
 def _schur_form(a):
-    """The complex Schur form A = Z T Z^H: Z unitary, T upper triangular.
+    """The complex Schur form A = Z T Z^H: Z unitary, T upper triangular,
+    both read-only.
+
+    The last factorization is kept in `_schur_of`, keyed by the exact
+    dtype, shape and bytes of A (module docstring, "The solve"): a repeat
+    call on the same A, such as a sweep after `block_pattern`, factors
+    nothing, and an A that differs in a single bit (one ulp, or -0.0
+    against 0.0) is factored again. It keeps one entry, so it holds one T
+    and one Z, and a caller alternating two matrices misses on every call,
+    as without it.
+    """
+    a = np.asarray(a)
+    return _schur_of(a.dtype, a.shape, a.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _schur_of(dtype, shape, data):
+    """The Schur form of `_schur_form` for the A whose C-order bytes are
+    `data`, with T and Z made read-only, since every caller of the memo
+    shares them.
 
     A complex A takes LAPACK zgees. A real A takes the real Schur form
     A = Z_r T_r Z_r^T (dgees). Each 2 x 2 diagonal block of T_r holds one
@@ -213,20 +244,26 @@ def _schur_form(a):
     """
     import scipy.linalg  # on first use, so importing xferfn does not load it
 
+    a = np.frombuffer(data, dtype=dtype).reshape(shape)
     if np.iscomplexobj(a):
-        return scipy.linalg.schur(a, output="complex")
-    t, z = scipy.linalg.schur(a, output="real")
-    k = np.flatnonzero(t.diagonal(-1))
-    if not len(k):
-        return t.astype(complex), z.astype(complex)
-    k1 = k + 1
-    b, c = np.abs(t.diagonal(1)[k]), np.abs(t.diagonal(-1)[k])
-    g = np.eye(len(t), dtype=complex)
-    g[k, k] = g[k1, k1] = np.sqrt(b / (b + c))
-    g[k, k1] = g[k1, k] = 1j * np.sqrt(c / (b + c))
-    t = g.conj().T @ t @ g
-    t[k1, k] = 0
-    return t, z @ g
+        t, z = scipy.linalg.schur(a, output="complex")
+    else:
+        t, z = scipy.linalg.schur(a, output="real")
+        k = np.flatnonzero(t.diagonal(-1))
+        if len(k):
+            k1 = k + 1
+            b, c = np.abs(t.diagonal(1)[k]), np.abs(t.diagonal(-1)[k])
+            g = np.eye(len(t), dtype=complex)
+            g[k, k] = g[k1, k1] = np.sqrt(b / (b + c))
+            g[k, k1] = g[k1, k] = 1j * np.sqrt(c / (b + c))
+            t = g.conj().T @ t @ g
+            t[k1, k] = 0
+            z = z @ g
+        else:
+            t, z = t.astype(complex), z.astype(complex)
+    t.setflags(write=False)
+    z.setflags(write=False)
+    return t, z
 
 
 def _resolvent_points(a, points, rhs, lhs):
@@ -499,7 +536,9 @@ def frequency_sweep(r, omegas):
     back-substitution in T, each within the forward-error bound
     delta(i*omega) derived there. The rest, typically rows next to a
     resonance or of a strongly non-normal T, get an exact SVD and
-    np.linalg.solve each.
+    np.linalg.solve each. When the last Schur form taken was of this same A,
+    as after `certify_bae` of the same system, the sweep reuses it (see
+    `_schur_form`) and factors nothing.
     """
     g, _ = _tf_points(r, [1j * w for w in omegas])
     return np.abs(g)

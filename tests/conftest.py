@@ -7,9 +7,19 @@ files can focus on the claims themselves.
 """
 
 import numpy as np
+import pytest
 from scipy.linalg import null_space
 
-from qlinbae import qsys
+from qlinbae import qsys, xferfn
+
+
+@pytest.fixture(autouse=True)
+def cold_schur_memo():
+    """Empty xferfn's memo of its last Schur form before each test, so that
+    a test counting factorizations, or replacing scipy.linalg.schur, sees
+    the same calls whichever test ran before it."""
+    xferfn._schur_of.cache_clear()
+
 
 # random_system keyword arguments that realize each cataloged hypothesis set
 FAMILY_KWARGS = {

@@ -530,6 +530,23 @@ def test_feedback_design(tmp_path, capsys):
     assert all(e["certified_pairs"] for e in entries)
 
 
+def test_feedback_design_rejects_negative_max_candidates(tmp_path, capsys, monkeypatch):
+    """A negative --max-candidates would slice candidates off the end of the
+    list: it exits 1 with one line naming the flag, before any search, and
+    writes no output."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("design_couplings called")
+
+    monkeypatch.setattr(feedback, "design_couplings", no_search)
+    path = _write(tmp_path, _design_doc())
+    out_file = tmp_path / "out.json"
+    assert cli.main(["feedback", "design", path, "--max-candidates", "-1",
+                     "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--max-candidates" in err
+    assert not out_file.exists()
+
+
 def test_feedback_design_validates_the_split(tmp_path, capsys):
     """design checks feedback.split as reduce does, including the default
     [1, channels - 1], which is [1, 0] for a 1-channel spec."""

@@ -481,6 +481,83 @@ def test_guard_without_schur_form_takes_an_svd_per_point(monkeypatch):
     assert len(svds) == len(omegas)
 
 
+# ----------------------------------------------------- Schur-form memo
+
+
+def test_certify_then_sweep_takes_one_schur_form(monkeypatch):
+    """certify_bae and a sweep of the same system share one Schur form: the
+    quadrature A is rebuilt bit for bit, and the memo keeps the last
+    factorization."""
+    sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
+                                 **FAMILY_KWARGS["p_coupling_imag_C"])
+    schurs = _recording_schur(monkeypatch)
+    bae.certify_bae(sys_obj)
+    xferfn.frequency_sweep(qsys.quad_realization(sys_obj), np.logspace(-3.0, 3.0, 200))
+    assert [output for _, output in schurs] == ["real"]
+    info = xferfn._schur_of.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_memo_factors_an_a_that_differs_in_one_bit(monkeypatch):
+    """The memo is keyed by the exact bytes of A and holds one entry: a copy
+    of A hits; one ulp in one entry, -0.0 for 0.0, a change made in place
+    after a call, and A again after another matrix are each factored."""
+    a = np.array(qsys.quad_realization(qsys.michelson_system()).a)
+    nonzero, zero = (tuple(np.argwhere(x)[0]) for x in (a != 0, a == 0))
+    ulp, signed = a.copy(), a.copy()
+    ulp[nonzero] = np.nextafter(a[nonzero], np.inf)
+    signed[zero] = -0.0
+    schurs = _recording_schur(monkeypatch)
+    for x in (a, a.copy(), ulp, a, signed, a):
+        xferfn._schur_form(x)
+    assert [x.tobytes() for x, _ in schurs] == [
+        x.tobytes() for x in (a, ulp, a, signed, a)]
+    a[nonzero] *= 2
+    t, z = xferfn._schur_form(a)
+    assert len(schurs) == 6 and schurs[-1][0].tobytes() == a.tobytes()
+    assert np.allclose(z @ t @ z.conj().T, a)
+
+
+def test_schur_form_is_read_only():
+    """T and Z are shared by every caller of the memo, so neither can be
+    written: for a complex A, a real A with complex pairs, and a real A with
+    real eigenvalues only."""
+    r = qsys.quad_realization(qsys.michelson_system())
+    for a in (qsys.ac_realization(qsys.michelson_system()).a, r.a,
+              np.diag([-1.0, -2.0])):
+        t, z = xferfn._schur_form(a)
+        assert t.dtype == z.dtype == np.complex128
+        assert not (t.flags.writeable or z.flags.writeable)
+        with pytest.raises(ValueError):
+            t[0, 0] = 0
+
+
+def _pattern_bits(r):
+    """block_pattern's verdict and every BlockCert float, as hex strings."""
+    pattern = xferfn.block_pattern(r)
+    return [(cert.zero, *(x.hex() for x in (cert.node_max, cert.threshold,
+                                            cert.scale, cert.probe_ratio)))
+            for cert in (pattern.qq, pattern.qp, pattern.pq, pattern.pp)]
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_memo_leaves_every_output_bit_for_bit(n):
+    """On every catalog family, block_pattern and a 200-point sweep give the
+    same bits from a cold memo as from the Schur form the other one left."""
+    grid = np.logspace(-3.0, 3.0, 200)
+    rng = np.random.default_rng(n)
+    for kwargs in FAMILY_KWARGS.values():
+        r = qsys.quad_realization(qsys.random_system(rng, n, 2, **kwargs))
+        xferfn._schur_of.cache_clear()
+        cold_pattern = _pattern_bits(r)
+        xferfn._schur_of.cache_clear()
+        cold_sweep = xferfn.frequency_sweep(r, grid).tobytes()
+        assert _pattern_bits(r) == cold_pattern
+        assert xferfn.frequency_sweep(r, grid).tobytes() == cold_sweep
+        info = xferfn._schur_of.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+
 def _assert_values_match(r, omegas):
     """The stacked values against the per-point cond + solve reference: the
     same singular points and SingularityError.cond, NaN there, and every
