@@ -181,14 +181,15 @@ def closed_loop_tf(net, s):
 
 
 def _close_loop(net, g):
-    """Close the loop u2 = Sigma_b y2 around the plant's quadrature G at one point."""
+    """Close the loop u2 = Sigma_b y2 around the plant's quadrature G, at
+    one point or, batched over the leading axis, at each of many."""
     m, m1, m2 = net.plant.m_channels, net.m1, net.m2
     idx1 = np.r_[0:m1, m:m + m1]
     idx2 = np.r_[m1:m, m + m1:2 * m]
-    g11 = g[np.ix_(idx1, idx1)]
-    g12 = g[np.ix_(idx1, idx2)]
-    g21 = g[np.ix_(idx2, idx1)]
-    g22 = g[np.ix_(idx2, idx2)]
+    g11 = g[..., idx1[:, None], idx1]
+    g12 = g[..., idx1[:, None], idx2]
+    g21 = g[..., idx2[:, None], idx1]
+    g22 = g[..., idx2[:, None], idx2]
     sigma_b = quadrature_image(net.s_b)
     inner = np.eye(2 * m2) - sigma_b @ g22
     return g11 + g12 @ np.linalg.solve(inner, sigma_b @ g21)
@@ -204,21 +205,20 @@ class ReductionReport:
 
 def verify_reduction(net, tol=DEFAULT_TOL):
     """Compare the reduced system's transfer function against the directly
-    interconnected closed loop at the frequencies REDUCTION_OMEGAS."""
-    points = [1j * w for w in REDUCTION_OMEGAS]
+    interconnected closed loop at the frequencies REDUCTION_OMEGAS, all
+    closed in one batched solve."""
+    points = 1j * REDUCTION_OMEGAS
     reduced, reduced_singular = _tf_points(
         quad_realization(reduce_network(net, tol=tol)), points)
     plant, plant_singular = _tf_points(quad_realization(net.plant), points)
-    dev = 0.0
-    scale = 1.0
-    for i, (g, red) in enumerate(zip(plant, reduced)):
-        if i in plant_singular:
-            raise plant_singular[i]
-        direct = _close_loop(net, g)
-        if i in reduced_singular:
-            raise reduced_singular[i]
-        dev = max(dev, float(inf_norm(direct - red)))
-        scale = max(scale, float(inf_norm(direct)))
+    for i in range(len(points)):
+        for singular in (plant_singular, reduced_singular):
+            if i in singular:
+                raise singular[i]
+    direct = _close_loop(net, plant)
+    # max over per-point Python floats: a NaN point is skipped, not propagated
+    dev = max([0.0, *np.abs(direct - reduced).max(axis=(1, 2)).tolist()])
+    scale = max([1.0, *np.abs(direct).max(axis=(1, 2)).tolist()])
     return ReductionReport(max_deviation=dev, scale=scale,
                            frequencies=tuple(float(w) for w in REDUCTION_OMEGAS),
                            passed=dev <= tol * scale)

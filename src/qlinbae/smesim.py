@@ -144,12 +144,45 @@ def _is_count(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
+def _square_operator(caller, name, x, d):
+    """x as a complex array; it must be a finite d x d matrix."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (d, d):
+        got = f"shape {x.shape}"
+    elif not np.isfinite(x).all():
+        got = "a non-finite entry"
+    else:
+        return x
+    raise PreconditionError(
+        f"{caller} setting {name} must be a finite {d} x {d} matrix, got {got}")
+
+
 def _real_form(x):
     """R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), the real
     2d x 2d form of a complex d x d matrix X:
     x @ X == (x.view(float) @ R(X)).view(complex) for a complex row x."""
     return (np.kron(x.real, np.eye(2))
             + np.kron(x.imag, np.array([[0.0, 1.0], [-1.0, 0.0]])))
+
+
+def _eigenframe(x, r):
+    """V = R(conj U) and the weights [1 | lam tiled r times] of
+    `_square_read`, lam = (mu_1, mu_1, mu_2, mu_2, ...), for a Hermitian
+    x = U diag(mu) U^dag. V is orthogonal and R(x^T) = V diag(lam) V^T,
+    so for a complex row phi with float view f and psi = f V, the float
+    view of phi conj(U), Re(phi x^T phi^dag) = sum lam psi^2 and
+    ||phi||^2 = sum psi^2."""
+    mu, u = np.linalg.eigh(x)
+    lam = np.tile(np.repeat(mu, 2), r)
+    return _real_form(u.conj()), np.stack([np.ones_like(lam), lam], axis=1)
+
+
+def _square_read(psi, weights, scratch):
+    """psi^2, flat per trajectory, times weights: against those of
+    `_eigenframe`, each trajectory's norm t of its r x 2d factor psi and
+    t times its record. scratch has psi's shape and takes psi^2."""
+    np.square(psi, out=scratch)
+    return scratch.reshape(len(psi), -1) @ weights
 
 
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
@@ -160,7 +193,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     with innovations dnu_j ~ Normal(0, dt), independent per channel, and
     L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
     K = -iH - 1/2 sum_j L_j^dag L_j. dt must be finite and > 0, T finite
-    and >= 0, n_traj and store_every integers >= 1. Trajectories use
+    and >= 0, n_traj and store_every integers >= 1, rho0 and every tracked
+    operator finite ops.dim x ops.dim matrices. Trajectories use
     independent counter-based RNG streams derived from (seed, trajectory
     index), so results are reproducible and order-independent.
 
@@ -183,51 +217,63 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     Positivity holds by construction: every phi^T conj(phi) is a Gram
     matrix. Nothing is clipped or repaired; positivity_margin, the
     smallest eigenvalue of the final states, carries only the rounding of
-    the one product, sum and division that form them, whatever the step
-    count.
+    the rotation, product, sum and division that form them, whatever the
+    step count.
 
     The step runs in real arithmetic on the float view of phi, where a
     complex row x times X is x.view(float) @ R(X) with
-    R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]). R is real
-    linear, so R(M^T) is the coefficients (1, dy_j, c_jk) times the real
-    forms of the transposed basis [I + K dt, L_j,
+    R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), and in the
+    eigenbasis of the first channel's record operator: R_1 =
+    R(dt (L_1 + L_1^dag)^T) is symmetric, R_1 = V diag(lam) V^T with
+    V = R(conj U) orthogonal for eigh(dt (L_1 + L_1^dag)) = U diag(mu)
+    U^dag (see `_eigenframe`), and the loop carries psi = phi V, the float
+    view of phi conj(U). R is real linear, so psi <- psi V^T R(M^T) V is
+    the coefficients (1, dy_j, c_jk) times the rotated real forms
+    V^T R(B^T) V of the basis [I + K dt, L_j,
     1/2 (L_j L_k + L_k L_j) for j <= k], one real GEMM for all
-    trajectories; the double sum is symmetric in (j, k), so
-    c_jj = (dy_j^2 - dt) / 2 and, for j < k, c_jk = dy_j dy_k. With
-    rho = phi^T conj(phi) / t, t = ||phi||_F^2, the record
-    Tr[rho dt (L_j + L_j^dag)] is the real dot product of each row of phi
-    with that row times R(dt (L_j + L_j^dag)^T), one more real GEMM,
-    divided by t, and phi <- phi M^T is one batched real product, after
-    which Tr(M rho M^dag) is the new t over the old. Rather than a pass
-    that divides phi, M carries the power of two s with s^2 t in [1/2, 2),
-    which keeps phi near unit norm: scaling by a power of two rounds
-    nothing, so phi^T conj(phi) and t scale together exactly and no
-    stored value moves, and a step with M = I leaves every one of them
-    bit-identical.
+    trajectories, then one batched real product; the double sum is
+    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
+    c_jk = dy_j dy_k. With rho = phi^T conj(phi) / t, the norm
+    t = ||phi||_F^2 = sum psi^2 and the first record
+    Tr[rho dt (L_1 + L_1^dag)] = sum lam psi^2 / t come from one pass of
+    squares psi^2 and one flat product per trajectory against [1 | lam]
+    (`_square_read`); each further channel j >= 2 reads the real dot
+    product of psi with psi V^T R_j V, one GEMM for all of them. After the
+    product, Tr(M rho M^dag) is the new t over the old. Rather than a pass
+    that divides psi, M carries the power of two s with s^2 t in [1/2, 2),
+    which keeps psi near unit norm: scaling by a power of two rounds
+    nothing, so psi^2 and t scale together exactly. Without channels V = I,
+    so a step with M = I leaves psi, t and every stored value
+    bit-identical; with a channel the eigenbasis rounds, so psi and its
+    rotations agree with phi's to rounding only.
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
     stored grid (every store_every steps, endpoints included). Only there
-    is Y = phi^T conj(phi) formed: Re Tr(rho X) is the real dot product of
-    the float views of Y and X^dag, divided by t. The final states are
-    (Y + Y^dag) / (2t), whose entry (b, a), fl(y_ba + conj(y_ab)) over a
-    real, is the exact conjugate of entry (a, b), so every final state is
-    exactly Hermitian.
+    is phi = psi V^T rotated back and Y = phi^T conj(phi) formed:
+    Re Tr(rho X) is the real dot product of the float views of Y and
+    X^dag, divided by t. The final states are (Y + Y^dag) / (2t), whose
+    entry (b, a), fl(y_ba + conj(y_ab)) over a real, is the exact
+    conjugate of entry (a, b), so every final state is exactly Hermitian.
 
     max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
-    normalization, not a rounding error. A step whose new t is not finite
-    and positive raises InstabilityError naming the step, with numpy's
-    overflow and invalid-value warnings silenced so that the error is the
-    one report: a finite positive t bounds every entry of phi and of
-    phi^T conj(phi), so the check is on t alone, and phi can stay finite
-    where the state it stands for overflows.
+    normalization, not a rounding error; it is max(hi - 1, 1 - lo) over
+    the smallest and largest ratio of each step, the same float. A step
+    whose new t is not finite and positive raises InstabilityError naming
+    the step, with numpy's overflow and invalid-value warnings silenced
+    so that the error is the one report: a finite positive t bounds every
+    entry of psi and of phi^T conj(phi), so the check is on the ratios
+    alone, and psi can stay finite where the state it stands for
+    overflows.
     """
     _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
     _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
     _require(_is_count(n_traj), "n_traj", "an integer >= 1", n_traj)
     _require(_is_count(store_every), "store_every", "an integer >= 1",
              store_every)
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
+    d = ops.dim
+    rho0 = _square_operator("simulate_qsme", "rho0", rho0, d)
+    obs = [_square_operator("simulate_qsme", f"tracked {name!r}", x, d)
+           for name, x in tracked]
     tol = 1e-8  # on the trace and the smallest eigenvalue of rho0
     tr0 = np.trace(rho0).real
     if abs(tr0 - 1.0) > tol:
@@ -254,7 +300,6 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         noise[i] = g.normal(0.0, np.sqrt(dt), size=(n_steps, m))
 
     names = tuple(name for name, _ in tracked)
-    obs = [np.asarray(x, dtype=complex) for _, x in tracked]
     norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
     # Re Tr(rho X) is the float view of rho dotted with that of X^dag
     probes = np.array([x.conj().T for x in obs], dtype=complex)
@@ -267,28 +312,34 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     times = np.array([i * dt for i in store_idx])
     values = np.empty((n_traj, len(store_idx), len(obs)))
 
-    phi = np.broadcast_to((u[:, keep] * np.sqrt(w[keep])).T,
-                          (n_traj, r, d)).copy()
-    spare = np.empty_like(phi)
-    t = np.einsum("trc,trc->t", phi.view(float), phi.view(float))
+    if m:
+        v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
+    else:  # no record to read; V = I rounds nothing
+        v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
+    phi0 = np.ascontiguousarray((u[:, keep] * np.sqrt(w[keep])).T)
+    psi = np.broadcast_to(phi0.view(float) @ v, (n_traj, r, 2 * d)).copy()
+    spare = np.empty_like(psi)  # squares, rotation back, product
+    read = _square_read(psi, weights, spare)  # [t, t dy_1 without noise]
     y = np.empty((n_traj, d, d), dtype=complex)
     y_re = y.view(float).reshape(n_traj, 2 * d * d)
     max_trace_dev = 0.0
 
     def record(slot):
-        np.conjugate(phi, out=spare)
-        np.matmul(phi.swapaxes(-1, -2), spare, out=y)
-        values[:, slot] = y_re @ probes / t[:, None]
+        np.matmul(psi, v.T, out=spare)
+        phi = spare.view(complex)
+        np.matmul(phi.swapaxes(-1, -2), phi.conj(), out=y)
+        values[:, slot] = y_re @ probes / read[:, :1]
 
     jj, kk = np.triu_indices(m)
     basis = [np.eye(d) + dt * k_gen, *l_ops,
              *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
                for j, k in zip(jj, kk))]
-    basis_re = np.array([_real_form(b.T) for b in basis]).reshape(
+    basis_re = np.array([v.T @ _real_form(b.T) @ v for b in basis]).reshape(
         len(basis), 4 * d * d)
-    record_gain = np.array([_real_form(dt * (l + l.conj().T).T) for l in l_ops])
-    record_gain = record_gain.reshape(m, 2 * d, 2 * d).swapaxes(0, 1).reshape(
-        2 * d, 2 * m * d)  # [R_1 | ... | R_m]
+    if m > 1:  # [R_2 | ... | R_m], rotated
+        record_gain = np.concatenate([
+            v.T @ _real_form(dt * (l + l.conj().T).T) @ v for l in l_ops[1:]],
+            axis=1)
     pair_scale = np.where(jj == kk, 0.5, 1.0)
     pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
     coef = np.ones((n_traj, len(basis)))
@@ -299,32 +350,35 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     # invalid-value warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(n_steps):
-            phi_re = phi.view(float)
-            gained = phi_re.reshape(n_traj * r, 2 * d) @ record_gain
-            dy = np.einsum("trjc,trc->tj", gained.reshape(n_traj, r, m, 2 * d),
-                           phi_re) / t[:, None]
+            t = read[:, 0]
+            dy = read[:, 1:] / t[:, None]  # channel 1 (none without channels)
+            if m > 1:
+                gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
+                rest = np.einsum("trjc,trc->tj", gained.reshape(
+                    n_traj, r, m - 1, 2 * d), psi) / t[:, None]
+                dy = np.concatenate([dy, rest], axis=1)
             dy += noise[:, step]
             coef[:, 1:m + 1] = dy
             coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
             s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
             np.matmul(coef * s[:, None], basis_re,
                       out=kraus_re.reshape(n_traj, 4 * d * d))
-            np.matmul(phi_re, kraus_re, out=spare.view(float))
-            phi, spare = spare, phi
-            new_t = np.einsum("trc,trc->t", phi.view(float), phi.view(float))
-            trace = new_t / (s * s * t)  # Tr(M rho M^dag)
-            t = new_t
-            if not (t.min() > 0.0 and np.isfinite(trace).all()):
+            np.matmul(psi, kraus_re, out=spare)
+            psi, spare = spare, psi
+            read = _square_read(psi, weights, spare)
+            trace = read[:, 0] / (s * s * t)  # Tr(M rho M^dag)
+            lo, hi = trace.min(), trace.max()
+            if not (lo > 0.0 and hi < np.inf):
                 raise InstabilityError(
                     f"step {step}: the conditioned state is not finite; reduce dt")
-            max_trace_dev = max(max_trace_dev, float(np.abs(trace - 1.0).max()))
+            max_trace_dev = max(max_trace_dev, float(hi - 1.0), float(1.0 - lo))
             if step + 1 in store_set:
                 slot += 1
                 record(slot)
 
     # the last step is a stored one, so y is the final phi^T conj(phi)
     rho = y + _dagger(y)
-    rho /= (2.0 * t)[:, None, None]
+    rho /= (2.0 * read[:, 0])[:, None, None]
     return SMETrajectoryBatch(
         times=times, tracked_names=names, tracked_values=values,
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
@@ -341,22 +395,25 @@ def lindblad_means(ops, rho0, times, tracked):
     exp(t L*)(rho0). With row-major vectorization vec(A X B) =
     (A kron B^T) vec(X), L* is the d^2 x d^2 matrix
       kron(K, I) + kron(I, conj K) + sum_j kron(L_j, conj L_j),
-    and Tr[rho X] = vec(rho) . vec(X^T). Each time takes one expm. rho0 is
-    Hermitized as simulate_qsme Hermitizes it. simulate_qsme's factor
+    and Tr[rho X] = vec(rho) . vec(X^T). Each time takes one expm. rho0 and
+    every tracked operator must be finite ops.dim x ops.dim matrices. rho0
+    is Hermitized as simulate_qsme Hermitizes it. simulate_qsme's factor
     also drops rho0's negative eigenvalues, at most 1e-8 in modulus by its
     precondition, and divides by the trace that remains; this reference
     keeps rho0 as given."""
     from scipy.linalg import expm  # importing the CLI loads no scipy
 
-    l_ops, k_gen = _generator(ops)
     d = ops.dim
+    rho0 = _square_operator("lindblad_means", "rho0", rho0, d)
+    obs = [_square_operator("lindblad_means", f"tracked {name!r}", x, d)
+           for name, x in tracked]
+    l_ops, k_gen = _generator(ops)
     eye = np.eye(d)
     liouvillian = (np.kron(k_gen, eye) + np.kron(eye, k_gen.conj())
                    + sum((np.kron(l, l.conj()) for l in l_ops),
                          np.zeros((d * d, d * d), dtype=complex)))
-    rho0 = np.asarray(rho0, dtype=complex)
     vec0 = (0.5 * (rho0 + rho0.conj().T)).reshape(d * d)
-    probes = np.array([np.asarray(x, dtype=complex).T for _, x in tracked],
+    probes = np.array([x.T for x in obs],
                       dtype=complex).reshape(len(tracked), d * d)
     return np.array([(probes @ (expm(t * liouvillian) @ vec0)).real
                      for t in times]).reshape(len(times), len(tracked))

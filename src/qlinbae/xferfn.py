@@ -540,5 +540,5 @@ def frequency_sweep(r, omegas):
     as after `certify_bae` of the same system, the sweep reuses it (see
     `_schur_form`) and factors nothing.
     """
-    g, _ = _tf_points(r, [1j * w for w in omegas])
+    g, _ = _tf_points(r, 1j * np.asarray(omegas, dtype=float))
     return np.abs(g)

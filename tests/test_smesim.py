@@ -3,6 +3,8 @@ integrator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlinbae import qsys, smesim
 from qlinbae.errors import InstabilityError, PreconditionError, ResourceError
@@ -203,50 +205,43 @@ def test_steps_match_per_product_reference():
     """Twenty steps of six two-channel trajectories from a pure state
     recomputed by _kraus_reference, whose double sum carries the
     1/2 (L_1 L_2 + L_2 L_1) dy_1 dy_2 cross term that simulate_qsme folds
-    into one symmetrized basis element.
-
-    Tolerance, derived before comparing: M is a sum of at most nb = 7
-    terms (the reference's; simulate_qsme's basis has 6), so each side
-    rounds its entries with error at most nb eps s, where
-      s = 1 + dt ||K|| + sum_j |dy_j| ||L_j||
-            + 1/2 sum_jk (|dy_j dy_k| + dt) ||L_j|| ||L_k||
-    bounds ||M||_2 (max |dy| over all steps). The two products of
-    M rho M^dag have inner dimension d each, so with ||rho||_2 <= 1 a side
-    rounds them with error at most 2d eps s^2 (Higham, gamma_n), the
-    division by a trace t >= t_min = 1 - max_trace_deviation adds a
-    relative eps, and subtracting the change in the trace at most doubles
-    the error of the normalized state. To first order the errors of the
-    n_steps steps add:
-      atol = n_steps * 2 sides * 2 * (nb + 2d + 1) eps s^2 / t_min.
-    Dropping the cross term must move the result by far more than atol."""
+    into one symmetrized basis element, agree within _one_product_atol
+    (derived there before comparing). Dropping the cross term must move
+    the result by far more than that."""
     ops = smesim.build_truncated_operators(_two_channel_mode(), fock_dim=6)
-    d, ls = ops.dim, ops.l_ops
+    d = ops.dim
     rho0 = np.zeros((d, d), dtype=complex)
     rho0[0, 0] = 1.0
     dt, n_steps, n_traj, seed = 1e-3, 20, 6, 4
     batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
                                  n_traj=n_traj, seed=seed, tracked=[])
     finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
-
-    norm = lambda x: np.linalg.norm(x, 2)
-    k_gen = -1j * ops.h - 0.5 * sum(l.conj().T @ l for l in ls)
-    lsum = sum(norm(l) for l in ls)
-    s = (1.0 + dt * norm(k_gen) + max_dy * lsum
-         + 0.5 * (max_dy ** 2 + dt) * lsum ** 2)
     t_min = 1.0 - batch.max_trace_deviation
     assert t_min > 0.5
-    eps = np.finfo(float).eps
-    atol = n_steps * 2 * 2 * (7 + 2 * d + 1) * eps * s ** 2 / t_min
+    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 1)
     assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
     no_cross, _, _ = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed,
                                       cross_term=False)
     assert np.abs(no_cross - finals).max() > 100 * atol
 
 
+def _orthogonality_defect(ops, dt, r):
+    """||V V^T - I||_F / eps for simulate_qsme's eigenframe V (0 without
+    channels, where V = I), formed in long double so that the measurement
+    adds no rounding of its own at this size."""
+    if not ops.l_ops:
+        return 0.0
+    l1 = ops.l_ops[0]
+    v, _ = smesim._eigenframe(dt * (l1 + l1.conj().T), r)
+    v = v.astype(np.longdouble)
+    gram = v @ v.T - np.eye(len(v), dtype=np.longdouble)
+    return float(np.sqrt((gram * gram).sum())) / np.finfo(float).eps
+
+
 def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     """A first-order bound on |simulate_qsme - _kraus_reference| after
     n_steps steps from a rank-r rho0, for simulate_qsme's one real product
-    per step.
+    per step in the eigenbasis V of its first record operator.
 
     Both sides build M with entries bounded by
       s = 1 + dt ||K|| + sum_j |dy_j| ||L_j||
@@ -256,15 +251,21 @@ def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     two products of M rho M^dag, inner dimension d each, so with
     ||rho||_2 <= 1 a step adds (nb_ref + 2d + 1) eps s^2 / t_min, the 1
     for the division, doubled by the change in the trace (Higham, gamma_n).
-    simulate_qsme sums nb = 1 + m + m(m + 1) / 2 real terms into R(M^T)
-    and rounds one real product phi R(M^T) of inner dimension 2d; an
-    error in phi enters rho = phi^T conj(phi) / t twice, so a step adds
-    2 (nb + 2d + 1) eps s^2 / t_min, the 1 for dividing the record by t.
-    The power-of-two scale of M rounds nothing. Forming rho once at the
-    end adds (2r + 2rd + 2) eps / t_min: each entry of phi^T conj(phi)
-    sums 2r real products, t sums 2rd squares, and the Hermitian average
-    and the division round once each. To first order the errors of the
-    n_steps steps add."""
+    simulate_qsme sums nb = 1 + m + m(m + 1) / 2 real terms into
+    V^T R(M^T) V, each basis element rotated by two real products of inner
+    dimension 2d (4d), and rounds one real product psi V^T R(M^T) V of
+    inner dimension 2d; V V^T = I + G with ||G|| = g eps, and the chain
+    V V^T R(M_1^T) V V^T R(M_2^T) ... carries one G per step. An error in
+    psi enters rho = phi^T conj(phi) / t twice, so a step adds
+    2 (nb + 6d + 1 + g) eps s^2 / t_min, the 1 for dividing the record by
+    t. The power-of-two scale of M rounds nothing. The two rotations,
+    psi_0 = phi_0 V and phi = psi V^T at the end, each of inner dimension
+    2d and each entering rho twice, add (8d + 2g) eps / t_min once, the
+    last G the one of the end. Forming rho once at the end adds
+    (2r + 2rd + 2) eps / t_min: each entry of phi^T conj(phi) sums 2r real
+    products, t sums 2rd squares, and the Hermitian average and the
+    division round once each. To first order the errors of the n_steps
+    steps add."""
     d, ls = ops.dim, ops.l_ops
     m = len(ls)
     norm = lambda x: np.linalg.norm(x, 2)
@@ -272,11 +273,12 @@ def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     lsum = sum(norm(l) for l in ls)
     s = (1.0 + dt * norm(k_gen) + max_dy * lsum
          + 0.5 * (max_dy ** 2 + dt) * lsum ** 2)
+    g = _orthogonality_defect(ops, dt, r)
     nb_ref, nb = 1 + m + m * m, 1 + m + m * (m + 1) // 2
-    per_step = 2 * (nb_ref + 2 * d + 1) + 2 * (nb + 2 * d + 1)
+    per_step = 2 * (nb_ref + 2 * d + 1) + 2 * (nb + 6 * d + 1 + g)
     eps = np.finfo(float).eps
     return (n_steps * per_step * eps * s ** 2
-            + (2 * r + 2 * r * d + 2) * eps) / t_min
+            + (2 * r + 2 * r * d + 2 + 8 * d + 2 * g) * eps) / t_min
 
 
 def _orthonormal_columns(rng, d, k):
@@ -304,6 +306,94 @@ def test_low_rank_factor_matches_per_product_reference(weights):
     assert t_min > 0.5
     atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, len(weights))
     assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+
+
+def test_second_channel_record_matches_per_product_reference():
+    """Channel 1 weakly measures a rotated quadrature (L_1 = 0.2 e^{0.3i} a,
+    whose record operator is complex, so R(X^T) is not R(X)), and the loop
+    runs in its eigenbasis; channel 2 more strongly measures p
+    (L_2 = 0.5 i (a - a^dag)),
+    whose record operator V^T R_2 V is dense there: its record goes
+    through the rotated GEMM, not the squares. Eighty steps of eight
+    trajectories from a rank-3 state agree with _kraus_reference within
+    _one_product_atol in the final states and, since
+    |Tr(drho X)| <= atol sum_ab |X_ab|, within that in Tr(rho X) for both
+    records' operators at every step."""
+    sys_obj = qsys.new_system(np.eye(2), np.array([[0.2 * np.exp(0.3j)],
+                                                   [0.5j]]),
+                              np.array([[0.0], [-0.5j]]), np.zeros((1, 1)),
+                              np.zeros((1, 1)))
+    ops = smesim.build_truncated_operators(sys_obj, fock_dim=6)
+    d = ops.dim
+    tracked = [(f"X{j}", l + l.conj().T) for j, l in enumerate(ops.l_ops)]
+    v = _orthonormal_columns(np.random.default_rng(7), d, 3)
+    rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
+    dt, n_steps, n_traj, seed = 1e-3, 80, 8, 6
+    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                 n_traj=n_traj, seed=seed, tracked=tracked)
+    finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                              seed, tracked)
+    t_min = 1.0 - batch.max_trace_deviation
+    assert t_min > 0.5
+    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
+    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+    for k, (_, x) in enumerate(tracked):
+        assert np.allclose(batch.tracked_values[..., k], values[..., k],
+                           rtol=0.0, atol=atol * np.abs(x).sum())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_eigenbasis_squares_read_the_norm_and_the_record(seed, d, data):
+    """For a random complex r x d factor phi, r = 1..d, and a random
+    Hermitian record operator X of random scale, the read-out of
+    simulate_qsme, psi = phi.view(float) @ V and psi^2 against
+    [1 | lam], gives t = Tr rho and Re Tr(rho X), rho = phi^T conj(phi),
+    within a first-order bound. The exact value of the read for the
+    computed V is f V diag(lam) V^T f^T (f a row of phi's float view), so
+    it differs from Re Tr(rho X) by at most ||phi||_F^2 times
+    ||V diag(lam) V^T - R(X^T)||_F (for t, ||V V^T - I||_F). eigh passes
+    LAPACK's own acceptance test, a residual and an orthogonality defect
+    of at most 30 d eps relative in the 2-norm, which R keeps and which
+    bounds the Frobenius norm of R(E) within a factor sqrt(2d); the test
+    asserts both caps on the measured values, formed in long double. The rotation rounds psi
+    by at most gamma_2d |f| |V|, which moves the read by at most
+    2 max|lam| gamma_2d ||V||_2 ||V||_F ||phi||_F^2, and the squares and
+    the sum of 2rd terms round it by at most
+    gamma_{2rd+1} max|lam| ||V||_2^2 ||phi||_F^2. The long-double
+    reference forms rho by complex inner products of length r and the
+    trace by a sum of d^2 products, off by at most
+    4 (r + d^2 + 3) eps_ld d max|X| ||phi||_F^2 (Higham, gamma_n)."""
+    r = data.draw(st.integers(1, d))
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = 10.0 ** rng.uniform(-3.0, 3.0) * (z + z.conj().T)
+    v, weights = smesim._eigenframe(x, r)
+    psi = (phi.view(float) @ v)[None]
+    t, record = smesim._square_read(psi, weights, np.empty_like(psi))[0]
+
+    phi_ld = phi.astype(np.clongdouble)
+    rho = phi_ld.T @ phi_ld.conj()
+    exact_t = float(np.trace(rho).real)
+    exact_record = float((rho * x.T.astype(np.clongdouble)).sum().real)
+
+    eps, eps_ld = np.finfo(float).eps, np.finfo(np.longdouble).eps
+    gamma = lambda n, e=eps: n * e / 2 / (1 - n * e / 2)
+    frob = lambda a: float(np.sqrt((a * a).sum()))
+    v_ld = v.astype(np.longdouble)
+    lam = weights[:2 * d, 1]
+    v_2, v_f = np.linalg.norm(v, 2), np.linalg.norm(v)
+    lapack = 30 * d * eps * np.sqrt(2 * d)
+    assert frob(v_ld * lam @ v_ld.T - smesim._real_form(x.T)) <= (
+        lapack * np.linalg.norm(x, 2))
+    assert frob(v_ld @ v_ld.T - np.eye(2 * d)) <= lapack
+    rounding = 2 * gamma(2 * d) * v_2 * v_f + gamma(2 * r * d + 1) * v_2 ** 2
+    reference = 4 * (r + d * d + 3) * eps_ld * d
+    assert abs(t - exact_t) <= exact_t * (lapack + rounding + reference)
+    max_x = max(np.abs(lam).max(), np.abs(x).max())
+    assert abs(record - exact_record) <= exact_t * (
+        lapack * np.linalg.norm(x, 2) + max_x * (rounding + reference))
 
 
 def test_factor_drops_a_slightly_negative_eigenvalue():
@@ -530,6 +620,50 @@ def test_rho0_validation():
     with pytest.raises(PreconditionError):
         smesim.simulate_qsme(ops, 2.0 * np.eye(4) / 4.0, dt=1e-3, T=0.01,
                              n_traj=1, seed=0, tracked=[])
+
+
+def _bad_operator(case, d):
+    """simulate_qsme's and lindblad_means' keyword arguments for one
+    mis-shaped or non-finite input, with the message it must raise."""
+    rho0 = _ground_state_mixture(d)
+    nan_rho0 = rho0.copy()
+    nan_rho0[1, 2] = np.nan
+    inf_op = np.eye(d)
+    inf_op[0, 0] = np.inf
+    return {
+        "rho0_too_small": (dict(rho0=np.eye(4) / 4, tracked=[]),
+                           rf"rho0 must be a finite {d} x {d} matrix, "
+                           r"got shape \(4, 4\)"),
+        "rho0_not_square": (dict(rho0=np.eye(d, 4) / 4, tracked=[]),
+                            rf"rho0 must be a finite {d} x {d} matrix, "
+                            rf"got shape \({d}, 4\)"),
+        "rho0_nan": (dict(rho0=nan_rho0, tracked=[]),
+                     r"rho0 must be .* got a non-finite entry"),
+        "tracked_too_small": (dict(rho0=rho0, tracked=[("X", np.eye(4))]),
+                              rf"tracked 'X' must be a finite {d} x {d} "
+                              r"matrix, got shape \(4, 4\)"),
+        "tracked_inf": (dict(rho0=rho0, tracked=[("X", inf_op)]),
+                        r"tracked 'X' must be .* got a non-finite entry"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["rho0_too_small", "rho0_not_square",
+                                  "rho0_nan", "tracked_too_small",
+                                  "tracked_inf"])
+@pytest.mark.parametrize("caller", ["simulate_qsme", "lindblad_means"])
+def test_operators_are_checked_up_front(caller, case):
+    """rho0 and every tracked operator must be finite ops.dim x ops.dim
+    matrices: each violation raises a PreconditionError naming the
+    setting, where numpy's broadcast and reshape errors, a misleading
+    trace message or a LinAlgError used to surface."""
+    d = 8
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=d)
+    kw, message = _bad_operator(case, d)
+    with pytest.raises(PreconditionError, match=f"^{caller} setting {message}"):
+        if caller == "simulate_qsme":
+            smesim.simulate_qsme(ops, dt=1e-3, T=0.01, n_traj=2, seed=0, **kw)
+        else:
+            smesim.lindblad_means(ops, times=[0.0, 0.01], **kw)
 
 
 @pytest.mark.parametrize("setting", [
