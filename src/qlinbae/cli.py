@@ -12,6 +12,7 @@ C_minus (k11, k21) or C_plus (k12, k22) within --tol. Exit status:
 """
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -20,13 +21,16 @@ import sys as _sys
 import numpy as np
 
 from . import bae, feedback, kalman, qnd, smesim
-from .errors import (InternalConsistencyError, PreconditionError,
-                     QLinBAEError, ValidationError, WellPosednessError)
-from .matcore import DEFAULT_TOL, close_to
+from .errors import InternalConsistencyError, QLinBAEError, ValidationError
+from .matcore import DEFAULT_TOL, close_to, is_real
 from .qsys import ac_realization, new_system, quad_realization
 from .xferfn import block_pattern, eval_tf, frequency_sweep
 
 SCHEMA_VERSION = 2
+
+# each spec matrix key, in file order, and the QuantumLinearSystem field it fills
+_SPEC_MATRICES = {"S": "s", "C_minus": "c_minus", "C_plus": "c_plus",
+                  "Omega_minus": "omega_minus", "Omega_plus": "omega_plus"}
 
 
 # ---------------------------------------------------------------- encoding
@@ -79,18 +83,11 @@ def load_spec(path, tol=DEFAULT_TOL):
     if not isinstance(doc, dict):
         raise ValueError(f"spec file {path}: top level must be a JSON object, "
                          f"got {doc!r}")
-    for key in ("modes", "channels", "S", "C_minus", "C_plus",
-                "Omega_minus", "Omega_plus"):
+    for key in ("modes", "channels", *_SPEC_MATRICES):
         if key not in doc:
             raise ValueError(f"spec file {path}: missing key {key!r}")
-    sys_obj = new_system(
-        s=parse_complex_matrix(doc["S"], "S"),
-        c_minus=parse_complex_matrix(doc["C_minus"], "C_minus"),
-        c_plus=parse_complex_matrix(doc["C_plus"], "C_plus"),
-        omega_minus=parse_complex_matrix(doc["Omega_minus"], "Omega_minus"),
-        omega_plus=parse_complex_matrix(doc["Omega_plus"], "Omega_plus"),
-        tol=tol,
-    )
+    sys_obj = new_system(**{field: parse_complex_matrix(doc[key], key)
+                            for key, field in _SPEC_MATRICES.items()}, tol=tol)
     declared = (doc["modes"], doc["channels"])
     if (declared != (sys_obj.n_modes, sys_obj.m_channels)
             or any(isinstance(v, bool) for v in declared)):
@@ -115,15 +112,15 @@ def _section(doc, key, required=False):
 
 
 def emit_spec(sys_obj):
-    return {
-        "modes": sys_obj.n_modes,
-        "channels": sys_obj.m_channels,
-        "S": emit_complex_matrix(sys_obj.s),
-        "C_minus": emit_complex_matrix(sys_obj.c_minus),
-        "C_plus": emit_complex_matrix(sys_obj.c_plus),
-        "Omega_minus": emit_complex_matrix(sys_obj.omega_minus),
-        "Omega_plus": emit_complex_matrix(sys_obj.omega_plus),
-    }
+    return {"modes": sys_obj.n_modes, "channels": sys_obj.m_channels,
+            **{key: emit_complex_matrix(getattr(sys_obj, field))
+               for key, field in _SPEC_MATRICES.items()}}
+
+
+def _record(obj, skip=()):
+    """obj's dataclass fields but skip, by value: asdict would deep-copy."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+            if f.name not in skip}
 
 
 # The C encoder: one line, ", " between items. It is the one json.dumps
@@ -187,26 +184,25 @@ def _json_text(doc, depth):
     return json.dumps(doc, indent=2).replace("\n", pad)
 
 
-def _write_json(doc, out):
-    text = _json_text({"schema_version": SCHEMA_VERSION, **doc}, 0)
+def _write(text, out):
+    """text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        _sys.stdout.write(text)
+
+
+def _write_json(doc, out):
+    _write(_json_text({"schema_version": SCHEMA_VERSION, **doc}, 0) + "\n", out)
 
 
 def _write_csv(header, columns, out):
     """A header line, then one line per row of np.column_stack(columns),
     each field f"{x:.12g}"; no field needs CSV quoting."""
     row = ",".join(["{:.12g}"] * len(header)).format
-    text = ",".join(header) + "\n" + "".join(
-        row(*values) + "\n" for values in np.column_stack(columns).tolist())
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+    _write(",".join(header) + "\n" + "".join(
+        row(*values) + "\n" for values in np.column_stack(columns).tolist()), out)
 
 
 # ---------------------------------------------------------------- commands
@@ -268,12 +264,8 @@ def cmd_bae(args):
              "predicted_pairs": sorted(list(p) for p in m.predicted_pairs)}
             for m in report.matched_conditions],
         "consistent": report.consistency,
-        "block_certificates": {
-            name: {"zero": cert.zero, "node_max": cert.node_max,
-                   "threshold": cert.threshold, "scale": cert.scale,
-                   "probe_ratio": cert.probe_ratio}
-            for name, cert in (("qq", report.pattern.qq), ("qp", report.pattern.qp),
-                               ("pq", report.pattern.pq), ("pp", report.pattern.pp))},
+        "block_certificates": {name: _record(cert) for name, cert
+                               in _record(report.pattern).items()},
     }, args.out)
     return 0
 
@@ -288,19 +280,10 @@ def cmd_qnd(args):
         "coupling": qnd.coupling_properties(sys_obj, tol=args.tol),
     }
     rep = qnd.qnd_variable_report(sys_obj, tol=args.tol)
-    doc["qnd_variables"] = {
-        "q_is_qnd": rep.q_is_qnd, "p_is_qnd": rep.p_is_qnd,
-        "case_matched": rep.case_matched, "dimension": rep.dimension,
-        "isotropy_residual": rep.isotropy_residual,
-        "witnesses": [{"output": w.output, "rank": w.rank, "full": w.full}
-                      for w in rep.witnesses],
-    }
+    doc["qnd_variables"] = {**_record(rep, skip=("basis",)),
+                            "witnesses": list(map(_record, rep.witnesses))}
     if sys_obj.m_channels == 1:
-        siso = qnd.siso_analysis(sys_obj, tol=args.tol)
-        doc["siso"] = {"gain": siso.gain,
-                       "which_quadrature": siso.which_quadrature,
-                       "q_residual": siso.q_residual,
-                       "p_residual": siso.p_residual}
+        doc["siso"] = _record(qnd.siso_analysis(sys_obj, tol=args.tol))
     _write_json(doc, args.out)
     return 0
 
@@ -308,7 +291,7 @@ def cmd_qnd(args):
 def _loop_split(split):
     """feedback.split as (m1, m2), two positive integers."""
     if not (isinstance(split, list) and len(split) == 2
-            and all(isinstance(v, int) and v >= 1 for v in split)):
+            and all(type(v) is int and v >= 1 for v in split)):
         raise ValueError(f"feedback.split must be two positive integers, got {split!r}")
     return tuple(split)
 
@@ -336,12 +319,11 @@ def _network_from_doc(sys_obj, doc, tol):
 def cmd_feedback(args):
     sys_obj, doc = load_spec(args.spec, args.tol)
     if args.action == "reduce":
-        net = _network_from_doc(sys_obj, doc, args.tol)
-        reduced = feedback.reduce_network(net, tol=args.tol)
-        check = feedback.verify_reduction(net, tol=args.tol)
+        check = feedback.verify_reduction(_network_from_doc(sys_obj, doc, args.tol),
+                                          tol=args.tol)
         _write_json({
             "tolerance": args.tol,
-            "reduced": emit_spec(reduced),
+            "reduced": emit_spec(check.reduced),
             "oracle_max_deviation": check.max_deviation,
             "oracle_passed": check.passed,
         }, args.out)
@@ -371,16 +353,21 @@ def cmd_feedback(args):
 def cmd_kalman(args):
     _, doc = load_spec(args.spec, args.tol)
     sec = _section(doc, "kalman", required=True)
+
+    def read(key):
+        """kalman.<key>: finite, and real at --tol unless it is a Gamma."""
+        x = parse_complex_matrix(sec[key], f"kalman.{key}")
+        gamma = key.startswith("Gamma")
+        if not np.isfinite(x).all():
+            raise ValueError(f"kalman.{key} has a NaN or Inf entry")
+        if not (gamma or is_real(x, args.tol)):
+            raise ValueError(f"kalman.{key} must be real within tolerance {args.tol}")
+        return x if gamma else np.real(x)
+
     if "Gamma_q" in sec:
-        k = kalman.from_gamma(
-            a_co=np.real(parse_complex_matrix(sec["A_co"], "kalman.A_co")),
-            gamma_q=parse_complex_matrix(sec["Gamma_q"], "kalman.Gamma_q"),
-            gamma_p=parse_complex_matrix(sec["Gamma_p"], "kalman.Gamma_p"))
+        k = kalman.from_gamma(*map(read, ("A_co", "Gamma_q", "Gamma_p")))
     else:
-        k = kalman.KalmanCoSubsystem(
-            a_co=np.real(parse_complex_matrix(sec["A_co"], "kalman.A_co")),
-            b_co=np.real(parse_complex_matrix(sec["B_co"], "kalman.B_co")),
-            c_co=np.real(parse_complex_matrix(sec["C_co"], "kalman.C_co")))
+        k = kalman.KalmanCoSubsystem(*map(read, ("A_co", "B_co", "C_co")))
     verdict = kalman.check_kalman_bae(k, tol=args.tol)
     markov = kalman.markov_identity_check(k, tol=args.tol)
     _write_json({"tolerance": args.tol, "theorem": verdict,
@@ -422,8 +409,8 @@ def cmd_simulate(args):
     columns = [batch.times] + [e.means for e in stats] + [
         e.standard_errors for e in stats]
     _write_csv(header, columns, args.out)
-    summary = {e.name: {"drift": e.drift, "allowance": e.allowance,
-                        "passed": e.passed} for e in stats}
+    summary = {e.name: _record(e, skip=("name", "means", "standard_errors"))
+               for e in stats}
     print(_json_text({"martingale": summary}, 0), file=_sys.stderr)
     return 0
 
@@ -504,8 +491,7 @@ def main(argv=None):
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=_sys.stderr)
         return 2
-    except (ValidationError, PreconditionError, WellPosednessError,
-            QLinBAEError, ValueError, OSError, KeyError) as exc:
+    except (QLinBAEError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

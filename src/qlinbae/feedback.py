@@ -40,7 +40,7 @@ class FeedbackNetwork:
             )
         if sb.shape != (self.m2, self.m2):
             raise DimensionError(f"s_b must be {self.m2}x{self.m2}, got {sb.shape}")
-        if inf_norm(sb @ sb.conj().T - np.eye(self.m2)) > tol:
+        if not inf_norm(sb @ sb.conj().T - np.eye(self.m2)) <= tol:  # NaN fails
             raise DimensionError("s_b must be unitary")
         object.__setattr__(self, "s_b", sb)
 
@@ -83,10 +83,8 @@ def make_network(omega_minus, omega_plus, k11, k12, k21, k22, s_b,
                  s_plant=None):
     """Build a FeedbackNetwork from coupling blocks; the plant scattering
     defaults to the identity."""
-    k11 = np.atleast_2d(np.asarray(k11, dtype=complex))
-    k12 = np.atleast_2d(np.asarray(k12, dtype=complex))
-    k21 = np.atleast_2d(np.asarray(k21, dtype=complex))
-    k22 = np.atleast_2d(np.asarray(k22, dtype=complex))
+    k11, k12, k21, k22 = (np.atleast_2d(np.asarray(k, dtype=complex))
+                          for k in (k11, k12, k21, k22))
     m1, m2 = k11.shape[0], k21.shape[0]
     if s_plant is None:
         s_plant = np.eye(m1 + m2)
@@ -100,14 +98,14 @@ def make_network(omega_minus, omega_plus, k11, k12, k21, k22, s_b,
     return FeedbackNetwork(plant=plant, m1=m1, m2=m2, s_b=s_b)
 
 
-def _loop_gain(net):
-    loop = np.eye(net.m2) - net.s22 @ net.s_b
+def _loop_gain(s22, s_b):
+    loop = np.eye(len(s_b)) - s22 @ s_b
     cond = np.linalg.cond(loop)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise WellPosednessError(
             f"feedback loop I - S22 S_b is singular (condition number {cond:.3e})"
         )
-    return net.s_b @ np.linalg.inv(loop)
+    return s_b @ np.linalg.inv(loop)
 
 
 def _reduce_arrays(k11, k12, k21, k22, s12, s22, w, omega_minus, omega_plus):
@@ -147,7 +145,7 @@ def reduce_network(net, tol=DEFAULT_TOL):
     so any violation surfaces as a validation failure rather than being
     repaired.
     """
-    w = _loop_gain(net)
+    w = _loop_gain(net.s22, net.s_b)
     s_red = net.s11 + net.s12 @ w @ net.s21
     c_minus, c_plus, omega_minus, omega_plus = _reduce_arrays(
         net.k11, net.k12, net.k21, net.k22, net.s12, net.s22, w,
@@ -201,6 +199,7 @@ class ReductionReport:
     scale: float
     frequencies: tuple
     passed: bool
+    reduced: QuantumLinearSystem  # reduce_network(net, tol), the system checked
 
 
 def verify_reduction(net, tol=DEFAULT_TOL):
@@ -208,8 +207,8 @@ def verify_reduction(net, tol=DEFAULT_TOL):
     interconnected closed loop at the frequencies REDUCTION_OMEGAS, all
     closed in one batched solve."""
     points = 1j * REDUCTION_OMEGAS
-    reduced, reduced_singular = _tf_points(
-        quad_realization(reduce_network(net, tol=tol)), points)
+    red = reduce_network(net, tol=tol)
+    reduced, reduced_singular = _tf_points(quad_realization(red), points)
     plant, plant_singular = _tf_points(quad_realization(net.plant), points)
     for i in range(len(points)):
         for singular in (plant_singular, reduced_singular):
@@ -221,7 +220,7 @@ def verify_reduction(net, tol=DEFAULT_TOL):
     scale = max([1.0, *np.abs(direct).max(axis=(1, 2)).tolist()])
     return ReductionReport(max_deviation=dev, scale=scale,
                            frequencies=tuple(float(w) for w in REDUCTION_OMEGAS),
-                           passed=dev <= tol * scale)
+                           passed=dev <= tol * scale, reduced=red)
 
 
 @dataclass(frozen=True)
@@ -445,9 +444,9 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     of the objective
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
-    Validation runs once per topology and once per candidate, never per
-    residual: each (plant scattering, beamsplitter) topology is validated
-    through make_network, and its loop gain W = S_b (I - S22 S_b)^{-1},
+    Validation runs once per search and once per candidate, never per
+    residual: a topology's plant scattering and S_b come from fixed tags,
+    unitary by construction, and its loop gain W = S_b (I - S22 S_b)^{-1},
     which does not depend on the gains, is computed once. With W fixed the
     residual is exactly quadratic in the packed gains x: the reduced
     C+- = k1. + S12 W k2. are linear in x, F and G are linear in x, the
@@ -479,6 +478,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     omega_minus = np.atleast_2d(np.asarray(omega_minus, dtype=complex))
     omega_plus = np.atleast_2d(np.asarray(omega_plus, dtype=complex))
     n = omega_minus.shape[0]
+    new_system(np.eye(m1 + m2), np.zeros((m1 + m2, n)), np.zeros((m1 + m2, n)),
+               omega_minus, omega_plus)  # the target's one validation
     rng = np.random.default_rng(cfg.seed)
     if s_b_candidates is None:
         s_b_candidates = DEFAULT_SB_CANDIDATES
@@ -492,6 +493,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
         sg = _sg_matrix(sg_tag, m1, m2)
         if sg is None:
             continue
+        routing = np.asarray(sg, dtype=complex)
+        s12, s22 = routing[:m1, m1:], routing[m1:, m1:]
         for tag in s_b_candidates:
             sb = _sb_matrix(tag, m2)
             # trivial start first: open loop with real external coupling —
@@ -499,15 +502,11 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
             starts = [_pack(np.ones((m1, n)), np.zeros((m1, n)),
                             np.zeros((m2, n)), np.zeros((m2, n)))]
             starts += [rng.standard_normal(dim) for _ in range(cfg.n_starts - 1)]
-            topology = make_network(omega_minus, omega_plus,
-                                    *_unpack(starts[0], m1, m2, n), sb,
-                                    s_plant=sg)
             try:
-                w = _loop_gain(topology)
+                w = _loop_gain(s22, np.asarray(sb, dtype=complex))
             except WellPosednessError:
                 continue  # W ignores the gains: singular for every start
-            fixed = (omega_minus, omega_plus, m1, m2, n,
-                     topology.s12, topology.s22, w)
+            fixed = (omega_minus, omega_plus, m1, m2, n, s12, s22, w)
             if _objective_floor(fixed) > CANDIDATE_THRESHOLD:
                 continue  # no refinement here can reach a candidate
             models = {branch: _quadratic_model(fixed, branch)

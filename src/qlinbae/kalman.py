@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import DEFAULT_TOL, inf_norm, j_sym
+from .matcore import DEFAULT_TOL, check_finite, inf_norm, j_sym
 
 MARKOV_ORDER = 6
 
@@ -47,9 +47,9 @@ class KalmanCoSubsystem:
             raise DimensionError(
                 f"c_co must be {b.shape[1]} x {a.shape[0]}, got {c.shape}"
             )
-        object.__setattr__(self, "a_co", a)
-        object.__setattr__(self, "b_co", b)
-        object.__setattr__(self, "c_co", c)
+        for name, x in (("a_co", a), ("b_co", b), ("c_co", c)):
+            check_finite(x, name)
+            object.__setattr__(self, name, x)
 
     @property
     def m(self):

@@ -26,25 +26,22 @@ def close_to(a, b, tol=DEFAULT_TOL):
     return inf_norm(np.asarray(a) - np.asarray(b)) <= tol * scale
 
 
-def is_real(x, tol=DEFAULT_TOL):
-    """True when the imaginary part is negligible relative to the matrix.
-
-    The zero matrix counts as both real and purely imaginary.
-    """
+def _negligible(part, x, tol):
+    """True when part(x) is negligible relative to the matrix x; the zero
+    matrix counts as both real and purely imaginary."""
     x = np.asarray(x)
     scale = inf_norm(x)
-    if scale == 0.0:
-        return True
-    return inf_norm(np.imag(x)) <= tol * scale
+    return scale == 0.0 or inf_norm(part(x)) <= tol * scale
+
+
+def is_real(x, tol=DEFAULT_TOL):
+    """True when the imaginary part is negligible relative to the matrix."""
+    return _negligible(np.imag, x, tol)
 
 
 def is_imag(x, tol=DEFAULT_TOL):
     """True when the real part is negligible relative to the matrix."""
-    x = np.asarray(x)
-    scale = inf_norm(x)
-    if scale == 0.0:
-        return True
-    return inf_norm(np.real(x)) <= tol * scale
+    return _negligible(np.real, x, tol)
 
 
 def check_finite(x, name="matrix"):

@@ -51,15 +51,9 @@ def build_truncated_operators(sys, fock_dim):
             "reduce fock_dim or the mode count"
         )
     a1 = ladder(fock_dim)
-    eye = np.eye(fock_dim, dtype=complex)
-    a_ops = []
-    for k in range(n):
-        factors = [eye] * n
-        factors[k] = a1
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        a_ops.append(op)
+    a_ops = [np.kron(np.kron(np.eye(fock_dim ** k, dtype=complex), a1),
+                     np.eye(fock_dim ** (n - 1 - k), dtype=complex))
+             for k in range(n)]
     cm, cp = sys.c_minus, sys.c_plus
     l_ops = []
     for j in range(sys.m_channels):

@@ -136,7 +136,9 @@ B C by c, so bar_delta(p), and the verdict, stay.
 The guard. The imaginary axis, where `frequency_sweep` and `eval_tf`
 evaluate, can hold poles. Every solve there is guarded: s is a singular
 point (a resonance) when the 2-norm condition number cond2(sI - A),
-computed from an SVD, is not finite or exceeds COND_LIMIT. A grid of more
+computed from an SVD, is not finite or exceeds COND_LIMIT; a NaN or Inf
+in A, B, C, D or the points is refused with PreconditionError, as
+`block_pattern` refuses it, and never read as a resonance. A grid of more
 than one point takes the Schur form above, which serves both the guard
 and the solve, through the probes' nu. With the residual R = A Z - Z T,
 measured against A itself, (sI - A) Z = Z (sI - T) - R, so for a unitary
@@ -286,15 +288,16 @@ def _resolvent_points(a, points, rhs, lhs):
     other point, and the point of a one-point call (where the
     factorization costs more than the SVD it would save), gets an exact
     SVD, with cond2 computed exactly as np.linalg.cond computes it, and
-    lhs @ np.linalg.solve(sI - A, rhs).
+    lhs @ np.linalg.solve(sI - A, rhs). A, rhs and lhs must be finite.
     """
     points = np.asarray(points, dtype=complex)
+    check_finite(points, "an evaluation point")
     values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
     certified = np.zeros(len(points), dtype=bool)
     if len(points) > 1:
         try:
             t, z = _schur_form(a)
-        except (ValueError, np.linalg.LinAlgError):  # a non-finite A, no convergence
+        except np.linalg.LinAlgError:  # the Schur form did not converge
             pass
         else:
             certified = _cond_bound(a, t, z, points) <= COND_LIMIT / 2
@@ -305,16 +308,11 @@ def _resolvent_points(a, points, rhs, lhs):
     for i in np.flatnonzero(~certified):
         s = complex(points[i])
         m = s * eye - a
-        try:
-            sv = np.linalg.svd(m, compute_uv=False)
-        except np.linalg.LinAlgError:
-            if np.isfinite(m).all():
-                raise
-            sv = np.full(1, np.nan)  # LAPACK does not converge on a non-finite m
+        sv = np.linalg.svd(m, compute_uv=False)
         with np.errstate(all="ignore"):
             cond = sv[0] / sv[-1]
-        if np.isnan(cond) and not np.isnan(m).any():
-            cond = np.float64(np.inf)  # np.linalg.cond's NaN rule
+        if np.isnan(cond):
+            cond = np.float64(np.inf)  # 0 / 0: np.linalg.cond's NaN rule
         if not np.isfinite(cond) or cond > COND_LIMIT:
             singular[int(i)] = SingularityError(
                 f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
@@ -324,12 +322,20 @@ def _resolvent_points(a, points, rhs, lhs):
     return values, singular
 
 
+def _finite_arrays(r):
+    """A, B, C, D of r as arrays; PreconditionError names a non-finite one."""
+    arrays = [np.asarray(x) for x in (r.a, r.b, r.c, r.d)]
+    for x, name in zip(arrays, "ABCD"):
+        check_finite(x, name)
+    return arrays
+
+
 def _tf_points(r, points):
     """D + C (sI - A)^{-1} B at each point, with NaN rows at the singular
     points, and the dict of their SingularityErrors (see `_resolvent_points`)."""
-    values, singular = _resolvent_points(
-        np.asarray(r.a), points, np.asarray(r.b), np.asarray(r.c))
-    return np.asarray(r.d, dtype=complex) + values, singular
+    a, b, c, d = _finite_arrays(r)
+    values, singular = _resolvent_points(a, points, b, c)
+    return np.asarray(d, dtype=complex) + values, singular
 
 
 def _single(result):
@@ -344,7 +350,8 @@ def eval_tf(r, s):
     """Evaluate D + C (sI - A)^{-1} B at a complex point s.
 
     Raises SingularityError (with its .cond) unless the exact 2-norm
-    condition number of sI - A is finite and at most COND_LIMIT.
+    condition number of sI - A is finite and at most COND_LIMIT, and
+    PreconditionError when A, B, C, D or s has a NaN or Inf entry.
     """
     return _single(_tf_points(r, [s]))
 
@@ -465,9 +472,7 @@ def block_pattern(r, tol=DEFAULT_TOL):
     """
     if r.form != "quadrature":
         raise PreconditionError("block_pattern requires a quadrature-form realization")
-    a, b, c, d = (np.asarray(x) for x in (r.a, r.b, r.c, r.d))
-    for x, name in zip((a, b, c, d), "ABCD"):
-        check_finite(x, name)
+    a, b, c, d = _finite_arrays(r)
     m = r.m_channels
     nodes = _nodes(r)
     real = not any(np.iscomplexobj(x) for x in (a, b, c, d))
@@ -506,7 +511,8 @@ def block_pattern(r, tol=DEFAULT_TOL):
 
 
 def sigma_tf(sys, s):
-    """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat."""
+    """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat;
+    a NaN or Inf s raises PreconditionError (new_system checked sys)."""
     cc = sys.coupling
     a = -1j * j_diag(sys.n_modes) @ sys.omega
     return _single(_resolvent_points(a, [s], flat_adjoint(cc), 0.5 * cc))
@@ -527,7 +533,8 @@ def frequency_sweep(r, omegas):
     Returns an array of shape (len(omegas), 2m, 2m) of magnitudes; rows at
     frequencies where the resolvent is ill-conditioned (resonances) are NaN.
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
-    COND_LIMIT. One complex Schur form A = Z T Z^H serves the whole grid
+    COND_LIMIT; a NaN or Inf in A, B, C, D or omegas raises
+    PreconditionError. One complex Schur form A = Z T Z^H serves the whole grid
     (for the real quadrature A, its real Schur form with the 2 x 2 blocks
     triangularized by one block-diagonal rotation): nu(s), from the
     comparison matrix of sI - T, and the residual ||A Z - Z T||_F bound
@@ -540,5 +547,7 @@ def frequency_sweep(r, omegas):
     as after `certify_bae` of the same system, the sweep reuses it (see
     `_schur_form`) and factors nothing.
     """
-    g, _ = _tf_points(r, 1j * np.asarray(omegas, dtype=float))
+    omegas = np.asarray(omegas, dtype=float)
+    check_finite(omegas, "an evaluation point")  # before 1j * inf warns
+    g, _ = _tf_points(r, 1j * omegas)
     return np.abs(g)

@@ -464,6 +464,30 @@ def test_feedback_reduce_checks_the_beamsplitter_at_tol(tmp_path, capsys):
     assert "s_b must be unitary" in capsys.readouterr().err
 
 
+
+def test_feedback_reduce_rejects_a_nan_beamsplitter(tmp_path, capsys):
+    """A NaN never compares greater than the tolerance: the unitarity test
+    must still fail on it, not let it on to an SVD that cannot converge."""
+    doc = _anchor_network_doc()
+    doc["feedback"]["beamsplitter"] = [[[float("nan"), 0.0]]]
+    assert cli.main(["feedback", "reduce", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: s_b must be unitary\n"
+
+
+def test_feedback_reduce_reduces_the_network_once(tmp_path, capsys, monkeypatch):
+    """The report's reduced system is the one verify_reduction checked."""
+    calls = []
+    reduce_network = feedback.reduce_network
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce_network(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "reduce_network", counted)
+    assert cli.main(["feedback", "reduce", _write(tmp_path, _anchor_network_doc())]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_passed"] is True
+    assert len(calls) == 1
+
 def test_feedback_reduce_uses_the_spec_plant(tmp_path, capsys):
     """The spec's own system is the plant: its scattering matrix enters the
     reduction, and the optional k** keys are only checked against it."""
@@ -561,6 +585,18 @@ def test_feedback_design_validates_the_split(tmp_path, capsys):
     assert "feedback.split must be two positive integers" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("action", ["reduce", "design"])
+def test_feedback_split_rejects_booleans(tmp_path, capsys, action):
+    """JSON true is a Python int: a boolean split is one error line naming
+    feedback.split, not a TypeError from np.eye(True)."""
+    doc = _anchor_network_doc()
+    doc["feedback"]["split"] = [True, True]
+    assert cli.main(["feedback", action, _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: feedback.split must be two positive integers")
+    assert len(err.splitlines()) == 1
+
 def _kalman_doc():
     kappa = 2.0
     return {**_michelson_doc(), "kalman": {
@@ -576,6 +612,30 @@ def test_kalman_command(tmp_path, capsys):
     assert out["theorem"]["q_wrt_p"] and out["theorem"]["p_wrt_q"]
     assert out["markov_identity"]["premise_holds"]
 
+
+
+@pytest.mark.parametrize("key,value,words", [
+    ("A_co", -np.eye(2) + 0.5j * np.eye(2), "must be real"),
+    ("B_co", -np.eye(2) + 1e-3j, "must be real"),
+    ("A_co", np.diag([float("nan"), -1.0]), "NaN or Inf"),
+    ("C_co", np.diag([float("inf"), 1.0]), "NaN or Inf"),
+], ids=["complex_A_co", "complex_B_co", "nan_A_co", "inf_C_co"])
+def test_kalman_section_must_be_real_and_finite(tmp_path, capsys, key, value, words):
+    """np.real would drop an imaginary part, and a NaN residual would be
+    skipped by max: either entry exits 1 naming its key."""
+    doc = _kalman_doc()
+    doc["kalman"][key] = cli.emit_complex_matrix(value)
+    assert cli.main(["kalman", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: kalman.{key} ") and words in err
+
+
+def test_kalman_section_is_real_at_tol(tmp_path, capsys):
+    """An imaginary part within --tol of the matrix is roundoff, and dropped."""
+    doc = _kalman_doc()
+    doc["kalman"]["A_co"] = cli.emit_complex_matrix(-np.eye(2) + 1e-12j)
+    assert cli.main(["kalman", _write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["markov_identity"]["premise_holds"]
 
 def test_simulate_command(tmp_path, capsys):
     doc = _michelson_doc()

@@ -6,7 +6,8 @@ import pytest
 from scipy import optimize
 
 from qlinbae import bae, feedback, matcore, qsys, xferfn
-from qlinbae.errors import DimensionError, PreconditionError, WellPosednessError
+from qlinbae.errors import (DimensionError, PreconditionError, ValidationError,
+                            WellPosednessError)
 
 from conftest import rand_symmetric, random_feedback_network, schur_deviation_bound
 
@@ -158,7 +159,7 @@ def test_design_residuals_match_validated_reduction():
             topology = feedback.make_network(om, op, net.k11, net.k12,
                                              net.k21, net.k22, net.s_b,
                                              s_plant=sg)
-            w = feedback._loop_gain(topology)
+            w = feedback._loop_gain(topology.s22, topology.s_b)
             for branch in ("imag", "real"):
                 hoisted = feedback._design_residuals(
                     x, om, op, m1, m2, n, topology.s12, topology.s22, w,
@@ -219,6 +220,25 @@ def test_designer_indefinite_target_needs_swap_topology():
     assert best.report.consistency
 
 
+
+def test_designer_builds_a_network_per_candidate_only(monkeypatch):
+    """The target is validated once per search and the topologies need no
+    network: make_network runs once per candidate, and an invalid target
+    fails before any search."""
+    calls = []
+    make_network = feedback.make_network
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_network(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "make_network", counting)
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg)
+    assert cands and len(calls) == len(cands)
+    with pytest.raises(ValidationError, match="Omega_minus is not Hermitian"):
+        feedback.design_couplings(OM_MINUS + 1j, OM_PLUS, (1, 1), search_cfg=cfg)
+
 def test_designer_refines_every_start_at_large_scale(monkeypatch):
     """Every start is refined, whatever the target's scale: at 1e6 times the
     anchor Hamiltonian the starts' objectives exceed 1e12, and the search
@@ -273,8 +293,8 @@ def _topologies():
                 topology = feedback.make_network(
                     om, op, net.k11, net.k12, net.k21, net.k22, net.s_b,
                     s_plant=feedback._sg_matrix(sg_tag, m1, m2))
-                yield (k, sg_tag), (om, op, m1, m2, n, topology.s12,
-                                    topology.s22, feedback._loop_gain(topology))
+                yield (k, sg_tag), (om, op, m1, m2, n, topology.s12, topology.s22,
+                                    feedback._loop_gain(topology.s22, topology.s_b))
 
 
 def test_quadratic_model_is_the_residual():
@@ -380,7 +400,7 @@ def _identity_plant_topologies(rng):
                 cot = 1.0 / np.tan(np.array(phase) / 2)
                 sign = 1 if cot.min() > 1e-9 else -1 if cot.max() < -1e-9 else 0
                 yield ((om, op, m1, m2, n, topology.s12, topology.s22,
-                        feedback._loop_gain(topology)), sign)
+                        feedback._loop_gain(topology.s22, topology.s_b)), sign)
 
 
 def test_objective_floor_bounds_every_refined_objective():

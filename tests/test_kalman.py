@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qlinbae import kalman
-from qlinbae.errors import DimensionError
+from qlinbae.errors import DimensionError, PreconditionError
 
 from conftest import random_kalman_subsystem
 
@@ -62,6 +62,14 @@ def test_dimension_errors():
         kalman.KalmanCoSubsystem(a_co=np.eye(2), b_co=np.ones((2, 2)),
                                  c_co=np.ones((4, 2)))
 
+
+
+@pytest.mark.parametrize("name", ["a_co", "b_co", "c_co"])
+def test_non_finite_entries_are_precondition_errors(name):
+    mats = {"a_co": -np.eye(2), "b_co": -np.eye(2), "c_co": np.eye(2)}
+    mats[name][0, 0] = np.nan
+    with pytest.raises(PreconditionError, match=f"{name} contains NaN"):
+        kalman.KalmanCoSubsystem(**mats)
 
 def test_b_from_gamma_quadrature_blocks():
     """B_q and B_p assembled from the coupling blocks have the sign-swapped

@@ -445,24 +445,33 @@ def test_grid_takes_one_schur_form(monkeypatch):
     assert (schurs[0][0].dtype, schurs[0][1]) == (np.complex128, "complex")
 
 
-def test_non_finite_a_takes_an_svd_per_point(monkeypatch):
-    """A real A with a NaN entry has no Schur form, and no SVD converges on
-    it: every point takes its own SVD and is singular, with a NaN row and
-    cond NaN."""
-    r = qsys.quad_realization(qsys.michelson_system())
-    a = r.a.copy()
-    a[0, 1] = np.nan
-    r = qsys.Realization("quadrature", a, r.b, r.c, r.d)
+def test_non_finite_input_is_a_precondition_error(monkeypatch):
+    """A NaN or Inf in A, B, C or D, or in the points, raises
+    PreconditionError naming it, from eval_tf, frequency_sweep and sigma_tf
+    alike, as block_pattern does: it is not read as a resonance, no Schur
+    form or SVD is taken, and no RuntimeWarning leaks (the test settings
+    turn one into an error)."""
+    sys_obj = qsys.michelson_system()
+    r = qsys.quad_realization(sys_obj)
     omegas = np.array([0.5, 1.0, 2.0, 30.0])
     schurs = _recording_schur(monkeypatch)
     svds = _counting(monkeypatch, "svd")
-    values, singular = xferfn._tf_points(r, 1j * omegas)
-    assert [output for _, output in schurs] == ["real"]
-    assert len(svds) == len(omegas)
-    assert np.isnan(values).all()
-    assert sorted(singular) == list(range(len(omegas)))
-    assert all(np.isnan(err.cond) for err in singular.values())
-    assert np.isnan(xferfn.frequency_sweep(r, omegas)).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in "abcd":
+            x = getattr(r, name).copy()
+            x[0, 1] = bad
+            broken = dataclasses.replace(r, **{name: x})
+            with pytest.raises(PreconditionError, match=f"^{name.upper()} contains NaN"):
+                xferfn.eval_tf(broken, 0.5j)
+            with pytest.raises(PreconditionError, match=f"^{name.upper()} contains NaN"):
+                xferfn.frequency_sweep(broken, omegas)
+        with pytest.raises(PreconditionError, match="evaluation point"):
+            xferfn.eval_tf(r, complex(0.0, bad))
+        with pytest.raises(PreconditionError, match="evaluation point"):
+            xferfn.frequency_sweep(r, np.append(omegas, bad))
+        with pytest.raises(PreconditionError, match="evaluation point"):
+            xferfn.sigma_tf(sys_obj, complex(bad, 1.0))
+    assert (schurs, svds) == ([], [])
 
 
 def _schur_fails(a, output):
