@@ -6,12 +6,13 @@ recomputes the blocks from the state-space realization and checks that
 every matched condition's prediction is actually certified.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .matcore import DEFAULT_TOL, close_to, inf_norm, is_imag, is_real
+from .matcore import DEFAULT_TOL, _negligible, inf_norm
 from .qsys import quad_realization
 from .xferfn import block_pattern
 
@@ -24,57 +25,55 @@ PP = ("p_out", "p_in")
 _PAIR_FOR_BLOCK = {"qp": QP, "pq": PQ, "qq": QQ, "pp": PP}
 
 
-def _hyp_s_real(sys, tol):
-    return is_real(sys.s, tol)
+# the blocks a hypothesis is measured against, by name
+_BLOCKS = {"S": lambda sys: (sys.s,),
+           "C": operator.attrgetter("c_minus", "c_plus"),
+           "Omega": operator.attrgetter("omega_minus", "omega_plus")}
 
 
-def _hyp_s_imag(sys, tol):
-    return is_imag(sys.s, tol)
-
-
-# Delta(U, V) holds U, V and their conjugates, so a test of the stacked
-# blocks (U, V) at their joint scale reads the same floats as a test of
-# Delta(U, V) without building it.
-
-def _hyp_c_real(sys, tol):
-    return is_real((sys.c_minus, sys.c_plus), tol)
-
-
-def _hyp_c_imag(sys, tol):
-    return is_imag((sys.c_minus, sys.c_plus), tol)
-
-
-def _hyp_omega_imag(sys, tol):
-    return is_imag((sys.omega_minus, sys.omega_plus), tol)
-
-
-def _hyp_equal_re_omega(sys, tol):
-    return close_to(np.real(sys.omega_minus), np.real(sys.omega_plus), tol)
-
-
-def _hyp_opposite_re_omega(sys, tol):
-    return close_to(np.real(sys.omega_minus), -np.real(sys.omega_plus), tol)
-
-
-def _hyp_c_equal(sys, tol):
-    return close_to(sys.c_minus, sys.c_plus, tol)
-
-
-def _hyp_c_opposite(sys, tol):
-    return close_to(sys.c_minus, -sys.c_plus, tol)
-
-
+# Every structural hypothesis on (S, C-+, Omega-+) that bae and qnd test, as
+# (blocks, power, residual): it holds when ||residual(*blocks)|| <= tol *
+# scale ** power, scale = max ||block||, with no floor (matcore._negligible).
+# A test of the stacked (U, V) at their joint scale reads the same floats as
+# one of Delta(U, V); a block set to zero is measured against its pair.
 _PREDICATES = {
-    "S real": _hyp_s_real,
-    "S purely imaginary": _hyp_s_imag,
-    "C real": _hyp_c_real,
-    "C purely imaginary": _hyp_c_imag,
-    "Omega purely imaginary": _hyp_omega_imag,
-    "Re(Omega-) = Re(Omega+)": _hyp_equal_re_omega,
-    "Re(Omega-) = -Re(Omega+)": _hyp_opposite_re_omega,
-    "C- = C+": _hyp_c_equal,
-    "C- = -C+": _hyp_c_opposite,
+    "S real": ("S", 1, np.imag),
+    "S purely imaginary": ("S", 1, np.real),
+    "C real": ("C", 1, lambda u, v: np.imag((u, v))),
+    "C purely imaginary": ("C", 1, lambda u, v: np.real((u, v))),
+    "Omega purely imaginary": ("Omega", 1, lambda u, v: np.real((u, v))),
+    "Re(Omega-) = Re(Omega+)": ("Omega", 1, lambda u, v: (u - v).real),
+    "Re(Omega-) = -Re(Omega+)": ("Omega", 1, lambda u, v: (u + v).real),
+    "Omega- = Omega+": ("Omega", 1, operator.sub),
+    "Omega- = -Omega+": ("Omega", 1, operator.add),
+    "Omega- = 0": ("Omega", 1, lambda u, v: u),
+    "Omega+ = 0": ("Omega", 1, lambda u, v: v),
+    "C- = C+": ("C", 1, operator.sub),
+    "C- = -C+": ("C", 1, operator.add),
+    "C- = 0": ("C", 1, lambda u, v: u),
+    "C+ = 0": ("C", 1, lambda u, v: v),
+    "C- = C+^#": ("C", 1, lambda u, v: u - v.conj()),
+    "C- C+^T symmetric": ("C", 2, lambda u, v: (cross := u @ v.T) - cross.T),
 }
+
+
+class _Verdicts(dict):
+    """{hypothesis: verdict} of one system at one tol: each hypothesis is
+    tested on the first lookup of its name only, and each set of blocks'
+    scale is taken once."""
+
+    def __init__(self, sys, tol):
+        super().__init__()
+        self.sys, self.tol, self.scales = sys, tol, {}
+
+    def __missing__(self, hypothesis):
+        name, power, residual = _PREDICATES[hypothesis]
+        blocks = _BLOCKS[name](self.sys)
+        if name not in self.scales:
+            self.scales[name] = max(map(inf_norm, blocks))
+        self[hypothesis] = verdict = _negligible(
+            residual(*blocks), self.scales[name] ** power, self.tol)
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,8 @@ class BAEReport:
 
 def diagnose_conditions(sys, tol=DEFAULT_TOL):
     """Evaluate every cataloged hypothesis set against the parameter set,
-    each of the distinct predicates once."""
-    holds = {h: predicate(sys, tol) for h, predicate in _PREDICATES.items()}
+    each predicate the catalog names once."""
+    holds = _Verdicts(sys, tol)
     matched = []
     for cond in CONDITION_CATALOG:
         checked = {h: holds[h] for h in cond.hypotheses}
@@ -189,12 +188,12 @@ def closed_form_diag_tf(sys, s, tol=DEFAULT_TOL):
     with Cq = C- + C+ and Cp = C- - C+. The trailing S factor makes the
     expressions exact for any real unitary S, not just S = I.
     """
-    if not _hyp_omega_imag(sys, tol):
-        raise PreconditionError("closed_form_diag_tf requires purely imaginary Omega")
-    if not _hyp_c_real(sys, tol):
-        raise PreconditionError("closed_form_diag_tf requires a real coupling matrix")
-    if not _hyp_s_real(sys, tol):
-        raise PreconditionError("closed_form_diag_tf requires a real scattering matrix")
+    holds = _Verdicts(sys, tol)
+    for h, what in (("Omega purely imaginary", "purely imaginary Omega"),
+                    ("C real", "a real coupling matrix"),
+                    ("S real", "a real scattering matrix")):
+        if not holds[h]:
+            raise PreconditionError(f"closed_form_diag_tf requires {what}")
     n = sys.n_modes
     s = complex(s)
     cq = np.real(sys.c_minus + sys.c_plus)

@@ -24,7 +24,7 @@ from . import bae, feedback, kalman, qnd, smesim
 from .errors import InternalConsistencyError, QLinBAEError, ValidationError
 from .matcore import DEFAULT_TOL, close_to, is_real
 from .qsys import ac_realization, new_system, quad_realization
-from .xferfn import block_pattern, eval_tf, frequency_sweep
+from .xferfn import eval_tf, frequency_sweep
 
 SCHEMA_VERSION = 2
 

@@ -26,26 +26,26 @@ def close_to(a, b, tol=DEFAULT_TOL):
     return inf_norm(np.asarray(a) - np.asarray(b)) <= tol * scale
 
 
-def _negligible(part, x, tol):
-    """True when part(x) is negligible relative to the matrix x; the zero
-    matrix counts as both real and purely imaginary."""
-    x = np.asarray(x)
-    scale = inf_norm(x)
-    return scale == 0.0 or inf_norm(part(x)) <= tol * scale
+def _negligible(residual, scale, tol):
+    """The one structural rule, ||residual||_inf <= tol * scale with scale =
+    max ||block||_inf over the blocks measured (or its power) and no floor:
+    a change of units keeps the verdict, and all-zero blocks hold."""
+    return inf_norm(residual) <= tol * scale
 
 
 def is_real(x, tol=DEFAULT_TOL):
-    """True when the imaginary part is negligible relative to the matrix."""
-    return _negligible(np.imag, x, tol)
+    """True when the imaginary part is negligible relative to the matrix;
+    the zero matrix counts as both real and purely imaginary."""
+    return _negligible(np.imag(x), inf_norm(x), tol)
 
 
 def is_imag(x, tol=DEFAULT_TOL):
     """True when the real part is negligible relative to the matrix."""
-    return _negligible(np.real, x, tol)
+    return _negligible(np.real(x), inf_norm(x), tol)
 
 
 def check_finite(x, name="matrix"):
-    if not np.all(np.isfinite(np.asarray(x, dtype=complex).view(float))):
+    if not np.isfinite(x).all():
         raise PreconditionError(f"{name} contains NaN or Inf entries")
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bae import _Verdicts
 from .errors import InternalConsistencyError, PreconditionError
-from .matcore import (DEFAULT_TOL, close_to, delta, inf_norm, krylov_basis,
-                      staircase)
+from .matcore import DEFAULT_TOL, close_to, delta, inf_norm, krylov_basis, staircase
 from .qsys import quad_realization
 
 
@@ -80,16 +80,15 @@ def _qnd_interaction(sys, tol):
     return direct, coeffs
 
 
+# L = L^dag channelwise, and [L_j, L_k] = 0 for all j, k, as hypotheses
+COUPLING_PROPERTIES = {"self_adjoint": "C- = C+^#",
+                       "mutually_commuting": "C- C+^T symmetric"}
+
+
 def coupling_properties(sys, tol=DEFAULT_TOL):
-    """self_adjoint: L = L^dag channelwise, i.e. C- = C+^#.
-    mutually_commuting: [L_j, L_k] = 0 for all j,k, i.e. C- C+^T symmetric."""
-    cm, cp = sys.c_minus, sys.c_plus
-    cross = cm @ cp.T
-    scale = max(inf_norm(cm), inf_norm(cp), 1.0)
-    return {
-        "self_adjoint": close_to(cm, cp.conj(), tol),
-        "mutually_commuting": inf_norm(cross - cross.T) <= tol * scale ** 2,
-    }
+    """{property: verdict} for each of COUPLING_PROPERTIES."""
+    holds = _Verdicts(sys, tol)
+    return {name: holds[h] for name, h in COUPLING_PROPERTIES.items()}
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,9 @@ def siso_analysis(sys, tol=DEFAULT_TOL):
                         q_residual=q_res, p_residual=p_res)
 
 
-SPECIAL_CASES = ("Cplus_zero", "Cminus_zero", "Omegaplus_zero", "Omegaminus_zero")
+# each tractable family and the hypothesis that its named block vanishes
+SPECIAL_CASES = {"Cplus_zero": "C+ = 0", "Cminus_zero": "C- = 0",
+                 "Omegaplus_zero": "Omega+ = 0", "Omegaminus_zero": "Omega- = 0"}
 
 
 def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
@@ -145,20 +146,20 @@ def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
     (sI - A)(sI + A)^{-1} and its conjugate, A = (C- C-^dag - C+ C+^dag) / 2.
     """
     if case not in SPECIAL_CASES:
-        raise PreconditionError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
+        raise PreconditionError(
+            f"unknown case {case!r}; expected one of {tuple(SPECIAL_CASES)}")
     if not close_to(sys.s, np.eye(sys.m_channels), tol):
         raise PreconditionError("special_case_tf requires identity scattering")
     if not is_qnd_interaction(sys, tol):
         raise PreconditionError(
             "special_case_tf requires a coupling that commutes with the Hamiltonian"
         )
-    cm, cp, om, op = sys.c_minus, sys.c_plus, sys.omega_minus, sys.omega_plus
-    pair = (cm, cp) if case.startswith("C") else (om, op)
-    zeroed = pair[1] if "plus" in case else pair[0]
-    if inf_norm(zeroed) > tol * max(map(inf_norm, pair)):
+    holds = _Verdicts(sys, tol)
+    if not holds[SPECIAL_CASES[case]]:
         raise PreconditionError(f"case {case} requires the named block to vanish")
-    if case.startswith("Omega") and not coupling_properties(sys, tol)["mutually_commuting"]:
+    if case.startswith("Omega") and not holds["C- C+^T symmetric"]:
         raise PreconditionError(f"case {case} requires C- C+^T symmetric")
+    cm, cp = sys.c_minus, sys.c_plus
     dyn = 0.5 * (cm @ cm.conj().T - cp @ cp.conj().T)
     m = sys.m_channels
     s = complex(s)
@@ -197,28 +198,26 @@ class QNDVariableReport:
     witnesses: tuple
 
 
+# case_matched: the first case whose hypotheses (bae._PREDICATES) all hold,
+# p before q; the sign tests decide first. For tol < 1 both signs hold only
+# at C = 0, and a C with C- = +-C+ is real or imaginary iff both blocks are.
+QND_CASES = (
+    ("no_case_matched (zero coupling)", ("C- = C+", "C- = -C+")),
+    ("p_coupling", ("C- = -C+", "Omega- = -Omega+")),
+    ("q_coupling", ("C- = C+", "Omega- = Omega+")),
+    ("imag_omega_p", ("C- = -C+", "Omega purely imaginary", "C real")),
+    ("imag_omega_p", ("C- = -C+", "Omega purely imaginary", "C purely imaginary")),
+    ("imag_omega_q", ("C- = C+", "Omega purely imaginary", "C real")),
+    ("imag_omega_q", ("C- = C+", "Omega purely imaginary", "C purely imaginary")),
+    ("passive_real (no QND variable)", ("C+ = 0", "C real", "Omega- = Omega+")),
+)
+
+
 def _case_name(sys, tol):
-    """The structural case, each tried first for p (sign -1), then for q:
-    p/q_coupling: C- = sign C+, Omega- = sign Omega+; imag_omega_p/q:
-    C- = sign C+, Omega purely imaginary, each C block real or imaginary;
-    passive_real: C+ = 0, C- real, Omega- = Omega+ (no QND variable)."""
-    cm, cp, om, op = sys.c_minus, sys.c_plus, sys.omega_minus, sys.omega_plus
-    ncm, ncp = inf_norm(cm), inf_norm(cp)
-    if ncm <= tol and ncp <= tol:
-        return "no_case_matched (zero coupling)"
-    c_cut = tol * max(ncm, ncp, 1.0)
-    o_cut = tol * max(inf_norm(om), inf_norm(op), 1.0)
-    signs = [(quad, sign) for quad, sign in (("p", -1.0), ("q", 1.0))
-             if close_to(cm, sign * cp, tol)]
-    for quad, sign in signs:
-        if close_to(om, sign * op, tol) and ncm > tol:
-            return f"{quad}_coupling"
-    if signs and all(inf_norm(x.real) <= o_cut for x in (om, op)) and all(
-            min(inf_norm(x.real), inf_norm(x.imag)) <= c_cut for x in (cm, cp)):
-        return f"imag_omega_{signs[0][0]}"
-    if ncp <= c_cut and inf_norm(cm.imag) <= c_cut and close_to(om, op, tol):
-        return "passive_real (no QND variable)"
-    return "no_case_matched"
+    """The first of QND_CASES whose hypotheses hold, each evaluated once."""
+    holds = _Verdicts(sys, tol)
+    return next((name for name, hypotheses in QND_CASES
+                 if all(holds[h] for h in hypotheses)), "no_case_matched")
 
 
 def qnd_variable_report(sys, tol=DEFAULT_TOL):

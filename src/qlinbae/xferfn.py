@@ -288,10 +288,9 @@ def _resolvent_points(a, points, rhs, lhs):
     other point, and the point of a one-point call (where the
     factorization costs more than the SVD it would save), gets an exact
     SVD, with cond2 computed exactly as np.linalg.cond computes it, and
-    lhs @ np.linalg.solve(sI - A, rhs). A, rhs and lhs must be finite.
+    lhs @ np.linalg.solve(sI - A, rhs). A, points, rhs and lhs must be finite.
     """
     points = np.asarray(points, dtype=complex)
-    check_finite(points, "an evaluation point")
     values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
     certified = np.zeros(len(points), dtype=bool)
     if len(points) > 1:
@@ -353,6 +352,7 @@ def eval_tf(r, s):
     condition number of sI - A is finite and at most COND_LIMIT, and
     PreconditionError when A, B, C, D or s has a NaN or Inf entry.
     """
+    check_finite(s, "an evaluation point")
     return _single(_tf_points(r, [s]))
 
 
@@ -513,6 +513,7 @@ def block_pattern(r, tol=DEFAULT_TOL):
 def sigma_tf(sys, s):
     """The coupling-weighted resolvent (1/2) C (sI + i J_n Omega)^{-1} C^flat;
     a NaN or Inf s raises PreconditionError (new_system checked sys)."""
+    check_finite(s, "an evaluation point")
     cc = sys.coupling
     a = -1j * j_diag(sys.n_modes) @ sys.omega
     return _single(_resolvent_points(a, [s], flat_adjoint(cc), 0.5 * cc))

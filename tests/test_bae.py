@@ -40,7 +40,7 @@ def _diagnose_per_condition(sys_obj, tol=matcore.DEFAULT_TOL):
     predicate once for every condition it appears in."""
     matched = []
     for cond in bae.CONDITION_CATALOG:
-        checked = {h: bae._PREDICATES[h](sys_obj, tol) for h in cond.hypotheses}
+        checked = {h: bae._Verdicts(sys_obj, tol)[h] for h in cond.hypotheses}
         if all(checked.values()):
             matched.append(bae.MatchedCondition(cond.condition_id, checked,
                                                 cond.predicted_pairs))
@@ -49,16 +49,19 @@ def _diagnose_per_condition(sys_obj, tol=matcore.DEFAULT_TOL):
 
 def test_diagnose_evaluates_each_predicate_once(monkeypatch):
     """Over every random_system family, diagnose_conditions calls each
-    distinct predicate once and returns the reference's MatchedConditions."""
+    predicate the catalog names once, and no other, and returns the
+    reference's MatchedConditions."""
     calls = []
 
-    def counting(name, predicate):
-        def counted(sys_obj, tol):
+    def counting(name, residual):
+        def counted(*blocks):
             calls.append(name)
-            return predicate(sys_obj, tol)
+            return residual(*blocks)
         return counted
 
-    counted = {h: counting(h, p) for h, p in bae._PREDICATES.items()}
+    counted = {h: (blocks, power, counting(h, residual))
+               for h, (blocks, power, residual) in bae._PREDICATES.items()}
+    named = sorted({h for cond in bae.CONDITION_CATALOG for h in cond.hypotheses})
     rng = np.random.default_rng(4)
     matched = 0
     for omega, coupling, scattering, relation in itertools.product(
@@ -73,7 +76,7 @@ def test_diagnose_evaluates_each_predicate_once(monkeypatch):
         calls.clear()
         got = bae.diagnose_conditions(sys_obj)
         monkeypatch.undo()
-        assert sorted(calls) == sorted(bae._PREDICATES)
+        assert sorted(calls) == named
         assert got == want
         matched += len(got)
     assert matched >= 300
@@ -101,8 +104,9 @@ def test_block_predicates_match_the_doubled_up_ones():
                 base, c_plus=base.c_plus + noise(base.c_plus),
                 omega_minus=base.omega_minus + noise(base.omega_minus))
             for tol in (1e-12, 1e-9, 1e-6):
-                got = (bae._hyp_c_real(sys_obj, tol), bae._hyp_c_imag(sys_obj, tol),
-                       bae._hyp_omega_imag(sys_obj, tol))
+                holds = bae._Verdicts(sys_obj, tol)
+                got = tuple(holds[h] for h in (
+                    "C real", "C purely imaginary", "Omega purely imaginary"))
                 want = (matcore.is_real(sys_obj.coupling, tol),
                         matcore.is_imag(sys_obj.coupling, tol),
                         matcore.is_imag(sys_obj.omega, tol))

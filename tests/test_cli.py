@@ -421,6 +421,36 @@ def test_qnd_command_reports_the_qnd_subspace(tmp_path, capsys):
     assert all(w["rank"] == 1 and w["full"] for w in rep["witnesses"])
 
 
+def _one_mode_doc(c_minus, c_plus, omega_minus, omega_plus):
+    return {"modes": 1, "channels": 1, "S": [[1.0]],
+            **{key: [[[x.real, x.imag]]] for key, x in (
+                ("C_minus", c_minus), ("C_plus", c_plus),
+                ("Omega_minus", omega_minus), ("Omega_plus", omega_plus))}}
+
+
+@pytest.mark.parametrize("cmd", ["bae", "qnd"])
+def test_verdicts_keep_the_time_unit(tmp_path, capsys, cmd):
+    """Each spec pair is one system, the second written in a time unit of
+    c = 1e-6 (C -> sqrt(c) C, Omega -> c Omega): bae is consistent with the
+    same matched conditions in both, and qnd names the same case."""
+    c = 1e-6
+    pair = {"bae": (1j, 0.5j, 1.0, 0.3 + 0.2j), "qnd": (1.0, 1.0, 1.0, 0.5)}[cmd]
+    reports = []
+    for unit in (1.0, c):
+        cm, cp, om, op = pair
+        path = _write(tmp_path, _one_mode_doc(np.sqrt(unit) * cm, np.sqrt(unit) * cp,
+                                              unit * om, unit * op))
+        assert cli.main([cmd, path, "--tol", "1e-6"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    first, moved = reports
+    if cmd == "bae":
+        assert first["consistent"] is moved["consistent"] is True
+        assert moved["matched_conditions"] == first["matched_conditions"]
+    else:
+        assert (moved["qnd_variables"]["case_matched"]
+                == first["qnd_variables"]["case_matched"])
+
+
 def _anchor_network_doc():
     return {
         "modes": 2, "channels": 2,

@@ -18,8 +18,12 @@ change q_is_qnd and p_is_qnd; it must not change what the report counts.
 Each also keeps the quadrature blocks of G that vanish identically, so
 certify_bae's zero blocks and certified pairs. The catalog's predicates
 are statements about the frame as well, so its matched conditions and
-consistency may change under a phase rotation; they are not compared.
+consistency may change under a phase rotation; they are not compared. A
+change of time unit keeps every hypothesis on (S, C, Omega), so it keeps
+the matched conditions and the QND report's case_matched too.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -73,6 +77,7 @@ TRANSFORMS = {
     "phase_0.3": _phase(0.3),
     "phase_pi/4": _phase(np.pi / 4),
     "mode_change": _mode_change,
+    "time_unit_1e-6": _time_unit(1e-6),
     "time_unit_1e-3": _time_unit(1e-3),
     "time_unit_1e3": _time_unit(1e3),
     "phase_0.3_time_unit_1e3": _time_unit(1e3, then=_phase(0.3)),
@@ -132,3 +137,33 @@ def test_bae_zero_blocks_are_invariant(n, transform):
         assert ref.consistency, condition_id
         assert got.pattern.zero_blocks() == ref.pattern.zero_blocks(), condition_id
         assert got.certified_pairs == ref.certified_pairs, condition_id
+
+
+RANDOM_FAMILIES = list(itertools.product(
+    ("generic", "imag", "zero", "equal_re", "opposite_re"),
+    ("generic", "real", "imag", "zero"),
+    ("identity", "real", "imag", "generic"),
+    ("free", "equal", "opposite")))
+
+
+def _diagnosis(sys_obj, tol):
+    return ([m.condition_id for m in bae.diagnose_conditions(sys_obj, tol)],
+            qnd.qnd_variable_report(sys_obj, tol).case_matched)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("transform",
+                         [t for t in sorted(TRANSFORMS) if t.startswith("time_unit")])
+def test_diagnoses_are_time_unit_invariant(transform, tol):
+    """Over every random_system family and SYSTEMS, the moved system matches
+    the same catalog conditions and falls in the same QND case; no verdict
+    may hang on a floor that a small time unit crosses."""
+    rng = np.random.default_rng([sorted(TRANSFORMS).index(transform), int(tol < 1e-7)])
+    systems = [qsys.random_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
+                                  omega=omega, coupling=coupling,
+                                  scattering=scattering, c_relation=relation)
+               for omega, coupling, scattering, relation in RANDOM_FAMILIES]
+    systems += [make(rng, n) for make in SYSTEMS.values() for n in (1, 2, 4)]
+    for sys_obj in systems:
+        moved, _, _ = TRANSFORMS[transform](sys_obj, rng)
+        assert _diagnosis(moved, tol) == _diagnosis(sys_obj, tol)

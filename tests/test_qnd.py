@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from qlinbae import matcore, qnd, qsys, xferfn
+from qlinbae import bae, matcore, qnd, qsys, xferfn
 from qlinbae.errors import PreconditionError
 
 from conftest import (
@@ -94,6 +94,16 @@ def test_coupling_properties_proportional_blocks_commute():
     sys_obj = qsys.new_system(np.eye(2), cm, 0.5j * cm,
                               np.zeros((2, 2)), np.zeros((2, 2)))
     assert qnd.coupling_properties(sys_obj)["mutually_commuting"]
+
+
+def test_predicate_table_is_whole():
+    """bae._PREDICATES is the one table of structural hypotheses: every
+    hypothesis named by the BAE catalog, the QND cases, the special cases
+    or the coupling properties is a key, and every key is named."""
+    named = {h for cond in bae.CONDITION_CATALOG for h in cond.hypotheses}
+    named |= {h for _, hypotheses in qnd.QND_CASES for h in hypotheses}
+    named |= set(qnd.SPECIAL_CASES.values()) | set(qnd.COUPLING_PROPERTIES.values())
+    assert named == set(bae._PREDICATES)
 
 
 # ------------------------------------------------------------ SISO analysis
