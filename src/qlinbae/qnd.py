@@ -12,7 +12,8 @@ import numpy as np
 
 from .bae import _Verdicts
 from .errors import InternalConsistencyError, PreconditionError
-from .matcore import DEFAULT_TOL, close_to, delta, inf_norm, krylov_basis, staircase
+from .matcore import (DEFAULT_TOL, _negligible, close_to, delta, inf_norm,
+                      krylov_basis, staircase)
 from .qsys import quad_realization
 
 
@@ -48,7 +49,9 @@ def commutator_coeffs(sys):
 
 
 def _interaction_scale(sys):
-    return max(inf_norm(sys.coupling) * inf_norm(sys.omega), 1.0)
+    """||C||_inf ||Omega||_inf, the scale of every commutator coefficient,
+    with no floor: a change of time unit scales both alike."""
+    return inf_norm(sys.coupling) * inf_norm(sys.omega)
 
 
 def is_qnd_interaction(sys, tol=DEFAULT_TOL):
@@ -66,11 +69,11 @@ def _qnd_interaction(sys, tol):
     read from, for callers that report the coefficients as well."""
     coeffs = commutator_coeffs(sys)
     scale = _interaction_scale(sys)
-    direct = coeffs.max_norm() <= tol * scale
+    direct = _negligible(coeffs.max_norm(), scale, tol)
 
     collapsed = (sys.coupling - 2.0 * delta(sys.c_minus,
                                             np.zeros_like(sys.c_plus))) @ sys.omega
-    alt = inf_norm(collapsed) <= tol * scale
+    alt = _negligible(collapsed, scale, tol)
     if direct != alt:
         raise InternalConsistencyError(
             "commutator-coefficient and doubled-up interaction tests disagree: "
@@ -122,9 +125,9 @@ def siso_analysis(sys, tol=DEFAULT_TOL):
     scale = _interaction_scale(sys)
     q_res = float(inf_norm(u @ om - (u @ op).conj()))
     p_res = float(inf_norm(w @ om - (w @ op).conj()))
-    if q_res <= tol * scale:
+    if _negligible(q_res, scale, tol):
         which = "q"
-    elif p_res <= tol * scale:
+    elif _negligible(p_res, scale, tol):
         which = "p"
     else:
         which = "none"

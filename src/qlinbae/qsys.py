@@ -97,9 +97,12 @@ def new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol=DEFAULT_TOL):
     scale_s = max(inf_norm(s), 1.0)
     if inf_norm(s @ s.conj().T - np.eye(m)) > tol * scale_s**2:
         violations.append("S is not unitary within tolerance")
-    if not matcore.close_to(omega_minus, omega_minus.conj().T, tol):
+    # at the scale ||Omega+-||_inf, with no floor, as every structural test
+    if not matcore._negligible(omega_minus - omega_minus.conj().T,
+                               inf_norm(omega_minus), tol):
         violations.append("Omega_minus is not Hermitian within tolerance")
-    if not matcore.close_to(omega_plus, omega_plus.T, tol):
+    if not matcore._negligible(omega_plus - omega_plus.T,
+                               inf_norm(omega_plus), tol):
         violations.append("Omega_plus is not symmetric within tolerance")
     if violations:
         raise ValidationError(violations)

@@ -179,6 +179,59 @@ def _square_read(psi, weights, scratch):
     return scratch.reshape(len(psi), -1) @ weights
 
 
+def _noise_block(d, m, n_steps):
+    """Steps per refill of the innovation buffer: its m innovations per
+    step and trajectory fill no more than the 4 d^2 entries per trajectory
+    of the per-step Kraus buffer (one step at least), and at most the run."""
+    return max(1, min(n_steps, 4 * d * d // max(m, 1)))
+
+
+def _tracked_forms(obs, v, r):
+    """Each tracked X as a real form on psi: with H = (X + X^dag) / 2,
+    Re Tr(phi^T conj(phi) X) is the sum over the rows f of phi's float view
+    of f R(H^T) f^T, and f = psi V^T, so it is sum psi W' psi^T over psi's
+    rows with W' = V^T R(H^T) V, rotated once.
+
+    Formed as (V^T W) V, two products of inner dimension 2d, W' departs
+    from V^T W V by less than B = 2 gamma |V|^T |W| |V| entry by entry, to
+    first order, with gamma = 2d u / (1 - 2d u), u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5). If every
+    off-diagonal |W'_ab| <= B_ab, each W' is diagonal within the rounding
+    of its own rotation, as for an X that commutes with the record operator
+    (and is not split by a repeated eigenvalue of it), and the forms are
+    the columns diag W' tiled r times: Tr(rho X) t = psi^2 . diag W', a flat
+    product against the squares that `_square_read` leaves. Dropping the
+    off-diagonals then moves Tr(rho X) by at most ||2B||_2, since the exact
+    off-diagonals are below 2B. Otherwise the forms are the flattened W',
+    and Tr(rho X) t is the real Gram matrix psi^T psi dotted with W'.
+    Returns (forms, diagonal)."""
+    n = len(v)
+    w = np.array([_real_form(0.5 * (x + x.conj().T).T) for x in obs]
+                 ).reshape(len(obs), n, n)
+    rotated = v.T @ w @ v
+    nu = n * np.finfo(float).eps / 2
+    gamma = nu / (1.0 - nu)
+    bound = 2.0 * gamma * (np.abs(v).T @ np.abs(w) @ np.abs(v))
+    off = ~np.eye(n, dtype=bool)
+    if (np.abs(rotated) <= bound)[:, off].all():
+        return np.tile(np.diagonal(rotated, axis1=1, axis2=2).T, (r, 1)), True
+    return rotated.reshape(len(obs), n * n).T, False
+
+
+def _trace_deviation(ratios, first):
+    """max |Tr(M rho M^dag) - 1| over a block of steps whose ratios fill
+    the rows of ratios, as max(hi - 1, 1 - lo) over the block's smallest
+    and largest ratio. A ratio that is not finite and > 0 raises
+    InstabilityError naming the first step with one; first is the step
+    of row 0."""
+    lo, hi = ratios.min(), ratios.max()
+    if not (lo > 0.0 and hi < np.inf):
+        ok = ((ratios > 0.0) & (ratios < np.inf)).all(axis=1)
+        raise InstabilityError(f"step {first + int(ok.argmin())}: the "
+                               "conditioned state is not finite; reduce dt")
+    return max(float(hi - 1.0), float(1.0 - lo))
+
+
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     """Kraus-map integration (Rouchon & Ralph 2015, PRA 91, 012118) of the
     diffusive conditioned-state equation
@@ -190,7 +243,12 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     and >= 0, n_traj and store_every integers >= 1, rho0 and every tracked
     operator finite ops.dim x ops.dim matrices. Trajectories use
     independent counter-based RNG streams derived from (seed, trajectory
-    index), so results are reproducible and order-independent.
+    index), so results are reproducible and order-independent. The
+    innovations are drawn a block of steps at a time into one step-major
+    buffer, no larger than the per-step Kraus buffer (`_noise_block`), so
+    memory does not grow with T; a Philox stream drawn in chunks gives the
+    same numbers as one draw of the whole run, so the block size changes
+    no output bit.
 
     Each step reads the record dy_j = Tr[rho (L_j + L_j^dag)] dt + dnu_j
     and maps rho <- M rho M^dag / Tr(M rho M^dag) with
@@ -242,22 +300,28 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     rotations agree with phi's to rounding only.
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
-    stored grid (every store_every steps, endpoints included). Only there
-    is phi = psi V^T rotated back and Y = phi^T conj(phi) formed:
-    Re Tr(rho X) is the real dot product of the float views of Y and
-    X^dag, divided by t. The final states are (Y + Y^dag) / (2t), whose
-    entry (b, a), fl(y_ba + conj(y_ab)) over a real, is the exact
-    conjugate of entry (a, b), so every final state is exactly Hermitian.
+    stored grid (every store_every steps, endpoints included), read on psi
+    in the eigenbasis against each X rotated once (`_tracked_forms`). When
+    every rotated X is diagonal to within the rounding of its rotation, as
+    each X that commutes with the first record operator is, a stored value
+    is the squares psi^2 that the step's read just left, times diag W',
+    one small GEMM; otherwise it is the real Gram matrix psi^T psi dotted
+    with W'. Either agrees with Re Tr(phi^T conj(phi) X) / t to rounding.
+    phi = psi V^T is rotated back and Y = phi^T conj(phi) formed once, at
+    the end: the final states are (Y + Y^dag) / (2t), whose entry (b, a),
+    fl(y_ba + conj(y_ab)) over a real, is the exact conjugate of entry
+    (a, b), so every final state is exactly Hermitian.
 
     max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
-    normalization, not a rounding error; it is max(hi - 1, 1 - lo) over
-    the smallest and largest ratio of each step, the same float. A step
-    whose new t is not finite and positive raises InstabilityError naming
-    the step, with numpy's overflow and invalid-value warnings silenced
-    so that the error is the one report: a finite positive t bounds every
-    entry of psi and of phi^T conj(phi), so the check is on the ratios
-    alone, and psi can stay finite where the state it stands for
-    overflows.
+    normalization, not a rounding error. Each step writes its ratios into
+    a block buffer; per block of steps it is max(hi - 1, 1 - lo) over the
+    block's smallest and largest ratio, the same float as a max over each
+    step. A step whose new t is not finite and positive raises
+    InstabilityError naming the first such step, once its block ends,
+    with numpy's overflow and invalid-value warnings silenced so that the
+    error is the one report: a finite positive t bounds every entry of psi
+    and of phi^T conj(phi), so the check is on the ratios alone, and psi
+    can stay finite where the state it stands for overflows.
     """
     _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
     _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
@@ -289,16 +353,12 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     m = len(l_ops)
     streams = [np.random.Generator(np.random.Philox(child))
                for child in np.random.SeedSequence(seed).spawn(n_traj)]
-    noise = np.empty((n_traj, n_steps, m))
-    for i, g in enumerate(streams):
-        noise[i] = g.normal(0.0, np.sqrt(dt), size=(n_steps, m))
+    block = _noise_block(d, m, n_steps)
+    noise = np.empty((block, n_traj, m))  # step-major, refilled per block
+    ratios = np.empty((block, n_traj))  # Tr(M rho M^dag), checked per block
 
     names = tuple(name for name, _ in tracked)
     norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
-    # Re Tr(rho X) is the float view of rho dotted with that of X^dag
-    probes = np.array([x.conj().T for x in obs], dtype=complex)
-    probes = probes.view(float).reshape(len(obs), 2 * d * d).T
-
     store_idx = list(range(0, n_steps + 1, store_every))
     if store_idx[-1] != n_steps:
         store_idx.append(n_steps)
@@ -310,19 +370,20 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
     else:  # no record to read; V = I rounds nothing
         v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
+    forms, diagonal = _tracked_forms(obs, v, r)
     phi0 = np.ascontiguousarray((u[:, keep] * np.sqrt(w[keep])).T)
     psi = np.broadcast_to(phi0.view(float) @ v, (n_traj, r, 2 * d)).copy()
-    spare = np.empty_like(psi)  # squares, rotation back, product
+    spare = np.empty_like(psi)  # squares, product, rotation back
     read = _square_read(psi, weights, spare)  # [t, t dy_1 without noise]
-    y = np.empty((n_traj, d, d), dtype=complex)
-    y_re = y.view(float).reshape(n_traj, 2 * d * d)
     max_trace_dev = 0.0
 
     def record(slot):
-        np.matmul(psi, v.T, out=spare)
-        phi = spare.view(complex)
-        np.matmul(phi.swapaxes(-1, -2), phi.conj(), out=y)
-        values[:, slot] = y_re @ probes / read[:, :1]
+        if diagonal:  # spare holds psi^2 from the read just taken
+            flat = spare.reshape(n_traj, -1)
+        else:  # matmul is slow on a swapaxes view; copy it first
+            psi_t = np.ascontiguousarray(psi.swapaxes(1, 2))
+            flat = (psi_t @ psi).reshape(n_traj, -1)
+        values[:, slot] = flat @ forms / read[:, :1]
 
     jj, kk = np.triu_indices(m)
     basis = [np.eye(d) + dt * k_gen, *l_ops,
@@ -343,34 +404,39 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     # a non-finite step raises InstabilityError below; numpy's overflow and
     # invalid-value warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(n_steps):
-            t = read[:, 0]
-            dy = read[:, 1:] / t[:, None]  # channel 1 (none without channels)
-            if m > 1:
-                gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
-                rest = np.einsum("trjc,trc->tj", gained.reshape(
-                    n_traj, r, m - 1, 2 * d), psi) / t[:, None]
-                dy = np.concatenate([dy, rest], axis=1)
-            dy += noise[:, step]
-            coef[:, 1:m + 1] = dy
-            coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
-            s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
-            np.matmul(coef * s[:, None], basis_re,
-                      out=kraus_re.reshape(n_traj, 4 * d * d))
-            np.matmul(psi, kraus_re, out=spare)
-            psi, spare = spare, psi
-            read = _square_read(psi, weights, spare)
-            trace = read[:, 0] / (s * s * t)  # Tr(M rho M^dag)
-            lo, hi = trace.min(), trace.max()
-            if not (lo > 0.0 and hi < np.inf):
-                raise InstabilityError(
-                    f"step {step}: the conditioned state is not finite; reduce dt")
-            max_trace_dev = max(max_trace_dev, float(hi - 1.0), float(1.0 - lo))
-            if step + 1 in store_set:
-                slot += 1
-                record(slot)
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            for i, g in enumerate(streams):
+                noise[:stop - start, i] = g.normal(0.0, np.sqrt(dt),
+                                                   size=(stop - start, m))
+            for step in range(start, stop):
+                t = read[:, 0]
+                dy = coef[:, 1:m + 1]  # the records, formed in place
+                # channel 1 (none without channels)
+                np.divide(read[:, 1:], t[:, None], out=dy[:, :1])
+                if m > 1:
+                    gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
+                    np.divide(np.einsum("trjc,trc->tj", gained.reshape(
+                        n_traj, r, m - 1, 2 * d), psi), t[:, None],
+                        out=dy[:, 1:])
+                dy += noise[step - start]
+                coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
+                s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
+                np.matmul(coef * s[:, None], basis_re,
+                          out=kraus_re.reshape(n_traj, 4 * d * d))
+                np.matmul(psi, kraus_re, out=spare)
+                psi, spare = spare, psi
+                read = _square_read(psi, weights, spare)
+                np.divide(read[:, 0], s * s * t, out=ratios[step - start])
+                if step + 1 in store_set:
+                    slot += 1
+                    record(slot)
+            max_trace_dev = max(max_trace_dev,
+                                _trace_deviation(ratios[:stop - start], start))
 
-    # the last step is a stored one, so y is the final phi^T conj(phi)
+    np.matmul(psi, v.T, out=spare)  # phi = psi V^T, rotated back once
+    phi = spare.view(complex)
+    y = np.matmul(phi.swapaxes(-1, -2), phi.conj())  # phi^T conj(phi)
     rho = y + _dagger(y)
     rho /= (2.0 * read[:, 0])[:, None, None]
     return SMETrajectoryBatch(

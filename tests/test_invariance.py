@@ -147,8 +147,11 @@ RANDOM_FAMILIES = list(itertools.product(
 
 
 def _diagnosis(sys_obj, tol):
+    siso = (qnd.siso_analysis(sys_obj, tol).which_quadrature
+            if sys_obj.m_channels == 1 else None)
     return ([m.condition_id for m in bae.diagnose_conditions(sys_obj, tol)],
-            qnd.qnd_variable_report(sys_obj, tol).case_matched)
+            qnd.qnd_variable_report(sys_obj, tol).case_matched,
+            qnd.is_qnd_interaction(sys_obj, tol), siso)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
@@ -156,8 +159,10 @@ def _diagnosis(sys_obj, tol):
                          [t for t in sorted(TRANSFORMS) if t.startswith("time_unit")])
 def test_diagnoses_are_time_unit_invariant(transform, tol):
     """Over every random_system family and SYSTEMS, the moved system matches
-    the same catalog conditions and falls in the same QND case; no verdict
-    may hang on a floor that a small time unit crosses."""
+    the same catalog conditions, falls in the same QND case, and keeps
+    is_qnd_interaction and, with one channel, siso_analysis's
+    which_quadrature; no verdict may hang on a floor that a small time
+    unit crosses, such as a commutator scale ||C|| ||Omega|| floored at 1."""
     rng = np.random.default_rng([sorted(TRANSFORMS).index(transform), int(tol < 1e-7)])
     systems = [qsys.random_system(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                                   omega=omega, coupling=coupling,

@@ -46,6 +46,24 @@ def test_new_system_rejects_nonsymmetric_omega_plus():
     assert any("Omega_plus" in v for v in e.value.violations)
 
 
+@pytest.mark.parametrize("unit", [1.0, 1e-6, 1e6])
+def test_omega_checks_keep_their_verdict_in_any_time_unit(unit):
+    """Omega- = c [[1, 0.501], [0.5, 1]] is not Hermitian and its transpose
+    as Omega+ is not symmetric, relative asymmetry 1e-3, in any time unit
+    c: the checks are at the scale ||Omega+-||_inf, with no floor at 1
+    that a small unit would fall under. The same blocks made exact
+    pass."""
+    bad = unit * np.array([[1.0, 0.501], [0.5, 1.0]])
+    c = np.sqrt(unit) * np.ones((1, 2))
+    for om, op, name in ((bad, np.zeros((2, 2)), "Omega_minus"),
+                         (np.zeros((2, 2)), bad, "Omega_plus")):
+        with pytest.raises(ValidationError) as e:
+            qsys.new_system(np.eye(1), c, np.zeros((1, 2)), om, op, tol=1e-9)
+        assert [v for v in e.value.violations if name in v]
+    good = 0.5 * (bad + bad.T)
+    qsys.new_system(np.eye(1), c, np.zeros((1, 2)), good, good, tol=1e-9)
+
+
 @pytest.mark.parametrize("args", [
     # non-unitary S and non-Hermitian Omega-
     (2.0 * np.eye(1), np.ones((1, 2)), np.zeros((1, 2)),

@@ -1,6 +1,11 @@
 """Truncated operators, spectral projections, and the conditioned-state
 integrator."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -569,6 +574,145 @@ def test_non_finite_state_raises_instability_naming_the_step():
                            r"conditioned state is not finite"):
             smesim.simulate_qsme(ops, _ground_state_mixture(4), dt=1e200,
                                  T=2e200, n_traj=3, seed=0, tracked=[])
+
+
+def test_instability_names_the_same_step_whatever_the_block():
+    """dt = 1e80 overflows M rho M^dag at step 2 of 40, inside the first
+    block of innovations: checking the ratios once per block names the
+    same step as checking them after every step (a block of one)."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
+    assert smesim._noise_block(ops.dim, 1, 40) == 40
+    kw = dict(dt=1e80, T=40e80, n_traj=3, seed=0, tracked=[])
+    for block in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
+            with pytest.warns(UserWarning, match="Kraus-map bias"):
+                with pytest.raises(InstabilityError, match=r"^step 2: "):
+                    smesim.simulate_qsme(ops, _ground_state_mixture(4), **kw)
+
+
+def _batch_bytes(batch):
+    return [batch.times.tobytes(), batch.tracked_values.tobytes(),
+            batch.final_states.tobytes(), batch.max_trace_deviation,
+            batch.positivity_margin]
+
+
+@pytest.mark.parametrize("case", ["one_channel", "two_channels", "free"])
+def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
+    """Innovations drawn a block of steps at a time, and the trace ratios
+    checked once per block: with the block monkeypatched to 1 step, to a
+    prime that divides neither the run nor the store interval, and to the
+    whole run, every output byte equals that of the default block. The
+    one-channel case reads its commuting tracked operators from the
+    squares, the two-channel case takes the Gram read."""
+    if case == "free":
+        d = 4
+        ops = smesim.TruncatedOperators(
+            fock_dim=d, n_modes=1, a_ops=(smesim.ladder(d),), l_ops=(),
+            h=np.diag(np.arange(d)).astype(complex))
+    else:
+        mode = _measured_mode() if case == "one_channel" else _two_channel_mode()
+        ops = smesim.build_truncated_operators(mode, fock_dim=5)
+    d = ops.dim
+    a = smesim.ladder(d) if case == "free" else ops.a_ops[0]
+    tracked = [(f"L{j}", l) for j, l in enumerate(ops.l_ops)] + [
+        ("x", a + a.conj().T), ("n", a.conj().T @ a)]
+    kw = dict(dt=1e-3, T=0.15, n_traj=6, seed=11, tracked=tracked,
+              store_every=4)
+    rho0 = _ground_state_mixture(d)
+    ref = _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw))
+    assert smesim._noise_block(d, len(ops.l_ops), 150) not in (1, 7, 150)
+    for block in (1, 7, 150):
+        monkeypatch.setattr(smesim, "_noise_block", lambda d, m, n: block)
+        assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
+
+
+def test_commuting_tracked_operators_are_read_from_the_squares():
+    """Under a q measurement L, L^2 and L's spectral projectors are
+    diagonal in the loop's eigenbasis, within the rounding of their
+    rotation; p, or any set that contains it, is not."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
+    l = ops.l_ops[0]
+    v, _ = smesim._eigenframe(1e-3 * (l + l.conj().T), 8)
+    p = 1j * (ops.a_ops[0].conj().T - ops.a_ops[0])
+    commuting = [l, l @ l] + [x for _, x in smesim.spectral_projections(l)]
+    forms, diagonal = smesim._tracked_forms(commuting, v, 8)
+    assert diagonal and forms.shape == (8 * 16, len(commuting))
+    assert not smesim._tracked_forms([p], v, 8)[1]
+    forms, diagonal = smesim._tracked_forms(commuting + [p], v, 8)
+    assert not diagonal and forms.shape == (16 * 16, len(commuting) + 1)
+
+
+def test_non_commuting_tracked_operator_matches_per_product_reference():
+    """p under a q measurement takes the Gram read, psi^T psi dotted with
+    the rotated form of p: from a rank-3 state with <p> != 0, and with L
+    beside it, both agree with
+    _kraus_reference within _one_product_atol at every step, as in
+    test_second_channel_record_matches_per_product_reference."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=6)
+    a = ops.a_ops[0]
+    tracked = [("p", 1j * (a.conj().T - a)), ("L", ops.l_ops[0])]
+    v = _orthonormal_columns(np.random.default_rng(8), 6, 3)
+    rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
+    dt, n_steps, n_traj, seed = 1e-3, 40, 6, 8
+    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                 n_traj=n_traj, seed=seed, tracked=tracked)
+    finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                              seed, tracked)
+    t_min = 1.0 - batch.max_trace_deviation
+    assert t_min > 0.5
+    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
+    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+    for k, (_, x) in enumerate(tracked):
+        assert np.allclose(batch.tracked_values[..., k], values[..., k],
+                           rtol=0.0, atol=atol * np.abs(x).sum())
+    # <p> moves by far more than the bound: no constant passes the test
+    assert np.ptp(batch.tracked_values[..., 0]) > 1e3 * atol * np.abs(
+        tracked[0][1]).sum()
+
+
+_PEAK_GROWTH = """
+import sys
+import numpy as np
+from qlinbae import qsys, smesim
+
+def peak_kb():  # VmHWM: this process's peak resident set since exec
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+c, z = np.array([[1.0]], dtype=complex), np.zeros((1, 1))
+ops = smesim.build_truncated_operators(qsys.new_system(np.eye(1), c, c, z, z), 2)
+run = lambda T: smesim.simulate_qsme(ops, np.eye(2) / 2, 1e-2, T, 2000, 0,
+                                     [("L", ops.l_ops[0])], store_every=100)
+run(0.5)
+before = peak_kb()
+run(float(sys.argv[1]))
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident set from /proc")
+def test_memory_does_not_grow_with_the_simulated_time():
+    """The peak resident set gained by a 2000-trajectory run after a
+    warm-up run of T = 0.5, in a fresh process: at T = 16 (1600 steps) it
+    stays within twice that at T = 1, or 1 MB. Drawing the run's
+    innovations up front took 24 MB more at T = 16 and 0.8 MB more at
+    T = 1. The peak is the kernel's VmHWM, not getrusage's ru_maxrss:
+    Linux carries the pre-exec peak of the forked parent into a child's
+    ru_maxrss, so under a large test process it would read no growth."""
+    src = pathlib.Path(smesim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    growth = {}
+    for T in (1, 16):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, str(T)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        growth[T] = int(proc.stdout)
+    assert growth[16] <= 2 * max(growth[1], 1024), growth
 
 
 def test_benchmark_seed_86_negative_control_runs_to_the_end():
