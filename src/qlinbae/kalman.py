@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .matcore import DEFAULT_TOL, check_finite, inf_norm, j_sym
+from .matcore import DEFAULT_TOL, _negligible, check_finite, inf_norm, j_sym
 
 MARKOV_ORDER = 6
 
@@ -105,16 +105,19 @@ def check_kalman_bae(k, tol=DEFAULT_TOL):
     q_wrt_p: the q outputs carry no p-input back action iff C_q B_p = 0.
     p_wrt_q: symmetric criterion C_p B_q = 0. When both hold and the complex
     coupling blocks are available, Re(gamma_q gamma_p^T) is symmetric; the
-    report carries that check too.
+    report carries that check too. The products are held against tol
+    ||C_co||_inf ||B_co||_inf and the symmetry against tol ||gamma_q||_inf
+    ||gamma_p||_inf, with no floor, so a change of time unit (A_co -> c A_co,
+    B_co -> sqrt(c) B_co, C_co -> sqrt(c) C_co) keeps every verdict.
     """
-    scale = max(inf_norm(k.c_co) * inf_norm(k.b_co), 1.0)
-    q_wrt_p = inf_norm(k.c_q @ k.b_p) <= tol * scale
-    p_wrt_q = inf_norm(k.c_p @ k.b_q) <= tol * scale
+    scale = inf_norm(k.c_co) * inf_norm(k.b_co)
+    q_wrt_p = _negligible(k.c_q @ k.b_p, scale, tol)
+    p_wrt_q = _negligible(k.c_p @ k.b_q, scale, tol)
     re_sym = None
     if k.gamma_q is not None and k.gamma_p is not None:
         prod = np.real(k.gamma_q @ k.gamma_p.T)
-        gscale = max(inf_norm(k.gamma_q) * inf_norm(k.gamma_p), 1.0)
-        re_sym = inf_norm(prod - prod.T) <= tol * gscale
+        re_sym = _negligible(prod - prod.T,
+                             inf_norm(k.gamma_q) * inf_norm(k.gamma_p), tol)
     return {
         "q_wrt_p": bool(q_wrt_p),
         "p_wrt_q": bool(p_wrt_q),
@@ -132,9 +135,13 @@ def markov_identity_check(k, tol=DEFAULT_TOL):
     """Residual of C_co A_co^k B_co = (1/2^k)(C_co B_co)^{k+1} for
     k = 1..MARKOV_ORDER. The identity follows from the structural premise
     C_co A_co = (1/2) C_co B_co C_co, whose own residual is reported so a
-    premise failure is flagged rather than silently producing noise."""
+    premise failure is flagged rather than silently producing noise. The
+    premise holds when its residual is at most tol max(||C_co|| ||A_co||,
+    ||C_co||^2 ||B_co||) (inf-norms), the scales of its two terms, which
+    both go as c^{3/2} under a change of time unit, as the residual does."""
     premise = structural_premise_residual(k)
-    scale = max(inf_norm(k.c_co) * inf_norm(k.b_co), 1.0)
+    c_norm = inf_norm(k.c_co)
+    scale = max(c_norm * inf_norm(k.a_co), c_norm ** 2 * inf_norm(k.b_co))
     cb = k.c_co @ k.b_co
     residual = 0.0
     a_pow = np.eye(k.a_co.shape[0])
@@ -148,7 +155,7 @@ def markov_identity_check(k, tol=DEFAULT_TOL):
     return {
         "residual": residual,
         "premise_residual": premise,
-        "premise_holds": premise <= tol * scale * max(inf_norm(k.a_co), 1.0),
+        "premise_holds": premise <= tol * scale,
     }
 
 

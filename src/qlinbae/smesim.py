@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, PreconditionError, ResourceError
-from .matcore import DEFAULT_TOL
+from .matcore import DEFAULT_TOL, _negligible
 
 DIM_CAP = 4096
 
@@ -77,10 +77,13 @@ def build_truncated_operators(sys, fock_dim):
 
 def spectral_projections(l_hermitian, tol=DEFAULT_TOL):
     """Spectral decomposition of a Hermitian measurement operator with
-    eigenvalues clustered within tol; returns [(eigenvalue, projector)]."""
+    eigenvalues clustered within tol * max|l|; returns [(eigenvalue,
+    projector)]. The Hermiticity test and the clusters take the scale
+    max|l| with no floor, so l and c l give the same projectors for any
+    c > 0; the zero operator is one cluster."""
     l = np.asarray(l_hermitian, dtype=complex)
-    scale = max(np.abs(l).max(), 1.0)
-    if np.abs(l - l.conj().T).max() > tol * scale:
+    scale = np.abs(l).max()
+    if not _negligible(l - l.conj().T, scale, tol):
         raise PreconditionError("spectral_projections requires a Hermitian operator")
     w, v = np.linalg.eigh(l)
     out = []

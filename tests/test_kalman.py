@@ -111,6 +111,31 @@ def test_markov_identity_flags_premise_failure():
     assert out["premise_residual"] > 1e-6
 
 
+def _verdicts(k):
+    theorem = kalman.check_kalman_bae(k)
+    return (theorem["q_wrt_p"], theorem["p_wrt_q"],
+            theorem["re_gamma_product_symmetric"],
+            bool(kalman.markov_identity_check(k)["premise_holds"]))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6])
+def test_verdicts_keep_the_time_unit(c):
+    """A co-subsystem moved to time unit c (A -> c A, B -> sqrt(c) B,
+    C -> sqrt(c) C, Gamma -> sqrt(c) Gamma) keeps every verdict: a generic
+    one fails all four, one with a symmetric Re product and the premise
+    passes the q test and the premise."""
+    rng = np.random.default_rng(7)
+    generic = random_kalman_subsystem(rng, r=2, m=2, consistent_dynamics=False)
+    structured = random_kalman_subsystem(rng, r=2, m=2, symmetric_product=True)
+    assert _verdicts(generic) == (False, False, False, False)
+    assert _verdicts(structured) == (True, False, False, True)
+    root = np.sqrt(c)
+    for k in (generic, structured):
+        moved = kalman.KalmanCoSubsystem(c * k.a_co, root * k.b_co, root * k.c_co,
+                                         root * k.gamma_q, root * k.gamma_p)
+        assert _verdicts(moved) == _verdicts(k)
+
+
 # ----------------------------------------------- equivalence, both ways
 
 def _qp_markov_blocks(k, horizon):

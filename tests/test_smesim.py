@@ -68,6 +68,19 @@ def test_spectral_projections_diagonal_example():
     assert np.allclose(as_dict[2.0], np.diag([0.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+def test_spectral_projections_keep_their_verdict_at_any_scale(c):
+    """c l gives the projectors of l at any scale c: the Hermiticity test
+    and the clusters are relative to max|l|, with no floor."""
+    proj = smesim.spectral_projections(c * np.diag([1.0, 1.0 + 1e-12, 1.5]))
+    assert [round(val / c, 9) for val, _ in proj] == [1.0, 1.5]
+    assert np.allclose(proj[0][1], np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(PreconditionError):
+        smesim.spectral_projections(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    ((val, p),) = smesim.spectral_projections(np.zeros((3, 3)))
+    assert val == 0.0 and np.array_equal(p, np.eye(3))
+
+
 def test_spectral_projections_resolution_of_identity():
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
     proj = smesim.spectral_projections(ops.l_ops[0])

@@ -228,6 +228,79 @@ def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     assert np.all(points[0][9:].real == 0)
 
 
+# ------------------------------------------------- substitution kernel
+
+@st.composite
+def _triangular(draw):
+    """A random complex upper-triangular T with n <= 24 and its strictly
+    upper part scaled by 1, 1e2 or 1e4 (strongly non-normal), a random
+    unitary Z, four random points, and the generator for further draws."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(min_value=1, max_value=24))
+    t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    t[np.triu_indices(n, 1)] *= draw(st.sampled_from([1.0, 1e2, 1e4]))
+    z = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return t, z, rng.standard_normal(4) + 1j * rng.standard_normal(4), rng
+
+
+@given(_triangular())
+@settings(max_examples=60, deadline=None)
+def test_inverse_bound_matches_the_inverse_of_the_comparison_matrix(case):
+    """nu(p) within 4 n eps relative of sqrt(||M^{-1}||_1 ||M^{-1}||_inf)
+    from np.linalg.inv of the comparison matrix M of pI - T."""
+    t, _, points, _ = case
+    n = len(t)
+    for p, nu in zip(points, xferfn._inverse_bound(t, points)):
+        m = -np.abs(t)
+        np.fill_diagonal(m, np.abs(p - np.diag(t)))
+        inverse = np.linalg.inv(m)
+        want = np.sqrt(inverse.sum(axis=0).max() * inverse.sum(axis=1).max())
+        assert abs(nu - want) <= 4 * n * np.finfo(float).eps * want
+
+
+@given(_triangular())
+@settings(max_examples=60, deadline=None)
+def test_schur_solve_matches_per_point_solve(case):
+    """C (sI - A)^{-1} B from `_schur_solve` on A = Z T Z^H against
+    np.linalg.solve at every point where cond2(sI - A) <= COND_LIMIT,
+    within 2 delta(s) (conftest's bound, c = 2) with N + 1 for N: the
+    folded right-hand side makes each inner product one term longer."""
+    t, z, points, rng = case
+    n = len(t)
+    a = z @ t @ z.conj().T
+    m, p = (int(x) for x in rng.integers(1, 5, size=2))
+    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    c = rng.standard_normal((p, n))
+    r = qsys.Realization("quadrature", a, b, c, np.zeros((p, m)))
+    values = xferfn._schur_solve(t, z, points, b, c)
+    assert values.shape == (len(points), p, m)
+    for s, g in zip(points, values):
+        if np.linalg.cond(s * np.eye(n) - a) > xferfn.COND_LIMIT:
+            continue
+        want = c @ np.linalg.solve(s * np.eye(n) - a, b)
+        assert np.linalg.norm(g - want, 2) <= schur_deviation_bound(r, s) * (n + 1) / n
+
+
+def test_certify_and_sweep_each_take_two_substitutions(monkeypatch):
+    """certify_bae and a 200-point sweep each run the substitution kernel
+    twice: nu over the points (real), then one solve (complex)."""
+    calls = []
+    substitute = xferfn._substitute
+
+    def counted(u, scale, x):
+        calls.append(u.dtype)
+        return substitute(u, scale, x)
+
+    monkeypatch.setattr(xferfn, "_substitute", counted)
+    sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
+                                 **FAMILY_KWARGS["p_coupling_imag_C"])
+    bae.certify_bae(sys_obj)
+    assert calls == [np.float64, np.complex128]
+    calls.clear()
+    xferfn.frequency_sweep(qsys.quad_realization(sys_obj), np.logspace(-3.0, 3.0, 200))
+    assert calls == [np.float64, np.complex128]
+
+
 # -------------------------------------------------------------- sweep
 
 def test_frequency_sweep_shapes_and_resonance_nan():
