@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bae, feedback, kalman, qnd, smesim
 from .errors import InternalConsistencyError, QLinBAEError, ValidationError
-from .matcore import DEFAULT_TOL, close_to, is_real
+from .matcore import DEFAULT_TOL, _negligible, inf_norm, is_real
 from .qsys import ac_realization, new_system, quad_realization
 from .xferfn import eval_tf, frequency_sweep
 
@@ -297,7 +297,10 @@ def _loop_split(split):
 
 
 def _network_from_doc(sys_obj, doc, tol):
-    """The spec's system as the plant of its feedback section's loop."""
+    """The spec's system as the plant of its feedback section's loop. Each
+    optional k** key must match its rows of C_minus or C_plus at the pair's
+    own scale, with no floor (matcore._negligible), so that a change of
+    time unit, which scales both alike, keeps the verdict."""
     fb = _section(doc, "feedback", required=True)
     m1, m2 = _loop_split(fb["split"])
     net = feedback.FeedbackNetwork(
@@ -309,7 +312,8 @@ def _network_from_doc(sys_obj, doc, tol):
             continue
         given = parse_complex_matrix(fb[key], f"feedback.{key}")
         block = getattr(net, key)
-        if given.shape != block.shape or not close_to(given, block, tol):
+        if given.shape != block.shape or not _negligible(
+                given - block, max(inf_norm(given), inf_norm(block)), tol):
             c_name = "C_minus" if key[2] == "1" else "C_plus"
             raise ValueError(f"feedback.{key} does not match its rows of "
                              f"{c_name} within tolerance {tol}")

@@ -192,11 +192,13 @@ def _noise_block(d, m, n_steps):
     return max(1, min(n_steps, 4 * d * d // max(m, 1)))
 
 
-def _frame_forms(xs, v):
+def _frame_forms(xs, v, formed=None):
     """Each complex d x d matrix X of xs as its real form rotated once,
     W' = V^T R(X^T) V, and whether every W' is diagonal in the complex
-    frame within the rounding of its rotation. Returns (forms, diagonal),
-    forms of shape (len(xs), 2d, 2d).
+    frame within the rounding of its formation and its rotation. formed
+    bounds the rounding of forming each X, entry by entry, as an array of
+    xs's shape (see `_basis_rounding`); None for xs given exactly.
+    Returns (forms, diagonal), forms of shape (len(xs), 2d, 2d).
 
     With V = R(conj U), R(Y)^T = R(Y^dag) and R(Y) R(Z) = R(Y Z) give
     W' = R((U^dag X U)^T) exactly: block (a, b) of W' is
@@ -205,21 +207,28 @@ def _frame_forms(xs, v):
     is the float view of (U^dag X U)_aa.
 
     Formed as (V^T W) V, two products of inner dimension 2d, W' departs
-    from V^T W V by less than B = 2 gamma |V|^T |W| |V| entry by entry, to
+    from V^T W V by less than 2 gamma |V|^T |W| |V| entry by entry, to
     first order, with gamma = 2d u / (1 - 2d u), u = eps / 2 (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 3.5). If every
-    entry of every off-diagonal block is within B, each U^dag X U is
-    diagonal within the rounding of its own rotation, as it is for an X
-    that commutes with the record operator (and is not split by a repeated
+    Accuracy and Stability of Numerical Algorithms, sec. 3.5). The
+    computed X departs from the X its formula gives in exact arithmetic by
+    some F with |F| <= formed, and R is real linear with entries Re and
+    +-Im, so |R(F^T)| <= kron(formed^T, ones(2, 2)) and W departs from the
+    exact real form by at most |V|^T kron(formed^T, ones(2, 2)) |V| after
+    the rotation. B is the sum of the two. If every entry of every
+    off-diagonal block is within B, each U^dag X U is diagonal within the
+    rounding of its own formation and rotation, as it is for an X that
+    commutes with the record operator (and is not split by a repeated
     eigenvalue of it); its exact off-diagonal entries are then below 2B,
-    so dropping them moves W' by at most 2B, entry by entry: by no more
-    than the rounding B of its diagonal blocks, doubled."""
+    so dropping them moves W' by at most 2B, entry by entry."""
     n = len(v)
     w = np.array([_real_form(x.T) for x in xs]).reshape(len(xs), n, n)
     rotated = v.T @ w @ v
     nu = n * np.finfo(float).eps / 2
     gamma = nu / (1.0 - nu)
-    bound = 2.0 * gamma * (np.abs(v).T @ np.abs(w) @ np.abs(v))
+    av = np.abs(v)
+    bound = 2.0 * gamma * (av.T @ np.abs(w) @ av)
+    if formed is not None:
+        bound += av.T @ np.kron(np.swapaxes(formed, 1, 2), np.ones((2, 2))) @ av
     off = np.kron(~np.eye(n // 2, dtype=bool), np.ones((2, 2), dtype=bool))
     return rotated, bool((np.abs(rotated) <= bound)[:, off].all())
 
@@ -231,6 +240,40 @@ def _kraus_basis(l_ops, k_gen, dt):
     return [np.eye(len(k_gen)) + dt * k_gen, *l_ops,
             *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
               for j, k in zip(jj, kk))]
+
+
+def _basis_rounding(l_ops, h, dt):
+    """A first-order bound, entry by entry, on the rounding of forming each
+    element of `_kraus_basis` from H and the m coupling operators L_j, as
+    a (n_basis, d, d) array; the `formed` of `_frame_forms`.
+
+    With u = eps / 2 and gamma_k = k u / (1 - k u), a complex inner
+    product of d terms is within sqrt(2) gamma_{d+2} of its value against
+    |x|^T |y| (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 3.5 and sec. 3.6), and a complex sum, difference or product with
+    a real scalar rounds each part once, by u. K = -iH - 1/2 sum_j
+    L_j^dag L_j (`_generator`) forms m products (sqrt(2) gamma_{d+2}),
+    sums them (gamma_m), halves them and multiplies H by -i (both exact)
+    and subtracts (u); I + K dt then rounds the product with dt and the
+    sum (2u). To first order these add to less than sqrt(2)
+    gamma_{d+m+5} times |I| + dt (|H| + 1/2 sum_j |L_j|^T |L_j|). The
+    L_j are the operators given, formed by nothing here. A pair
+    1/2 (L_j L_k + L_k L_j) forms two products and one sum, within
+    sqrt(2) gamma_{d+3} times 1/2 (|L_j| |L_k| + |L_k| |L_j|)."""
+    d, m = len(h), len(l_ops)
+    u = np.finfo(float).eps / 2
+
+    def complex_gamma(k):  # sqrt(2) gamma_k
+        return np.sqrt(2.0) * k * u / (1.0 - k * u)
+
+    mod = [np.abs(l) for l in l_ops]
+    gram = sum((x.T @ x for x in mod), np.zeros((d, d)))
+    jj, kk = np.triu_indices(m)
+    return np.array([
+        complex_gamma(d + m + 5) * (np.eye(d) + dt * (np.abs(h) + 0.5 * gram)),
+        *np.zeros((m, d, d)),
+        *(complex_gamma(d + 3) * 0.5 * (mod[j] @ mod[k] + mod[k] @ mod[j])
+          for j, k in zip(jj, kk))])
 
 
 def _trace_deviation(ratios, first):
@@ -316,11 +359,13 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
 
     The population path. The rotated form of a basis element B is
     R((U^dag B U)^T) (`_frame_forms`). When every one is diagonal in the
-    complex frame within the rounding of its rotation, as in a QND
-    measurement, where K and every L_j commute with the first record
-    operator and no repeated eigenvalue of it is mixed, U^dag M U is
-    diagonal with entries mu = (s coef) @ D, D the (n_basis, d) diagonals
-    (U^dag B U)_aa, and the step scales column a of phi conj(U) by mu_a.
+    complex frame within the rounding of its formation (`_basis_rounding`)
+    and rotation, as in a QND measurement, where K and every L_j commute
+    with the first record operator and no repeated eigenvalue of it is
+    mixed (a complex coupling phase included, whose K is real but formed
+    with an imaginary part of rounding), U^dag M U is diagonal with
+    entries mu = (s coef) @ D, D the (n_basis, d) diagonals (U^dag B U)_aa,
+    and the step scales column a of phi conj(U) by mu_a.
     The loop then forms no Kraus matrix and no batched product: it carries
     the running product g <- g mu, one complex number per trajectory and
     eigenvector, so that phi conj(U) = (phi_0 conj(U)) g column by column.
@@ -337,17 +382,21 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     Error against the product path. Both start from the same psi and the
     same rotated forms and share every other operation. Per step, the
     product path also applies the computed off-diagonal blocks, each within
-    the rounding of its rotation by the certificate (`_frame_forms`:
-    2 gamma_2d, below 4d eps, times |V|^T |W| |V|), and rounds its batched
-    product of inner dimension 2d (2d eps), where the population path
-    rounds one complex product per entry (sqrt(2) gamma_2, below 2 eps;
-    Higham, Lemma 3.5), and each sums the n_basis coefficients in its own
-    order (n_basis eps). Let s_M bound the entries of M over the run,
+    the rounding of its formation and rotation by the certificate
+    (`_frame_forms`: 2 gamma_2d, below 4d eps, times |V|^T |W| |V|, plus
+    the rotated formation bound of `_basis_rounding`, at most
+    sqrt(2) gamma_{d+m+5}, below (d + m + 5) eps, times the rotated
+    |I| + dt (|H| + 1/2 sum_j |L_j|^T |L_j|) or |L_j| |L_k|), and rounds
+    its batched product of inner dimension 2d (2d eps), where the
+    population path rounds one complex product per entry (sqrt(2) gamma_2,
+    below 2 eps; Higham, Lemma 3.5), and each sums the n_basis
+    coefficients in its own order (n_basis eps). Let s_M bound the entries of M over the run,
     1 + dt ||K|| + sum_j |dy_j| ||L_j|| + 1/2 sum_jk (|dy_j dy_k| + dt)
     ||L_j|| ||L_k||, and t_min be the smallest ratio Tr(M rho M^dag). To
-    first order, taking |V|^T |W| |V| at the norm of W, the final states
-    differ by at most 2 n_steps (2 n_basis + 6d + 2) eps s_M^2 / t_min
-    entry by entry, the 2 because psi enters rho twice, and a stored
+    first order, taking each rotated modulus at the norm of its matrix,
+    the final states differ by at most
+    2 n_steps (2 n_basis + 7d + m + 7) eps s_M^2 / t_min entry by entry,
+    the 2 because psi enters rho twice, and a stored
     Tr(rho X) by that times sum_ab |X_ab|. On acceptance criterion 9's
     positive control (d = 8, 500 trajectories of 500 steps, seeds 1 to 10)
     that bound is about 1e-10; the paths differ by at most 6e-13 in the
@@ -426,7 +475,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
     else:  # no record to read; V = I rounds nothing
         v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
-    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v)
+    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v,
+                                        _basis_rounding(l_ops, ops.h, dt))
     forms, diagonal = _frame_forms([0.5 * (x + x.conj().T) for x in obs], v)
     if diagonal:  # Tr(rho X) t from the squares the step's read leaves
         forms = np.diagonal(forms, axis1=1, axis2=2).T

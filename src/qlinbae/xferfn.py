@@ -42,16 +42,24 @@ such as every quadrature A, gets the real Schur form (dgees, about 3
 times cheaper at N = 64), and one block-diagonal unitary rotation
 triangularizes its 2 x 2 blocks (see `_schur_form`).
 
-The last Schur form is kept, keyed by the exact dtype, shape and bytes of
-A, and handed out read-only. `certify_bae` followed by a sweep of the same
-system rebuilds the same quadrature A bit for bit, so the two factor it
-once; a one-bit change to A (one ulp, or -0.0 for 0.0) is a new key.
-dgees and zgees are deterministic, so a kept form is the one a new
-factorization would return and every output is unchanged. The memo has one
-entry: it serves consecutive calls on one A, holds one T and one Z however
-many systems a process works through, and a caller that alternates between
-two matrices (the plant and the reduced network of
-`feedback.verify_reduction`) factors each on every call, as without it.
+Everything the module derives from A alone is derived once per A, into
+one read-only record (`_SchurRecord`): T and Z, a contiguous Z^H and
+diag T for the solve, ||A||_F and the Schur residual ||A Z - Z T||_F for
+the guard, and the interleaved |T| operator of nu below. The last record
+is kept, keyed by the exact dtype, shape and bytes of A. `certify_bae`
+followed by a sweep of the same system rebuilds the same quadrature A bit
+for bit, so the two factor it, and derive the rest, once; a one-bit
+change to A (one ulp, or -0.0 for 0.0) is a new key. dgees and zgees are
+deterministic and each derived number is the same expression on the same
+arrays, so a kept record is the one a new call would build and every
+output is unchanged. The memo has one entry: it serves consecutive calls
+on one A, holds one record (beside T and Z, one N x N complex array and
+one 2N x (2N + 1) real one, 130 KB at N = 64) however many systems a
+process works through, and a caller that alternates between two matrices
+(the plant and the reduced network of `feedback.verify_reduction`)
+factors each on every call, as without it. A grid whose every point the
+guard below certifies gets the Schur solve itself as its values: no
+NaN-filled buffer, masked copy or identity matrix is made for it.
 
 The Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
 eps ||A||_F and Z unitary to working precision. For a real A this holds
@@ -133,7 +141,7 @@ entrywise (Higham, Thm 8.12), so with the vector 1 of ones
 one real `_substitute` for all points: M^{-T} 1 is the reversal of the
 back-substitution on R M^T R (R the reversal, R |T|^T R upper
 triangular), so M^{-1} 1 and M^{-T} 1 advance together, two rows per
-step. Every term of nu is nonnegative, so no sum cancels: in any order
+step, on an operator of |T| alone that the record keeps. Every term of nu is nonnegative, so no sum cancels: in any order
 each row's inner product is accurate to gamma_{2N} relative, the computed
 nu is that of a comparison matrix whose entries lie within gamma_{2N+3}
 relative of M's, and its own relative error is at most about 4 N^2 eps,
@@ -202,15 +210,13 @@ from .matcore import DEFAULT_TOL, check_finite, delta, flat_adjoint, j_diag
 COND_LIMIT = 1e12
 
 
-def _cond_bound(a, t, z, points):
-    """Upper bounds on cond2(sI - A) at each point from the Schur form
-    A = Z T Z^H (module docstring): (|s| + ||A||_F) / (1 / nu(s) - ||A Z -
-    Z T||_F), and inf where the denominator is not positive."""
-    residual = np.linalg.norm(a @ z - z @ t)
+def _cond_bound(schur, points):
+    """Upper bounds on cond2(sI - A) at each point from the Schur record of
+    A (module docstring): (|s| + ||A||_F) / (1 / nu(s) - ||A Z - Z T||_F),
+    and inf where the denominator is not positive."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo = 1 / _inverse_bound(t, points) - residual  # <= smin(sI - A)
-        return np.where(lo > 0, (np.abs(points) + np.linalg.norm(a)) / lo,
-                        np.inf)
+        lo = 1 / _inverse_bound(schur, points) - schur.residual  # <= smin(sI - A)
+        return np.where(lo > 0, (np.abs(points) + schur.norm) / lo, np.inf)
 
 
 def _substitute(u, scale, x):
@@ -231,9 +237,9 @@ def _substitute(u, scale, x):
         x[i:j] *= scale[k]
 
 
-def _schur_solve(t, z, points, rhs, lhs):
-    """lhs (sI - A)^{-1} rhs at every point from A = Z T Z^H, as a
-    (points, rows of lhs, columns of rhs) array.
+def _schur_solve(schur, points, rhs, lhs):
+    """lhs (sI - A)^{-1} rhs at every point from the Schur record of A,
+    A = Z T Z^H, as a (points, rows of lhs, columns of rhs) array.
 
     One back-substitution for (sI - T) Y = Z^H rhs over all points at
     once: row k of Y is (T[k, k+1:] Y[k+1:] + f_k) / (s - T[k, k]). It runs
@@ -242,24 +248,76 @@ def _schur_solve(t, z, points, rhs, lhs):
     (module docstring, "The solve"). Y is laid out as (rows, m, points), so
     the reciprocal pivots of a row multiply m contiguous rows of points.
     """
+    t, z = schur.t, schur.z
     n, p, m = t.shape[0], len(points), rhs.shape[1]
     x = np.empty((n + m, m, p), dtype=complex)
     x[n:] = np.eye(m)[:, :, None]
-    inverse = 1 / (points - np.diag(t)[:, None])
-    _substitute(np.hstack([t, z.conj().T @ rhs]), inverse[:, None], x)
+    inverse = 1 / (points - schur.diag[:, None])
+    _substitute(np.hstack([t, schur.zh @ rhs]), inverse[:, None], x)
     return ((lhs @ z) @ x[:n].reshape(n, m * p)).reshape(-1, m, p).transpose(2, 0, 1)
 
 
-def _schur_form(a):
-    """The complex Schur form A = Z T Z^H: Z unitary, T upper triangular,
-    both read-only.
+@dataclass(frozen=True)
+class _SchurRecord:
+    """Everything the module derives from A alone, for A = Z T Z^H: T and Z,
+    the contiguous Z^H and diag T of `_schur_solve`, ||A||_F and the Schur
+    residual ||A Z - Z T||_F of `_cond_bound`, and the interleaved |T|
+    operator of `_inverse_bound` (`_comparison`). Every array is read-only,
+    since every caller of the memo shares them."""
 
-    The last factorization is kept in `_schur_of`, keyed by the exact
-    dtype, shape and bytes of A (module docstring, "The solve"): a repeat
-    call on the same A, such as a sweep after `block_pattern`, factors
-    nothing, and an A that differs in a single bit (one ulp, or -0.0
-    against 0.0) is factored again. It keeps one entry, so it holds one T
-    and one Z, and a caller alternating two matrices misses on every call,
+    t: np.ndarray
+    z: np.ndarray
+    zh: np.ndarray
+    diag: np.ndarray
+    norm: float
+    residual: float
+    comparison: np.ndarray
+
+
+def _schur_record(a, t, z):
+    """The `_SchurRecord` of A = Z T Z^H, its arrays made read-only. The
+    residual is measured against A itself, so it carries the errors of Z
+    and T, the Schur backward error and the rounding of the real-to-complex
+    rotation included (module docstring, "The guard")."""
+    zh = np.ascontiguousarray(z.conj().T)
+    diag = np.diag(t).copy()
+    comparison = _comparison(t)
+    for x in (t, z, zh, diag, comparison):
+        x.setflags(write=False)
+    return _SchurRecord(t, z, zh, diag, np.linalg.norm(a), _residual(a, t, z),
+                        comparison)
+
+
+def _residual(a, t, z):
+    """||A Z - Z T||_F."""
+    return np.linalg.norm(a @ z - z @ t)
+
+
+def _comparison(t):
+    """The 2N x (2N + 1) operator u of `_inverse_bound` for the upper
+    triangular N x N T: rows 2k hold |T[k]| on the even columns, rows
+    2k + 1 the reversed |T|^T, R |T|^T R, on the odd ones, and the last
+    column is the ones column of the right-hand side. Only |T| enters, so
+    one u serves every point."""
+    n = t.shape[0]
+    off = np.abs(t)
+    u = np.zeros((2 * n, 2 * n + 1))
+    u[::2, :-1:2] = off
+    u[1::2, 1::2] = off.T[::-1, ::-1]
+    u[:, -1] = 1
+    return u
+
+
+def _schur_form(a):
+    """The `_SchurRecord` of the complex Schur form A = Z T Z^H: Z unitary,
+    T upper triangular, and what the module derives from them and A.
+
+    The last record is kept in `_schur_of`, keyed by the exact dtype, shape
+    and bytes of A (module docstring, "The solve"): a repeat call on the
+    same A, such as a sweep after `block_pattern`, factors nothing and
+    derives nothing, and an A that differs in a single bit (one ulp, or
+    -0.0 against 0.0) is factored again. It keeps one entry, so it holds
+    one record, and a caller alternating two matrices misses on every call,
     as without it.
     """
     a = np.asarray(a)
@@ -268,9 +326,8 @@ def _schur_form(a):
 
 @functools.lru_cache(maxsize=1)
 def _schur_of(dtype, shape, data):
-    """The Schur form of `_schur_form` for the A whose C-order bytes are
-    `data`, with T and Z made read-only, since every caller of the memo
-    shares them.
+    """The record of `_schur_form` for the A whose C-order bytes are
+    `data`.
 
     A complex A takes LAPACK zgees. A real A takes the real Schur form
     A = Z_r T_r Z_r^T (dgees). Each 2 x 2 diagonal block of T_r holds one
@@ -303,9 +360,7 @@ def _schur_of(dtype, shape, data):
             z = z @ g
         else:
             t, z = t.astype(complex), z.astype(complex)
-    t.setflags(write=False)
-    z.setflags(write=False)
-    return t, z
+    return _schur_record(a, t, z)
 
 
 def _resolvent_points(a, points, rhs, lhs):
@@ -316,32 +371,36 @@ def _resolvent_points(a, points, rhs, lhs):
     singular point to its SingularityError (not raised): cond2(sI - A) is
     not finite or exceeds COND_LIMIT there.
 
-    A call of more than one point takes one complex Schur form of A (for
-    a real A, the real Schur form plus one block-diagonal rotation; see
-    `_schur_form`). It certifies, through `_cond_bound` and its nu(s),
-    every point whose bound is at most COND_LIMIT / 2, and solves all
-    certified points in one `_schur_solve`; their values lie within the
-    forward-error bound delta(s) of the module docstring. The factor 2
-    absorbs the roundoff of computed singular values (relative error about
-    n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12) and the departure of
-    Z from unitarity, so the SVD would have accepted the point too. Every
+    A call of more than one point takes the Schur record of A (one complex
+    Schur form; for a real A, the real Schur form plus one block-diagonal
+    rotation; see `_schur_form`). It certifies, through `_cond_bound` and
+    its nu(s), every point whose bound is at most COND_LIMIT / 2, and
+    solves all certified points in one `_schur_solve`; their values lie
+    within the forward-error bound delta(s) of the module docstring. The
+    factor 2 absorbs the roundoff of computed singular values (relative
+    error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12) and the
+    departure of Z from unitarity, so the SVD would have accepted the point
+    too. When every point is certified, that solve is the result, and no
+    per-point buffer is made. Every
     other point, and the point of a one-point call (where the
     factorization costs more than the SVD it would save), gets an exact
     SVD, with cond2 computed exactly as np.linalg.cond computes it, and
     lhs @ np.linalg.solve(sI - A, rhs). A, points, rhs and lhs must be finite.
     """
     points = np.asarray(points, dtype=complex)
-    values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
     certified = np.zeros(len(points), dtype=bool)
     if len(points) > 1:
         try:
-            t, z = _schur_form(a)
+            schur = _schur_form(a)
         except np.linalg.LinAlgError:  # the Schur form did not converge
             pass
         else:
-            certified = _cond_bound(a, t, z, points) <= COND_LIMIT / 2
-            if certified.any():
-                values[certified] = _schur_solve(t, z, points[certified], rhs, lhs)
+            certified = _cond_bound(schur, points) <= COND_LIMIT / 2
+            if certified.all():
+                return _schur_solve(schur, points, rhs, lhs), {}
+    values = np.full((len(points), lhs.shape[0], rhs.shape[1]), np.nan, dtype=complex)
+    if certified.any():
+        values[certified] = _schur_solve(schur, points[certified], rhs, lhs)
     eye = np.eye(a.shape[0])
     singular = {}
     for i in np.flatnonzero(~certified):
@@ -374,7 +433,8 @@ def _tf_points(r, points):
     points, and the dict of their SingularityErrors (see `_resolvent_points`)."""
     a, b, c, d = _finite_arrays(r)
     values, singular = _resolvent_points(a, points, b, c)
-    return np.asarray(d, dtype=complex) + values, singular
+    # an all-certified grid's values are the solve's transposed view
+    return np.add(np.asarray(d, dtype=complex), values, order="C"), singular
 
 
 def _single(result):
@@ -453,35 +513,29 @@ _BLOCK_SLICES = {
 }
 
 
-def _nodes(r):
-    """The N + 1 nodes s_k = sigma (1 + e^{i phi_k}), k = 0..N, of the
-    module docstring, with sigma = max(||A||_F, ||B||_F ||C||_F); all zero
-    when sigma is."""
-    sigma = max(np.linalg.norm(r.a), np.linalg.norm(r.b) * np.linalg.norm(r.c))
-    k = np.arange(r.a.shape[0] + 1)
+def _nodes(n, sigma):
+    """The n + 1 nodes s_k = sigma (1 + e^{i phi_k}), k = 0..n, of the
+    module docstring, for an A with n states and sigma = max(||A||_F,
+    ||B||_F ||C||_F); all zero when sigma is."""
+    k = np.arange(n + 1)
     return sigma * (1 + np.exp(1j * np.pi * ((k + 0.5) / len(k) - 0.5)))
 
 
-def _inverse_bound(t, points):
+def _inverse_bound(schur, points):
     """nu(p) = sqrt(||M^{-1}||_1 ||M^{-1}||_inf) >= ||(pI - T)^{-1}||_2 at
-    each point, M the comparison matrix of pI - T (module docstring). As
-    M^{-1} >= 0, its inf-norm is the largest entry of M^{-1} 1 and its
-    1-norm that of M^{-T} 1. M^{-T} 1 is R w for the back substitution
-    (R M^T R) w = 1, R the reversal, so one `_substitute` over all points
+    each point, M the comparison matrix of pI - T for the T of the Schur
+    record (module docstring). As M^{-1} >= 0, its inf-norm is the largest
+    entry of M^{-1} 1 and its 1-norm that of M^{-T} 1. M^{-T} 1 is R w for
+    the back substitution (R M^T R) w = 1, R the reversal, so one
+    `_substitute` over all points on the record's `_comparison` operator
     advances both, rows of M^{-1} 1 and of w interleaved two per step, with
     a ones column for the right-hand side. inf at a pole (where 0 * inf
     gives NaN) and where either overflows."""
-    n = t.shape[0]
-    off = np.abs(t)
-    u = np.zeros((2 * n, 2 * n + 1))
-    u[::2, :-1:2] = off
-    u[1::2, 1::2] = off.T[::-1, ::-1]
-    u[:, -1] = 1
-    x = np.empty((2 * n + 1, len(points)))
+    x = np.empty((len(schur.comparison) + 1, len(points)))
     x[-1] = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inverse = 1 / np.abs(points - np.diag(t)[:, None])
-        _substitute(u, np.stack([inverse, inverse[::-1]], axis=1), x)
+        inverse = 1 / np.abs(points - schur.diag[:, None])
+        _substitute(schur.comparison, np.stack([inverse, inverse[::-1]], axis=1), x)
         nu = np.sqrt(x[:-1:2].max(axis=0) * x[1::2].max(axis=0))
     return np.where(np.isnan(nu), np.inf, nu)
 
@@ -515,32 +569,31 @@ def block_pattern(r, tol=DEFAULT_TOL):
         raise PreconditionError("block_pattern requires a quadrature-form realization")
     a, b, c, d = _finite_arrays(r)
     m = r.m_channels
-    nodes = _nodes(r)
+    a_norm, bc_norm = np.linalg.norm(a), np.linalg.norm(b) * np.linalg.norm(c)
+    nodes = _nodes(len(a), max(a_norm, bc_norm))
     real = not any(np.iscomplexobj(x) for x in (a, b, c, d))
     if real:
         nodes = nodes[:(len(nodes) + 1) // 2]
     g, solve_term = d[None], np.zeros(0)
     if nodes.any():
-        t, z = _schur_form(a)
-        im = np.diag(t).imag
+        schur = _schur_form(a)
+        im = schur.diag.imag
         probes = 1j * np.unique(np.abs(im) if real else im)
         # bar_delta's (|p| + ||A||_F) nu^2 ||B||_F ||C||_F, inf or NaN where
         # nu(p) is: such a probe is dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            solve_term = ((np.abs(probes) + np.linalg.norm(a))
-                          * _inverse_bound(t, probes) ** 2
-                          * (np.linalg.norm(b) * np.linalg.norm(c)))
+            solve_term = ((np.abs(probes) + a_norm)
+                          * _inverse_bound(schur, probes) ** 2 * bc_norm)
         kept = np.isfinite(solve_term)
         probes, solve_term = probes[kept], solve_term[kept]
-        values = d + _schur_solve(t, z, np.concatenate([nodes, probes]), b, c)
+        values = d + _schur_solve(schur, np.concatenate([nodes, probes]), b, c)
         g, at_probes = values[:len(nodes)], values[len(nodes):]
     peak = _block_peaks(g, m).max(axis=0)
     scale = max(1.0, float(peak.max()))
     threshold = tol * scale
     ratio = np.zeros((2, 2))
     if len(solve_term):
-        n = a.shape[0]
-        bound = n ** 1.5 * np.finfo(float).eps * (
+        bound = len(a) ** 1.5 * np.finfo(float).eps * (
             solve_term + np.linalg.norm(at_probes, axis=(1, 2)))
         ratio = (_block_peaks(at_probes, m)
                  / np.maximum(threshold, bound)[:, None, None]).max(axis=0)
@@ -585,9 +638,9 @@ def frequency_sweep(r, omegas):
     back-substitution in T, each within the forward-error bound
     delta(i*omega) derived there. The rest, typically rows next to a
     resonance or of a strongly non-normal T, get an exact SVD and
-    np.linalg.solve each. When the last Schur form taken was of this same A,
-    as after `certify_bae` of the same system, the sweep reuses it (see
-    `_schur_form`) and factors nothing.
+    np.linalg.solve each. When the last Schur record taken was of this same
+    A, as after `certify_bae` of the same system, the sweep reuses it (see
+    `_schur_form`) and factors and derives nothing from A.
     """
     omegas = np.asarray(omegas, dtype=float)
     check_finite(omegas, "an evaluation point")  # before 1j * inf warns

@@ -482,6 +482,35 @@ def test_feedback_reduce(tmp_path, capsys):
     assert out["reduced"]["channels"] == 1
 
 
+def _anchor_network_in_unit(c, k_error=0.0):
+    """The anchor network with time rescaled by c (C -> sqrt(c) C,
+    Omega -> c Omega), its k** keys the rows of the rescaled C, times
+    1 + k_error."""
+    doc = _anchor_network_doc()
+    parse, emit = cli.parse_complex_matrix, cli.emit_complex_matrix
+    for key in ("C_minus", "C_plus"):
+        doc[key] = emit(np.sqrt(c) * parse(doc[key], key))
+    for key in ("Omega_minus", "Omega_plus"):
+        doc[key] = emit(c * parse(doc[key], key))
+    fb = doc["feedback"]
+    for key in ("k11", "k12", "k21", "k22"):
+        rows = parse(doc["C_minus" if key[2] == "1" else "C_plus"], key)
+        fb[key] = emit((1.0 + k_error) * rows[:1] if key[1] == "1" else rows[1:])
+    return doc
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_feedback_reduce_checks_k_at_any_time_unit(tmp_path, capsys, c):
+    """The k** cross-check has no scale floor: exact keys pass and keys off
+    by 1e-7 relative fail at the default tol, in every time unit."""
+    exact = _write(tmp_path, _anchor_network_in_unit(c))
+    assert cli.main(["feedback", "reduce", exact]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_passed"] is True
+    off = _write(tmp_path, _anchor_network_in_unit(c, k_error=1e-7))
+    assert cli.main(["feedback", "reduce", off]) == 1
+    assert "feedback.k11 does not match" in capsys.readouterr().err
+
+
 def test_feedback_reduce_checks_the_beamsplitter_at_tol(tmp_path, capsys):
     # s_b = (1 + 1e-6)(-i) is unitary within 1e-3 but not within 1e-9
     doc = _anchor_network_doc()

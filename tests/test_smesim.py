@@ -38,7 +38,8 @@ def _path(ops, dt=1e-3):
     else:
         v = np.eye(2 * ops.dim)
     basis = smesim._kraus_basis(l_ops, k_gen, dt)
-    return "population" if smesim._frame_forms(basis, v)[1] else "product"
+    formed = smesim._basis_rounding(l_ops, ops.h, dt)
+    return "population" if smesim._frame_forms(basis, v, formed)[1] else "product"
 
 
 def _force_product_path(monkeypatch):
@@ -46,7 +47,7 @@ def _force_product_path(monkeypatch):
     system: the certificate reports no form diagonal."""
     frame_forms = smesim._frame_forms
     monkeypatch.setattr(smesim, "_frame_forms",
-                        lambda xs, v: (frame_forms(xs, v)[0], False))
+                        lambda xs, v, formed=None: (frame_forms(xs, v)[0], False))
 
 
 # ----------------------------------------------------------------- operators
@@ -726,20 +727,85 @@ def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
         assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
 
 
+def _phase_measured_mode():
+    """q measured through a complex coupling phase, C- = C+ = 0.2 e^{0.3i}:
+    L = 0.2 e^{0.3i} sqrt(2) q, H = 0. K = -1/2 L^dag L is real, but its
+    computed imaginary part carries rounding that no rotation removes."""
+    return _measured_mode(0.2 * np.exp(0.3j))
+
+
+def _q_and_p_modes():
+    """Two channels on one mode, q and p (C-_2 = 0.5i, C+_2 = -0.5i): the
+    second record operator does not commute with the first."""
+    z = np.zeros((1, 1))
+    return qsys.new_system(np.eye(2), np.array([[1.0], [0.5j]]),
+                           np.array([[1.0], [-0.5j]]), z, z)
+
+
 @pytest.mark.parametrize("system, path", [
     ("measured", "population"), ("qnd", "population"),
-    ("two_channels", "product"), ("negative", "product")])
+    ("phase", "population"), ("two_channels", "product"),
+    ("negative", "product"), ("q_and_p", "product")])
 def test_each_system_takes_its_path(system, path):
-    """The measured mode (L = sqrt(2) q, H = 0) and the paper's QND mode
-    (H = q^2 commutes with L) take the population path: every Kraus basis
-    element is diagonal in the record operator's eigenbasis. The
-    two-channel mode (L_2 = 0.5i a) and the negative control (H does not
-    commute with L) take the product path."""
+    """The measured mode (L = sqrt(2) q, H = 0), the paper's QND mode
+    (H = q^2 commutes with L) and a q measurement with a complex coupling
+    phase take the population path: every Kraus basis element is diagonal
+    in the record operator's eigenbasis, within the rounding of its
+    formation and rotation. The two-channel mode (L_2 = 0.5i a), the
+    negative control of acceptance 9 and of the benchmark (H does not
+    commute with L) and the two-channel q and p measurement take the
+    product path."""
     ops = smesim.build_truncated_operators(
         {"measured": _measured_mode, "qnd": _qnd_mode,
-         "two_channels": _two_channel_mode,
-         "negative": _negative_control}[system](), fock_dim=8)
+         "phase": _phase_measured_mode, "two_channels": _two_channel_mode,
+         "negative": _negative_control, "q_and_p": _q_and_p_modes}[system](),
+        fock_dim=8)
     assert _path(ops) == path
+
+
+def test_complex_coupling_phase_matches_the_product_path(monkeypatch):
+    """Under C- = C+ = 0.2 e^{0.3i} the off-diagonal entries of the rotated
+    I + K dt sit near 1e-22, where the rounding of the rotation alone
+    allows about 1e-36: only the rounding of forming K
+    (`smesim._basis_rounding`) admits the population path. Its final
+    states and stored values agree with the product path's within the
+    bound of the simulate_qsme docstring, 2 n_steps (2 n_basis + 7d + m +
+    7) eps s_M^2 / t_min entry by entry, times sum_ab |X_ab| for Tr(rho X),
+    with s_M from the largest record increment of _kraus_reference."""
+    ops = smesim.build_truncated_operators(_phase_measured_mode(), fock_dim=8)
+    assert _path(ops) == "population"
+    l_ops, k_gen = smesim._generator(ops)
+    v, _ = smesim._eigenframe(1e-3 * (l_ops[0] + l_ops[0].conj().T), 1)
+    forms, _ = smesim._frame_forms(smesim._kraus_basis(l_ops, k_gen, 1e-3), v)
+    off = np.kron(~np.eye(8, dtype=bool), np.ones((2, 2), dtype=bool))
+    assert 0 < np.abs(forms[0])[off].max()
+    assert not smesim._frame_forms(smesim._kraus_basis(l_ops, k_gen, 1e-3), v)[1]
+
+    d, m, n_basis = ops.dim, 1, 3
+    v = _orthonormal_columns(np.random.default_rng(3), d, 3)
+    rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
+    l = ops.l_ops[0]
+    tracked = [("L", l), ("L2", l @ l)]
+    dt, n_steps, n_traj, seed = 1e-3, 200, 10, 12
+    kw = dict(dt=dt, T=n_steps * dt, n_traj=n_traj, seed=seed, tracked=tracked)
+    population = smesim.simulate_qsme(ops, rho0, **kw)
+    with monkeypatch.context() as mp:
+        _force_product_path(mp)
+        product = smesim.simulate_qsme(ops, rho0, **kw)
+    _, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
+    norm = lambda x: np.linalg.norm(x, 2)
+    s_m = (1.0 + dt * norm(k_gen) + max_dy * norm(l)
+           + 0.5 * (max_dy ** 2 + dt) * norm(l) ** 2)
+    t_min = 1.0 - max(population.max_trace_deviation,
+                      product.max_trace_deviation)
+    bound = (2 * n_steps * (2 * n_basis + 7 * d + m + 7)
+             * np.finfo(float).eps * s_m ** 2 / t_min)
+    assert np.abs(population.final_states - product.final_states).max() <= bound
+    for k, (_, x) in enumerate(tracked):
+        assert np.abs(population.tracked_values[..., k]
+                      - product.tracked_values[..., k]).max() <= bound * np.abs(x).sum()
+    # the records moved the states: the comparison is not of two constants
+    assert np.ptp(population.tracked_values[..., 0]) > 1e3 * bound * np.abs(l).sum()
 
 
 def test_repeated_record_eigenvalue_mixed_by_h_takes_the_product_path():

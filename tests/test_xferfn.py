@@ -119,6 +119,12 @@ def test_block_pattern_decoupled_quadratures():
     assert pattern.zero_blocks() == {"qp", "pq"}
 
 
+def _nodes(r):
+    """xferfn's nodes for r, sigma = max(||A||_F, ||B||_F ||C||_F)."""
+    norm = np.linalg.norm
+    return xferfn._nodes(len(r.a), max(norm(r.a), norm(r.b) * norm(r.c)))
+
+
 def test_nodes_are_conjugate_paired_and_well_conditioned():
     """The N + 1 nodes are distinct, in the right half-plane, paired as
     s_{N-k} = conj(s_k), and cond2(s_k I - A) <= 3 / (sqrt(2) - 1) at each
@@ -130,7 +136,7 @@ def test_nodes_are_conjugate_paired_and_well_conditioned():
                for kw in FAMILY_KWARGS.values()]
     limit = 3 / (np.sqrt(2) - 1)
     for r in rs:
-        nodes = xferfn._nodes(r)
+        nodes = _nodes(r)
         a = np.asarray(r.a)
         assert len(nodes) == a.shape[0] + 1
         assert np.allclose(nodes[::-1], nodes.conj(), rtol=4 * np.finfo(float).eps, atol=0)
@@ -145,9 +151,9 @@ def _recording_solve(monkeypatch):
     calls = []
     solve = xferfn._schur_solve
 
-    def recorded(t, z, points, rhs, lhs):
+    def recorded(schur, points, rhs, lhs):
         calls.append(points)
-        return solve(t, z, points, rhs, lhs)
+        return solve(schur, points, rhs, lhs)
 
     monkeypatch.setattr(xferfn, "_schur_solve", recorded)
     return calls
@@ -167,8 +173,8 @@ def test_complex_realization_takes_every_node(monkeypatch):
     points = _recording_solve(monkeypatch)
     real, cplx = xferfn.block_pattern(r), xferfn.block_pattern(rc)
     assert len(points) == 2
-    assert np.array_equal(points[0][:4], xferfn._nodes(r)[:4])
-    assert np.array_equal(points[1][:7], xferfn._nodes(rc))
+    assert np.array_equal(points[0][:4], _nodes(r)[:4])
+    assert np.array_equal(points[1][:7], _nodes(rc))
     assert np.all(points[0][:4].imag <= 0) and points[0][3].imag == 0
     # the probes: on the imaginary axis, Im p >= 0 only for the real A
     assert np.all(points[0][4:].real == 0) and np.all(points[0][4:].imag >= 0)
@@ -197,9 +203,10 @@ def test_probe_at_a_pole_is_dropped(monkeypatch):
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     d = np.array([[1.0, 0.0], [0.0, 1.0]])
     r = qsys.Realization("quadrature", a, np.eye(2), np.zeros((2, 2)), d)
-    t = xferfn._schur_form(a)[0]
+    schur = xferfn._schur_form(a)
+    t = schur.t
     probe = 1j * abs(t[0, 0].imag)
-    assert t[0, 0].real == 0 and np.isinf(xferfn._inverse_bound(t, np.array([probe])))
+    assert t[0, 0].real == 0 and np.isinf(xferfn._inverse_bound(schur, np.array([probe])))
     pattern = xferfn.block_pattern(r)
     assert pattern.zero_blocks() == {"qp", "pq"}
     assert all(getattr(pattern, x).probe_ratio == 0.0 for x in ("qq", "qp", "pq", "pp"))
@@ -248,9 +255,10 @@ def _triangular(draw):
 def test_inverse_bound_matches_the_inverse_of_the_comparison_matrix(case):
     """nu(p) within 4 n eps relative of sqrt(||M^{-1}||_1 ||M^{-1}||_inf)
     from np.linalg.inv of the comparison matrix M of pI - T."""
-    t, _, points, _ = case
+    t, z, points, _ = case
     n = len(t)
-    for p, nu in zip(points, xferfn._inverse_bound(t, points)):
+    schur = xferfn._schur_record(z @ t @ z.conj().T, t, z)
+    for p, nu in zip(points, xferfn._inverse_bound(schur, points)):
         m = -np.abs(t)
         np.fill_diagonal(m, np.abs(p - np.diag(t)))
         inverse = np.linalg.inv(m)
@@ -272,7 +280,7 @@ def test_schur_solve_matches_per_point_solve(case):
     b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     c = rng.standard_normal((p, n))
     r = qsys.Realization("quadrature", a, b, c, np.zeros((p, m)))
-    values = xferfn._schur_solve(t, z, points, b, c)
+    values = xferfn._schur_solve(xferfn._schur_record(a, t, z), points, b, c)
     assert values.shape == (len(points), p, m)
     for s, g in zip(points, values):
         if np.linalg.cond(s * np.eye(n) - a) > xferfn.COND_LIMIT:
@@ -345,7 +353,7 @@ def _reference_pattern(r, tol=matcore.DEFAULT_TOL):
     a, b, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
     n = a.shape[0]
     eye = np.eye(n)
-    nodes = xferfn._nodes(r)
+    nodes = _nodes(r)
     gs = [d + c @ np.linalg.solve(s * eye - a, b) for s in nodes]
     scale = max([1.0] + [matcore.inf_norm(g) for g in gs])
     probes = []
@@ -493,7 +501,8 @@ def test_grid_takes_one_schur_form(monkeypatch):
     and no per-point solve. The real quadrature A gets the real Schur form,
     the complex A of the annihilation-creation realization the complex
     one. A one-point evaluation takes its own SVD and solve and no
-    factorization."""
+    factorization. The all-certified sweep's rows are C-contiguous, as a
+    sweep with a singular point's are."""
     sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2)
     r = qsys.quad_realization(sys_obj)
     grid = np.logspace(-3.0, 3.0, 200)
@@ -501,7 +510,7 @@ def test_grid_takes_one_schur_form(monkeypatch):
     eigs, svds, solves = (_counting(monkeypatch, name)
                           for name in ("eig", "svd", "solve"))
     rows = xferfn.frequency_sweep(r, grid)
-    assert np.all(np.isfinite(rows))
+    assert np.all(np.isfinite(rows)) and rows.flags.c_contiguous
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 0, 0, 0)
     a, output = schurs[0]
     assert (a.dtype, output) == (np.float64, "real")
@@ -567,15 +576,19 @@ def test_guard_without_schur_form_takes_an_svd_per_point(monkeypatch):
 
 
 def test_certify_then_sweep_takes_one_schur_form(monkeypatch):
-    """certify_bae and a sweep of the same system share one Schur form: the
-    quadrature A is rebuilt bit for bit, and the memo keeps the last
-    factorization."""
+    """certify_bae and a sweep of the same system share one Schur record:
+    the quadrature A is rebuilt bit for bit, and the memo keeps the last
+    record, so the two take one dgees, one Schur residual and one |T|
+    operator between them."""
     sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
                                  **FAMILY_KWARGS["p_coupling_imag_C"])
     schurs = _recording_schur(monkeypatch)
+    residuals, operators = (_counting(monkeypatch, name, xferfn)
+                            for name in ("_residual", "_comparison"))
     bae.certify_bae(sys_obj)
     xferfn.frequency_sweep(qsys.quad_realization(sys_obj), np.logspace(-3.0, 3.0, 200))
     assert [output for _, output in schurs] == ["real"]
+    assert (len(residuals), len(operators)) == (1, 1)
     info = xferfn._schur_of.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
@@ -595,23 +608,30 @@ def test_memo_factors_an_a_that_differs_in_one_bit(monkeypatch):
     assert [x.tobytes() for x, _ in schurs] == [
         x.tobytes() for x in (a, ulp, a, signed, a)]
     a[nonzero] *= 2
-    t, z = xferfn._schur_form(a)
+    schur = xferfn._schur_form(a)
     assert len(schurs) == 6 and schurs[-1][0].tobytes() == a.tobytes()
-    assert np.allclose(z @ t @ z.conj().T, a)
+    assert np.allclose(schur.z @ schur.t @ schur.z.conj().T, a)
 
 
 def test_schur_form_is_read_only():
-    """T and Z are shared by every caller of the memo, so neither can be
-    written: for a complex A, a real A with complex pairs, and a real A with
-    real eigenvalues only."""
+    """The record is shared by every caller of the memo, so none of its
+    fields can be set and none of its arrays written: for a complex A, a
+    real A with complex pairs, and a real A with real eigenvalues only."""
     r = qsys.quad_realization(qsys.michelson_system())
     for a in (qsys.ac_realization(qsys.michelson_system()).a, r.a,
               np.diag([-1.0, -2.0])):
-        t, z = xferfn._schur_form(a)
+        schur = xferfn._schur_form(a)
+        t, z = schur.t, schur.z
         assert t.dtype == z.dtype == np.complex128
-        assert not (t.flags.writeable or z.flags.writeable)
-        with pytest.raises(ValueError):
-            t[0, 0] = 0
+        arrays = [getattr(schur, f.name) for f in dataclasses.fields(schur)
+                  if isinstance(getattr(schur, f.name), np.ndarray)]
+        assert len(arrays) == 5
+        assert not any(x.flags.writeable for x in arrays)
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x.flat[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            schur.residual = 0.0
 
 
 def _pattern_bits(r):
@@ -623,21 +643,35 @@ def _pattern_bits(r):
 
 
 @pytest.mark.parametrize("n", [2, 8, 32])
-def test_memo_leaves_every_output_bit_for_bit(n):
+def test_memo_leaves_every_output_bit_for_bit(n, monkeypatch):
     """On every catalog family, block_pattern and a 200-point sweep give the
-    same bits from a cold memo as from the Schur form the other one left."""
+    same bits from a cold memo as from the Schur record the other one left.
+    Most of these grids certify every point and return the Schur solve
+    itself (no SVD, no per-point buffer); the same bits come out when one
+    more point, an eigenvalue of A, is not certified and sends the grid
+    through the per-point buffer."""
     grid = np.logspace(-3.0, 3.0, 200)
     rng = np.random.default_rng(n)
+    svds = _counting(monkeypatch, "svd")
+    early = 0
     for kwargs in FAMILY_KWARGS.values():
         r = qsys.quad_realization(qsys.random_system(rng, n, 2, **kwargs))
         xferfn._schur_of.cache_clear()
         cold_pattern = _pattern_bits(r)
         xferfn._schur_of.cache_clear()
+        svds.clear()
         cold_sweep = xferfn.frequency_sweep(r, grid).tobytes()
+        early += not svds
         assert _pattern_bits(r) == cold_pattern
         assert xferfn.frequency_sweep(r, grid).tobytes() == cold_sweep
         info = xferfn._schur_of.cache_info()
         assert (info.hits, info.misses) == (2, 1)
+        if not svds:
+            pole = xferfn._schur_form(r.a).diag[0]
+            values, _ = xferfn._tf_points(r, np.append(1j * grid, pole))
+            assert len(svds) == 1
+            assert np.abs(values[:-1]).tobytes() == cold_sweep
+    assert early >= len(FAMILY_KWARGS) // 2
 
 
 def _assert_values_match(r, omegas):
@@ -744,7 +778,7 @@ def _assert_bound_covers_cond(r, grid):
     """The bound dominates the SVD condition number up to the SVD's own
     roundoff (relative n * eps * cond) wherever it is at most COND_LIMIT."""
     a = np.asarray(r.a, dtype=complex)
-    bound = xferfn._cond_bound(r.a, *xferfn._schur_form(r.a), 1j * grid)
+    bound = xferfn._cond_bound(xferfn._schur_form(r.a), 1j * grid)
     covered = bound <= xferfn.COND_LIMIT
     conds = np.linalg.cond(1j * grid[covered, None, None] * np.eye(len(a)) - a)
     slack = 1 + len(a) * np.finfo(float).eps * bound[covered]
@@ -820,18 +854,18 @@ def test_bound_carries_the_schur_residual(monkeypatch):
     schur_form = xferfn._schur_form
 
     def shifted(x):
-        t, z = schur_form(x)
-        return t + shift * np.eye(len(t)), z
+        schur = schur_form(x)
+        return xferfn._schur_record(x, schur.t + shift * np.eye(len(schur.t)), schur.z)
 
     monkeypatch.setattr(xferfn, "_schur_form", shifted)
     lam = np.linalg.eigvals(a)
     points = np.concatenate([lam - shift * k for k in (0.5, 1.0, 2.0, 4.0)])
-    t, z = xferfn._schur_form(r.a)
-    bound = xferfn._cond_bound(r.a, t, z, points)
+    schur = xferfn._schur_form(r.a)
+    bound = xferfn._cond_bound(schur, points)
     conds = np.linalg.cond(points[:, None, None] * np.eye(4) - a)
     finite = np.isfinite(bound)
     assert finite.any() and np.all(conds[finite] <= bound[finite])
-    without = (np.abs(points) + np.linalg.norm(a)) * xferfn._inverse_bound(t, points)
+    without = (np.abs(points) + np.linalg.norm(a)) * xferfn._inverse_bound(schur, points)
     assert np.any(without < conds)
 
 
@@ -843,7 +877,8 @@ def _assert_complex_schur_form(a):
     ||A||_F, and diag(T) the eigenvalues of A as a multiset, each within
     the Bauer-Fike radius c N eps ||A||_F cond2(V) of its partner (V the
     eigenvectors of A). Returns T."""
-    t, z = xferfn._schur_form(a)
+    schur = xferfn._schur_form(a)
+    t, z = schur.t, schur.z
     n = a.shape[0]
     tol = 10 * n * np.finfo(float).eps
     assert t.dtype == z.dtype == np.complex128
