@@ -39,6 +39,7 @@ _BLOCKS = {"S": lambda sys: (sys.s,),
 _PREDICATES = {
     "S real": ("S", 1, np.imag),
     "S purely imaginary": ("S", 1, np.real),
+    "S = I": ("S", 1, lambda s: s - np.eye(len(s))),
     "C real": ("C", 1, lambda u, v: np.imag((u, v))),
     "C purely imaginary": ("C", 1, lambda u, v: np.real((u, v))),
     "Omega purely imaginary": ("Omega", 1, lambda u, v: np.real((u, v))),

@@ -90,7 +90,7 @@ def load_spec(path, tol=DEFAULT_TOL):
                             for key, field in _SPEC_MATRICES.items()}, tol=tol)
     declared = (doc["modes"], doc["channels"])
     if (declared != (sys_obj.n_modes, sys_obj.m_channels)
-            or any(isinstance(v, bool) for v in declared)):
+            or any(type(v) is not int for v in declared)):
         raise ValueError(
             f"spec file {path}: declared modes/channels "
             f"({doc['modes']}, {doc['channels']}) do not match matrix shapes "

@@ -12,7 +12,7 @@ from . import bae
 from .errors import DimensionError, PreconditionError, WellPosednessError
 from .matcore import DEFAULT_TOL, inf_norm, quadrature_image
 from .qsys import QuantumLinearSystem, new_system, quad_realization
-from .xferfn import COND_LIMIT, _tf_points, eval_tf
+from .xferfn import COND_LIMIT, _tf_points
 
 REDUCTION_OMEGAS = np.logspace(-2, 2, 16)
 CANDIDATE_THRESHOLD = 1e-12  # largest design objective kept as a candidate
@@ -152,30 +152,6 @@ def reduce_network(net, tol=DEFAULT_TOL):
         net.plant.omega_minus, net.plant.omega_plus)
     return new_system(s=s_red, c_minus=c_minus, c_plus=c_plus,
                       omega_minus=omega_minus, omega_plus=omega_plus, tol=tol)
-
-
-def crossterm_hamiltonian_shift(net):
-    """Simplified loop-induced Hamiltonian shift using only the direct
-    cross terms between the external and looped couplings:
-      Omega-_shifted = Omega- - i (k11^dag S_b k21 - k21^dag S_b^dag k11)
-      Omega+_shifted = Omega+ - i (k11^dag S_b k22 - k21^dag S_b^dag k12)
-    Kept as a separate diagnostic; reduce_network uses the full
-    interconnection formulas instead.
-    """
-    sb = net.s_b
-    om = net.plant.omega_minus - 1j * (
-        net.k11.conj().T @ sb @ net.k21 - net.k21.conj().T @ sb.conj().T @ net.k11
-    )
-    op = net.plant.omega_plus - 1j * (
-        net.k11.conj().T @ sb @ net.k22 - net.k21.conj().T @ sb.conj().T @ net.k12
-    )
-    return om, op
-
-
-def closed_loop_tf(net, s):
-    """Direct frequency-domain oracle: evaluate the full plant's quadrature
-    transfer function and algebraically close the loop u2 = Sigma_b y2."""
-    return _close_loop(net, eval_tf(quad_realization(net.plant), s))
 
 
 def _close_loop(net, g):

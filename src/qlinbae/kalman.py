@@ -158,16 +158,3 @@ def markov_identity_check(k, tol=DEFAULT_TOL):
         "premise_holds": premise <= tol * scale,
     }
 
-
-def first_condition_residual(c_h, a_h22, a_12, b_h, k):
-    """Diagnostic residual of the companion constraint on the
-    non-co blocks: C_h A_h22 + C_co J A_12^T + (1/2) C_co B_co J B_h^T."""
-    c_h = np.atleast_2d(np.asarray(c_h, dtype=float))
-    a_h22 = np.atleast_2d(np.asarray(a_h22, dtype=float))
-    a_12 = np.atleast_2d(np.asarray(a_12, dtype=float))
-    b_h = np.atleast_2d(np.asarray(b_h, dtype=float))
-    jn = j_sym(k.a_co.shape[0] // 2).real
-    jm = j_sym(k.m).real
-    res = (c_h @ a_h22 + k.c_co @ jn @ a_12.T
-           + 0.5 * k.c_co @ k.b_co @ jm @ b_h.T)
-    return float(inf_norm(res))

@@ -1,8 +1,7 @@
 """Structural matrix algebra for doubled-up systems.
 
-Doubled-up matrices, the two J-weighted adjoints, Bogoliubov/symplectic
-predicates, the unitary transform between annihilation-creation and
-quadrature coordinates, and an orthonormal Krylov kernel.
+Doubled-up matrices, the J-weighted adjoint, the realness predicate, the
+quadrature image of a doubled-up matrix, and an orthonormal Krylov kernel.
 """
 
 import numpy as np
@@ -20,12 +19,6 @@ def inf_norm(x):
     return float(np.abs(x).max()) if x.size else 0.0
 
 
-def close_to(a, b, tol=DEFAULT_TOL):
-    """Relative max-entry comparison: ||a-b||_inf <= tol * max(||a||,||b||,1)."""
-    scale = max(inf_norm(a), inf_norm(b), 1.0)
-    return inf_norm(np.asarray(a) - np.asarray(b)) <= tol * scale
-
-
 def _negligible(residual, scale, tol):
     """The one structural rule, ||residual||_inf <= tol * scale with scale =
     max ||block||_inf over the blocks measured (or its power) and no floor:
@@ -37,11 +30,6 @@ def is_real(x, tol=DEFAULT_TOL):
     """True when the imaginary part is negligible relative to the matrix;
     the zero matrix counts as both real and purely imaginary."""
     return _negligible(np.imag(x), inf_norm(x), tol)
-
-
-def is_imag(x, tol=DEFAULT_TOL):
-    """True when the real part is negligible relative to the matrix."""
-    return _negligible(np.real(x), inf_norm(x), tol)
 
 
 def check_finite(x, name="matrix"):
@@ -74,65 +62,14 @@ def delta(u, v):
     return np.block([[u, v], [v.conj(), u.conj()]])
 
 
-def _split_even(x, op_name):
+def flat_adjoint(x):
+    """J_r X^dagger J_k for a 2k x 2r matrix X."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
         raise DimensionError(
-            f"{op_name} requires an even-dimensioned matrix, got shape {x.shape}"
+            f"flat_adjoint requires an even-dimensioned matrix, got shape {x.shape}"
         )
-    return x, x.shape[0] // 2, x.shape[1] // 2
-
-
-def flat_adjoint(x):
-    """J_r X^dagger J_k for a 2k x 2r matrix X."""
-    x, k, r = _split_even(x, "flat_adjoint")
-    return j_diag(r) @ x.conj().T @ j_diag(k)
-
-
-def sharp_adjoint(x):
-    """-JJ_r X^dagger JJ_k for a 2k x 2r matrix X (JJ = [[0,I],[-I,0]])."""
-    x, k, r = _split_even(x, "sharp_adjoint")
-    return -j_sym(r) @ x.conj().T @ j_sym(k)
-
-
-def blocks(x):
-    """Split a 2k x 2r matrix into its four k x r blocks (ul, ur, ll, lr)."""
-    x, k, r = _split_even(x, "blocks")
-    return x[:k, :r], x[:k, r:], x[k:, :r], x[k:, r:]
-
-
-def is_doubled_up(x, tol=DEFAULT_TOL):
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
-        return False
-    ul, ur, ll, lr = blocks(x)
-    scale = max(inf_norm(x), 1.0)
-    return (
-        inf_norm(ll - ur.conj()) <= tol * scale
-        and inf_norm(lr - ul.conj()) <= tol * scale
-    )
-
-
-def structure_test(x, kind, tol=DEFAULT_TOL):
-    """Test a matrix for doubled-up / Bogoliubov / symplectic structure.
-
-    Returns False (never raises) on shape violations; group-membership
-    tests compare the defining product to the identity in max-entry norm.
-    """
-    x = np.asarray(x, dtype=complex)
-    if kind == "doubled_up":
-        return is_doubled_up(x, tol)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] % 2:
-        return False
-    k = x.shape[0] // 2
-    scale = max(inf_norm(x) ** 2, 1.0)
-    if kind == "bogoliubov":
-        if not is_doubled_up(x, tol):
-            return False
-        return inf_norm(x @ flat_adjoint(x) - np.eye(2 * k)) <= tol * scale
-    if kind == "symplectic":
-        return inf_norm(x @ sharp_adjoint(x) - np.eye(2 * k)) <= tol * scale
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return j_diag(x.shape[1] // 2) @ x.conj().T @ j_diag(x.shape[0] // 2)
 
 
 def krylov_basis(a, b, tol):
@@ -168,17 +105,6 @@ def staircase(a, b, first_cut, later_cut):
         k += kept
         block, cut = a @ u[:, :kept], later_cut
     return basis[:, :k]
-
-
-def quadrature_transform(n):
-    """Unitary V_n mapping (a, a^#) to (q, p) with q=(a+a^#)/sqrt(2).
-
-    V_n = (1/sqrt(2)) [[I, I],[-iI, iI]].
-    """
-    if n < 1:
-        raise DimensionError("quadrature_transform requires n >= 1")
-    i = np.eye(n)
-    return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2.0)
 
 
 def quadrature_image(u, v=None):

@@ -12,8 +12,8 @@ import numpy as np
 
 from .bae import _Verdicts
 from .errors import InternalConsistencyError, PreconditionError
-from .matcore import (DEFAULT_TOL, _negligible, close_to, delta, inf_norm,
-                      krylov_basis, staircase)
+from .matcore import (DEFAULT_TOL, _negligible, delta, inf_norm, krylov_basis,
+                      staircase)
 from .qsys import quad_realization
 
 
@@ -145,19 +145,19 @@ def special_case_tf(sys, case, s, tol=DEFAULT_TOL):
     tractable families: identity scattering, a coupling that commutes with
     the Hamiltonian, the named block zero relative to its pair (C-, C+) or
     (Omega-, Omega+), so in any time unit, and for the Omega cases C- C+^T
-    symmetric. The result, independent of Omega, is blockdiag of
+    symmetric. Each hypothesis but the commutator is a bae._PREDICATES row. The result, independent of Omega, is blockdiag of
     (sI - A)(sI + A)^{-1} and its conjugate, A = (C- C-^dag - C+ C+^dag) / 2.
     """
     if case not in SPECIAL_CASES:
         raise PreconditionError(
             f"unknown case {case!r}; expected one of {tuple(SPECIAL_CASES)}")
-    if not close_to(sys.s, np.eye(sys.m_channels), tol):
+    holds = _Verdicts(sys, tol)
+    if not holds["S = I"]:
         raise PreconditionError("special_case_tf requires identity scattering")
     if not is_qnd_interaction(sys, tol):
         raise PreconditionError(
             "special_case_tf requires a coupling that commutes with the Hamiltonian"
         )
-    holds = _Verdicts(sys, tol)
     if not holds[SPECIAL_CASES[case]]:
         raise PreconditionError(f"case {case} requires the named block to vanish")
     if case.startswith("Omega") and not holds["C- C+^T symmetric"]:
@@ -177,10 +177,6 @@ def observability_rank(a, c, tol=DEFAULT_TOL):
     """Dimension of the observable subspace of (A, C), reachable for (A^H, C^H)."""
     a, c = np.atleast_2d(a, c)
     return krylov_basis(a.conj().T, c.conj().T, tol).shape[1]
-
-
-def is_observable(a, c, tol=DEFAULT_TOL):
-    return observability_rank(a, c, tol) == np.atleast_2d(a).shape[0]
 
 
 @dataclass(frozen=True)

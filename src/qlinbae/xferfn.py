@@ -205,7 +205,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularityError
-from .matcore import DEFAULT_TOL, check_finite, delta, flat_adjoint, j_diag
+from .matcore import DEFAULT_TOL, check_finite, flat_adjoint, j_diag
 
 COND_LIMIT = 1e12
 
@@ -611,15 +611,6 @@ def sigma_tf(sys, s):
     cc = sys.coupling
     a = -1j * j_diag(sys.n_modes) @ sys.omega
     return _single(_resolvent_points(a, [s], flat_adjoint(cc), 0.5 * cc))
-
-
-def cayley_tf(sys, s):
-    """Annihilation-creation transfer function via the Cayley form
-    (I - Sigma[s]) (I + Sigma[s])^{-1} D; independent of the realization path."""
-    sig = sigma_tf(sys, s)
-    m2 = sig.shape[0]
-    dd = delta(sys.s, np.zeros_like(sys.s))
-    return (np.eye(m2) - sig) @ np.linalg.solve(np.eye(m2) + sig, dd)
 
 
 def frequency_sweep(r, omegas):

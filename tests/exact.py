@@ -28,11 +28,19 @@ inexact in binary, so no structural zero survives as an exact 0.0.
 
 Everything here is test-side and independent of qlinbae's realization:
 the blocks are multiplied out in int64 from the closed forms.
+
+The oracles at the end (is_imag, is_doubled_up, quadrature_transform,
+cayley_tf, closed_loop_tf, crossterm_hamiltonian_shift) are not exact
+arithmetic: they are float formulas that reach a quantity by another path
+than the package does (a Cayley form for the resolvent, an algebraic loop
+closure for the network reduction, an explicit unitary for the quadrature
+image), so a test compares two independent float results within a
+tolerance.
 """
 
 import numpy as np
 
-from qlinbae import qsys
+from qlinbae import feedback, matcore, qsys, xferfn
 
 
 def bareiss_rank(rows):
@@ -243,3 +251,62 @@ def float_system(blocks, q=None, w=1.0, c=1.0):
 def orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+# ----------------------------------------------------------- float oracles
+
+def is_imag(x, tol=matcore.DEFAULT_TOL):
+    """True when the real part is negligible relative to the matrix."""
+    return matcore._negligible(np.real(x), matcore.inf_norm(x), tol)
+
+
+def is_doubled_up(x, tol=matcore.DEFAULT_TOL):
+    """True when x = [[U, V], [V^#, U^#]] within tol ||x||_inf."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[0] % 2 or x.shape[1] % 2:
+        return False
+    k, r = x.shape[0] // 2, x.shape[1] // 2
+    scale = matcore.inf_norm(x)
+    return (matcore._negligible(x[k:, :r] - x[:k, r:].conj(), scale, tol)
+            and matcore._negligible(x[k:, r:] - x[:k, :r].conj(), scale, tol))
+
+
+def quadrature_transform(n):
+    """Unitary V_n = (1/sqrt(2)) [[I, I], [-iI, iI]], mapping (a, a^#) to
+    (q, p) with q = (a + a^#)/sqrt(2)."""
+    i = np.eye(n)
+    return np.block([[i, i], [-1j * i, 1j * i]]) / np.sqrt(2.0)
+
+
+def cayley_tf(sys, s):
+    """Annihilation-creation transfer function via the Cayley form
+    (I - Sigma[s]) (I + Sigma[s])^{-1} Delta(S, 0); independent of the
+    realization path."""
+    sig = xferfn.sigma_tf(sys, s)
+    m2 = sig.shape[0]
+    dd = matcore.delta(sys.s, np.zeros_like(sys.s))
+    return (np.eye(m2) - sig) @ np.linalg.solve(np.eye(m2) + sig, dd)
+
+
+def closed_loop_tf(net, s):
+    """Direct frequency-domain oracle: evaluate the full plant's quadrature
+    transfer function and algebraically close the loop u2 = Sigma_b y2."""
+    g = xferfn.eval_tf(qsys.quad_realization(net.plant), s)
+    return feedback._close_loop(net, g)
+
+
+def crossterm_hamiltonian_shift(net):
+    """Simplified loop-induced Hamiltonian shift using only the direct
+    cross terms between the external and looped couplings:
+      Omega-_shifted = Omega- - i (k11^dag S_b k21 - k21^dag S_b^dag k11)
+      Omega+_shifted = Omega+ - i (k11^dag S_b k22 - k21^dag S_b^dag k12)
+    feedback.reduce_network uses the full interconnection formulas instead.
+    """
+    sb = net.s_b
+    om = net.plant.omega_minus - 1j * (
+        net.k11.conj().T @ sb @ net.k21 - net.k21.conj().T @ sb.conj().T @ net.k11
+    )
+    op = net.plant.omega_plus - 1j * (
+        net.k11.conj().T @ sb @ net.k22 - net.k21.conj().T @ sb.conj().T @ net.k12
+    )
+    return om, op

@@ -10,6 +10,7 @@ import pytest
 
 from qlinbae import bae, feedback, kalman, matcore, qnd, qsys, smesim, xferfn
 
+import exact
 from conftest import (
     FAMILY_KWARGS,
     autonomous_quadrature_system,
@@ -173,9 +174,9 @@ def test_criterion_07_feedback_reduction_oracle(capsys):
         worst = max(worst, report.max_deviation / report.scale)
     anchor = feedback.make_network(OM_MINUS, OM_PLUS, K11, K12, K21, K22,
                                    s_b=-1j * np.eye(1))
-    om, op = feedback.crossterm_hamiltonian_shift(anchor)
-    anchor_imag = (matcore.is_imag(om, tol=1e-10)
-                   and matcore.is_imag(op, tol=1e-10))
+    om, op = exact.crossterm_hamiltonian_shift(anchor)
+    anchor_imag = (exact.is_imag(om, tol=1e-10)
+                   and exact.is_imag(op, tol=1e-10))
     ok = worst <= 1e-9 and anchor_imag
     _report(capsys, 7, ok,
             f"100 random networks: reduced transfer matches closed loop, "

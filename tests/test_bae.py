@@ -10,6 +10,7 @@ import pytest
 from qlinbae import bae, matcore, qsys, xferfn
 from qlinbae.errors import PreconditionError
 
+import exact
 from conftest import FAMILY_KWARGS, node_error_bound
 
 CATALOG_BY_ID = {c.condition_id: c for c in bae.CONDITION_CATALOG}
@@ -108,8 +109,8 @@ def test_block_predicates_match_the_doubled_up_ones():
                 got = tuple(holds[h] for h in (
                     "C real", "C purely imaginary", "Omega purely imaginary"))
                 want = (matcore.is_real(sys_obj.coupling, tol),
-                        matcore.is_imag(sys_obj.coupling, tol),
-                        matcore.is_imag(sys_obj.omega, tol))
+                        exact.is_imag(sys_obj.coupling, tol),
+                        exact.is_imag(sys_obj.omega, tol))
                 assert got == want, (omega, coupling, scattering, relation, eps, tol)
                 verdicts.add(want)
         changed += len(verdicts) > 1

@@ -245,11 +245,12 @@ def test_spec_sections_must_be_objects(tmp_path, capsys, command, section, value
         assert f"spec section {section!r} must be a JSON object" in err
 
 
-def test_validate_rejects_boolean_dimensions(tmp_path, capsys):
+@pytest.mark.parametrize("modes", [True, 1.0])
+def test_validate_rejects_boolean_dimensions(tmp_path, capsys, modes):
     doc = cli.emit_spec(qsys.new_system(np.eye(1), np.ones((1, 1)),
                                         np.zeros((1, 1)), np.zeros((1, 1)),
                                         np.zeros((1, 1))))
-    doc["modes"] = True
+    doc["modes"] = modes
     assert cli.main(["validate", _write(tmp_path, doc)]) == 1
     assert "declared modes/channels" in capsys.readouterr().err
 

@@ -40,7 +40,7 @@ def test_qnd_dimension_and_observability_match_exact_ranks(n):
             r = qsys.quad_realization(rotated)
             rep = qnd.qnd_variable_report(rotated)
             assert rep.dimension == 2 * n - exact.krylov_rank(a2, b)
-            assert qnd.is_observable(r.a, r.c) == (
+            assert (qnd.observability_rank(r.a, r.c) == 2 * n) == (
                 exact.observability_rank(a2, c) == 2 * n)
 
 
@@ -60,8 +60,8 @@ def test_antisymmetric_pairs_match_exact_observability(n):
         truth = exact.observability_rank(2 * a, c) == n
         assert truth == (i % 2 == 0)
         q = exact.orthogonal(rng, n)
-        assert qnd.is_observable(a, c) == truth
-        assert qnd.is_observable(q @ a @ q.T, c @ q.T) == truth
+        assert (qnd.observability_rank(a, c) == n) == truth
+        assert (qnd.observability_rank(q @ a @ q.T, c @ q.T) == n) == truth
 
 
 def test_exact_zero_blocks_small_cases():

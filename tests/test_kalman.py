@@ -164,14 +164,3 @@ def test_zero_product_iff_blocked_markov_parameters_vanish():
         if symmetric:
             assert condition
 
-
-def test_first_condition_residual_zero_case():
-    rng = np.random.default_rng(6)
-    k = random_kalman_subsystem(rng, r=2, m=2)
-    r2 = k.a_co.shape[0]
-    m2 = 2 * k.m
-    # with no uncontrollable/unobservable sector everything vanishes
-    res = kalman.first_condition_residual(
-        c_h=np.zeros((m2, r2)), a_h22=np.zeros((r2, r2)),
-        a_12=np.zeros((r2, r2)), b_h=np.zeros((r2, m2)), k=k)
-    assert res == 0.0

@@ -99,10 +99,12 @@ def test_coupling_properties_proportional_blocks_commute():
 def test_predicate_table_is_whole():
     """bae._PREDICATES is the one table of structural hypotheses: every
     hypothesis named by the BAE catalog, the QND cases, the special cases
-    or the coupling properties is a key, and every key is named."""
+    (with special_case_tf's S = I) or the coupling properties is a key, and
+    every key is named."""
     named = {h for cond in bae.CONDITION_CATALOG for h in cond.hypotheses}
     named |= {h for _, hypotheses in qnd.QND_CASES for h in hypotheses}
     named |= set(qnd.SPECIAL_CASES.values()) | set(qnd.COUPLING_PROPERTIES.values())
+    named |= {"S = I"}
     assert named == set(bae._PREDICATES)
 
 
@@ -203,6 +205,22 @@ def test_special_case_preconditions_do_not_depend_on_the_time_unit(case):
                        rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("s_mat", [-np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])],
+                         ids=["minus_identity", "swap"])
+def test_special_case_rejects_unitary_scattering_other_than_identity(s_mat):
+    """S = I is read from bae._PREDICATES at S's own scale: a unitary S
+    other than the identity is refused as given and in the time units
+    c = 1e-6 and 1e6 (C+- -> sqrt(c) C+-, Omega+- -> c Omega+-), while the
+    same couplings and Hamiltonian with S = I are accepted."""
+    base = special_case_system(np.random.default_rng(5), "Cplus_zero", n=5, m=2)
+    for c in (1.0, 1e-6, 1e6):
+        blocks = (np.sqrt(c) * base.c_minus, np.sqrt(c) * base.c_plus,
+                  c * base.omega_minus, c * base.omega_plus)
+        qnd.special_case_tf(qsys.new_system(np.eye(2), *blocks), "Cplus_zero", c)
+        with pytest.raises(PreconditionError, match="identity scattering"):
+            qnd.special_case_tf(qsys.new_system(s_mat, *blocks), "Cplus_zero", c)
+
+
 @pytest.mark.parametrize("case", ["Cplus_zero", "Cminus_zero"])
 def test_one_sided_coupling_identities(case):
     """With one coupling block absent, the commuting condition collapses
@@ -228,9 +246,8 @@ def test_observability_rank_basics():
     a = np.zeros((2, 2))
     assert qnd.observability_rank(a, np.array([[1.0, 0.0]])) == 1
     assert qnd.observability_rank(a, np.eye(2)) == 2
-    assert qnd.is_observable(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                             np.array([[1.0, 0.0]]))
-    assert not qnd.is_observable(a, np.array([[1.0, 0.0]]))
+    assert qnd.observability_rank(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                  np.array([[1.0, 0.0]])) == 2
 
 
 # ----------------------------------------------------- QND variable report
@@ -293,7 +310,8 @@ def test_imag_omega_variants(which, c_style):
         om, op = sys_obj.omega_minus, sys_obj.omega_plus
         sign = -1.0 if which == "p" else 1.0
         a_sub = np.real(1j * (om + sign * op))
-        assert witness.full == qnd.is_observable(a_sub, sys_obj.c_minus)
+        assert witness.full == (qnd.observability_rank(a_sub, sys_obj.c_minus)
+                                == a_sub.shape[0])
 
 
 def test_imag_omega_variant_unobservable():
