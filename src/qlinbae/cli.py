@@ -415,7 +415,8 @@ def cmd_simulate(args):
     _write_csv(header, columns, args.out)
     summary = {e.name: _record(e, skip=("name", "means", "standard_errors"))
                for e in stats}
-    print(_json_text({"martingale": summary}, 0), file=_sys.stderr)
+    print(_json_text({"martingale": summary, "method": batch.method}, 0),
+          file=_sys.stderr)
     return 0
 
 
@@ -478,7 +479,10 @@ def build_parser():
     common(sp)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--fock-dim", type=int, default=None)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=float, default=None,
+                    help="time step (default 1e-3); under a QND measurement "
+                         "the exact law is sampled and dt sets only the "
+                         "store grid")
     sp.add_argument("--T", type=float, default=None)
     sp.add_argument("--traj", type=int, default=None)
     sp.set_defaults(func=cmd_simulate)

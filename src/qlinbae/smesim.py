@@ -1,11 +1,11 @@
 """Finite-dimensional stochastic-master-equation trajectory simulation.
 
 Operators are realized on a truncated Fock space; the conditioned density
-operator is integrated by a Kraus map that keeps it positive by
-construction, the exact master-equation means give a reference for the
-ensemble, and ensemble statistics test the martingale structure of
-conditional expectations under a measurement that commutes with the
-dynamics.
+operator is sampled from its exact law under a QND measurement and
+otherwise integrated by a Kraus map, both positive by construction; the
+exact master-equation means give a reference for the ensemble, and
+ensemble statistics test the martingale structure of conditional
+expectations under a measurement that commutes with the dynamics.
 """
 
 import warnings
@@ -108,8 +108,10 @@ class SMETrajectoryBatch:
     dt: float
     n_steps: int
     final_states: np.ndarray     # (n_traj, d, d)
-    max_trace_deviation: float   # largest |Tr(M rho M^dag) - 1| of any step
+    max_trace_deviation: float   # largest |Tr(M rho M^dag) - 1| of any
+                                 # step; 0.0 on the law path, which has none
     positivity_margin: float     # smallest eigenvalue of any final state
+    method: str                  # "exact_law" or "kraus" (simulate_qsme)
 
     @property
     def max_repair_mass(self):
@@ -177,19 +179,17 @@ def _eigenframe(x, r):
 def _square_read(psi, weights, scratch):
     """psi^2, flat per trajectory, times weights: against those of
     `_eigenframe`, each trajectory's norm t of its r x 2d factor psi and
-    t times its record (on the population path psi is the float view of
-    g, and the weights carry p_0). scratch has psi's shape and takes
-    psi^2."""
+    t times its record. scratch has psi's shape and takes psi^2."""
     np.square(psi, out=scratch)
     return scratch.reshape(len(psi), -1) @ weights
 
 
-def _noise_block(d, m, n_steps):
-    """Steps per refill of the innovation buffer: its m innovations per
-    step and trajectory fill no more than the 4 d^2 entries per trajectory
-    of the product path's per-step Kraus buffer (one step at least), and at
-    most the run."""
-    return max(1, min(n_steps, 4 * d * d // max(m, 1)))
+def _noise_block(d, width, n):
+    """Steps (stores on the law path) per refill of a buffer that takes
+    width floats per step and trajectory: it holds no more than the 4 d^2
+    floats per trajectory of the product path's per-step Kraus buffer (one
+    step at least), and at most the run's n."""
+    return max(1, min(n, 4 * d * d // max(width, 1)))
 
 
 def _frame_forms(xs, v, formed=None):
@@ -290,265 +290,110 @@ def _trace_deviation(ratios, first):
     return max(float(hi - 1.0), float(1.0 - lo))
 
 
-def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
-    """Kraus-map integration (Rouchon & Ralph 2015, PRA 91, 012118) of the
-    diffusive conditioned-state equation
-      drho = L*(rho) dt
-           + sum_j (L_j rho + rho L_j^dag - Tr[rho (L_j + L_j^dag)] rho) dnu_j
-    with innovations dnu_j ~ Normal(0, dt), independent per channel, and
-    L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
-    K = -iH - 1/2 sum_j L_j^dag L_j. dt must be finite and > 0, T finite
-    and >= 0, n_traj and store_every integers >= 1, rho0 and every tracked
-    operator finite ops.dim x ops.dim matrices. Trajectories use
-    independent counter-based RNG streams derived from (seed, trajectory
-    index), so results are reproducible and order-independent. The
-    innovations are drawn a block of steps at a time into one step-major
-    buffer, no larger than the per-step Kraus buffer (`_noise_block`), so
-    memory does not grow with T; a Philox stream drawn in chunks gives the
-    same numbers as one draw of the whole run, so the block size changes
-    no output bit.
+def _sample_law(l_ops, k_gen, v, psi0, streams, times, forms, diagonal,
+                values):
+    """The law path of `simulate_qsme`: the exact law of the records sampled
+    at the store times, the tracked values written into values. Returns
+    psi at the last store and its norm t."""
+    n_traj, (r, n) = len(streams), psi0.shape
+    d, m = n // 2, len(l_ops)
+    a = np.arange(d)  # row 2a of block (a, a) of a form: (U^dag X U)_aa
+    diag = _frame_forms([k_gen, *l_ops], v)[0].reshape(-1, d, 2, d, 2)[
+        :, a, 0, a].reshape(m + 1, n).view(complex)
+    lam = diag[1:]
+    drift = diag[0] - 0.5 * np.sum(lam * lam, axis=0)  # kappa - 1/2 sum lam^2
+    p0 = np.square(psi0).reshape(r, d, 2).sum(axis=(0, 2))
+    floor = np.where(p0 > 0.0, 0.0, -np.inf)  # the support of p0
+    cdf = np.cumsum(p0)
+    u = np.array([gen.random() for gen in streams])
+    index = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
+                       np.flatnonzero(p0)[-1])
+    rate = 2.0 * lam.real[:, index].T  # dY_j / dt given K, (n_traj, m)
+    psi0 = psi0.view(complex)
+    if diagonal:  # row 2a of the diagonal: Re (U^dag X U)_aa
+        forms = forms[::2]
+    steps = np.sqrt(np.diff(times))
 
-    Each step reads the record dy_j = Tr[rho (L_j + L_j^dag)] dt + dnu_j
-    and maps rho <- M rho M^dag / Tr(M rho M^dag) with
-      M = I + K dt + sum_j L_j dy_j
-            + 1/2 sum_jk L_j L_k (dy_j dy_k - delta_jk dt)
-    (M = I + K dt without channels). By the Ito rule dy_j dy_k =
-    delta_jk dt, (sum_j L_j dy_j) rho (sum_k L_k^dag dy_k) supplies the
-    sum_j L_j rho L_j^dag dt of perfect detection, so no separate term
-    adds it; dividing by the trace, 1 + sum_j Tr[rho (L_j + L_j^dag)] dy_j
-    to first order, turns the increments dy_j into the innovations dnu_j.
+    def exponent(part, t, y):  # part(z), z = t drift + sum_j lam_j Y_j
+        z = np.empty(y.shape[:2] + (d,))
+        z[...] = np.multiply.outer(t, part(drift))
+        for j in range(m):
+            z += y[:, :, j, None] * part(lam[j])
+        return z
 
-    The map is linear in rho, so it acts on a factor. rho0 is Hermitized
-    and factored once: with eigh(rho0) = U diag(w) U^dag and only the
-    positive w kept (the precondition rejects any w below -1e-8), the
-    r x d matrix phi = (U sqrt(w))^T, r = rank rho0, gives
-    rho = phi^T conj(phi). Then M rho M^dag = (phi M^T)^T conj(phi M^T),
-    so each step is phi <- phi M^T, and Tr(M rho M^dag) = ||phi M^T||_F^2.
-    Positivity holds by construction: every phi^T conj(phi) is a Gram
-    matrix. Nothing is clipped or repaired; positivity_margin, the
-    smallest eigenvalue of the final states, carries only the rounding of
-    the rotation, product, sum and division that form them, whatever the
-    step count.
+    block = _noise_block(d, m + 2 * d, len(times))
+    w = np.zeros((n_traj, block + 1, m))  # row 0 carries W into the block
+    for start in range(0, len(times), block):
+        stop = min(start + block, len(times))
+        c, first = stop - start, max(start, 1)  # store 0 has no increment
+        fresh = w[:, 1 + first - start:1 + c]
+        for row, gen in zip(fresh, streams):
+            gen.standard_normal(out=row)
+        fresh *= steps[first - 1:stop - 1, None]
+        w[:, 1:1 + first - start] = 0.0
+        np.cumsum(w[:, :1 + c], axis=1, out=w[:, :1 + c])
+        t = times[start:stop]
+        y = rate[:, None, :] * t[:, None] + w[:, 1:1 + c]  # (n_traj, c, m)
+        w[:, 0] = w[:, c]
 
-    The step runs in real arithmetic on the float view of phi, where a
-    complex row x times X is x.view(float) @ R(X) with
-    R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), and in the
-    eigenbasis of the first channel's record operator: R_1 =
-    R(dt (L_1 + L_1^dag)^T) is symmetric, R_1 = V diag(lam) V^T with
-    V = R(conj U) orthogonal for eigh(dt (L_1 + L_1^dag)) = U diag(mu)
-    U^dag (see `_eigenframe`), and the loop carries psi = phi V, the float
-    view of phi conj(U). R is real linear, so psi <- psi V^T R(M^T) V is
-    the coefficients (1, dy_j, c_jk) times the rotated real forms
-    V^T R(B^T) V of the basis [I + K dt, L_j,
-    1/2 (L_j L_k + L_k L_j) for j <= k], one real GEMM for all
-    trajectories, then one batched real product; the double sum is
-    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
-    c_jk = dy_j dy_k. With rho = phi^T conj(phi) / t, the norm
-    t = ||phi||_F^2 = sum psi^2 and the first record
-    Tr[rho dt (L_1 + L_1^dag)] = sum lam psi^2 / t come from one pass of
-    squares psi^2 and one flat product per trajectory against [1 | lam]
-    (`_square_read`); each further channel j >= 2 reads the real dot
-    product of psi with psi V^T R_j V, one GEMM for all of them. After the
-    product, Tr(M rho M^dag) is the new t over the old. Rather than a pass
-    that divides psi, M carries the power of two s with s^2 t in [1/2, 2),
-    which keeps psi near unit norm: scaling by a power of two rounds
-    nothing, so psi^2 and t scale together exactly. Without channels V = I,
-    so a step with M = I leaves psi, t and every stored value
-    bit-identical; with a channel the eigenbasis rounds, so psi and its
-    rotations agree with phi's to rounding only.
+        re_z = exponent(np.real, t, y)
+        re_z -= (re_z + floor).max(axis=-1, keepdims=True)
+        np.minimum(re_z, 0.0, out=re_z)  # off the support psi0's column is 0
+        pop = p0 * np.exp(2.0 * re_z)
+        total = pop.sum(axis=-1)
+        if diagonal:
+            values[:, start:stop] = pop @ forms / total[..., None]
+        if not diagonal or stop == len(times):
+            im_z = exponent(np.imag, t, y)
+            for s in range(0 if not diagonal else c - 1, c):
+                g = np.exp(re_z[:, s] + 1j * im_z[:, s])
+                psi = (psi0 * g[:, None, :]).view(float)
+                if not diagonal:  # matmul is slow on a swapaxes view
+                    flat = np.ascontiguousarray(psi.swapaxes(1, 2)) @ psi
+                    # one product per trajectory, not a GEMM over all
+                    read = np.matmul(flat.reshape(n_traj, 1, -1), forms)
+                    values[:, start + s] = read[:, 0] / total[:, s, None]
+    return psi, total[:, -1]
 
-    The population path. The rotated form of a basis element B is
-    R((U^dag B U)^T) (`_frame_forms`). When every one is diagonal in the
-    complex frame within the rounding of its formation (`_basis_rounding`)
-    and rotation, as in a QND measurement, where K and every L_j commute
-    with the first record operator and no repeated eigenvalue of it is
-    mixed (a complex coupling phase included, whose K is real but formed
-    with an imaginary part of rounding), U^dag M U is diagonal with
-    entries mu = (s coef) @ D, D the (n_basis, d) diagonals (U^dag B U)_aa,
-    and the step scales column a of phi conj(U) by mu_a.
-    The loop then forms no Kraus matrix and no batched product: it carries
-    the running product g <- g mu, one complex number per trajectory and
-    eigenvector, so that phi conj(U) = (phi_0 conj(U)) g column by column.
-    The populations p = p_0 |g|^2, p_0 the column norms of phi_0 conj(U),
-    give t = sum p and the records t Tr[rho dt (L_j + L_j^dag)] =
-    sum_a p_a 2 dt Re (U^dag L_j U)_aa as the squares of g's float view
-    against the weights [1 | 2 dt Re D_j] times p_0 (`_square_read`). The
-    records, the scale s, the ratio check and the final states are those
-    of the product path; psi is formed from g only at the end, or at a
-    store time for a tracked X that is not diagonal in the frame. Any other
-    system, a record operator with a repeated eigenvalue whose eigenspace
-    some B mixes included, takes the product path.
 
-    Error against the product path. Both start from the same psi and the
-    same rotated forms and share every other operation. Per step, the
-    product path also applies the computed off-diagonal blocks, each within
-    the rounding of its formation and rotation by the certificate
-    (`_frame_forms`: 2 gamma_2d, below 4d eps, times |V|^T |W| |V|, plus
-    the rotated formation bound of `_basis_rounding`, at most
-    sqrt(2) gamma_{d+m+5}, below (d + m + 5) eps, times the rotated
-    |I| + dt (|H| + 1/2 sum_j |L_j|^T |L_j|) or |L_j| |L_k|), and rounds
-    its batched product of inner dimension 2d (2d eps), where the
-    population path rounds one complex product per entry (sqrt(2) gamma_2,
-    below 2 eps; Higham, Lemma 3.5), and each sums the n_basis
-    coefficients in its own order (n_basis eps). Let s_M bound the entries of M over the run,
-    1 + dt ||K|| + sum_j |dy_j| ||L_j|| + 1/2 sum_jk (|dy_j dy_k| + dt)
-    ||L_j|| ||L_k||, and t_min be the smallest ratio Tr(M rho M^dag). To
-    first order, taking each rotated modulus at the norm of its matrix,
-    the final states differ by at most
-    2 n_steps (2 n_basis + 7d + m + 7) eps s_M^2 / t_min entry by entry,
-    the 2 because psi enters rho twice, and a stored
-    Tr(rho X) by that times sum_ab |X_ab|. On acceptance criterion 9's
-    positive control (d = 8, 500 trajectories of 500 steps, seeds 1 to 10)
-    that bound is about 1e-10; the paths differ by at most 6e-13 in the
-    final states and 1e-12 in the stored values, and every martingale
-    verdict is the same.
-
-    tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
-    stored grid (every store_every steps, endpoints included), read on psi
-    in the eigenbasis against each X rotated once (`_frame_forms`). When
-    every rotated X is diagonal to within the rounding of its rotation, as
-    each X that commutes with the first record operator is, a stored value
-    is the squares that the step's read just left (psi^2, or those of g on
-    the population path) times diag W' (times p_0), one small GEMM;
-    otherwise it is the real Gram matrix psi^T psi dotted with W'. Either
-    agrees with Re Tr(phi^T conj(phi) X) / t to rounding. phi = psi V^T is
-    rotated back and Y = phi^T conj(phi) formed once, at the end: the final
-    states are (Y + Y^dag) / (2t), whose entry (b, a), fl(y_ba +
-    conj(y_ab)) over a real, is the exact conjugate of entry (a, b), so
-    every final state is exactly Hermitian.
-
-    max_trace_deviation is the largest |Tr(M rho M^dag) - 1|, the step's
-    normalization, not a rounding error. Each step writes its ratios into
-    a block buffer; per block of steps it is max(hi - 1, 1 - lo) over the
-    block's smallest and largest ratio, the same float as a max over each
-    step. A step whose new t is not finite and positive raises
-    InstabilityError naming the first such step, once its block ends,
-    with numpy's overflow and invalid-value warnings silenced so that the
-    error is the one report: a finite positive t bounds every entry of psi
-    and of phi^T conj(phi), so the check is on the ratios alone, and psi
-    can stay finite where the state it stands for overflows.
-    """
-    _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
-    _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
-    _require(_is_count(n_traj), "n_traj", "an integer >= 1", n_traj)
-    _require(_is_count(store_every), "store_every", "an integer >= 1",
-             store_every)
-    d = ops.dim
-    rho0 = _square_operator("simulate_qsme", "rho0", rho0, d)
-    obs = [_square_operator("simulate_qsme", f"tracked {name!r}", x, d)
-           for name, x in tracked]
-    tol = 1e-8  # on the trace and the smallest eigenvalue of rho0
-    tr0 = np.trace(rho0).real
-    if abs(tr0 - 1.0) > tol:
-        raise PreconditionError(f"rho0 trace {tr0} is not 1")
-    w, u = np.linalg.eigh(0.5 * (rho0 + rho0.conj().T))
-    if w.min() < -tol:
-        raise PreconditionError("rho0 is not positive semidefinite")
-    keep = w > 0
-    r = int(keep.sum())
-
-    l_ops, k_gen = _generator(ops)
-    gen_scale = np.abs(ops.h).max() + sum(np.abs(l).max() ** 2 for l in l_ops)
-    if dt * gen_scale > 0.1:
-        warnings.warn(
-            f"dt * generator scale = {dt * gen_scale:.3f} > 0.1; "
-            "the Kraus-map bias may be large", stacklevel=2)
-
-    n_steps = int(round(T / dt))
-    m = len(l_ops)
-    streams = [np.random.Generator(np.random.Philox(child))
-               for child in np.random.SeedSequence(seed).spawn(n_traj)]
+def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
+                 store_set, forms, diagonal, values):
+    """The product path of `simulate_qsme`: n_steps steps of the Kraus map
+    on psi, the tracked values written into values after each step of
+    store_set. Returns the last psi, its norm t and max_trace_deviation."""
+    n_traj, (r, n) = len(streams), psi0.shape
+    d, m = n // 2, len(l_ops)
     block = _noise_block(d, m, n_steps)
     noise = np.empty((block, n_traj, m))  # step-major, refilled per block
     ratios = np.empty((block, n_traj))  # Tr(M rho M^dag), checked per block
+    if diagonal:
+        forms = np.tile(forms, (r, 1))
+    psi = np.broadcast_to(psi0, (n_traj, r, n)).copy()
+    spare = np.empty_like(psi)  # squares, product
+    kraus_re = np.empty((n_traj, n * n))
+    if m > 1:  # [R_2 | ... | R_m], rotated
+        record_gain = np.concatenate([
+            v.T @ _real_form(dt * (l + l.conj().T).T) @ v
+            for l in l_ops[1:]], axis=1)
 
-    names = tuple(name for name, _ in tracked)
-    norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
-    store_idx = list(range(0, n_steps + 1, store_every))
-    if store_idx[-1] != n_steps:
-        store_idx.append(n_steps)
-    store_set = set(store_idx)
-    times = np.array([i * dt for i in store_idx])
-    values = np.empty((n_traj, len(store_idx), len(obs)))
-
-    if m:
-        v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
-    else:  # no record to read; V = I rounds nothing
-        v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
-    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v,
-                                        _basis_rounding(l_ops, ops.h, dt))
-    forms, diagonal = _frame_forms([0.5 * (x + x.conj().T) for x in obs], v)
-    if diagonal:  # Tr(rho X) t from the squares the step's read leaves
-        forms = np.diagonal(forms, axis1=1, axis2=2).T
-    else:  # from the real Gram matrix psi^T psi
-        forms = forms.reshape(len(obs), 4 * d * d).T
-    phi0 = np.ascontiguousarray((u[:, keep] * np.sqrt(w[keep])).T)
-    psi0 = phi0.view(float) @ v  # the float view of phi0 conj(U)
-
-    if population:  # psi = psi0 g, each column a scaled by g_a
-        # p0 per float entry; |g|^2 p0 are the populations, read as squares
-        p0 = np.repeat(np.square(psi0).reshape(r, d, 2).sum(axis=(0, 2)),
-                       2)[:, None]
-        weights = p0 * np.hstack([np.ones((2 * d, 1)), 2 * dt * np.diagonal(
-            basis_re[1:m + 1], axis1=1, axis2=2).T])
-        if diagonal:
-            forms = p0 * forms
-        a = np.arange(d)  # row 2a of block (a, a): (U^dag B U)_aa
-        kraus = basis_re.reshape(-1, d, 2, d, 2)[:, a, 0, a].reshape(-1, 2 * d)
-        g = np.ones((n_traj, d), dtype=complex)
-        spare = np.empty((n_traj, 2 * d))  # the squares of g's float view
-
-        def squares_read():
-            return _square_read(g.view(float), weights, spare)
-
-        def advance(c):
-            np.multiply(g, (c @ kraus).view(complex), out=g)
-            return squares_read()
-
-        def factor():
-            return (psi0.view(complex) * g[:, None, :]).view(float)
-    else:  # psi <- psi V^T R(M^T) V
-        if diagonal:
-            forms = np.tile(forms, (r, 1))
-        psi = np.broadcast_to(psi0, (n_traj, r, 2 * d)).copy()
-        spare = np.empty_like(psi)  # squares, product
-        kraus_re = np.empty((n_traj, 2 * d, 2 * d))
-        if m > 1:  # [R_2 | ... | R_m], rotated
-            record_gain = np.concatenate([
-                v.T @ _real_form(dt * (l + l.conj().T).T) @ v
-                for l in l_ops[1:]], axis=1)
-
-        def squares_read():
-            read = _square_read(psi, weights, spare)
-            if m > 1:  # channels 2..m: psi dotted with psi V^T R_j V
-                gained = psi.reshape(n_traj * r, 2 * d) @ record_gain
-                read = np.hstack([read, np.einsum(
-                    "trjc,trc->tj", gained.reshape(n_traj, r, m - 1, 2 * d),
-                    psi)])
-            return read
-
-        def advance(c):
-            nonlocal psi, spare
-            np.matmul(c, basis_re.reshape(-1, 4 * d * d),
-                      out=kraus_re.reshape(n_traj, 4 * d * d))
-            np.matmul(psi, kraus_re, out=spare)
-            psi, spare = spare, psi
-            return squares_read()
-
-        def factor():
-            return psi
-    read = squares_read()  # [t, t dy_j without noise]
-    max_trace_dev = 0.0
+    def squares_read():
+        read = _square_read(psi, weights, spare)
+        if m > 1:  # channels 2..m: psi dotted with psi V^T R_j V
+            gained = psi.reshape(n_traj * r, n) @ record_gain
+            read = np.hstack([read, np.einsum(
+                "trjc,trc->tj", gained.reshape(n_traj, r, m - 1, n), psi)])
+        return read
 
     def record(slot):
         if diagonal:  # spare holds the squares of the read just taken
             flat = spare.reshape(n_traj, -1)
         else:  # matmul is slow on a swapaxes view; copy it first
-            x = factor()
-            flat = (np.ascontiguousarray(x.swapaxes(1, 2)) @ x).reshape(
+            flat = (np.ascontiguousarray(psi.swapaxes(1, 2)) @ psi).reshape(
                 n_traj, -1)
         values[:, slot] = flat @ forms / read[:, :1]
 
+    read = squares_read()  # [t, t dy_j without noise]
+    max_trace_dev = 0.0
     jj, kk = np.triu_indices(m)
     pair_scale = np.where(jj == kk, 0.5, 1.0)
     pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
@@ -570,23 +415,240 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
                 dy += noise[step - start]
                 coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
                 s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
-                read = advance(coef * s[:, None])
+                np.matmul(coef * s[:, None], basis_re.reshape(-1, n * n),
+                          out=kraus_re)
+                np.matmul(psi, kraus_re.reshape(n_traj, n, n), out=spare)
+                psi, spare = spare, psi
+                read = squares_read()
                 np.divide(read[:, 0], s * s * t, out=ratios[step - start])
                 if step + 1 in store_set:
                     slot += 1
                     record(slot)
             max_trace_dev = max(max_trace_dev,
                                 _trace_deviation(ratios[:stop - start], start))
+    return psi, read[:, 0], max_trace_dev
 
-    phi = np.matmul(factor(), v.T).view(complex)  # rotated back once
+
+def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
+    """Trajectories of the diffusive conditioned-state equation
+      drho = L*(rho) dt
+           + sum_j (L_j rho + rho L_j^dag - Tr[rho (L_j + L_j^dag)] rho) dnu_j
+    with innovations dnu_j ~ Normal(0, dt), independent per channel, and
+    L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
+    K = -iH - 1/2 sum_j L_j^dag L_j, on the grid of steps dt to
+    n_steps = round(T / dt), stored every store_every steps (endpoints
+    included). dt must be finite and > 0, T finite and >= 0, n_traj and
+    store_every integers >= 1, rho0 and every tracked operator finite
+    ops.dim x ops.dim matrices. Trajectories use independent counter-based
+    RNG streams derived from (seed, trajectory index), so results are
+    reproducible and order-independent. Two paths share everything but the
+    time evolution; `method` names the one taken.
+
+    The factor. rho0 is Hermitized and factored once: with eigh(rho0) =
+    U diag(w) U^dag and only the positive w kept (the precondition rejects
+    any w below -1e-8), the r x d matrix phi = (U sqrt(w))^T, r = rank
+    rho0, gives rho = phi^T conj(phi). Both paths carry phi in the
+    eigenbasis of the first channel's record operator, in real arithmetic:
+    a complex row x times X is x.view(float) @ R(X) with
+    R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), R_1 =
+    R(dt (L_1 + L_1^dag)^T) is symmetric, R_1 = V diag(lam) V^T with
+    V = R(conj U) orthogonal for eigh(dt (L_1 + L_1^dag)) = U diag(mu)
+    U^dag (see `_eigenframe`), and psi = phi V is the float view of
+    phi conj(U). Positivity holds by construction: every
+    phi^T conj(phi) is a Gram matrix. Nothing is clipped or repaired;
+    positivity_margin, the smallest eigenvalue of the final states, carries
+    only the rounding of the rotation, product, sum and division that form
+    them.
+
+    The path. The rotated form of a Kraus basis element B of
+    [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k] is
+    R((U^dag B U)^T) (`_frame_forms`). When every one is diagonal in the
+    complex frame within the rounding of its formation (`_basis_rounding`)
+    and rotation, as in a QND measurement, where K and every L_j commute
+    with the first record operator and no repeated eigenvalue of it is
+    mixed (a complex coupling phase included, whose K is real but formed
+    with an imaginary part of rounding), the run samples the exact law
+    ("exact_law"); any other system, a record operator with a repeated
+    eigenvalue whose eigenspace some B mixes included, steps the Kraus map
+    ("kraus").
+
+    The exact law (Adler, Brody, Brun & Hughston 2001, J. Phys. A 34:8795;
+    Jacobs & Steck 2006, Contemp. Phys. 47:279). In that frame K and the
+    L_j act as their diagonals kappa = diag(U^dag K U) and
+    lam_j = diag(U^dag L_j U), so the unnormalized equation
+    d phi~ = phi~ (K dt + sum_j L_j dy_j)^T, whose normalized solution is
+    the conditioned state, scales column a of phi~ conj(U) by g_a with
+    dg = g (kappa dt + sum_j lam_j dy_j). The records satisfy
+    dy_j dy_k = delta_jk dt (Ito), so
+      g(t) = exp(kappa t + sum_j (lam_j Y_j(t) - 1/2 lam_j^2 t)),
+    Y_j = int dy_j, and the state depends on the record only through its
+    integral. The populations are p_0 |g|^2 over their sum, p_0 the column
+    norms of phi_0 conj(U); they are the posterior of an eigenvector index
+    K drawn from p_0, and the records are Y_j(t) = 2 Re lam_jK t + W_j(t)
+    with independent Brownian motions W_j: the record dy_j =
+    Tr[rho (L_j + L_j^dag)] dt + dnu_j has the law of that mixture. Each
+    trajectory draws from its stream one uniform for K, then the standard
+    normal increments of W over the store intervals, scaled by the square
+    root of each interval's length, a block of stores at a time
+    (`_noise_block`, m + 2d floats per store); W is carried from block to
+    block, so the block size changes no output bit. No time step is
+    taken: the cost is O(n_store), not O(n_steps), per trajectory, there
+    is no discretization bias, and dt sets only the store grid, the times
+    i dt of the stored steps i. z = log g is formed at each store, its
+    real part shifted by the trajectory's largest over the support of p_0,
+    so that every population is at most its p_0 and their sum, the norm t,
+    at least the p_0 > 0 of the largest, never 0 and never overflowing;
+    off the support, where the column of phi_0 conj(U) is 0, it is
+    clamped at 0. Memory holds the stored values and the arrays of one
+    block, a few times 4 d^2 floats per trajectory, whatever T and dt:
+    the records, the real parts of z and the populations, m + 2d floats
+    per store, and their temporaries. The Kraus map's one-step
+    M is this law's second-order expansion per step (Rouchon & Ralph 2015,
+    PRA 91, 012118), and the law is what `kraus` converges to at weak
+    order 1 in dt. max_trace_deviation is 0.0 on this path, because no
+    step normalizes, and no warning of a large dt is given: any finite dt
+    gives finite states of unit trace.
+
+    The Kraus map (Rouchon & Ralph 2015). Each step reads the record
+    dy_j = Tr[rho (L_j + L_j^dag)] dt + dnu_j and maps
+    rho <- M rho M^dag / Tr(M rho M^dag) with
+      M = I + K dt + sum_j L_j dy_j
+            + 1/2 sum_jk L_j L_k (dy_j dy_k - delta_jk dt)
+    (M = I + K dt without channels). By the Ito rule dy_j dy_k =
+    delta_jk dt, (sum_j L_j dy_j) rho (sum_k L_k^dag dy_k) supplies the
+    sum_j L_j rho L_j^dag dt of perfect detection, so no separate term
+    adds it; dividing by the trace, 1 + sum_j Tr[rho (L_j + L_j^dag)] dy_j
+    to first order, turns the increments dy_j into the innovations dnu_j.
+    It warns when dt times the generator scale max|H| + sum_j max|L_j|^2
+    exceeds 0.1, where its bias may be large. The innovations are drawn a
+    block of steps at a time into one step-major buffer, no larger than
+    the per-step Kraus buffer (`_noise_block`), so memory does not grow
+    with T; a Philox stream drawn in chunks gives the same numbers as one
+    draw of the whole run, so the block size changes no output bit.
+
+    The map is linear in rho, so it acts on the factor: M rho M^dag =
+    (phi M^T)^T conj(phi M^T), each step is phi <- phi M^T, and
+    Tr(M rho M^dag) = ||phi M^T||_F^2. R is real linear, so
+    psi <- psi V^T R(M^T) V is the coefficients (1, dy_j, c_jk) times the
+    rotated real forms V^T R(B^T) V of the basis, one real GEMM for all
+    trajectories, then one batched real product; the double sum is
+    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
+    c_jk = dy_j dy_k. With rho = phi^T conj(phi) / t, the norm
+    t = ||phi||_F^2 = sum psi^2 and the first record
+    Tr[rho dt (L_1 + L_1^dag)] = sum lam psi^2 / t come from one pass of
+    squares psi^2 and one flat product per trajectory against [1 | lam]
+    (`_square_read`); each further channel j >= 2 reads the real dot
+    product of psi with psi V^T R_j V, one GEMM for all of them. After the
+    product, Tr(M rho M^dag) is the new t over the old. Rather than a pass
+    that divides psi, M carries the power of two s with s^2 t in [1/2, 2),
+    which keeps psi near unit norm: scaling by a power of two rounds
+    nothing, so psi^2 and t scale together exactly. Without channels V = I,
+    so a step with M = I leaves psi, t and every stored value
+    bit-identical; with a channel the eigenbasis rounds, so psi and its
+    rotations agree with phi's to rounding only.
+
+    max_trace_deviation is there the largest |Tr(M rho M^dag) - 1|, the
+    step's normalization, not a rounding error. Each step writes its
+    ratios into a block buffer; per block of steps it is max(hi - 1,
+    1 - lo) over the block's smallest and largest ratio, the same float as
+    a max over each step. A step whose new t is not finite and positive
+    raises InstabilityError naming the first such step, once its block
+    ends, with numpy's overflow and invalid-value warnings silenced so
+    that the error is the one report: a finite positive t bounds every
+    entry of psi and of phi^T conj(phi), so the check is on the ratios
+    alone, and psi can stay finite where the state it stands for
+    overflows.
+
+    tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
+    stored grid, read in the eigenbasis against each X rotated once
+    (`_frame_forms`). When every rotated X is diagonal to within the
+    rounding of its rotation, as each X that commutes with the first
+    record operator is, a stored value is the populations, the squares
+    that the Kraus step's read just left or p_0 |g|^2 on the law path,
+    times diag W', one small product; otherwise it is the real Gram matrix
+    psi^T psi dotted with W', psi formed from g at each store on the law
+    path. Either agrees with Re Tr(phi^T conj(phi) X) / t to rounding. On
+    the law path each trajectory's read is its own product, so the first k
+    trajectories of a run of n are a run of k bit for bit; the Kraus
+    path's GEMMs over all trajectories agree with that to rounding only.
+    phi = psi V^T is rotated back and Y = phi^T conj(phi) formed once, at
+    the end: the final states are (Y + Y^dag) / (2t), whose entry (b, a),
+    fl(y_ba + conj(y_ab)) over a real, is the exact conjugate of entry
+    (a, b), so every final state is exactly Hermitian.
+    """
+    _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
+    _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
+    _require(_is_count(n_traj), "n_traj", "an integer >= 1", n_traj)
+    _require(_is_count(store_every), "store_every", "an integer >= 1",
+             store_every)
+    d = ops.dim
+    rho0 = _square_operator("simulate_qsme", "rho0", rho0, d)
+    obs = [_square_operator("simulate_qsme", f"tracked {name!r}", x, d)
+           for name, x in tracked]
+    tol = 1e-8  # on the trace and the smallest eigenvalue of rho0
+    tr0 = np.trace(rho0).real
+    if abs(tr0 - 1.0) > tol:
+        raise PreconditionError(f"rho0 trace {tr0} is not 1")
+    w, u = np.linalg.eigh(0.5 * (rho0 + rho0.conj().T))
+    if w.min() < -tol:
+        raise PreconditionError("rho0 is not positive semidefinite")
+    keep = w > 0
+    r = int(keep.sum())
+
+    l_ops, k_gen = _generator(ops)
+    n_steps = int(round(T / dt))
+    m = len(l_ops)
+    streams = [np.random.Generator(np.random.Philox(child))
+               for child in np.random.SeedSequence(seed).spawn(n_traj)]
+
+    names = tuple(name for name, _ in tracked)
+    norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
+    store_idx = list(range(0, n_steps + 1, store_every))
+    if store_idx[-1] != n_steps:
+        store_idx.append(n_steps)
+    times = np.array([i * dt for i in store_idx])
+    values = np.empty((n_traj, len(store_idx), len(obs)))
+
+    if m:
+        v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
+    else:  # no record to read; V = I rounds nothing
+        v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
+    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v,
+                                        _basis_rounding(l_ops, ops.h, dt))
+    forms, diagonal = _frame_forms([0.5 * (x + x.conj().T) for x in obs], v)
+    if diagonal:  # Tr(rho X) t from the populations
+        forms = np.diagonal(forms, axis1=1, axis2=2).T
+    else:  # from the real Gram matrix psi^T psi
+        forms = forms.reshape(len(obs), 4 * d * d).T
+    phi0 = np.ascontiguousarray((u[:, keep] * np.sqrt(w[keep])).T)
+    psi0 = phi0.view(float) @ v  # the float view of phi0 conj(U)
+
+    if population:
+        method, max_trace_dev = "exact_law", 0.0
+        psi, t = _sample_law(l_ops, k_gen, v, psi0, streams, times, forms,
+                             diagonal, values)
+    else:
+        method = "kraus"
+        gen_scale = np.abs(ops.h).max() + sum(np.abs(l).max() ** 2
+                                              for l in l_ops)
+        if dt * gen_scale > 0.1:
+            warnings.warn(
+                f"dt * generator scale = {dt * gen_scale:.3f} > 0.1; "
+                "the Kraus-map bias may be large", stacklevel=2)
+        psi, t, max_trace_dev = _kraus_steps(
+            l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
+            set(store_idx), forms, diagonal, values)
+
+    phi = np.matmul(psi, v.T).view(complex)  # rotated back once
     y = np.matmul(phi.swapaxes(-1, -2), phi.conj())  # phi^T conj(phi)
     rho = y + _dagger(y)
-    rho /= (2.0 * read[:, 0])[:, None, None]
+    rho /= (2.0 * t)[:, None, None]
     return SMETrajectoryBatch(
         times=times, tracked_names=names, tracked_values=values,
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
         final_states=rho, max_trace_deviation=max_trace_dev,
-        positivity_margin=float(np.linalg.eigvalsh(rho).min()))
+        positivity_margin=float(np.linalg.eigvalsh(rho).min()),
+        method=method)
 
 
 def lindblad_means(ops, rho0, times, tracked):

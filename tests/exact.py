@@ -36,6 +36,12 @@ than the package does (a Cayley form for the resolvent, an algebraic loop
 closure for the network reduction, an explicit unitary for the quadrature
 image), so a test compares two independent float results within a
 tolerance.
+
+The two QND-law oracles (qnd_law_states, qnd_law_mean) recompute the exact
+conditioned state of a measurement whose K and L_j commute with the first
+record operator from its closed form, by matrix exponentials in the
+record operator's eigenbasis and by Gauss-Hermite quadrature, and share
+no code with smesim's law path.
 """
 
 import numpy as np
@@ -310,3 +316,71 @@ def crossterm_hamiltonian_shift(net):
         net.k11.conj().T @ sb @ net.k22 - net.k21.conj().T @ sb.conj().T @ net.k12
     )
     return om, op
+
+
+# ------------------------------------------------------- QND-law oracles
+
+def _qnd_frame(ops):
+    """U from eigh of the first record operator L_1 + L_1^dag, and the
+    diagonals kappa of U^dag K U and lam_j of U^dag L_j U,
+    K = -iH - 1/2 sum_j L_j^dag L_j."""
+    ls = [np.asarray(l, dtype=complex) for l in ops.l_ops]
+    k_gen = -1j * ops.h - 0.5 * sum(l.conj().T @ l for l in ls)
+    _, u = np.linalg.eigh(ls[0] + ls[0].conj().T)
+    diag = lambda x: np.diag(u.conj().T @ x @ u)
+    return u, diag(k_gen), np.array([diag(l) for l in ls])
+
+
+def qnd_law_states(ops, rho0, times, n_traj, seed):
+    """The conditioned states at times of simulate_qsme's exact law,
+    recomputed on its Philox streams, (n_traj, len(times), d, d), and the
+    largest |Y_j| drawn. Per trajectory: the eigenvector index K from the
+    populations p_0 = diag(U^dag rho0 U) by one uniform, then the standard
+    normal increments of W_j over the intervals of times;
+    Y_j = 2 Re lam_jK t + W_j, G = U diag(exp(kappa t + sum_j (lam_j Y_j
+    - 1/2 lam_j^2 t))) U^dag and rho = G rho0 G^dag / Tr(G rho0 G^dag),
+    in complex arithmetic in the Fock basis."""
+    u, kappa, lam = _qnd_frame(ops)
+    rho0 = np.asarray(rho0, dtype=complex)
+    p0 = np.diag(u.conj().T @ rho0 @ u).real
+    times = np.asarray(times, dtype=float)
+    out = np.empty((n_traj, len(times)) + rho0.shape, dtype=complex)
+    max_y = 0.0
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
+        gen = np.random.Generator(np.random.Philox(child))
+        k = np.searchsorted(np.cumsum(p0), gen.random() * p0.sum(), side="right")
+        xi = gen.standard_normal((len(times) - 1, len(lam)))
+        w = np.vstack([np.zeros((1, len(lam))), np.cumsum(
+            xi * np.sqrt(np.diff(times))[:, None], axis=0)])
+        for s, t in enumerate(times):
+            y = 2.0 * lam[:, k].real * t + w[s]
+            max_y = max(max_y, float(np.abs(y).max(initial=0.0)))
+            z = kappa * t + (lam * y[:, None] - 0.5 * lam * lam * t).sum(axis=0)
+            g = (u * np.exp(z - z.real.max())) @ u.conj().T
+            rho = g @ rho0 @ g.conj().T
+            out[i, s] = rho / np.trace(rho).real
+    return out, max_y
+
+
+def qnd_law_mean(ops, rho0, t, f, nodes=100):
+    """E f(p_t, lam) of the conditioned populations p_t of a one-channel QND
+    measurement at time t under the exact law, by Gauss-Hermite quadrature
+    over the record: K has the law p_0 = diag(U^dag rho0 U), Y = 2 Re lam_K t
+    + sqrt(t) xi, and p_t is p_0 exp(2 Re lam Y - 2 (Re lam)^2 t) over its
+    sum, the squared modulus of the law's g. f maps (p, lam) to a number;
+    p has one row per quadrature node."""
+    u, _, lam = _qnd_frame(ops)
+    (lam,) = lam
+    p0 = np.diag(u.conj().T @ np.asarray(rho0, dtype=complex) @ u).real
+    x, w = np.polynomial.hermite.hermgauss(nodes)  # weight exp(-x^2)
+    rate = 2.0 * lam.real
+    with np.errstate(divide="ignore"):
+        log_p0 = np.log(p0)
+    total = 0.0
+    for pk, rk in zip(p0, rate):
+        if pk > 0.0:
+            y = rk * t + np.sqrt(2.0 * t) * x
+            e = log_p0 + np.outer(y, rate) - 0.5 * rate * rate * t
+            p = np.exp(e - e.max(axis=1, keepdims=True))
+            total += pk * (w @ f(p / p.sum(axis=1, keepdims=True), lam))
+    return total / np.sqrt(np.pi)

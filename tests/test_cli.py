@@ -709,7 +709,26 @@ def test_simulate_command(tmp_path, capsys):
     assert len(lines) > 2
     err = capsys.readouterr().err
     assert err == json.dumps(json.loads(err), indent=2) + "\n"
-    assert "martingale" in json.loads(err)
+    assert set(json.loads(err)) == {"martingale", "method"}
+
+
+@pytest.mark.parametrize("omega, method", [(1.0, "exact_law"),
+                                           (0.0, "kraus")])
+def test_simulate_reports_its_method(tmp_path, capsys, omega, method):
+    """simulate's stderr summary names the method beside the martingale
+    checks: the paper's QND mode (C- = C+ = 1, Omega- = Omega+ = 1, so
+    H = q^2 commutes with L = sqrt(2) q) samples the exact law; with
+    Omega+ = 0, H = a^dag a + 1/2 does not commute with q, and the Kraus
+    map steps."""
+    one = [[1.0]]
+    doc = cli.emit_spec(qsys.new_system(np.eye(1), one, one, one,
+                                        [[omega]]))
+    doc["sim"] = {"fock_dim": 4, "dt": 1e-3, "T": 0.01, "n_traj": 3,
+                  "seed": 0}
+    out_file = tmp_path / "traj.csv"
+    assert cli.main(["simulate", _write(tmp_path, doc),
+                     "--out", str(out_file)]) == 0
+    assert json.loads(capsys.readouterr().err)["method"] == method
 
 
 def _sim_doc(**sim):

@@ -7,7 +7,7 @@ none either."""
 import numpy as np
 import pytest
 
-from qlinbae import bae, qnd, qsys
+from qlinbae import bae, qnd, qsys, smesim
 
 import exact
 
@@ -113,3 +113,26 @@ def test_zero_blocks_of_a_high_relative_degree_chain(n):
                 assert cert.probe_ratio > 1e3
                 if n >= 8:
                     assert cert.node_max <= cert.threshold
+
+
+def test_qnd_law_mean_is_a_converged_expectation():
+    """exact.qnd_law_mean on the measured mode L = sqrt(2) q at fock_dim 8:
+    f = 1 integrates to 1, at t = 0 the conditional variance of L is that
+    of rho0, Tr(rho0 L^2) - Tr(rho0 L)^2, and at t = 0.5 100 and 200
+    Gauss-Hermite nodes agree to 1e-12, with the variance reduced."""
+    c = np.array([[1.0]], dtype=complex)
+    z = np.zeros((1, 1))
+    ops = smesim.build_truncated_operators(
+        qsys.new_system(np.eye(1), c, c, z, z), fock_dim=8)
+    l = ops.l_ops[0]
+    rho0 = 0.5 * np.eye(8) / 8
+    rho0[0, 0] += 0.5
+    var = lambda p, lam: p @ lam.real ** 2 - (p @ lam.real) ** 2
+    one = lambda p, lam: p.sum(axis=1)
+    assert exact.qnd_law_mean(ops, rho0, 0.5, one) == pytest.approx(1.0, abs=1e-13)
+    at_zero = np.trace(rho0 @ l @ l).real - np.trace(rho0 @ l).real ** 2
+    assert exact.qnd_law_mean(ops, rho0, 0.0, var) == pytest.approx(at_zero,
+                                                                    abs=1e-12)
+    mid = exact.qnd_law_mean(ops, rho0, 0.5, var)
+    assert abs(exact.qnd_law_mean(ops, rho0, 0.5, var, nodes=200) - mid) < 1e-12
+    assert 0.0 < mid < at_zero

@@ -5,6 +5,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from qlinbae import qsys, smesim
 from qlinbae.errors import InstabilityError, PreconditionError, ResourceError
+
+import exact
 
 
 def _measured_mode(coupling=1.0):
@@ -31,7 +35,9 @@ def _qnd_mode():
 
 def _path(ops, dt=1e-3):
     """The path simulate_qsme takes for ops at step dt, from its own
-    certificate on the Kraus basis in the first record operator's frame."""
+    certificate on the Kraus basis in the first record operator's frame:
+    "population" for the exact law (method "exact_law"), "product" for
+    the Kraus map (method "kraus")."""
     l_ops, k_gen = smesim._generator(ops)
     if l_ops:
         v, _ = smesim._eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), 1)
@@ -167,20 +173,91 @@ def test_seed_determinism_bit_identical():
     assert np.array_equal(b1.final_states, b2.final_states)
 
 
-def test_one_step_matches_reference_recomputation():
+def _law_atol(ops, dt, t_max, max_y, r):
+    """A first-order bound on |simulate_qsme - exact.qnd_law_states| on the
+    law path after a run to t_max from a rank-r rho0, entry by entry of
+    the states (times sum_ab |X_ab| for a stored Tr(rho X)); max_y bounds
+    the records |Y_j| drawn.
+
+    Both sides form the exponent z = kappa t + sum_j (lam_j Y_j
+    - 1/2 lam_j^2 t) from the diagonals of K and the L_j in an eigenbasis
+    U of the first record operator X, each term below
+      s = t ||K|| + sum_j ||L_j|| (|Y_j| + 1/2 ||L_j|| t).
+    simulate_qsme reads the diagonals off forms rotated by V, each within
+    2 gamma_2d < 4d eps of its norm (`smesim._frame_forms`), then sums
+    2m + 2 terms and shifts once; the oracle's products of inner dimension
+    d and its sums add d + 2m + 3. So z agrees within
+    (5d + 4m + 5) eps s, and g = exp(z) relatively within that; g enters
+    rho = G rho0 G^dag / Tr(G rho0 G^dag) twice above and twice below the
+    line, 4 times. eigh passes LAPACK's acceptance test, a backward error
+    of 30 d eps ||X||, so each side's U is within 30 d eps ||X|| / gap of
+    the exact eigenbasis (gap the smallest distance of two eigenvalues of
+    X), which moves G by at most twice that with |g| <= 1: 240 d eps
+    ||X|| / gap for both sides in rho. The rotations into the frame and
+    back, the Gram matrix, its trace and the division add
+    (8d + 2r + 2rd + 2 + 2g) eps once (see _one_product_atol, g the
+    orthogonality defect of V), and the oracle's three products of inner
+    dimension d another 6d eps."""
+    d, ls = ops.dim, ops.l_ops
+    m = len(ls)
+    norm = lambda x: np.linalg.norm(x, 2)
+    k_gen = -1j * ops.h - 0.5 * sum(l.conj().T @ l for l in ls)
+    s = t_max * norm(k_gen) + sum(norm(l) * (max_y + 0.5 * norm(l) * t_max)
+                                  for l in ls)
+    x = ls[0] + ls[0].conj().T
+    gap = np.diff(np.linalg.eigvalsh(x)).min()
+    g = _orthogonality_defect(ops, dt, r)
+    eps = np.finfo(float).eps
+    return eps * (4 * (5 * d + 4 * m + 5) * s + 240 * d * norm(x) / gap
+                  + 14 * d + 2 * r + 2 * r * d + 2 + 2 * g)
+
+
+def _check_law(ops, rho0, dt, n_steps, n_traj, seed, tracked=(),
+               store_every=1):
+    """Run simulate_qsme on a system that takes the law path and compare
+    its final states and stored values with exact.qnd_law_states on the
+    same streams within _law_atol; the law path reports no step's trace
+    deviation. Returns the batch and that bound."""
+    tracked = list(tracked)
+    batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                 n_traj=n_traj, seed=seed, tracked=tracked,
+                                 store_every=store_every)
+    assert batch.method == "exact_law"
+    assert batch.max_trace_deviation == 0.0
+    states, max_y = exact.qnd_law_states(ops, rho0, batch.times, n_traj, seed)
+    r = np.linalg.matrix_rank(rho0, tol=1e-12)
+    atol = _law_atol(ops, dt, batch.times[-1], max_y, r)
+    assert np.allclose(batch.final_states, states[:, -1], rtol=0.0, atol=atol)
+    for k, (_, x) in enumerate(tracked):
+        exact_values = np.einsum("tsab,ba->ts", states, x).real
+        assert np.allclose(batch.tracked_values[..., k], exact_values,
+                           rtol=0.0, atol=atol * np.abs(x).sum())
+    return batch, atol
+
+
+def test_one_step_matches_reference_recomputation(monkeypatch):
     """Single Kraus-map step recomputed from scratch: record increment,
     M = I + K dt + L dy + 1/2 L^2 (dy^2 - dt), M rho M^dag, Hermitize,
     renormalize; max_trace_deviation is that step's |Tr(M rho M^dag) - 1|.
-    On the measured mode (population path) and on the negative control,
-    whose H does not commute with L (product path)."""
+    On the negative control, whose H does not commute with L (product
+    path), and on the measured mode with the product path forced. Left to
+    itself the measured mode takes the exact law: its state after one step
+    is the law's, recomputed by exact.qnd_law_states (_check_law)."""
     rho0 = _ground_state_mixture(6)
     dt, seed = 1e-3, 7
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=6)
+    assert _path(ops, dt) == "population"
+    _check_law(ops, rho0, dt, 1, 1, seed, [("L", ops.l_ops[0])])
     for system, path in ((_measured_mode, "population"),
                          (_negative_control, "product")):
         ops = smesim.build_truncated_operators(system(), fock_dim=6)
         assert _path(ops, dt) == path
-        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=dt, n_traj=1,
-                                     seed=seed, tracked=[("L", ops.l_ops[0])])
+        with monkeypatch.context() as mp:
+            _force_product_path(mp)
+            batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=dt, n_traj=1,
+                                         seed=seed,
+                                         tracked=[("L", ops.l_ops[0])])
+        assert batch.method == "kraus"
 
         stream = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(seed).spawn(1)[0]))
@@ -266,14 +343,16 @@ def _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed, tracked=(),
     return rho, values, max_dy
 
 
-def test_steps_match_per_product_reference():
+def test_steps_match_per_product_reference(monkeypatch):
     """Twenty steps of six two-channel trajectories from a pure state
     recomputed by _kraus_reference, whose double sum carries the
     1/2 (L_1 L_2 + L_2 L_1) dy_1 dy_2 cross term that simulate_qsme folds
     into one symmetrized basis element, agree within _one_product_atol
-    (derived there before comparing), on the product path and on the
-    population path. Dropping the cross term must move the result by far
-    more than that."""
+    (derived there before comparing) on the product path, which the
+    two-channel QND mode takes when forced. Dropping the cross term must
+    move the result by far more than that. Left to itself the QND mode
+    takes the exact law, and agrees with exact.qnd_law_states
+    (_check_law)."""
     dt, n_steps, n_traj, seed = 1e-3, 20, 6, 4
     for system, path in TWO_CHANNEL_PATHS:
         ops = smesim.build_truncated_operators(system(), fock_dim=6)
@@ -281,8 +360,12 @@ def test_steps_match_per_product_reference():
         d = ops.dim
         rho0 = np.zeros((d, d), dtype=complex)
         rho0[0, 0] = 1.0
-        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                     n_traj=n_traj, seed=seed, tracked=[])
+        if path == "population":
+            _check_law(ops, rho0, dt, n_steps, n_traj, seed)
+        with monkeypatch.context() as mp:
+            _force_product_path(mp)
+            batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                         n_traj=n_traj, seed=seed, tracked=[])
         finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
                                              seed)
         t_min = 1.0 - batch.max_trace_deviation
@@ -309,8 +392,9 @@ def _orthogonality_defect(ops, dt, r):
 
 def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     """A first-order bound on |simulate_qsme - _kraus_reference| after
-    n_steps steps from a rank-r rho0, for simulate_qsme's one real product
-    per step in the eigenbasis V of its first record operator.
+    n_steps steps of the Kraus map (the product path) from a rank-r rho0,
+    for simulate_qsme's one real product per step in the eigenbasis V of
+    its first record operator.
 
     Both sides build M with entries bounded by
       s = 1 + dt ||K|| + sum_j |dy_j| ||L_j||
@@ -334,20 +418,7 @@ def _one_product_atol(ops, dt, n_steps, max_dy, t_min, r):
     (2r + 2rd + 2) eps / t_min: each entry of phi^T conj(phi) sums 2r real
     products, t sums 2rd squares, and the Hermitian average and the
     division round once each. To first order the errors of the n_steps
-    steps add.
-
-    On the population path simulate_qsme applies only the diagonal blocks
-    of the same rotated forms. Its certificate (`smesim._frame_forms`)
-    puts each diagonal entry within its rotation's rounding, 2 gamma_2d or
-    2d eps, and each dropped off-diagonal entry within twice that, so
-    within the 4d counted above for the rotation; in place of the real
-    product of inner dimension 2d it rounds one complex product per entry,
-    sqrt(2) gamma_2 < 2 eps (Higham, Lemma 3.5), and its chain of diagonal
-    maps carries the same G. So a step adds at most
-    2 (nb + 4d + 3 + g) eps s^2 / t_min, within the product path's term.
-    Forming psi from g once, at the end, is one more complex product,
-    within the 8d counted for the two rotations. This bound holds for both
-    paths."""
+    steps add."""
     d, ls = ops.dim, ops.l_ops
     m = len(ls)
     norm = lambda x: np.linalg.norm(x, 2)
@@ -370,10 +441,12 @@ def _orthonormal_columns(rng, d, k):
 
 @pytest.mark.parametrize("weights", [(1.0,), (0.7, 0.3)],
                          ids=["pure", "rank_2"])
-def test_low_rank_factor_matches_per_product_reference(weights):
+def test_low_rank_factor_matches_per_product_reference(weights, monkeypatch):
     """rho0 of rank 1 and 2 in a random basis, so that the factor phi has
     one or two rows: twenty two-channel steps agree with _kraus_reference
-    within _one_product_atol, on the product and the population path."""
+    within _one_product_atol on the product path, forced on the QND mode,
+    and the QND mode's exact law agrees with exact.qnd_law_states
+    (_check_law)."""
     d = 6
     v = _orthonormal_columns(np.random.default_rng(len(weights)), d,
                              len(weights))
@@ -383,8 +456,12 @@ def test_low_rank_factor_matches_per_product_reference(weights):
     for system, path in TWO_CHANNEL_PATHS:
         ops = smesim.build_truncated_operators(system(), fock_dim=d)
         assert _path(ops, dt) == path
-        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                     n_traj=n_traj, seed=seed, tracked=[])
+        if path == "population":
+            _check_law(ops, rho0, dt, n_steps, n_traj, seed)
+        with monkeypatch.context() as mp:
+            _force_product_path(mp)
+            batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                         n_traj=n_traj, seed=seed, tracked=[])
         finals, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
                                              seed)
         t_min = 1.0 - batch.max_trace_deviation
@@ -394,7 +471,7 @@ def test_low_rank_factor_matches_per_product_reference(weights):
         assert np.allclose(batch.final_states, finals, rtol=0.0, atol=atol)
 
 
-def test_second_channel_record_matches_per_product_reference():
+def test_second_channel_record_matches_per_product_reference(monkeypatch):
     """Channel 1 weakly measures a rotated quadrature (L_1 = 0.2 e^{0.3i} a,
     whose record operator is complex, so R(X^T) is not R(X)), and the loop
     runs in its eigenbasis; channel 2 more strongly measures p
@@ -402,11 +479,14 @@ def test_second_channel_record_matches_per_product_reference():
     whose record operator V^T R_2 V is dense there: its record goes
     through the rotated GEMM, not the squares (product path). With
     L_1 = 0.2 (a + a^dag) and L_2 = 0.5 (a + a^dag) instead, both records
-    are diagonal in the frame and come from the populations (population
-    path). Eighty steps of eight trajectories from a rank-3
-    state agree with _kraus_reference within _one_product_atol in the
-    final states and, since |Tr(drho X)| <= atol sum_ab |X_ab|, within that
-    in Tr(rho X) for both records' operators at every step."""
+    are diagonal in the frame: that system takes the exact law, which
+    agrees with exact.qnd_law_states in the states and both records'
+    operators at every step (_check_law), and is forced onto the product
+    path for the comparison that follows. Eighty steps of eight
+    trajectories from a rank-3 state agree with _kraus_reference within
+    _one_product_atol in the final states and, since
+    |Tr(drho X)| <= atol sum_ab |X_ab|, within that in Tr(rho X) for both
+    records' operators at every step."""
     z = np.zeros((1, 1))
     c_q = np.array([[0.2], [0.5]])
     systems = (
@@ -420,8 +500,13 @@ def test_second_channel_record_matches_per_product_reference():
         ops = smesim.build_truncated_operators(sys_obj, fock_dim=6)
         assert _path(ops, dt) == path
         tracked = [(f"X{j}", l + l.conj().T) for j, l in enumerate(ops.l_ops)]
-        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                     n_traj=n_traj, seed=seed, tracked=tracked)
+        if path == "population":
+            _check_law(ops, rho0, dt, n_steps, n_traj, seed, tracked)
+        with monkeypatch.context() as mp:
+            _force_product_path(mp)
+            batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                         n_traj=n_traj, seed=seed,
+                                         tracked=tracked)
         finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps,
                                                   n_traj, seed, tracked)
         t_min = 1.0 - batch.max_trace_deviation
@@ -598,17 +683,18 @@ def test_ensemble_means_match_the_lindblad_reference(control, n_traj, T, seed):
         assert drift[1] > 1.0
 
 
-def test_lindblad_reference_catches_an_unmeasured_channel_term():
-    """Mutation test: _kraus_reference reproduces simulate_qsme on the
-    positive control and passes the family-wise Lindblad comparison;
-    adding the unmeasured-channel term dt sum_j L_j rho L_j^dag to the
-    step, which perfect detection already contains, biases L^2 upward at
-    the rate Var(L^2) and must fail it."""
+def test_lindblad_reference_catches_an_unmeasured_channel_term(monkeypatch):
+    """Mutation test: _kraus_reference reproduces simulate_qsme's Kraus map,
+    forced on the positive control, and passes the family-wise Lindblad
+    comparison; adding the unmeasured-channel term
+    dt sum_j L_j rho L_j^dag to the step, which perfect detection already
+    contains, biases L^2 upward at the rate Var(L^2) and must fail it."""
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
     l = ops.l_ops[0]
     tracked = [("L", l), ("L2", l @ l)]
     rho0 = _half_ground_mixture(8)
     dt, n_steps, n_traj, seed = 1e-3, 200, 200, 902
+    _force_product_path(monkeypatch)
     batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
                                  n_traj=n_traj, seed=seed, tracked=tracked,
                                  store_every=10)
@@ -637,11 +723,13 @@ def test_lindblad_means_of_free_evolution_are_constant():
     assert np.array_equal(exact, np.array([[0.75, 1.0]] * 3))
 
 
-def test_large_step_warns_of_the_kraus_bias_and_stays_positive():
-    """A wildly large step, once aborted by the positivity repair, runs:
-    M rho M^dag is positive whatever M is."""
+def test_large_step_warns_of_the_kraus_bias_and_stays_positive(monkeypatch):
+    """A wildly large step of the Kraus map, forced on the measured mode,
+    once aborted by the positivity repair, runs: M rho M^dag is positive
+    whatever M is."""
     ops = smesim.build_truncated_operators(_measured_mode(coupling=40.0),
                                            fock_dim=6)
+    _force_product_path(monkeypatch)
     with pytest.warns(UserWarning, match="the Kraus-map bias may be large"):
         batch = smesim.simulate_qsme(ops, _ground_state_mixture(6), dt=0.05,
                                      T=1.0, n_traj=8, seed=0,
@@ -650,57 +738,207 @@ def test_large_step_warns_of_the_kraus_bias_and_stays_positive():
     assert batch.positivity_margin >= -1e-12
 
 
-def test_non_finite_state_raises_instability_naming_the_step():
-    """A finite dt so large that M rho M^dag overflows: the error is the one
-    report, with no numpy RuntimeWarning before it (the suite turns those
-    into errors)."""
-    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
-    with pytest.warns(UserWarning, match="Kraus-map bias"):
-        with pytest.raises(InstabilityError, match=r"^step 0: the "
-                           r"conditioned state is not finite"):
-            smesim.simulate_qsme(ops, _ground_state_mixture(4), dt=1e200,
-                                 T=2e200, n_traj=3, seed=0, tracked=[])
+def test_non_finite_state_raises_instability_naming_the_step(monkeypatch):
+    """A finite dt so large that the Kraus map's M rho M^dag overflows, on
+    the negative control and on the measured mode with the product path
+    forced: the error is the one report, with no numpy RuntimeWarning
+    before it (the suite turns those into errors)."""
+    for system, force in ((_negative_control, False), (_measured_mode, True)):
+        ops = smesim.build_truncated_operators(system(), fock_dim=4)
+        with monkeypatch.context() as mp:
+            if force:
+                _force_product_path(mp)
+            with pytest.warns(UserWarning, match="Kraus-map bias"):
+                with pytest.raises(InstabilityError, match=r"^step 0: the "
+                                   r"conditioned state is not finite"):
+                    smesim.simulate_qsme(ops, _ground_state_mixture(4),
+                                         dt=1e200, T=2e200, n_traj=3, seed=0,
+                                         tracked=[])
 
 
 def test_instability_names_the_same_step_whatever_the_block():
-    """dt = 1e80 overflows M rho M^dag at step 2 of 40, inside the first
-    block of innovations: checking the ratios once per block names the
-    same step as checking them after every step (a block of one), and the
-    population path, which the measured mode takes, names the same step as
-    the product path forced on the same system."""
+    """dt = 1e80 overflows the Kraus map's M rho M^dag at step 2 of 40,
+    inside the first block of innovations, on the measured mode with the
+    product path forced: checking the ratios once per block names the
+    same step as checking them after every step (a block of one)."""
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
     assert smesim._noise_block(ops.dim, 1, 40) == 40
-    assert _path(ops, 1e80) == "population"
     kw = dict(dt=1e80, T=40e80, n_traj=3, seed=0, tracked=[])
-    for product in (False, True):
-        for block in (None, 1):
-            with pytest.MonkeyPatch.context() as mp:
-                if product:
-                    _force_product_path(mp)
-                if block is not None:
-                    mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
-                with pytest.warns(UserWarning, match="Kraus-map bias"):
-                    with pytest.raises(InstabilityError, match=r"^step 2: "):
-                        smesim.simulate_qsme(ops, _ground_state_mixture(4),
-                                             **kw)
+    for block in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_product_path(mp)
+            if block is not None:
+                mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
+            with pytest.warns(UserWarning, match="Kraus-map bias"):
+                with pytest.raises(InstabilityError, match=r"^step 2: "):
+                    smesim.simulate_qsme(ops, _ground_state_mixture(4), **kw)
+
+
+def test_law_path_takes_any_finite_step():
+    """The exact law takes no step: at dt = 1e200, where the Kraus map
+    overflows at its first step, the measured mode's states are finite,
+    positive and of unit trace, with no warning and no InstabilityError
+    (the suite turns numpy's RuntimeWarnings into errors)."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
+    assert _path(ops, 1e200) == "population"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = smesim.simulate_qsme(ops, _ground_state_mixture(4), dt=1e200,
+                                     T=2e200, n_traj=3, seed=0,
+                                     tracked=[("L", ops.l_ops[0])])
+    assert batch.method == "exact_law" and batch.n_steps == 2
+    finals = batch.final_states
+    assert np.isfinite(finals).all() and np.isfinite(batch.tracked_values).all()
+    assert np.allclose(np.einsum("tii->t", finals), 1.0, rtol=0.0, atol=1e-14)
+    assert batch.positivity_margin >= -1e-12
+
+
+def _conditional_variance(values):
+    """Tr(rho L^2) - Tr(rho L)^2 at the last stored time, per trajectory,
+    from tracked [L, L^2]."""
+    return values[:, -1, 1] - values[:, -1, 0] ** 2
+
+
+@pytest.mark.parametrize("system", ["measured", "qnd"])
+def test_kraus_map_converges_to_the_law_at_weak_order_one(system,
+                                                          monkeypatch):
+    """The mean conditional variance of L at T = 0.5, from the benchmark's
+    positive-control state at fock_dim 8, on the measured mode (the
+    positive control) and on the paper's QND mode, against its exact
+    value under the law by quadrature (exact.qnd_law_mean, no Monte Carlo
+    error). The law path's 20000 trajectories agree with it within 3
+    standard errors. The Kraus map, forced, at dt = 1e-3 (4000
+    trajectories, standard error about 0.0018) agrees within 3; at
+    dt = 1e-2 it is biased by more than 5 (about 0.02, 7 to 10 of them),
+    and its bias at 1e-3 is a tenth of that within 3 standard errors of
+    the difference: weak order 1. The two bias estimates are independent
+    (separate streams), so that error is
+    sqrt(se_1e-3^2 + (se_1e-2 / 10)^2)."""
+    ops = smesim.build_truncated_operators(
+        {"measured": _measured_mode, "qnd": _qnd_mode}[system](), fock_dim=8)
+    l = ops.l_ops[0]
+    tracked = [("L", l), ("L2", l @ l)]
+    rho0, T = _half_ground_mixture(8), 0.5
+    truth = exact.qnd_law_mean(
+        ops, rho0, T, lambda p, lam: p @ lam.real ** 2 - (p @ lam.real) ** 2)
+
+    def bias(dt, n_traj, seed):
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=T, n_traj=n_traj,
+                                     seed=seed, tracked=tracked,
+                                     store_every=int(round(T / dt)))
+        x = _conditional_variance(batch.tracked_values)
+        return batch.method, x.mean() - truth, x.std(ddof=1) / np.sqrt(n_traj)
+
+    method, b_law, se_law = bias(1e-3, 20000, 1)
+    assert method == "exact_law" and abs(b_law) <= 3 * se_law, (b_law, se_law)
+    _force_product_path(monkeypatch)
+    with warnings.catch_warnings():  # the QND mode warns at dt = 1e-2:
+        warnings.simplefilter("ignore", UserWarning)  # that bias is measured
+        method, b_coarse, se_coarse = bias(1e-2, 4000, 2)
+    method, b_fine, se_fine = bias(1e-3, 4000, 2)
+    assert method == "kraus"
+    assert abs(b_fine) <= 3 * se_fine, (b_fine, se_fine)
+    assert abs(b_coarse) > 5 * se_coarse, (b_coarse, se_coarse)
+    assert abs(b_fine - b_coarse / 10) <= 3 * np.hypot(se_fine, se_coarse / 10)
+
+
+def test_first_trajectories_do_not_depend_on_the_run_size():
+    """Trajectory i draws from its own stream, so the first k trajectories
+    of a run of n are a run of k. On the exact law each trajectory's read
+    is its own product, and they agree bit for bit, with the squares read
+    (L) and the Gram read (p). The Kraus map reads all trajectories in one
+    GEMM, whose BLAS kernels round a row differently with the row count,
+    so there they agree within twice _one_product_atol, each run being
+    within that of _kraus_reference."""
+    rho0 = _ground_state_mixture(6)
+    dt, n_steps, seed = 1e-3, 40, 13
+    for system in (_measured_mode, _negative_control):
+        ops = smesim.build_truncated_operators(system(), fock_dim=6)
+        a = ops.a_ops[0]
+        for tracked in ([("L", ops.l_ops[0])],
+                        [("L", ops.l_ops[0]), ("p", 1j * (a.conj().T - a))]):
+            kw = dict(dt=dt, T=n_steps * dt, seed=seed, tracked=tracked,
+                      store_every=7)
+            for k, n in ((1, 9), (3, 64), (5, 6)):
+                head = smesim.simulate_qsme(ops, rho0, n_traj=k, **kw)
+                full = smesim.simulate_qsme(ops, rho0, n_traj=n, **kw)
+                if head.method == "exact_law":
+                    assert np.array_equal(full.tracked_values[:k],
+                                          head.tracked_values)
+                    assert np.array_equal(full.final_states[:k],
+                                          head.final_states)
+                    continue
+                _, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n, seed)
+                t_min = 1.0 - full.max_trace_deviation
+                atol = 2 * _one_product_atol(ops, dt, n_steps, max_dy, t_min, 6)
+                assert np.allclose(full.final_states[:k], head.final_states,
+                                   rtol=0.0, atol=atol)
+                for j, (_, x) in enumerate(tracked):
+                    assert np.allclose(full.tracked_values[:k, :, j],
+                                       head.tracked_values[..., j], rtol=0.0,
+                                       atol=atol * np.abs(x).sum())
+
+
+def test_law_store_grid_is_all_that_dt_sets():
+    """On the exact law dt sets only the store grid: (dt, store_every) =
+    (1e-2, 10) and (1e-3, 100) store at the same times 0, 0.1, ..., 1 to
+    rounding, draw the same increments over the same intervals, and give
+    the same stored values and final states to rounding, though their
+    Kraus-map step counts differ tenfold."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
+    l = ops.l_ops[0]
+    tracked = [("L", l), ("L2", l @ l)]
+    rho0 = _half_ground_mixture(8)
+    runs = [smesim.simulate_qsme(ops, rho0, dt=dt, T=1.0, n_traj=50, seed=5,
+                                 tracked=tracked, store_every=every)
+            for dt, every in ((1e-2, 10), (1e-3, 100))]
+    coarse, fine = runs
+    assert (coarse.n_steps, fine.n_steps) == (100, 1000)
+    assert coarse.method == fine.method == "exact_law"
+    assert np.allclose(coarse.times, fine.times, rtol=0.0, atol=1e-15)
+    assert np.allclose(coarse.tracked_values, fine.tracked_values, rtol=0.0,
+                       atol=1e-12)
+    assert np.allclose(coarse.final_states, fine.final_states, rtol=0.0,
+                       atol=1e-12)
+    # the records moved the states: the comparison is not of constants
+    assert np.ptp(coarse.tracked_values[..., 0]) > 1.0
+
+
+def test_law_cost_does_not_grow_with_the_step_count():
+    """A run of 10^7 steps of dt = 1e-7 stored every 10^6 steps samples
+    the law at 11 stored times and finishes in under 5 s."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
+    t0 = time.perf_counter()
+    batch = smesim.simulate_qsme(ops, _half_ground_mixture(8), dt=1e-7,
+                                 T=1.0, n_traj=200, seed=3,
+                                 tracked=[("L", ops.l_ops[0])],
+                                 store_every=10 ** 6)
+    elapsed = time.perf_counter() - t0
+    assert batch.method == "exact_law" and batch.n_steps == 10 ** 7
+    assert len(batch.times) == 11
+    assert elapsed < 5.0, elapsed
 
 
 def _batch_bytes(batch):
     return [batch.times.tobytes(), batch.tracked_values.tobytes(),
             batch.final_states.tobytes(), batch.max_trace_deviation,
-            batch.positivity_margin]
+            batch.positivity_margin, batch.method]
 
 
 @pytest.mark.parametrize("case", ["one_channel", "two_channels", "free",
                                   "one_channel_product"])
 def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
-    """Innovations drawn a block of steps at a time, and the trace ratios
-    checked once per block: with the block monkeypatched to 1 step, to a
-    prime that divides neither the run nor the store interval, and to the
-    whole run, every output byte equals that of the default block. The
-    one-channel and free cases take the population path, the two-channel
-    case and the negative control (one channel) the product path; the
-    number operator n takes the Gram read in every case but the free one."""
+    """The Kraus map draws its innovations a block of steps at a time and
+    checks the trace ratios once per block; the exact law draws its
+    increments and forms its exponents a block of stores at a time,
+    carrying W from block to block. With the block monkeypatched to 1, to
+    a prime that divides neither the run nor the store interval, and to
+    the whole run (150 steps, or 39 stores), every output byte equals that
+    of the default block. The one-channel and free cases take the exact
+    law, and are run again with the product path forced; the two-channel
+    case and the negative control (one channel) take the product path.
+    The number operator n takes the Gram read in every case but the free
+    one."""
     if case == "free":
         d = 4
         ops = smesim.TruncatedOperators(
@@ -720,11 +958,21 @@ def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
     kw = dict(dt=1e-3, T=0.15, n_traj=6, seed=11, tracked=tracked,
               store_every=4)
     rho0 = _ground_state_mixture(d)
-    ref = _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw))
-    assert smesim._noise_block(d, len(ops.l_ops), 150) not in (1, 7, 150)
-    for block in (1, 7, 150):
-        monkeypatch.setattr(smesim, "_noise_block", lambda d, m, n: block)
-        assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
+    m = len(ops.l_ops)
+    law = _path(ops) == "population"
+    # (method, forced, floats per step or store, steps or stores)
+    runs = [("exact_law", False, m + 2 * d, 39), ("kraus", True, m, 150)]
+    for method, forced, width, length in runs if law else [
+            ("kraus", False, m, 150)]:
+        with monkeypatch.context() as mp:
+            if forced:
+                _force_product_path(mp)
+            ref = _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw))
+            assert ref[-1] == method and len(np.frombuffer(ref[0])) == 39
+            assert smesim._noise_block(d, width, length) not in (1, 7, length)
+            for block in (1, 7, length):
+                mp.setattr(smesim, "_noise_block", lambda d, m, n: block)
+                assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
 
 
 def _phase_measured_mode():
@@ -749,9 +997,9 @@ def _q_and_p_modes():
 def test_each_system_takes_its_path(system, path):
     """The measured mode (L = sqrt(2) q, H = 0), the paper's QND mode
     (H = q^2 commutes with L) and a q measurement with a complex coupling
-    phase take the population path: every Kraus basis element is diagonal
-    in the record operator's eigenbasis, within the rounding of its
-    formation and rotation. The two-channel mode (L_2 = 0.5i a), the
+    phase take the population path, the exact law: every Kraus basis
+    element is diagonal in the record operator's eigenbasis, within the
+    rounding of its formation and rotation. The two-channel mode (L_2 = 0.5i a), the
     negative control of acceptance 9 and of the benchmark (H does not
     commute with L) and the two-channel q and p measurement take the
     product path."""
@@ -767,11 +1015,12 @@ def test_complex_coupling_phase_matches_the_product_path(monkeypatch):
     """Under C- = C+ = 0.2 e^{0.3i} the off-diagonal entries of the rotated
     I + K dt sit near 1e-22, where the rounding of the rotation alone
     allows about 1e-36: only the rounding of forming K
-    (`smesim._basis_rounding`) admits the population path. Its final
-    states and stored values agree with the product path's within the
-    bound of the simulate_qsme docstring, 2 n_steps (2 n_basis + 7d + m +
-    7) eps s_M^2 / t_min entry by entry, times sum_ab |X_ab| for Tr(rho X),
-    with s_M from the largest record increment of _kraus_reference."""
+    (`smesim._basis_rounding`) admits the exact law. Its complex lam =
+    0.2 e^{0.3i} sqrt(2) q enters the exponent with its phase, and its
+    final states and stored values agree with exact.qnd_law_states
+    (_check_law). The product path, forced, agrees with _kraus_reference
+    within _one_product_atol, as in
+    test_second_channel_record_matches_per_product_reference."""
     ops = smesim.build_truncated_operators(_phase_measured_mode(), fock_dim=8)
     assert _path(ops) == "population"
     l_ops, k_gen = smesim._generator(ops)
@@ -781,31 +1030,27 @@ def test_complex_coupling_phase_matches_the_product_path(monkeypatch):
     assert 0 < np.abs(forms[0])[off].max()
     assert not smesim._frame_forms(smesim._kraus_basis(l_ops, k_gen, 1e-3), v)[1]
 
-    d, m, n_basis = ops.dim, 1, 3
+    d = ops.dim
     v = _orthonormal_columns(np.random.default_rng(3), d, 3)
     rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
     l = ops.l_ops[0]
     tracked = [("L", l), ("L2", l @ l)]
     dt, n_steps, n_traj, seed = 1e-3, 200, 10, 12
-    kw = dict(dt=dt, T=n_steps * dt, n_traj=n_traj, seed=seed, tracked=tracked)
-    population = smesim.simulate_qsme(ops, rho0, **kw)
-    with monkeypatch.context() as mp:
-        _force_product_path(mp)
-        product = smesim.simulate_qsme(ops, rho0, **kw)
-    _, _, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj, seed)
-    norm = lambda x: np.linalg.norm(x, 2)
-    s_m = (1.0 + dt * norm(k_gen) + max_dy * norm(l)
-           + 0.5 * (max_dy ** 2 + dt) * norm(l) ** 2)
-    t_min = 1.0 - max(population.max_trace_deviation,
-                      product.max_trace_deviation)
-    bound = (2 * n_steps * (2 * n_basis + 7 * d + m + 7)
-             * np.finfo(float).eps * s_m ** 2 / t_min)
-    assert np.abs(population.final_states - product.final_states).max() <= bound
-    for k, (_, x) in enumerate(tracked):
-        assert np.abs(population.tracked_values[..., k]
-                      - product.tracked_values[..., k]).max() <= bound * np.abs(x).sum()
+    law, atol = _check_law(ops, rho0, dt, n_steps, n_traj, seed, tracked)
     # the records moved the states: the comparison is not of two constants
-    assert np.ptp(population.tracked_values[..., 0]) > 1e3 * bound * np.abs(l).sum()
+    assert np.ptp(law.tracked_values[..., 0]) > 1e3 * atol * np.abs(l).sum()
+    _force_product_path(monkeypatch)
+    product = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                   n_traj=n_traj, seed=seed, tracked=tracked)
+    finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps, n_traj,
+                                              seed, tracked)
+    t_min = 1.0 - product.max_trace_deviation
+    assert t_min > 0.5
+    atol = _one_product_atol(ops, dt, n_steps, max_dy, t_min, 3)
+    assert np.allclose(product.final_states, finals, rtol=0.0, atol=atol)
+    for k, (_, x) in enumerate(tracked):
+        assert np.allclose(product.tracked_values[..., k], values[..., k],
+                           rtol=0.0, atol=atol * np.abs(x).sum())
 
 
 def test_repeated_record_eigenvalue_mixed_by_h_takes_the_product_path():
@@ -814,7 +1059,7 @@ def test_repeated_record_eigenvalue_mixed_by_h_takes_the_product_path():
     not diagonal, so the step takes the product path and still agrees with
     _kraus_reference within _one_product_atol, for the final states and
     for Tr(rho L) and Tr(rho H) at every step. With an H that does not mix
-    that eigenspace it takes the population path."""
+    that eigenspace it takes the population path, the exact law."""
     d = 4
     l = np.diag([0.5, 0.5, -0.5, 0.25]).astype(complex)
     swap = np.zeros((d, d), dtype=complex)
@@ -858,13 +1103,16 @@ def test_commuting_tracked_operators_are_read_from_the_squares():
     assert not smesim._frame_forms(commuting + [p], v)[1]
 
 
-def test_non_commuting_tracked_operator_matches_per_product_reference():
+def test_non_commuting_tracked_operator_matches_per_product_reference(
+        monkeypatch):
     """p under a q measurement takes the Gram read, psi^T psi dotted with
-    the rotated form of p, at every step: on the measured mode, whose
-    population path forms psi from the running product g for it, and on
-    the negative control (product path). From a rank-3 state with
-    <p> != 0, and with L beside it, both agree with _kraus_reference
-    within _one_product_atol at every step, as in
+    the rotated form of p, at every stored time. The measured mode's exact
+    law forms psi from g at each store for it, and agrees with
+    exact.qnd_law_states at every step (_check_law). On the measured mode
+    with the product path forced and on the negative control (product
+    path), from a rank-3 state with <p> != 0, and with L beside it, the
+    Kraus map agrees with _kraus_reference within _one_product_atol at
+    every step, as in
     test_second_channel_record_matches_per_product_reference."""
     v = _orthonormal_columns(np.random.default_rng(8), 6, 3)
     rho0 = (v * np.array([0.5, 0.3, 0.2])) @ v.conj().T
@@ -875,8 +1123,16 @@ def test_non_commuting_tracked_operator_matches_per_product_reference():
         assert _path(ops, dt) == path
         a = ops.a_ops[0]
         tracked = [("p", 1j * (a.conj().T - a)), ("L", ops.l_ops[0])]
-        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                     n_traj=n_traj, seed=seed, tracked=tracked)
+        if path == "population":
+            law, atol = _check_law(ops, rho0, dt, n_steps, n_traj, seed,
+                                   tracked)
+            assert np.ptp(law.tracked_values[..., 0]) > 1e3 * atol * np.abs(
+                tracked[0][1]).sum()
+        with monkeypatch.context() as mp:
+            _force_product_path(mp)
+            batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
+                                         n_traj=n_traj, seed=seed,
+                                         tracked=tracked)
         finals, values, max_dy = _kraus_reference(ops, rho0, dt, n_steps,
                                                   n_traj, seed, tracked)
         t_min = 1.0 - batch.max_trace_deviation
@@ -901,11 +1157,13 @@ def peak_kb():  # VmHWM: this process's peak resident set since exec
         return next(int(line.split()[1]) for line in fh
                     if line.startswith("VmHWM:"))
 
-c, z = np.array([[1.0]], dtype=complex), np.zeros((1, 1))
-ops = smesim.build_truncated_operators(qsys.new_system(np.eye(1), c, c, z, z), 2)
-run = lambda T: smesim.simulate_qsme(ops, np.eye(2) / 2, 1e-2, T, 2000, 0,
+c = np.array([[1.0]], dtype=complex)
+h = np.array([[float(sys.argv[2] == "kraus")]])  # H = a^dag a + 1/2 or 0
+ops = smesim.build_truncated_operators(
+    qsys.new_system(np.eye(1), c, c, h, np.zeros((1, 1))), 3)
+run = lambda T: smesim.simulate_qsme(ops, np.eye(3) / 3, 1e-2, T, 2000, 0,
                                      [("L", ops.l_ops[0])], store_every=100)
-run(0.5)
+assert run(0.5).method == sys.argv[2]
 before = peak_kb()
 run(float(sys.argv[1]))
 print(peak_kb() - before)
@@ -917,21 +1175,24 @@ print(peak_kb() - before)
 def test_memory_does_not_grow_with_the_simulated_time():
     """The peak resident set gained by a 2000-trajectory run after a
     warm-up run of T = 0.5, in a fresh process: at T = 16 (1600 steps) it
-    stays within twice that at T = 1, or 1 MB. Drawing the run's
-    innovations up front took 24 MB more at T = 16 and 0.8 MB more at
-    T = 1. The peak is the kernel's VmHWM, not getrusage's ru_maxrss:
-    Linux carries the pre-exec peak of the forked parent into a child's
-    ru_maxrss, so under a large test process it would read no growth."""
+    stays within twice that at T = 1, or 1 MB, on the exact law (q
+    measured, H = 0) and on the Kraus map (H = a^dag a + 1/2, which does
+    not commute with q). Drawing the Kraus map's innovations up front took
+    24 MB more at T = 16 and 0.8 MB more at T = 1. The peak is the
+    kernel's VmHWM, not getrusage's ru_maxrss: Linux carries the pre-exec
+    peak of the forked parent into a child's ru_maxrss, so under a large
+    test process it would read no growth."""
     src = pathlib.Path(smesim.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    growth = {}
-    for T in (1, 16):
-        proc = subprocess.run([sys.executable, "-c", _PEAK_GROWTH, str(T)],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        growth[T] = int(proc.stdout)
-    assert growth[16] <= 2 * max(growth[1], 1024), growth
+    for method in ("exact_law", "kraus"):
+        growth = {}
+        for T in (1, 16):
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_GROWTH, str(T), method],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            growth[T] = int(proc.stdout)
+        assert growth[16] <= 2 * max(growth[1], 1024), (method, growth)
 
 
 def test_benchmark_seed_86_negative_control_runs_to_the_end():
@@ -953,18 +1214,24 @@ def test_benchmark_seed_86_negative_control_runs_to_the_end():
 def test_batch_reports_its_positivity_margin():
     """positivity_margin is the smallest eigenvalue of the final states,
     max_repair_mass what a clip would remove from the worst of them, and
-    every final state is exactly Hermitian with unit trace."""
-    ops = smesim.build_truncated_operators(_measured_mode(coupling=2.0),
-                                           fock_dim=6)
-    batch = smesim.simulate_qsme(ops, _ground_state_mixture(6), dt=1e-3,
-                                 T=0.2, n_traj=8, seed=0, tracked=[])
-    finals = batch.final_states
-    assert batch.positivity_margin == np.linalg.eigvalsh(finals).min()
-    assert batch.positivity_margin >= -1e-12
-    assert batch.max_repair_mass == max(0.0, -batch.positivity_margin)
-    assert np.array_equal(finals, finals.conj().swapaxes(-1, -2))
-    assert np.allclose(np.einsum("tii->t", finals), 1.0, rtol=0.0, atol=1e-14)
-    assert batch.max_trace_deviation > 0.0
+    every final state is exactly Hermitian with unit trace, on the exact
+    law (the measured mode) and on the Kraus map (the negative control).
+    max_trace_deviation is the Kraus map's largest step normalization, and
+    0.0 on the law, which takes no step."""
+    for system, method in ((_measured_mode(coupling=2.0), "exact_law"),
+                           (_negative_control(), "kraus")):
+        ops = smesim.build_truncated_operators(system, fock_dim=6)
+        batch = smesim.simulate_qsme(ops, _ground_state_mixture(6), dt=1e-3,
+                                     T=0.2, n_traj=8, seed=0, tracked=[])
+        finals = batch.final_states
+        assert batch.method == method
+        assert batch.positivity_margin == np.linalg.eigvalsh(finals).min()
+        assert batch.positivity_margin >= -1e-12
+        assert batch.max_repair_mass == max(0.0, -batch.positivity_margin)
+        assert np.array_equal(finals, finals.conj().swapaxes(-1, -2))
+        assert np.allclose(np.einsum("tii->t", finals), 1.0, rtol=0.0,
+                           atol=1e-14)
+        assert (batch.max_trace_deviation > 0.0) == (method == "kraus")
 
 
 def test_store_every_subsampling():
