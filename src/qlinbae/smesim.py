@@ -303,11 +303,11 @@ def _sample_law(l_ops, k_gen, v, psi0, streams, times, forms, diagonal,
     lam = diag[1:]
     drift = diag[0] - 0.5 * np.sum(lam * lam, axis=0)  # kappa - 1/2 sum lam^2
     p0 = np.square(psi0).reshape(r, d, 2).sum(axis=(0, 2))
-    floor = np.where(p0 > 0.0, 0.0, -np.inf)  # the support of p0
+    support = p0 > 0.0
     cdf = np.cumsum(p0)
     u = np.array([gen.random() for gen in streams])
     index = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"),
-                       np.flatnonzero(p0)[-1])
+                       np.flatnonzero(support)[-1])
     rate = 2.0 * lam.real[:, index].T  # dY_j / dt given K, (n_traj, m)
     psi0 = psi0.view(complex)
     if diagonal:  # row 2a of the diagonal: Re (U^dag X U)_aa
@@ -337,7 +337,8 @@ def _sample_law(l_ops, k_gen, v, psi0, streams, times, forms, diagonal,
         w[:, 0] = w[:, c]
 
         re_z = exponent(np.real, t, y)
-        re_z -= (re_z + floor).max(axis=-1, keepdims=True)
+        re_z -= re_z.max(axis=-1, keepdims=True, where=support,
+                         initial=-np.inf)
         np.minimum(re_z, 0.0, out=re_z)  # off the support psi0's column is 0
         pop = p0 * np.exp(2.0 * re_z)
         total = pop.sum(axis=-1)

@@ -212,16 +212,15 @@ def _law_atol(ops, dt, t_max, max_y, r):
                   + 14 * d + 2 * r + 2 * r * d + 2 + 2 * g)
 
 
-def _check_law(ops, rho0, dt, n_steps, n_traj, seed, tracked=(),
-               store_every=1):
+def _check_law(ops, rho0, dt, n_steps, n_traj, seed, tracked=()):
     """Run simulate_qsme on a system that takes the law path and compare
-    its final states and stored values with exact.qnd_law_states on the
-    same streams within _law_atol; the law path reports no step's trace
-    deviation. Returns the batch and that bound."""
+    its final states and the values stored at every step with
+    exact.qnd_law_states on the same streams within _law_atol; the law
+    path reports no step's trace deviation. Returns the batch and that
+    bound."""
     tracked = list(tracked)
     batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=n_steps * dt,
-                                 n_traj=n_traj, seed=seed, tracked=tracked,
-                                 store_every=store_every)
+                                 n_traj=n_traj, seed=seed, tracked=tracked)
     assert batch.method == "exact_law"
     assert batch.max_trace_deviation == 0.0
     states, max_y = exact.qnd_law_states(ops, rho0, batch.times, n_traj, seed)
