@@ -159,9 +159,15 @@ def _square_operator(caller, name, x, d):
 def _real_form(x):
     """R(X) = kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), the real
     2d x 2d form of a complex d x d matrix X:
-    x @ X == (x.view(float) @ R(X)).view(complex) for a complex row x."""
-    return (np.kron(x.real, np.eye(2))
-            + np.kron(x.imag, np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    x @ X == (x.view(float) @ R(X)).view(complex) for a complex row x.
+    Each 2 x 2 block is filled with the products and sums the two krons
+    take, so every entry, signed zeros included, is theirs."""
+    re, im = x.real, x.imag
+    r = np.empty((2 * len(x), 2 * x.shape[1]))
+    r[::2, ::2] = r[1::2, 1::2] = re * 1.0 + im * 0.0
+    r[::2, 1::2] = re * 0.0 + im * 1.0
+    r[1::2, ::2] = re * 0.0 + im * -1.0
+    return r
 
 
 def _eigenframe(x, r):

@@ -40,7 +40,21 @@ into the inner product of row k, and a product with the reciprocal pivots
 follows. A complex A gets its Schur form from LAPACK zgees. A real A,
 such as every quadrature A, gets the real Schur form (dgees, about 3
 times cheaper at N = 64), and one block-diagonal unitary rotation
-triangularizes its 2 x 2 blocks (see `_schur_form`).
+triangularizes its 2 x 2 blocks (see `_complex_schur`). Both gees are
+called directly through scipy.linalg.lapack (`_gees`), with the
+workspace query scipy.linalg.schur makes, since that wrapper costs about
+6 us a call. A real A of even size N = 2h whose lower-left or
+upper-right h x h block is exactly zero is block triangular, and its two
+diagonal blocks are factored apart (see `_schur_of`; Golub & Van Loan,
+sec. 7.1 and 7.6). The paper's BAE conditions write those zeros in the
+quadrature A: Omega purely imaginary with C real or purely imaginary
+makes it block diagonal, Re Omega- = Re Omega+ zeroes its upper-right
+block and Re Omega- = -Re Omega+ its lower-left one, in 12 of the 14
+catalog families. At N = 64 (a 2-core Xeon, one BLAS thread) the two
+half-size dgees take 290-355 us, against 460-530 us for the whole A, or
+850-930 us when the zero block is the upper-right one, which dgees's
+Hessenberg reduction fills in; the whole record of A takes 500-555 us
+against 650-1110 us.
 
 Everything the module derives from A alone is derived once per A, into
 one read-only record (`_SchurRecord`): T and Z, a contiguous Z^H and
@@ -65,7 +79,14 @@ The Schur form is backward stable: A + E = Z T Z^H with ||E||_2 of order
 eps ||A||_F and Z unitary to working precision. For a real A this holds
 for the rotated form as well: the rotation G is unitary to working
 precision, so its rounding and that of the products with it join E and
-the departure of Z from unitarity. Back-substitution solves
+the departure of Z from unitarity. It holds for the split form of a
+block triangular A too: T1 and T2 are backward stable real Schur forms
+of the diagonal blocks A_ii and A_jj, Z_r = diag(Z1, Z2) is orthogonal to
+working precision, and A Z_r - Z_r T_r has the blocks A_ii Z1 - Z1 T1,
+A_jj Z2 - Z2 T2 and A_ij Z2 - Z1 (Z1^T A_ij Z2), the last of order
+eps ||A_ij||_F, while the exact zero block adds nothing. So
+A + E = Z_r T_r Z_r^T with ||E||_2 of order eps ||A||_F, as for one
+factorization, and the rotation then acts as above. Back-substitution solves
 (sI - T + F) y = f + e with |F| <= (N + 1) eps |sI - T| and |e| <=
 (N + 1) eps |f| entrywise (Higham, Accuracy and Stability of Numerical
 Algorithms, Thm 8.5, which holds for any order of each row's inner
@@ -310,7 +331,10 @@ def _comparison(t):
 
 def _schur_form(a):
     """The `_SchurRecord` of the complex Schur form A = Z T Z^H: Z unitary,
-    T upper triangular, and what the module derives from them and A.
+    T upper triangular, and what the module derives from them and A. A
+    real A of even size with an exactly zero lower-left or upper-right
+    half block is factored as its two diagonal blocks, every other A
+    whole (`_schur_of`).
 
     The last record is kept in `_schur_of`, keyed by the exact dtype, shape
     and bytes of A (module docstring, "The solve"): a repeat call on the
@@ -329,9 +353,67 @@ def _schur_of(dtype, shape, data):
     """The record of `_schur_form` for the A whose C-order bytes are
     `data`.
 
-    A complex A takes LAPACK zgees. A real A takes the real Schur form
-    A = Z_r T_r Z_r^T (dgees). Each 2 x 2 diagonal block of T_r holds one
-    complex pair, in the standard form [[a, b], [c, a]] with b c < 0, and
+    A complex A takes its complex Schur form from zgees (`_gees`). A real A
+    takes a real Schur form A = Z_r T_r Z_r^T, which `_complex_schur`
+    rotates into a complex one. A real A of even size N = 2h whose
+    lower-left or upper-right h x h block is exactly zero is block upper
+    triangular, after swapping its q and p halves when the zero block is
+    the upper-right one: A = [[A_ii, A_ij], [0, A_jj]] in the order (i, j)
+    of the halves. Its two diagonal blocks are factored apart by dgees,
+    A_ii = Z1 T1 Z1^T and A_jj = Z2 T2 Z2^T, and Z_r = diag(Z1, Z2), its
+    rows in the order (i, j), with T_r = [[T1, Z1^T A_ij Z2], [0, T2]],
+    satisfies A Z_r = Z_r T_r exactly for orthogonal Z1 and Z2 (Golub &
+    Van Loan, sec. 7.1 and 7.6). T_r is quasi upper triangular with a zero
+    at (h, h - 1), so each of its 2 x 2 blocks lies in one half. Z_r is
+    orthogonal to the working precision of each half, and the rounding of
+    Z1^T A_ij Z2 is of order eps ||A_ij||, so the form is backward stable
+    block by block. Every other real A (of odd size, or with neither block
+    zero) takes one dgees of the whole.
+    """
+    a = np.frombuffer(data, dtype=dtype).reshape(shape)
+    if np.iscomplexobj(a):
+        return _schur_record(a, *_gees(a))
+    h = len(a) // 2
+    q, p = slice(None, h), slice(h, None)
+    even = h > 0 and 2 * h == len(a)
+    if even and not a[p, q].any():
+        i, j = q, p
+    elif even and not a[q, p].any():
+        i, j = p, q  # swap the q and p halves
+    else:
+        return _schur_record(a, *_complex_schur(*_gees(a)))
+    t1, z1 = _gees(a[i, i])
+    t2, z2 = _gees(a[j, j])
+    t = np.zeros(shape)
+    z = np.zeros(shape)
+    t[q, q], t[p, p], t[q, p] = t1, t2, z1.T @ a[i, j] @ z2
+    z[i, q], z[j, p] = z1, z2
+    return _schur_record(a, *_complex_schur(t, z))
+
+
+def _gees(a):
+    """The Schur form A = Z T Z^H of a square A from LAPACK gees, called
+    directly, with the workspace query that scipy.linalg.schur makes: for
+    a complex A (zgees), T is upper triangular and Z unitary; for a real A
+    (dgees), T is quasi upper triangular and Z orthogonal, both real.
+    np.linalg.LinAlgError when gees does not converge."""
+    from scipy.linalg import lapack  # on first use, not when xferfn is imported
+
+    gees = lapack.zgees if np.iscomplexobj(a) else lapack.dgees
+    no_sort = lambda x, y=None: None
+    lwork = gees(no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+    t, *_, z, _, info = gees(no_sort, a, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (gees info {info})")
+    return t, z
+
+
+def _complex_schur(t, z):
+    """The complex Schur form (T, Z) of the real one A = Z_r T_r Z_r^T,
+    given as (T_r, Z_r).
+
+    Each 2 x 2 diagonal block of T_r holds one complex pair, in the
+    standard form [[a, b], [c, a]] with b c < 0, and
     x = (p, i q), p = sqrt(|b| / (|b| + |c|)), q = sqrt(|c| / (|b| + |c|)),
     is a unit eigenvector of the block, for the eigenvalue
     a + i sign(b) sqrt(-b c) (since b q^2 = -c p^2). So the unitary
@@ -341,26 +423,17 @@ def _schur_of(dtype, shape, data):
     sec. 7.4.1); the block sub-diagonal, zero in exact arithmetic, is set
     to zero.
     """
-    import scipy.linalg  # on first use, so importing xferfn does not load it
-
-    a = np.frombuffer(data, dtype=dtype).reshape(shape)
-    if np.iscomplexobj(a):
-        t, z = scipy.linalg.schur(a, output="complex")
-    else:
-        t, z = scipy.linalg.schur(a, output="real")
-        k = np.flatnonzero(t.diagonal(-1))
-        if len(k):
-            k1 = k + 1
-            b, c = np.abs(t.diagonal(1)[k]), np.abs(t.diagonal(-1)[k])
-            g = np.eye(len(t), dtype=complex)
-            g[k, k] = g[k1, k1] = np.sqrt(b / (b + c))
-            g[k, k1] = g[k1, k] = 1j * np.sqrt(c / (b + c))
-            t = g.conj().T @ t @ g
-            t[k1, k] = 0
-            z = z @ g
-        else:
-            t, z = t.astype(complex), z.astype(complex)
-    return _schur_record(a, t, z)
+    k = np.flatnonzero(t.diagonal(-1))
+    if not len(k):
+        return t.astype(complex), z.astype(complex)
+    k1 = k + 1
+    b, c = np.abs(t.diagonal(1)[k]), np.abs(t.diagonal(-1)[k])
+    g = np.eye(len(t), dtype=complex)
+    g[k, k] = g[k1, k1] = np.sqrt(b / (b + c))
+    g[k, k1] = g[k1, k] = 1j * np.sqrt(c / (b + c))
+    t = g.conj().T @ t @ g
+    t[k1, k] = 0
+    return t, z @ g
 
 
 def _resolvent_points(a, points, rhs, lhs):
@@ -372,10 +445,12 @@ def _resolvent_points(a, points, rhs, lhs):
     not finite or exceeds COND_LIMIT there.
 
     A call of more than one point takes the Schur record of A (one complex
-    Schur form; for a real A, the real Schur form plus one block-diagonal
-    rotation; see `_schur_form`). It certifies, through `_cond_bound` and
-    its nu(s), every point whose bound is at most COND_LIMIT / 2, and
-    solves all certified points in one `_schur_solve`; their values lie
+    Schur form; for a real A, the real Schur form, of its two diagonal
+    half blocks apart when an off-diagonal one is exactly zero, plus one
+    block-diagonal rotation; see `_schur_form`). It certifies, through
+    `_cond_bound` and its nu(s), every point whose bound is at most
+    COND_LIMIT / 2, and solves all certified points in one
+    `_schur_solve`; their values lie
     within the forward-error bound delta(s) of the module docstring. The
     factor 2 absorbs the roundoff of computed singular values (relative
     error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12) and the
@@ -621,8 +696,10 @@ def frequency_sweep(r, omegas):
     A row is NaN exactly when cond2(i*omega I - A) is not finite or exceeds
     COND_LIMIT; a NaN or Inf in A, B, C, D or omegas raises
     PreconditionError. One complex Schur form A = Z T Z^H serves the whole grid
-    (for the real quadrature A, its real Schur form with the 2 x 2 blocks
-    triangularized by one block-diagonal rotation): nu(s), from the
+    (for the real quadrature A, its real Schur form, of its two diagonal
+    half blocks apart when the BAE structure makes an off-diagonal one
+    exactly zero, with the 2 x 2 blocks triangularized by one
+    block-diagonal rotation): nu(s), from the
     comparison matrix of sI - T, and the residual ||A Z - Z T||_F bound
     cond2 at every point (see the module docstring), and the rows whose
     bound is at most COND_LIMIT / 2 skip the SVD and come from one

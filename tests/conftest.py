@@ -16,8 +16,8 @@ from qlinbae import qsys, xferfn
 @pytest.fixture(autouse=True)
 def cold_schur_memo():
     """Empty xferfn's memo of its last Schur form before each test, so that
-    a test counting factorizations, or replacing scipy.linalg.schur, sees
-    the same calls whichever test ran before it."""
+    a test counting factorizations, or replacing xferfn._gees, sees the
+    same calls whichever test ran before it."""
     xferfn._schur_of.cache_clear()
 
 

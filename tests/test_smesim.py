@@ -517,6 +517,24 @@ def test_second_channel_record_matches_per_product_reference(monkeypatch):
                                rtol=0.0, atol=atol * np.abs(x).sum())
 
 
+def test_real_form_is_the_kron_form_bit_for_bit():
+    """_real_form fills R(X) with the products and sums of
+    kron(Re X, I_2) + kron(Im X, [[0, 1], [-1, 0]]), so its bytes are
+    those of the kron form, signed zeros included: on matrices whose real
+    and imaginary parts take +0.0, -0.0 and nonzero values, square and not,
+    and their transposes (non-contiguous views)."""
+    rng = np.random.default_rng(11)
+    values = np.array([0.0, -0.0, 1.5, -2.0, 1e-300])
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for shape in ((1, 1), (3, 3), (8, 8), (2, 5)):
+        for _ in range(20):
+            x = np.empty(shape, dtype=complex)
+            x.real, x.imag = rng.choice(values, shape), rng.choice(values, shape)
+            for y in (x, x.T, x.conj()):
+                kron = np.kron(y.real, np.eye(2)) + np.kron(y.imag, j)
+                assert smesim._real_form(y).tobytes() == kron.tobytes()
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
 @settings(max_examples=100, deadline=None)
 def test_eigenbasis_squares_read_the_norm_and_the_record(seed, d, data):

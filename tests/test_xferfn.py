@@ -230,7 +230,7 @@ def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     points = _recording_solve(monkeypatch)
     report = bae.certify_bae(sys_obj)
     assert report.consistency and bae.PQ in report.certified_pairs
-    assert [output for _, output in schurs] == ["real"]
+    assert [(a.dtype, a.shape) for a in schurs] == [(np.float64, (16, 16))]
     assert [len(c) for c in counts] == [0, 0, 0]
     assert len(points) == 1 and len(points[0]) > 9
     assert np.all(points[0][9:].real == 0)
@@ -485,15 +485,15 @@ def _counting(monkeypatch, name, module=np.linalg):
 
 
 def _recording_schur(monkeypatch):
-    """Record (A, output) of every call xferfn makes to scipy.linalg.schur."""
+    """Record the matrix of every factorization xferfn makes (`_gees`)."""
     calls = []
-    schur = scipy.linalg.schur
+    gees = xferfn._gees
 
-    def recorded(a, output):
-        calls.append((a, output))
-        return schur(a, output=output)
+    def recorded(a):
+        calls.append(a)
+        return gees(a)
 
-    monkeypatch.setattr(scipy.linalg, "schur", recorded)
+    monkeypatch.setattr(xferfn, "_gees", recorded)
     return calls
 
 
@@ -513,8 +513,8 @@ def test_grid_takes_one_schur_form(monkeypatch):
     rows = xferfn.frequency_sweep(r, grid)
     assert np.all(np.isfinite(rows)) and rows.flags.c_contiguous
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 0, 0, 0)
-    a, output = schurs[0]
-    assert (a.dtype, output) == (np.float64, "real")
+    a = schurs[0]
+    assert (a.dtype, a.shape) == (np.float64, (16, 16))
     assert not np.array_equal(a, np.triu(a))
     for calls in (schurs, eigs, svds, solves):
         calls.clear()
@@ -525,7 +525,7 @@ def test_grid_takes_one_schur_form(monkeypatch):
     rows = xferfn.frequency_sweep(qsys.ac_realization(sys_obj), grid)
     assert np.all(np.isfinite(rows))
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 0, 0, 0)
-    assert (schurs[0][0].dtype, schurs[0][1]) == (np.complex128, "complex")
+    assert (schurs[0].dtype, schurs[0].shape) == (np.complex128, (16, 16))
 
 
 def test_non_finite_input_is_a_precondition_error(monkeypatch):
@@ -557,20 +557,154 @@ def test_non_finite_input_is_a_precondition_error(monkeypatch):
     assert (schurs, svds) == ([], [])
 
 
-def _schur_fails(a, output):
+def _schur_fails(a):
     raise np.linalg.LinAlgError("Schur form not found")
 
 
 def test_guard_without_schur_form_takes_an_svd_per_point(monkeypatch):
     """When the Schur form fails there is no certificate and no Schur solve:
-    every point gets its own SVD and solve, bit for bit as the reference."""
-    r = qsys.quad_realization(qsys.michelson_system())
+    every point gets its own SVD and solve, bit for bit as the reference,
+    for the michelson A, factored whole, and a block-diagonal A, whose
+    halves are factored apart."""
+    block = qsys.random_system(np.random.default_rng(3), 2, 2,
+                               **FAMILY_KWARGS["bilateral_diag_real_coupling"])
     omegas = np.array([0.5, 1.0, 2.0, 30.0])
-    monkeypatch.setattr(scipy.linalg, "schur", _schur_fails)
+    monkeypatch.setattr(xferfn, "_gees", _schur_fails)
     svds = _counting(monkeypatch, "svd")
-    rows = xferfn.frequency_sweep(r, omegas)
-    assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
-    assert len(svds) == len(omegas)
+    for sys_obj in (qsys.michelson_system(), block):
+        r = qsys.quad_realization(sys_obj)
+        svds.clear()
+        rows = xferfn.frequency_sweep(r, omegas)
+        assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
+        assert len(svds) == len(omegas)
+
+
+def test_gees_that_does_not_converge_raises_linalg_error(monkeypatch):
+    """gees is called directly, so its info is checked there: a nonzero info
+    from dgees or zgees raises LinAlgError (which `_resolvent_points` turns
+    into one SVD per point)."""
+    for name, dtype in (("dgees", float), ("zgees", complex)):
+        gees = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, gees=gees, **kw: (
+            *gees(*args, **kw)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+            xferfn._gees(np.eye(2, dtype=dtype))
+
+
+# ------------------------------------------ Schur form split at a zero block
+
+def _single_schur(dtype, shape, data):
+    """The record of one dgees of the whole real A, as `_schur_of` takes it
+    for an A without a zero block."""
+    a = np.frombuffer(data, dtype=dtype).reshape(shape)
+    return xferfn._schur_record(a, *xferfn._complex_schur(*xferfn._gees(a)))
+
+
+def _zero_blocks(a):
+    """The first entry of each exactly zero lower-left or upper-right half
+    block of a real A of even size: (h, 0), (0, h), both or neither."""
+    h = len(a) // 2
+    if len(a) % 2 or not h or np.iscomplexobj(a):
+        return []
+    return [(i, j) for i, j in ((h, 0), (0, h))
+            if not a[i:i + h, j:j + h].any()]
+
+
+def _assert_rows_agree(r, omegas, rows, want):
+    """The same NaN rows, and every other row within schur_deviation_bound
+    of want: both are Schur solves within delta(s) of G."""
+    assert np.array_equal(np.isnan(rows), np.isnan(want))
+    regular = ~np.isnan(want).all(axis=(1, 2))
+    for w, row, x in zip(omegas[regular], rows[regular], want[regular]):
+        assert np.abs(row - x).max() <= schur_deviation_bound(r, 1j * w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_split_schur_form_on_the_catalog_families(n, monkeypatch):
+    """Every catalog family at n modes. A quadrature A with an exact zero
+    block (12 of the 14 families) takes two half-size factorizations, every
+    other A one of the whole. The record is a complex Schur form of A
+    (`_assert_complex_schur_form`, c = 10) with ||A Z - Z T||_F <= 10 N eps
+    ||A||_F, certify_bae's verdicts are those of the single factorization,
+    and a sweep's rows lie within schur_deviation_bound of its rows."""
+    grid = np.logspace(-3.0, 3.0, 50)
+    rng = np.random.default_rng(n)
+    schurs = _recording_schur(monkeypatch)
+    split = 0
+    for kwargs in FAMILY_KWARGS.values():
+        sys_obj = qsys.random_system(rng, n, 2, **kwargs)
+        r = qsys.quad_realization(sys_obj)
+        a, size = r.a, 2 * n
+        xferfn._schur_of.cache_clear()
+        schurs.clear()
+        _assert_complex_schur_form(a)
+        zero = bool(_zero_blocks(a))
+        split += zero
+        assert [x.shape for x in schurs] == ([(n, n)] * 2 if zero else [(size, size)])
+        assert xferfn._schur_form(a).residual <= (
+            10 * size * np.finfo(float).eps * np.linalg.norm(a))
+        report, rows = bae.certify_bae(sys_obj), xferfn.frequency_sweep(r, grid)
+        with monkeypatch.context() as m:
+            m.setattr(xferfn, "_schur_of", _single_schur)
+            single = bae.certify_bae(sys_obj)
+            single_rows = xferfn.frequency_sweep(r, grid)
+        assert report.certified_pairs == single.certified_pairs
+        assert report.consistency == single.consistency
+        assert report.matched_conditions == single.matched_conditions
+        assert [getattr(report.pattern, x).zero for x in ("qq", "qp", "pq", "pp")] == [
+            getattr(single.pattern, x).zero for x in ("qq", "qp", "pq", "pp")]
+        _assert_rows_agree(r, grid, rows, single_rows)
+    assert split == 12
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_a_tiny_entry_in_the_zero_block_changes_no_verdict(n, monkeypatch):
+    """Metamorphic: one exact zero of the zero block (of each, for a block
+    diagonal A) set to 1e-300 sends A to one factorization of the whole,
+    and block_pattern's verdicts, the sweep's singular rows and (within
+    schur_deviation_bound) its other rows stay those of the split form."""
+    grid = np.logspace(-3.0, 3.0, 50)
+    rng = np.random.default_rng(n)
+    schurs = _recording_schur(monkeypatch)
+    for kwargs in FAMILY_KWARGS.values():
+        r = qsys.quad_realization(qsys.random_system(rng, n, 2, **kwargs))
+        entries = _zero_blocks(r.a)
+        if not entries:
+            continue
+        a = r.a.copy()
+        a[tuple(zip(*entries))] = 1e-300
+        tiny = dataclasses.replace(r, a=a)
+        xferfn._schur_of.cache_clear()
+        schurs.clear()
+        pattern, rows = xferfn.block_pattern(r), xferfn.frequency_sweep(r, grid)
+        tiny_pattern = xferfn.block_pattern(tiny)
+        tiny_rows = xferfn.frequency_sweep(tiny, grid)
+        assert [x.shape for x in schurs] == [(n, n), (n, n), (2 * n, 2 * n)]
+        assert tiny_pattern.zero_blocks() == pattern.zero_blocks()
+        _assert_rows_agree(r, grid, tiny_rows, rows)
+
+
+def test_only_a_real_even_a_with_a_zero_block_is_split(monkeypatch):
+    """A real A of even size with a zero lower-left half block is factored
+    as its two diagonal blocks in order; with a zero upper-right one, the
+    halves are swapped first, so the p-p block comes first. A complex A, a
+    real A of odd size and a real A with neither block zero each take one
+    factorization of the whole."""
+    rng = np.random.default_rng(4)
+    schurs = _recording_schur(monkeypatch)
+    full = rng.standard_normal((4, 4))
+    lower, upper = full.copy(), full.copy()
+    lower[2:, :2] = 0
+    upper[:2, 2:] = 0
+    for a, blocks in ((lower, [full[:2, :2], full[2:, 2:]]),
+                      (upper, [full[2:, 2:], full[:2, :2]])):
+        schurs.clear()
+        _assert_complex_schur_form(a)
+        assert [x.tobytes() for x in schurs] == [x.tobytes() for x in blocks]
+    for a in (lower + 1j * lower, np.triu(rng.standard_normal((3, 3))), full):
+        schurs.clear()
+        _assert_complex_schur_form(a)
+        assert [x.shape for x in schurs] == [a.shape]
 
 
 # ----------------------------------------------------- Schur-form memo
@@ -588,7 +722,7 @@ def test_certify_then_sweep_takes_one_schur_form(monkeypatch):
                             for name in ("_residual", "_comparison"))
     bae.certify_bae(sys_obj)
     xferfn.frequency_sweep(qsys.quad_realization(sys_obj), np.logspace(-3.0, 3.0, 200))
-    assert [output for _, output in schurs] == ["real"]
+    assert [a.shape for a in schurs] == [(16, 16)]
     assert (len(residuals), len(operators)) == (1, 1)
     info = xferfn._schur_of.cache_info()
     assert (info.hits, info.misses) == (1, 1)
@@ -606,11 +740,11 @@ def test_memo_factors_an_a_that_differs_in_one_bit(monkeypatch):
     schurs = _recording_schur(monkeypatch)
     for x in (a, a.copy(), ulp, a, signed, a):
         xferfn._schur_form(x)
-    assert [x.tobytes() for x, _ in schurs] == [
+    assert [x.tobytes() for x in schurs] == [
         x.tobytes() for x in (a, ulp, a, signed, a)]
     a[nonzero] *= 2
     schur = xferfn._schur_form(a)
-    assert len(schurs) == 6 and schurs[-1][0].tobytes() == a.tobytes()
+    assert len(schurs) == 6 and schurs[-1].tobytes() == a.tobytes()
     assert np.allclose(schur.z @ schur.t @ schur.z.conj().T, a)
 
 
