@@ -29,8 +29,9 @@ def main():
     cfg = feedback.SearchConfig(n_starts=args.starts, seed=args.seed)
     candidates = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1),
                                            search_cfg=cfg)
-    print(f"{len(candidates)} certified candidates "
-          f"(best objective overall: {design_best():.3e})")
+    best = (f"best objective {candidates[0].objective:.3e}" if candidates
+            else "none found")
+    print(f"{len(candidates)} certified candidates ({best})")
     for i, c in enumerate(candidates[:3]):
         print(f"--- candidate {i}: objective {c.objective:.3e}")
         print("  k11 =", np.round(c.k11, 4))
@@ -40,11 +41,6 @@ def main():
         print("  reduced Omega- =", np.round(c.reduced.omega_minus, 6))
         print("  certified pairs:",
               sorted(tuple(p) for p in c.report.certified_pairs))
-
-
-def design_best():
-    best = getattr(feedback.design_couplings, "last_best", (float("nan"),))
-    return best[0]
 
 
 if __name__ == "__main__":

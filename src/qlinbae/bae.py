@@ -35,14 +35,19 @@ _BLOCKS = {"S": lambda sys: (sys.s,),
 # (blocks, power, residual): it holds when ||residual(*blocks)|| <= tol *
 # scale ** power, scale = max ||block||, with no floor (matcore._negligible).
 # A test of the stacked (U, V) at their joint scale reads the same floats as
-# one of Delta(U, V); a block set to zero is measured against its pair.
+# one of Delta(U, V); a block set to zero is measured against its pair. The
+# three rows feedback.design_couplings targets take blocks with leading batch
+# axes, and flatten to its residual: Omega stacked as [Omega-, Omega+], C
+# row-wise as [C- C+].
 _PREDICATES = {
     "S real": ("S", 1, np.imag),
     "S purely imaginary": ("S", 1, np.real),
     "S = I": ("S", 1, lambda s: s - np.eye(len(s))),
-    "C real": ("C", 1, lambda u, v: np.imag((u, v))),
-    "C purely imaginary": ("C", 1, lambda u, v: np.real((u, v))),
-    "Omega purely imaginary": ("Omega", 1, lambda u, v: np.real((u, v))),
+    "C real": ("C", 1, lambda u, v: np.imag(np.concatenate((u, v), axis=-1))),
+    "C purely imaginary": ("C", 1,
+                           lambda u, v: np.real(np.concatenate((u, v), axis=-1))),
+    "Omega purely imaginary": ("Omega", 1,
+                               lambda u, v: np.real(np.stack((u, v), axis=-3))),
     "Re(Omega-) = Re(Omega+)": ("Omega", 1, lambda u, v: (u - v).real),
     "Re(Omega-) = -Re(Omega+)": ("Omega", 1, lambda u, v: (u + v).real),
     "Omega- = Omega+": ("Omega", 1, operator.sub),

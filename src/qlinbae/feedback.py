@@ -227,10 +227,6 @@ class DesignCandidate:
     reduced: QuantumLinearSystem
 
 
-DEFAULT_SB_CANDIDATES = ("identity", "i", "-i")
-DEFAULT_SG_CANDIDATES = ("identity", "swap")
-
-
 def _sb_matrix(tag, m2):
     return {"identity": np.eye(m2),
             "i": 1j * np.eye(m2),
@@ -254,20 +250,23 @@ def _sg_matrix(tag, m1, m2):
 
 
 def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
-                      branch):
-    """Residual vector whose squared norm is the design objective with the
-    coupling-structure branch ('real' or 'imag') fixed; s12, s22 and the
-    loop gain w belong to one validated, well-posed topology. A batch of
-    points x[..., dim] gives residuals [..., len]."""
+                      coupling):
+    """Residual vector whose squared norm is the design objective: the
+    bae._PREDICATES residuals of "Omega purely imaginary" and of the
+    coupling hypothesis ("C real" or "C purely imaginary") on the reduced
+    system, flattened and joined in that order; s12, s22 and the loop gain
+    w belong to one validated, well-posed topology. A batch of points
+    x[..., dim] gives residuals [..., len]."""
     lead = x.shape[:-1]
     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
     c_minus, c_plus, om, op = _reduce_arrays(k11, k12, k21, k22, s12, s22, w,
                                              omega_minus, omega_plus)
-    c_bar = np.concatenate([c_minus, c_plus], axis=-1)
-    c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
-    return np.concatenate([np.real(om).reshape(*lead, -1),
-                           np.real(op).reshape(*lead, -1),
-                           c_part.reshape(*lead, -1)], axis=-1)
+    blocks = {"C": (c_minus, c_plus), "Omega": (om, op)}
+    parts = []
+    for hypothesis in ("Omega purely imaginary", coupling):
+        name, _, residual = bae._PREDICATES[hypothesis]
+        parts.append(residual(*blocks[name]).reshape(*lead, -1))
+    return np.concatenate(parts, axis=-1)
 
 
 def _unpack(x, m1, m2, n):
@@ -283,7 +282,7 @@ def _unpack(x, m1, m2, n):
     return mats
 
 
-def _quadratic_model(fixed, branch):
+def _quadratic_model(fixed, coupling):
     """Tabulate (r0, L, H) with _design_residuals(x) = r0 + L x + x^T H x / 2
     exactly, from one batched call of the residual kernel.
 
@@ -310,7 +309,7 @@ def _quadratic_model(fixed, branch):
     om = np.zeros((len(points), n, n), dtype=complex)
     op = np.zeros((len(points), n, n), dtype=complex)
     om[0], op[0] = omega_minus, omega_plus
-    r = _design_residuals(points, om, op, m1, m2, n, *topology, branch)
+    r = _design_residuals(points, om, op, m1, m2, n, *topology, coupling)
     r0, plus, minus = r[0], r[1:dim + 1], r[dim + 1:2 * dim + 1]
     lin = ((plus - minus) / 2).T
     hess = (r[2 * dim + 1:].reshape(dim, dim, -1)
@@ -404,8 +403,9 @@ def _pack(k11, k12, k21, k22):
     ])
 
 
-def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
-                     search_cfg=None, s_g_candidates=None):
+def design_couplings(omega_minus, omega_plus, split,
+                     s_b_candidates=("identity", "i", "-i"), search_cfg=None,
+                     s_g_candidates=("identity", "swap")):
     """Search over coupling gains (k11, k12, k21, k22), beamsplitter
     choices, and plant-scattering topologies for reduced systems whose
     Hamiltonian is purely imaginary and whose coupling is real or purely
@@ -416,8 +416,10 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     sign-definite Hermitian form and cannot cancel an indefinite target.
 
     Random multi-start followed by local refinement (trust-region least
-    squares on the residual vector, run once per coupling-structure branch)
-    of the objective
+    squares on the residual vector, run once per coupling hypothesis) of
+    the objective J, the sum of the squared bae._PREDICATES residuals of
+    the target hypotheses on the reduced system: "Omega purely imaginary"
+    and one of "C real" and "C purely imaginary", that is
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
     Validation runs once per search and once per candidate, never per
@@ -428,11 +430,11 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     C+- = k1. + S12 W k2. are linear in x, F and G are linear in x, the
     Omega shift is built from the products F k2. and G k2., and Omega+-
     enter only additively. So r(x) = r0 + L x + x^T H x / 2 holds exactly;
-    (r0, L, H) is tabulated once per topology and branch (_quadratic_model
+    (r0, L, H) is tabulated once per topology and hypothesis (_quadratic_model
     gives the derivation and the formulas), and the refinement runs on the
     polynomial with its exact Jacobian L + H x. Each refined point's J is
     recomputed with the residual kernel itself, so the candidate threshold
-    and last_best never rest on the tabulation. A topology is skipped
+    never rests on the tabulation. A topology is skipped
     before any tabulation when its loop is singular, or when
     _objective_floor proves that no gains on it give a computed J at most
     CANDIDATE_THRESHOLD: with S12 = 0 the Omega- shift is sign-definite
@@ -443,9 +445,7 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     Candidates with J at most CANDIDATE_THRESHOLD are re-validated through
     reduce_network and certified with bae.certify_bae (at a tolerance no
     finer than the achieved residual), and returned sorted by J. An empty
-    list carries no error; design_couplings.last_best holds the best
-    (J, x, s_b, s_plant) found on the refined topologies (a skipped one
-    is in no refinement).
+    list carries no error.
     """
     from scipy import optimize  # on first use, so importing feedback does not load it
 
@@ -457,13 +457,8 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
     new_system(np.eye(m1 + m2), np.zeros((m1 + m2, n)), np.zeros((m1 + m2, n)),
                omega_minus, omega_plus)  # the target's one validation
     rng = np.random.default_rng(cfg.seed)
-    if s_b_candidates is None:
-        s_b_candidates = DEFAULT_SB_CANDIDATES
-    if s_g_candidates is None:
-        s_g_candidates = DEFAULT_SG_CANDIDATES
 
     candidates = []
-    best = (np.inf, None, None, None)
     dim = 4 * n * (m1 + m2)
     for sg_tag in s_g_candidates:
         sg = _sg_matrix(sg_tag, m1, m2)
@@ -485,20 +480,17 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
             fixed = (omega_minus, omega_plus, m1, m2, n, s12, s22, w)
             if _objective_floor(fixed) > CANDIDATE_THRESHOLD:
                 continue  # no refinement here can reach a candidate
-            models = {branch: _quadratic_model(fixed, branch)
-                      for branch in ("imag", "real")}
+            models = {coupling: _quadratic_model(fixed, coupling)
+                      for coupling in ("C real", "C purely imaginary")}
             for x0 in starts:
-                for branch in ("imag", "real"):
+                for coupling, model in models.items():
                     res = optimize.least_squares(
                         _quadratic_residuals, x0, jac=_quadratic_jacobian,
-                        args=models[branch],
-                        method="trf", max_nfev=REFINE_MAXITER,
+                        args=model, method="trf", max_nfev=REFINE_MAXITER,
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
                     # gate on the kernel itself, not on the tabulation
-                    r = _design_residuals(res.x, *fixed, branch)
+                    r = _design_residuals(res.x, *fixed, coupling)
                     j = float(np.sum(r ** 2))
-                    if j < best[0]:
-                        best = (j, res.x.copy(), sb, sg)
                     if j > CANDIDATE_THRESHOLD:
                         continue
                     k11, k12, k21, k22 = _unpack(res.x, m1, m2, n)
@@ -511,5 +503,4 @@ def design_couplings(omega_minus, omega_plus, split, s_b_candidates=None,
                         k11=k11, k12=k12, k21=k21, k22=k22, s_b=sb,
                         s_plant=sg, objective=j, report=report, reduced=red))
     candidates.sort(key=lambda c: c.objective)
-    design_couplings.last_best = best  # diagnostic for empty results
     return candidates

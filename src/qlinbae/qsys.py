@@ -60,10 +60,6 @@ class Realization:
     d: np.ndarray
 
     @property
-    def n_modes(self):
-        return self.a.shape[0] // 2
-
-    @property
     def m_channels(self):
         return self.d.shape[0] // 2
 

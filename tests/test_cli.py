@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlinbae import cli, feedback, qsys
+from qlinbae import cli, feedback, kalman, qsys
 from qlinbae.xferfn import frequency_sweep
 
 
@@ -672,6 +672,34 @@ def test_kalman_command(tmp_path, capsys):
     assert out["theorem"]["q_wrt_p"] and out["theorem"]["p_wrt_q"]
     assert out["markov_identity"]["premise_holds"]
 
+
+@pytest.mark.parametrize("a_co,gamma_q,gamma_p", [
+    (-np.eye(2), [[1.0]], [[1.0j]]),
+    (np.array([[-1.0, 0.3, 0.0, 0.2], [0.1, -2.0, 0.5, 0.0],
+               [0.0, 0.4, -1.5, 0.1], [0.2, 0.0, 0.3, -0.5]]),
+     [[1.0 + 0.5j, 0.2], [0.3j, 1.0]], [[0.4, 1.0 - 0.2j], [0.5 + 1.0j, 0.1]]),
+], ids=["kappa", "two_channel"])
+def test_kalman_command_from_gamma(tmp_path, capsys, a_co, gamma_q, gamma_p):
+    """A kalman section with A_co, Gamma_q and Gamma_p reports the theorem
+    of the subsystem from_gamma assembles, its symmetry check included."""
+    doc = {**_michelson_doc(), "kalman": {
+        "A_co": cli.emit_complex_matrix(a_co),
+        "Gamma_q": cli.emit_complex_matrix(np.array(gamma_q)),
+        "Gamma_p": cli.emit_complex_matrix(np.array(gamma_p))}}
+    assert cli.main(["kalman", _write(tmp_path, doc)]) == 0
+    theorem = json.loads(capsys.readouterr().out)["theorem"]
+    assert theorem == kalman.check_kalman_bae(
+        kalman.from_gamma(a_co, gamma_q, gamma_p))
+    assert theorem["re_gamma_product_symmetric"] is not None
+
+
+@pytest.mark.parametrize("command,section", [
+    (["kalman"], "kalman"), (["feedback", "reduce"], "feedback")])
+def test_required_section_must_be_present(tmp_path, capsys, command, section):
+    """kalman and feedback reduce read their whole input from a section: a
+    spec without it is one error line naming the section."""
+    assert cli.main([*command, _write(tmp_path, _michelson_doc())]) == 1
+    assert capsys.readouterr().err == f"error: spec file has no {section!r} section\n"
 
 
 @pytest.mark.parametrize("key,value,words", [

@@ -139,7 +139,7 @@ def _validated_residuals(x, om, op, m1, m2, n, sb, sg, branch):
                                 s_plant=sg)
     red = feedback.reduce_network(net)
     c_bar = np.hstack([red.c_minus, red.c_plus])
-    c_part = np.imag(c_bar) if branch == "imag" else np.real(c_bar)
+    c_part = np.imag(c_bar) if branch == "C real" else np.real(c_bar)
     return np.concatenate([np.real(red.omega_minus).ravel(),
                            np.real(red.omega_plus).ravel(), c_part.ravel()])
 
@@ -161,7 +161,7 @@ def test_design_residuals_match_validated_reduction():
                                              net.k21, net.k22, net.s_b,
                                              s_plant=sg)
             w = feedback._loop_gain(topology.s22, topology.s_b)
-            for branch in ("imag", "real"):
+            for branch in ("C real", "C purely imaginary"):
                 hoisted = feedback._design_residuals(
                     x, om, op, m1, m2, n, topology.s12, topology.s22, w,
                     branch)
@@ -220,6 +220,35 @@ def test_designer_indefinite_target_needs_swap_topology():
     assert best.report.certified_pairs
     assert best.report.consistency
 
+
+def test_designer_skips_a_swap_routing_of_unequal_split(monkeypatch):
+    """Swap routing needs m1 = m2: with split (1, 2) it is no topology, so
+    the search refines nothing and returns no candidate."""
+    calls = []
+    monkeypatch.setattr(optimize, "least_squares",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    assert feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 2), search_cfg=cfg,
+                                     s_g_candidates=("swap",)) == []
+    assert calls == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CANDIDATE_THRESHOLD is absolute: at 1e-6 times the anchor, gains of the "
+    "identity routing reach J = 5e-13 with a reduced Re Omega a quarter of "
+    "Omega_red, and pass as candidates"))
+def test_designer_candidates_hold_the_target_at_a_small_time_unit():
+    """The identity routing cannot cancel the anchor's indefinite Re Omega-
+    (_objective_floor), and at 1 and 1e-3 times the anchor it is pruned. A
+    candidate must hold "Omega purely imaginary" at the default tolerance in
+    any time unit; at 1e-6 times the anchor the routing's two candidates do
+    not, nor do they match any cataloged condition."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands = feedback.design_couplings(1e-6 * OM_MINUS, 1e-6 * OM_PLUS, (1, 1),
+                                      search_cfg=cfg, s_g_candidates=("identity",))
+    for cand in cands:
+        holds = bae._Verdicts(cand.reduced, matcore.DEFAULT_TOL)
+        assert holds["Omega purely imaginary"], cand.objective
 
 
 def test_designer_builds_a_network_per_candidate_only(monkeypatch):
@@ -311,7 +340,7 @@ def test_quadratic_model_is_the_residual():
         dim = 4 * n * (m1 + m2)
         bound_scale = max(1.0, np.abs(om).max(), np.abs(op).max())
         eye = np.eye(dim)
-        for branch in ("imag", "real"):
+        for branch in ("C real", "C purely imaginary"):
             r0, lin, hess = feedback._quadratic_model(fixed, branch)
             assert np.array_equal(r0[:2 * om.size], np.concatenate(
                 [np.real(om).ravel(), np.real(op).ravel()]))
@@ -420,7 +449,7 @@ def test_objective_floor_bounds_every_refined_objective():
         want = parts[sign] if sign else 0.0
         assert want - 1e-9 * (1 + want) <= floor <= want
         best = np.inf
-        for branch in ("imag", "real"):
+        for branch in ("C real", "C purely imaginary"):
             model = feedback._quadratic_model(fixed, branch)
             for _ in range(2):
                 res = optimize.least_squares(
