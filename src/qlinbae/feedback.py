@@ -16,7 +16,7 @@ from .xferfn import COND_LIMIT, _tf_points
 
 REDUCTION_OMEGAS = np.logspace(-2, 2, 16)
 CANDIDATE_THRESHOLD = 1e-12  # largest design objective kept as a candidate
-REFINE_MAXITER = 400  # residual evaluations per least-squares refinement
+REFINE_MAXITER = 400  # residual evaluations per start: Newton, then any hand-off
 
 
 @dataclass(frozen=True)
@@ -327,6 +327,78 @@ def _quadratic_jacobian(x, r0, lin, hess):
     return lin + hess @ x
 
 
+def _newton(x, r0, lin, hess):
+    """Minimum-norm Gauss-Newton on r(x) = r0 + L x + x^T H x / 2 from x:
+    x <- x - lam s with s = J(x)^+ r(x), the minimum-norm least-squares
+    solution of J(x) s = r(x) (np.linalg.lstsq), and lam = 1, 1/2, 1/4, ...
+    the first that lowers ||r||^2. Returns the last accepted point.
+
+    Convergence. Re Omega's off-diagonal entries appear twice in r, with
+    equal rows of J, so J never has full row rank; but where it has full
+    rank on the distinct entries, r lies in its range and J J^+ r = r. The
+    model is exactly quadratic, so the full step then leaves
+      r(x - s) = r - J s + s^T H s / 2 = s^T H s / 2,
+    hence ||r(x - s)|| <= h ||r||^2 / (2 sigma^2), with h the norm of the
+    tensor H (sqrt of the sum of ||H_i||_2^2) and sigma the smallest
+    nonzero singular value of J, since ||s|| <= ||r|| / sigma. Near such a
+    zero the full step is taken and ||r|| falls quadratically (Ben-Israel
+    1966, J. Math. Anal. Appl. 15:243-252; Nocedal & Wright 2006,
+    Numerical Optimization, ch. 11). Each step is a descent direction for
+    ||r||^2 wherever J^T r != 0: r^T J J^+ r = ||P r||^2, P the projector
+    on J's range.
+
+    Stopping. The update x - lam s is stored with a relative error of up to
+    u = eps / 2 in each entry, an error of norm up to u ||x - lam s||,
+    about u ||x||. A step no longer than eps ||x||, two such roundings, is
+    lost in them: the point it reaches is set by rounding, not by the step.
+    So the iteration stops when s, or lam s while lam halves, is that
+    short, which also ends a search where no lam lowers ||r||^2, and when
+    it has evaluated r REFINE_MAXITER times."""
+    r = _quadratic_residuals(x, r0, lin, hess)
+    f = r @ r
+    evals = 1
+    while evals < REFINE_MAXITER:
+        step = np.linalg.lstsq(_quadratic_jacobian(x, r0, lin, hess), r,
+                               rcond=None)[0]
+        rounding = np.finfo(float).eps * np.linalg.norm(x)
+        while np.linalg.norm(step) > rounding and evals < REFINE_MAXITER:
+            trial = x - step
+            r_trial = _quadratic_residuals(trial, r0, lin, hess)
+            evals += 1
+            f_trial = r_trial @ r_trial
+            if f_trial < f:
+                break
+            step = step / 2
+        else:
+            return x
+        x, r, f = trial, r_trial, f_trial
+    return x
+
+
+def _kernel_objective(x, fixed, coupling):
+    r = _design_residuals(x, *fixed, coupling)
+    return float(np.sum(r ** 2))
+
+
+def _refine(x0, model, fixed, coupling):
+    """Refine one start on one branch as the designer does, and return the
+    point with its objective J computed by the residual kernel itself.
+    _newton runs first; only where its kernel J is still above
+    CANDIDATE_THRESHOLD does the start go to scipy's trust-region least
+    squares from x0, so no candidate that search alone finds is lost."""
+    x = _newton(x0, *model)
+    j = _kernel_objective(x, fixed, coupling)
+    if j <= CANDIDATE_THRESHOLD:
+        return x, j
+    from scipy import optimize  # only on a hand-off, so Newton alone loads no scipy
+
+    x = optimize.least_squares(
+        _quadratic_residuals, x0, jac=_quadratic_jacobian, args=model,
+        method="trf", max_nfev=REFINE_MAXITER,
+        xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+    return x, _kernel_objective(x, fixed, coupling)
+
+
 def _objective_floor(fixed):
     """A lower bound, certified against rounding, on the objective j that
     the kernel computes at any gains on this topology, or 0.0 where no
@@ -415,11 +487,10 @@ def design_couplings(omega_minus, omega_plus, split,
     s_b candidate here) the loop-induced Hamiltonian shift is a
     sign-definite Hermitian form and cannot cancel an indefinite target.
 
-    Random multi-start followed by local refinement (trust-region least
-    squares on the residual vector, run once per coupling hypothesis) of
-    the objective J, the sum of the squared bae._PREDICATES residuals of
-    the target hypotheses on the reduced system: "Omega purely imaginary"
-    and one of "C real" and "C purely imaginary", that is
+    Random multi-start followed by local refinement, run once per coupling
+    hypothesis, of the objective J, the sum of the squared bae._PREDICATES
+    residuals of the target hypotheses on the reduced system: "Omega
+    purely imaginary" and one of "C real" and "C purely imaginary", that is
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
     Validation runs once per search and once per candidate, never per
@@ -432,9 +503,30 @@ def design_couplings(omega_minus, omega_plus, split,
     enter only additively. So r(x) = r0 + L x + x^T H x / 2 holds exactly;
     (r0, L, H) is tabulated once per topology and hypothesis (_quadratic_model
     gives the derivation and the formulas), and the refinement runs on the
-    polynomial with its exact Jacobian L + H x. Each refined point's J is
-    recomputed with the residual kernel itself, so the candidate threshold
-    never rests on the tabulation. A topology is skipped
+    polynomial with its exact Jacobian L + H x.
+
+    The refinement (_refine) is minimum-norm Gauss-Newton (_newton):
+    x <- x - lam J^+ r, lam halved from 1 until ||r||^2 falls. The problem
+    is underdetermined and every candidate is a zero of r; where J has
+    full rank on the distinct residuals the full step leaves exactly
+    s^T H s / 2, so near such a zero ||r|| falls quadratically (Ben-Israel
+    1966, J. Math. Anal. Appl. 15:243-252; Nocedal & Wright 2006,
+    Numerical Optimization, ch. 11). It stops when the step, or lam times
+    it, is no longer than eps ||x||, the rounding with which x itself is
+    stored, when no lam lowers ||r||^2, or after REFINE_MAXITER residual
+    evaluations; _newton gives the bound and its derivation. At a zero
+    where J loses rank the rate is linear: on the swap routings of the
+    two-mode anchor in tests/test_feedback.py, J has rank 8 against 10
+    distinct residuals there, and ||r|| falls by about 4 per step, as
+    Newton's error halves at a singular root (Decker, Keller & Kelley 1983,
+    SIAM J. Numer. Anal. 20:296-314). Each refined point's J is recomputed
+    with the residual kernel itself, so the candidate threshold never
+    rests on the tabulation. Only a start whose kernel J after Newton is
+    still above CANDIDATE_THRESHOLD goes on to scipy's trust-region least
+    squares, from the same x0 with the same arguments as a search without
+    Newton, so every start and hypothesis that gave such a search a
+    candidate still gives one; scipy.optimize is imported on that path
+    alone. A topology is skipped
     before any tabulation when its loop is singular, or when
     _objective_floor proves that no gains on it give a computed J at most
     CANDIDATE_THRESHOLD: with S12 = 0 the Omega- shift is sign-definite
@@ -447,8 +539,6 @@ def design_couplings(omega_minus, omega_plus, split,
     finer than the achieved residual), and returned sorted by J. An empty
     list carries no error.
     """
-    from scipy import optimize  # on first use, so importing feedback does not load it
-
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
     omega_minus = np.atleast_2d(np.asarray(omega_minus, dtype=complex))
@@ -484,16 +574,10 @@ def design_couplings(omega_minus, omega_plus, split,
                       for coupling in ("C real", "C purely imaginary")}
             for x0 in starts:
                 for coupling, model in models.items():
-                    res = optimize.least_squares(
-                        _quadratic_residuals, x0, jac=_quadratic_jacobian,
-                        args=model, method="trf", max_nfev=REFINE_MAXITER,
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-                    # gate on the kernel itself, not on the tabulation
-                    r = _design_residuals(res.x, *fixed, coupling)
-                    j = float(np.sum(r ** 2))
+                    x, j = _refine(x0, model, fixed, coupling)
                     if j > CANDIDATE_THRESHOLD:
                         continue
-                    k11, k12, k21, k22 = _unpack(res.x, m1, m2, n)
+                    k11, k12, k21, k22 = _unpack(x, m1, m2, n)
                     net = make_network(omega_minus, omega_plus,
                                        k11, k12, k21, k22, sb, s_plant=sg)
                     red = reduce_network(net)

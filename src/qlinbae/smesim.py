@@ -704,8 +704,11 @@ class MartingaleEntry:
 def martingale_stats(batch):
     """Ensemble mean and standard error of each tracked quantity on the
     stored grid; the drift (mean at the final time minus mean at time 0) is
-    compared against 3 x (standard error + dt-proportional bias allowance).
-    The standard error needs n_traj >= 2 trajectories.
+    compared against 3 x the final standard error, plus, on a "kraus"
+    batch, 3 dt ||X|| for the integrator's first-order weak bias. An
+    "exact_law" batch samples the exact law and has no such bias, so its
+    allowance does not depend on dt. The standard error needs n_traj >= 2
+    trajectories.
     """
     out = []
     n_traj = batch.tracked_values.shape[0]
@@ -718,7 +721,8 @@ def martingale_stats(batch):
         means = vals.mean(axis=0)
         ses = vals.std(axis=0, ddof=1) / np.sqrt(n_traj)
         drift = float(means[-1] - means[0])
-        allowance = 3.0 * (float(ses[-1]) + batch.dt * batch.tracked_norms[k])
+        bias = batch.dt * batch.tracked_norms[k] if batch.method == "kraus" else 0.0
+        allowance = 3.0 * (float(ses[-1]) + bias)
         out.append(MartingaleEntry(
             name=name, means=means, standard_errors=ses, drift=drift,
             allowance=allowance, passed=abs(drift) <= allowance))

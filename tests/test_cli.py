@@ -164,27 +164,35 @@ def test_writer_is_indented_json_dumps(doc):
 
 def test_import_loads_no_scipy():
     """Importing the package and its CLI loads no scipy; the designer loads
-    scipy.optimize on its first call."""
+    scipy.optimize only when a start is handed to the trust region, here
+    forced by a Newton refinement that returns its start."""
     code = textwrap.dedent("""
         import json, sys
         import qlinbae, qlinbae.cli
         def loaded():
             return sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
+        def design():
+            return qlinbae.feedback.design_couplings(
+                [[0.0]], [[0.5j]], (1, 1), s_b_candidates=("-i",),
+                search_cfg=qlinbae.feedback.SearchConfig(n_starts=1))
         at_import = loaded()
-        qlinbae.feedback.design_couplings(
-            [[0.0]], [[0.5j]], (1, 1), s_b_candidates=("-i",),
-            search_cfg=qlinbae.feedback.SearchConfig(n_starts=1))
-        print(json.dumps([at_import, "scipy.optimize" in loaded()]))
+        found = len(design())
+        after_newton = "scipy.optimize" in loaded()
+        qlinbae.feedback._newton = lambda x0, *model: x0
+        design()
+        print(json.dumps([at_import, found, after_newton,
+                          "scipy.optimize" in loaded()]))
     """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, optimize_after_design = json.loads(proc.stdout)
+    at_import, found, after_newton, after_hand_off = json.loads(proc.stdout)
     assert at_import == []
-    assert optimize_after_design
+    assert found and not after_newton
+    assert after_hand_off
 
 
 def test_spec_roundtrip(tmp_path):

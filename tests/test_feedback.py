@@ -132,6 +132,20 @@ def test_anchor_network_oracle_and_crossterm_shift():
 
 # ---------------------------------------------------------------- designer
 
+def _count_refinements(monkeypatch):
+    """Record the branch of every refinement the designer runs: one call of
+    feedback._refine per start and branch."""
+    calls = []
+    refine = feedback._refine
+
+    def counting(x0, model, fixed, coupling):
+        calls.append(coupling)
+        return refine(x0, model, fixed, coupling)
+
+    monkeypatch.setattr(feedback, "_refine", counting)
+    return calls
+
+
 def _validated_residuals(x, om, op, m1, m2, n, sb, sg, branch):
     """The design residual through the validated path: make_network and
     reduce_network on the unpacked gains."""
@@ -174,14 +188,7 @@ def test_designer_trivial_target(monkeypatch):
     must return certified candidates from the open-loop start. The identity
     beamsplitter on the identity plant makes I - S22 S_b = 0 for every gain,
     so that topology is skipped without running the optimizer."""
-    calls = []
-    least_squares = optimize.least_squares
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["args"])
-        return least_squares(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "least_squares", counting)
+    calls = _count_refinements(monkeypatch)
     om = np.array([[1.0j * 0.0]])  # zero is trivially purely imaginary
     op = np.array([[0.5j]])
     cfg = feedback.SearchConfig(n_starts=2, seed=1)
@@ -224,9 +231,7 @@ def test_designer_indefinite_target_needs_swap_topology():
 def test_designer_skips_a_swap_routing_of_unequal_split(monkeypatch):
     """Swap routing needs m1 = m2: with split (1, 2) it is no topology, so
     the search refines nothing and returns no candidate."""
-    calls = []
-    monkeypatch.setattr(optimize, "least_squares",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _count_refinements(monkeypatch)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     assert feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 2), search_cfg=cfg,
                                      s_g_candidates=("swap",)) == []
@@ -273,14 +278,7 @@ def test_designer_refines_every_start_at_large_scale(monkeypatch):
     """Every start is refined, whatever the target's scale: at 1e6 times the
     anchor Hamiltonian the starts' objectives exceed 1e12, and the search
     must still run both branches from each and reach the threshold."""
-    calls = []
-    least_squares = optimize.least_squares
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["args"])
-        return least_squares(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "least_squares", counting)
+    calls = _count_refinements(monkeypatch)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
                                       search_cfg=cfg, s_b_candidates=("-i",),
@@ -366,35 +364,158 @@ def test_quadratic_model_is_the_residual():
 def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
     """One tabulation per refined (topology, branch) and one gate per
     refinement: the residual kernel's call count does not grow with the
-    optimizer's evaluations, so finite differences cannot return unnoticed.
-    The identity routing with S_b = -i is pruned (its floor on the anchor
-    is ||(Re Omega-)_-||_F^2 = 0.026): no tabulation, no refinement."""
+    refinement's evaluations of the tabulated polynomial, so finite
+    differences cannot return unnoticed. The identity routing with
+    S_b = -i is pruned (its floor on the anchor is ||(Re Omega-)_-||_F^2 =
+    0.026): no tabulation, no refinement."""
     kernel_calls, evals = [], []
     design_residuals = feedback._design_residuals
-    least_squares = optimize.least_squares
+    quadratic_residuals = feedback._quadratic_residuals
 
     def counting_kernel(*args):
         kernel_calls.append((args[0].shape, args[6].any()))  # s12 != 0: swap
         return design_residuals(*args)
 
-    def counting_solver(*args, **kwargs):
-        res = least_squares(*args, **kwargs)
-        evals.append(res.nfev)
-        return res
+    def counting_polynomial(*args):
+        evals.append(args[0].shape)
+        return quadratic_residuals(*args)
 
     monkeypatch.setattr(feedback, "_design_residuals", counting_kernel)
-    monkeypatch.setattr(optimize, "least_squares", counting_solver)
+    monkeypatch.setattr(feedback, "_quadratic_residuals", counting_polynomial)
+    refinements = _count_refinements(monkeypatch)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
                               s_b_candidates=("-i",),
                               s_g_candidates=("identity", "swap"))
     assert all(swap for _, swap in kernel_calls)  # none on the identity
     n_tables = 2  # the swap topology x branches
-    assert len(evals) == n_tables * cfg.n_starts
+    assert len(refinements) == n_tables * cfg.n_starts
     assert len(kernel_calls) == n_tables * (1 + cfg.n_starts)
-    assert sum(evals) > len(kernel_calls)
+    assert len(evals) > len(kernel_calls)
     # the tabulations are batched, the gates single points
     assert sum(len(shape) == 2 for shape, _ in kernel_calls) == n_tables
+
+
+def test_a_stalled_newton_hands_every_start_to_the_trust_region(monkeypatch):
+    """Where Newton makes no progress, every start goes on to the
+    trust-region least squares and the candidates are still found: the
+    anchor search of test_designer_certifies_the_bilateral_pairs_at_any
+    _scale, with Newton returning its start, still gives its four
+    certified candidates."""
+    handoffs = []
+    least_squares = optimize.least_squares
+
+    def counting(*args, **kwargs):
+        handoffs.append(args[1])
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "_newton", lambda x0, *model: x0)
+    monkeypatch.setattr(optimize, "least_squares", counting)
+    refinements = _count_refinements(monkeypatch)
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
+                                      s_b_candidates=("-i",),
+                                      s_g_candidates=("swap",))
+    assert len(handoffs) == len(refinements) == 2 * cfg.n_starts
+    assert len(cands) == 4
+    for cand in cands:
+        assert cand.objective <= feedback.CANDIDATE_THRESHOLD
+        assert {bae.QQ, bae.PP} <= cand.report.certified_pairs
+        assert cand.report.consistency
+
+
+def _newton_runs(monkeypatch, *args, **kwargs):
+    """design_couplings(*args, **kwargs) with the trust-region hand-off
+    forbidden: its candidates and, per refinement, the tabulated model and
+    Newton's accepted iterates (the points where it took a Jacobian, then
+    the point it returned)."""
+    runs, points = [], []
+    jacobian, newton = feedback._quadratic_jacobian, feedback._newton
+
+    def recording_jacobian(x, *model):
+        points.append(x.copy())
+        return jacobian(x, *model)
+
+    def recording_newton(x0, *model):
+        points.clear()
+        x = newton(x0, *model)
+        iterates = points.copy()
+        if not np.array_equal(x, iterates[-1]):
+            iterates.append(x)
+        runs.append((model, iterates))
+        return x
+
+    def no_hand_off(*args, **kwargs):
+        raise AssertionError("a start was handed to the trust region")
+
+    monkeypatch.setattr(feedback, "_quadratic_jacobian", recording_jacobian)
+    monkeypatch.setattr(feedback, "_newton", recording_newton)
+    monkeypatch.setattr(optimize, "least_squares", no_hand_off)
+    return feedback.design_couplings(*args, **kwargs), runs
+
+
+def _full_steps(model, iterates):
+    """(||r_k||, ||r_k+1||, the bound h ||r_k||^2 / (2 sigma_k^2)) for each
+    full Newton step x_k+1 = x_k - J_k^+ r_k among the iterates, with h and
+    sigma_k as in feedback._newton; sigma_k is the smallest singular value
+    that np.linalg.lstsq keeps."""
+    r0, lin, hess = model
+    h = np.linalg.norm(np.linalg.norm(hess, 2, axis=(1, 2)))
+    out = []
+    for x, x_next in zip(iterates, iterates[1:]):
+        r = feedback._quadratic_residuals(x, *model)
+        jac = feedback._quadratic_jacobian(x, *model)
+        step, _, _, sv = np.linalg.lstsq(jac, r, rcond=None)
+        if not np.array_equal(x_next, x - step):
+            continue  # a damped step
+        sigma = sv[sv > np.finfo(float).eps * max(jac.shape) * sv[0]].min()
+        r_norm = np.linalg.norm(r)
+        out.append((r_norm, np.linalg.norm(feedback._quadratic_residuals(x_next, *model)),
+                    h * r_norm ** 2 / (2 * sigma ** 2)))
+    return out
+
+
+ROUNDING_FLOOR = 1e-12  # a residual norm at or below this is set by rounding
+
+
+def test_newton_alone_reaches_the_anchor_candidates(monkeypatch):
+    """On the anchor's swap routing Newton reaches the threshold from every
+    start and branch with no trust-region hand-off, and every full step
+    obeys _newton's bound ||r_k+1|| <= h ||r_k||^2 / (2 sigma_k^2). J loses
+    rank at the anchor's zeros, so the rate there is linear: over the last
+    steps above rounding ||r|| falls by at least half per step (by about 4,
+    as at a singular root)."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
+                               search_cfg=cfg, s_g_candidates=("swap",))
+    assert len(runs) == len(cands) == 3 * 2 * cfg.n_starts
+    for model, iterates in runs:
+        steps = _full_steps(model, iterates)
+        for r_norm, r_next, bound in steps:
+            assert r_next <= bound + ROUNDING_FLOOR, (r_norm, r_next, bound)
+        tail = [(a, b) for a, b, _ in steps if b > ROUNDING_FLOOR][-3:]
+        assert len(tail) == 3
+        assert all(b <= a / 2 for a, b in tail), tail
+
+
+def test_newton_converges_quadratically_at_a_regular_zero(monkeypatch):
+    """On a random two-mode target with split (2, 2), where J keeps full
+    rank on the distinct residuals at the zeros Newton reaches, the ratio
+    ||r_k+1|| / ||r_k||^2 over the last steps above rounding is at most
+    _newton's h / (2 sigma_k^2), with sigma_k bounded away from 0."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    cands, runs = _newton_runs(monkeypatch, (a + a.conj().T) / 2, (b + b.T) / 2,
+                               (2, 2), search_cfg=cfg, s_g_candidates=("swap",))
+    assert len(runs) == len(cands) == 3 * 2 * cfg.n_starts
+    for model, iterates in runs:
+        steps = [s for s in _full_steps(model, iterates) if s[1] > ROUNDING_FLOOR]
+        assert len(steps) >= 2
+        for r_norm, r_next, bound in steps[-2:]:
+            ratio = r_next / r_norm ** 2
+            assert ratio <= bound / r_norm ** 2 <= 100.0, (ratio, bound)
 
 
 def _identity_plant_topologies(rng):
@@ -452,14 +573,8 @@ def test_objective_floor_bounds_every_refined_objective():
         for branch in ("C real", "C purely imaginary"):
             model = feedback._quadratic_model(fixed, branch)
             for _ in range(2):
-                res = optimize.least_squares(
-                    feedback._quadratic_residuals,
-                    rng.standard_normal(4 * n * (m1 + m2)),
-                    jac=feedback._quadratic_jacobian, args=model,
-                    method="trf", max_nfev=feedback.REFINE_MAXITER,
-                    xtol=1e-15, ftol=1e-15, gtol=1e-15)
-                r = feedback._design_residuals(res.x, *fixed, branch)
-                j = float(np.sum(r ** 2))
+                _, j = feedback._refine(rng.standard_normal(4 * n * (m1 + m2)),
+                                        model, fixed, branch)
                 assert j >= floor, (j, floor, sign)
                 best = min(best, j)
         attained += sign != 0 and best <= floor + 1e-9 * (1 + floor)

@@ -671,8 +671,9 @@ def test_ensemble_means_match_the_lindblad_reference(control, n_traj, T, seed):
 
     Family-wise bound: at each of the N = 2 x (n_times - 1) stored times
     after the first, z = (|mean - exact| - dt ||X||) / se, where dt ||X||
-    is martingale_stats' allowance for the integrator's first-order weak
-    bias and se the standard error of the n_traj independent
+    is martingale_stats' allowance for the Kraus integrator's first-order
+    weak bias (kept on the law too, where it only loosens the bound) and
+    se the standard error of the n_traj independent
     trajectories. By the central limit theorem each unbiased z is about
     standard normal, so by the union bound
       P(max z > c) <= N * 2 (1 - Phi(c)) = 100 * 6.8e-6 = 6.8e-4
@@ -1339,6 +1340,37 @@ def test_martingale_stats_small_ensemble():
     assert entry.name == "L"
     assert entry.passed, (entry.drift, entry.allowance)
     assert entry.means.shape == batch.times.shape
+
+
+def test_martingale_allowance_follows_the_method():
+    """The exact law has no discretization bias: on a law run each
+    allowance is exactly 3 standard errors of the final mean, and a run at
+    four times the dt on the same stored times gives the same values and
+    the same allowances. A Kraus run keeps 3 dt ||X|| for the integrator's
+    first-order weak bias."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
+    l = ops.l_ops[0]
+    tracked = [("L", l), ("L2", l @ l)]
+    rho0 = _half_ground_mixture(8)
+    allowances = []
+    for dt, store_every in ((1e-3, 20), (4e-3, 5)):
+        batch = smesim.simulate_qsme(ops, rho0, dt=dt, T=0.2, n_traj=50,
+                                     seed=11, tracked=tracked,
+                                     store_every=store_every)
+        assert batch.method == "exact_law"
+        stats = smesim.martingale_stats(batch)
+        for entry in stats:
+            assert entry.allowance == 3.0 * float(entry.standard_errors[-1])
+        allowances.append([entry.allowance for entry in stats])
+    assert allowances[0] == allowances[1]
+
+    ops = smesim.build_truncated_operators(_negative_control(), fock_dim=8)
+    batch = smesim.simulate_qsme(ops, rho0, dt=1e-3, T=0.02, n_traj=20,
+                                 seed=11, tracked=[("L", ops.l_ops[0])])
+    assert batch.method == "kraus"
+    (entry,) = smesim.martingale_stats(batch)
+    assert entry.allowance == 3.0 * (float(entry.standard_errors[-1])
+                                     + batch.dt * batch.tracked_norms[0])
 
 
 def test_martingale_stats_needs_two_trajectories():
