@@ -327,11 +327,24 @@ def _quadratic_jacobian(x, r0, lin, hess):
     return lin + hess @ x
 
 
+def _rounding_floor(x, r0, lin, hess):
+    """Norm of rho = gamma_{2d+2} (|r0| + (|L| + |H| |x| / 2) |x|), d =
+    len(x), the entrywise bound on the rounding error of
+    _quadratic_residuals at x; _newton derives it."""
+    k = 2 * len(x) + 2
+    u = np.finfo(float).eps / 2
+    abs_x = np.abs(x)
+    rho = np.abs(r0) + (np.abs(lin) + np.abs(hess) @ abs_x / 2) @ abs_x
+    return k * u / (1 - k * u) * np.linalg.norm(rho)
+
+
 def _newton(x, r0, lin, hess):
     """Minimum-norm Gauss-Newton on r(x) = r0 + L x + x^T H x / 2 from x:
     x <- x - lam s with s = J(x)^+ r(x), the minimum-norm least-squares
     solution of J(x) s = r(x) (np.linalg.lstsq), and lam = 1, 1/2, 1/4, ...
-    the first that lowers ||r||^2. Returns the last accepted point.
+    the first that lowers ||r||^2; after a full step in the singular regime
+    below, x - 2 s is tried too and kept where it is lower still. Returns
+    the last accepted point.
 
     Convergence. Re Omega's off-diagonal entries appear twice in r, with
     equal rows of J, so J never has full row rank; but where it has full
@@ -347,20 +360,63 @@ def _newton(x, r0, lin, hess):
     ||r||^2 wherever J^T r != 0: r^T J J^+ r = ||P r||^2, P the projector
     on J's range.
 
+    Singular zeros. Where J loses rank at the zero, as on the swap routings
+    of the two-mode anchor (rank 8 against 10 distinct residuals), sigma
+    falls with the error and the bound above is void. In the model case
+    r = Q(e), Q a homogeneous quadratic in the error e from the zero,
+    Q'(e) e = 2 Q(e): e / 2 solves J s = r, so a Newton step halves the
+    error and ||r|| falls by 4, while the step of twice the length reaches
+    the zero. Near a zero where J loses rank this holds to leading order
+    along J's null space there, the rest of the error being of second
+    order, so Newton's rate is linear with ||r|| falling by about 4
+    (Decker, Keller & Kelley 1983, SIAM J. Numer. Anal. 20:296-314), and an
+    iteration that takes the doubled step there converges superlinearly
+    (Griewank 1985, SIAM Review 27:537-563). When to try it follows from
+    the model: along the step, with q = s^T H s / 2,
+      r(x - lam s) = r - lam P r + lam^2 q,
+    exactly. Where r lies in J's range, r(x - s) = q and r(x - 2 s) =
+    4 q - r, whose norm is at least ||r|| - 4 ||q|| and at least
+    4 ||q|| - ||r||. The doubled step can beat the full one only when
+    ||r|| / 5 < ||q|| < ||r|| / 3, that is when the full step's ratio
+    theta = ||r(x - s)|| / ||r|| lies in (1/5, 1/3). That interval holds
+    the singular rate 1/4 and excludes the quadratic rate, theta -> 0, so
+    the iteration tries x - 2 s only after a full step with theta in it,
+    at the cost of one evaluation of the polynomial.
+
     Stopping. The update x - lam s is stored with a relative error of up to
     u = eps / 2 in each entry, an error of norm up to u ||x - lam s||,
     about u ||x||. A step no longer than eps ||x||, two such roundings, is
     lost in them: the point it reaches is set by rounding, not by the step.
     So the iteration stops when s, or lam s while lam halves, is that
     short, which also ends a search where no lam lowers ||r||^2, and when
-    it has evaluated r REFINE_MAXITER times."""
+    it has evaluated r REFINE_MAXITER times. It also stops, before taking
+    a Jacobian, where ||r|| is within the rounding of its own evaluation.
+    Each entry r0 + (L + (H x) / 2) x is two inner products of length
+    d = len(x) in sequence, with an addition after each. A computed inner
+    product of length d is sum a_k b_k (1 + theta_k) with |theta_k| <=
+    gamma_d, whatever the order of summation, and gamma_j = j u / (1 - j u)
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1). So a term H_jk x_k x_j carries 2 d + 2 roundings, a term
+    L_j x_j carries d + 2 and r0 one, and the computed entry differs from
+    the polynomial at the stored x by at most
+      rho = gamma_{2d+2} (|r0| + (|L| + |H| |x| / 2) |x|)
+    (_rounding_floor). Where ||r|| <= ||rho||, the computed residual is no
+    larger than the error it may carry: the exact one may be 0, and the
+    comparisons of ||r||^2 that accept a step are decided by rounding. The
+    iteration returns x there, but only once ||r||^2 <= CANDIDATE_THRESHOLD,
+    so this stop never ends a start that is still above the candidate
+    gate."""
     r = _quadratic_residuals(x, r0, lin, hess)
     f = r @ r
     evals = 1
     while evals < REFINE_MAXITER:
+        if (f <= CANDIDATE_THRESHOLD
+                and f <= _rounding_floor(x, r0, lin, hess) ** 2):
+            return x
         step = np.linalg.lstsq(_quadratic_jacobian(x, r0, lin, hess), r,
                                rcond=None)[0]
         rounding = np.finfo(float).eps * np.linalg.norm(x)
+        full = True
         while np.linalg.norm(step) > rounding and evals < REFINE_MAXITER:
             trial = x - step
             r_trial = _quadratic_residuals(trial, r0, lin, hess)
@@ -369,8 +425,16 @@ def _newton(x, r0, lin, hess):
             if f_trial < f:
                 break
             step = step / 2
+            full = False
         else:
             return x
+        if full and f / 25 < f_trial < f / 9 and evals < REFINE_MAXITER:
+            far = x - 2 * step
+            r_far = _quadratic_residuals(far, r0, lin, hess)
+            evals += 1
+            f_far = r_far @ r_far
+            if f_far < f_trial:
+                trial, r_trial, f_trial = far, r_far, f_far
         x, r, f = trial, r_trial, f_trial
     return x
 
@@ -511,22 +575,28 @@ def design_couplings(omega_minus, omega_plus, split,
     full rank on the distinct residuals the full step leaves exactly
     s^T H s / 2, so near such a zero ||r|| falls quadratically (Ben-Israel
     1966, J. Math. Anal. Appl. 15:243-252; Nocedal & Wright 2006,
-    Numerical Optimization, ch. 11). It stops when the step, or lam times
-    it, is no longer than eps ||x||, the rounding with which x itself is
-    stored, when no lam lowers ||r||^2, or after REFINE_MAXITER residual
-    evaluations; _newton gives the bound and its derivation. At a zero
-    where J loses rank the rate is linear: on the swap routings of the
-    two-mode anchor in tests/test_feedback.py, J has rank 8 against 10
-    distinct residuals there, and ||r|| falls by about 4 per step, as
-    Newton's error halves at a singular root (Decker, Keller & Kelley 1983,
-    SIAM J. Numer. Anal. 20:296-314). Each refined point's J is recomputed
-    with the residual kernel itself, so the candidate threshold never
-    rests on the tabulation. Only a start whose kernel J after Newton is
-    still above CANDIDATE_THRESHOLD goes on to scipy's trust-region least
-    squares, from the same x0 with the same arguments as a search without
-    Newton, so every start and hypothesis that gave such a search a
-    candidate still gives one; scipy.optimize is imported on that path
-    alone. A topology is skipped
+    Numerical Optimization, ch. 11). At a zero where J loses rank, as on
+    the swap routings of the two-mode anchor in tests/test_feedback.py
+    (rank 8 against 10 distinct residuals), Newton's error halves per step
+    and ||r|| falls by only about 4 (Decker, Keller & Kelley 1983, SIAM J.
+    Numer. Anal. 20:296-314). So after a full step whose ratio
+    ||r(x - s)|| / ||r|| lies in (1/5, 1/3), the one range where it can
+    help, the step of twice the length is tried too and kept where it
+    lowers ||r||^2, which makes the rate superlinear (Griewank 1985, SIAM
+    Review 27:537-563): on the anchor's 2-start search a refinement takes
+    11-16 Jacobians, against 26-34 with Newton steps alone. It stops when
+    the step, or lam times it, is no longer than eps ||x||, the rounding
+    with which x itself is stored, when no lam lowers ||r||^2, after
+    REFINE_MAXITER residual evaluations, or, once ||r||^2 is at most
+    CANDIDATE_THRESHOLD, where ||r|| is within the rounding of evaluating
+    the polynomial; _newton derives the range and both bounds. Each
+    refined point's J is recomputed with the residual kernel itself, so
+    the candidate threshold never rests on the tabulation. Only a start
+    whose kernel J after Newton is still above CANDIDATE_THRESHOLD goes on
+    to scipy's trust-region least squares, from the same x0 with the same
+    arguments as a search without Newton, so every start and hypothesis
+    that gave such a search a candidate still gives one; scipy.optimize is
+    imported on that path alone. A topology is skipped
     before any tabulation when its loop is singular, or when
     _objective_floor proves that no gains on it give a computed J at most
     CANDIDATE_THRESHOLD: with S12 = 0 the Omega- shift is sign-definite

@@ -426,9 +426,9 @@ def test_a_stalled_newton_hands_every_start_to_the_trust_region(monkeypatch):
 
 def _newton_runs(monkeypatch, *args, **kwargs):
     """design_couplings(*args, **kwargs) with the trust-region hand-off
-    forbidden: its candidates and, per refinement, the tabulated model and
+    forbidden: its candidates and, per refinement, the tabulated model,
     Newton's accepted iterates (the points where it took a Jacobian, then
-    the point it returned)."""
+    the point it returned) and the number of Jacobians it took."""
     runs, points = [], []
     jacobian, newton = feedback._quadratic_jacobian, feedback._newton
 
@@ -440,9 +440,9 @@ def _newton_runs(monkeypatch, *args, **kwargs):
         points.clear()
         x = newton(x0, *model)
         iterates = points.copy()
-        if not np.array_equal(x, iterates[-1]):
+        if not iterates or not np.array_equal(x, iterates[-1]):
             iterates.append(x)
-        runs.append((model, iterates))
+        runs.append((model, iterates, len(points)))
         return x
 
     def no_hand_off(*args, **kwargs):
@@ -482,20 +482,91 @@ def test_newton_alone_reaches_the_anchor_candidates(monkeypatch):
     """On the anchor's swap routing Newton reaches the threshold from every
     start and branch with no trust-region hand-off, and every full step
     obeys _newton's bound ||r_k+1|| <= h ||r_k||^2 / (2 sigma_k^2). J loses
-    rank at the anchor's zeros, so the rate there is linear: over the last
-    steps above rounding ||r|| falls by at least half per step (by about 4,
-    as at a singular root)."""
+    rank at the anchor's zeros, where a Newton step cuts ||r|| by only
+    about 4 and a refinement of Newton steps alone takes 26-34 Jacobians;
+    with the doubled step and the rounding-floor stop each takes at most
+    20."""
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
                                search_cfg=cfg, s_g_candidates=("swap",))
     assert len(runs) == len(cands) == 3 * 2 * cfg.n_starts
-    for model, iterates in runs:
-        steps = _full_steps(model, iterates)
-        for r_norm, r_next, bound in steps:
+    for model, iterates, jacobians in runs:
+        for r_norm, r_next, bound in _full_steps(model, iterates):
             assert r_next <= bound + ROUNDING_FLOOR, (r_norm, r_next, bound)
-        tail = [(a, b) for a, b, _ in steps if b > ROUNDING_FLOOR][-3:]
-        assert len(tail) == 3
-        assert all(b <= a / 2 for a, b in tail), tail
+        assert jacobians <= 20
+
+
+def test_newton_takes_the_doubled_step_at_a_double_root(monkeypatch):
+    """r(x) = (x_1^2, x_2) has a double root at 0, where J loses rank:
+    Newton steps alone halve x_1 per Jacobian and took 53-55 of them from
+    these starts. The doubled step removes x_1 once x_2 is solved, so two
+    or three Jacobians reach the root exactly."""
+    r0, lin = np.zeros(2), np.array([[0.0, 0.0], [0.0, 1.0]])
+    hess = np.zeros((2, 2, 2))
+    hess[0, 0, 0] = 2.0
+    jacobians = []
+    jacobian = feedback._quadratic_jacobian
+
+    def counting(x, *model):
+        jacobians.append(x)
+        return jacobian(x, *model)
+
+    monkeypatch.setattr(feedback, "_quadratic_jacobian", counting)
+    for x0 in ([1.0, 1.0], [0.7, -1.3], [-3.0, 0.2]):
+        jacobians.clear()
+        x = feedback._newton(np.array(x0), r0, lin, hess)
+        assert len(jacobians) <= 3, (x0, len(jacobians))
+        r = feedback._quadratic_residuals(x, r0, lin, hess)
+        assert np.linalg.norm(r) <= 1e-30, (x0, r)
+
+
+def test_newton_stops_at_its_rounding_floor(monkeypatch):
+    """On the anchor Newton takes no Jacobian at a point whose ||r||^2 is at
+    most CANDIDATE_THRESHOLD and whose ||r|| is within its rounding floor,
+    and some refinements end there. At 1e6 times the anchor, where the
+    floor is within a few decades of the threshold, every candidate is
+    still below it and the stop hands no start to the trust region: at
+    most one start is handed off, as with Newton steps alone (the trivial
+    start's "C purely imaginary" refinement, whose gains grow to a norm of
+    about 7e6), and only one whose Newton ends above the threshold."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    _, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
+                           search_cfg=cfg, s_g_candidates=("swap",))
+    monkeypatch.undo()
+
+    def at_floor(x, model):
+        r = feedback._quadratic_residuals(x, *model)
+        return (r @ r <= feedback.CANDIDATE_THRESHOLD
+                and np.linalg.norm(r) <= feedback._rounding_floor(x, *model))
+
+    floor_stops = 0
+    for model, iterates, jacobians in runs:
+        assert not any(at_floor(x, model) for x in iterates[:jacobians])
+        floor_stops += len(iterates) > jacobians and at_floor(iterates[-1], model)
+    assert floor_stops > 0
+
+    newton_ends, handed = [], []
+    newton, least_squares = feedback._newton, optimize.least_squares
+
+    def recording_newton(x0, *model):
+        x = newton(x0, *model)
+        r = feedback._quadratic_residuals(x, *model)
+        newton_ends.append(r @ r)
+        return x
+
+    def counting(*args, **kwargs):
+        handed.append(newton_ends[-1])
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(feedback, "_newton", recording_newton)
+    monkeypatch.setattr(optimize, "least_squares", counting)
+    cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
+                                      search_cfg=cfg, s_b_candidates=("-i",),
+                                      s_g_candidates=("swap",))
+    assert len(cands) == 2 * cfg.n_starts
+    assert all(c.objective <= feedback.CANDIDATE_THRESHOLD for c in cands)
+    assert len(handed) <= 1
+    assert all(f > feedback.CANDIDATE_THRESHOLD for f in handed), handed
 
 
 def test_newton_converges_quadratically_at_a_regular_zero(monkeypatch):
@@ -510,7 +581,7 @@ def test_newton_converges_quadratically_at_a_regular_zero(monkeypatch):
     cands, runs = _newton_runs(monkeypatch, (a + a.conj().T) / 2, (b + b.T) / 2,
                                (2, 2), search_cfg=cfg, s_g_candidates=("swap",))
     assert len(runs) == len(cands) == 3 * 2 * cfg.n_starts
-    for model, iterates in runs:
+    for model, iterates, _ in runs:
         steps = [s for s in _full_steps(model, iterates) if s[1] > ROUNDING_FLOOR]
         assert len(steps) >= 2
         for r_norm, r_next, bound in steps[-2:]:
