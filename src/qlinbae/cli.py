@@ -415,7 +415,8 @@ def cmd_simulate(args):
     _write_csv(header, columns, args.out)
     summary = {e.name: _record(e, skip=("name", "means", "standard_errors"))
                for e in stats}
-    print(_json_text({"martingale": summary, "method": batch.method}, 0),
+    print(_json_text({"martingale": summary, "method": batch.method,
+                      "replayed_blocks": batch.replayed_blocks}, 0),
           file=_sys.stderr)
     return 0
 

@@ -112,6 +112,8 @@ class SMETrajectoryBatch:
                                  # step; 0.0 on the law path, which has none
     positivity_margin: float     # smallest eigenvalue of any final state
     method: str                  # "exact_law" or "kraus" (simulate_qsme)
+    replayed_blocks: int         # Kraus blocks run again step by step; 0
+                                 # on the law path
 
     @property
     def max_repair_mass(self):
@@ -367,31 +369,47 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
                  store_set, forms, diagonal, values):
     """The product path of `simulate_qsme`: n_steps steps of the Kraus map
     on psi, the tracked values written into values after each step of
-    store_set. Returns the last psi, its norm t and max_trace_deviation."""
+    store_set. Returns the last psi, its norm t, max_trace_deviation and
+    the number of blocks replayed step by step.
+
+    The steps run a block of c innovations at a time (`_noise_block`).
+    Row k of the block's read buffer holds the read [t, t dy_j without
+    noise] that its step k starts from, row k + 1 the read after it, and
+    row k of the ratio buffer s^2 where step k renormalizes, 1 elsewhere,
+    so the block's trace ratios are rows 1..c of t over s^2 times rows
+    0..c-1: one product and one division. A block renormalizes at its
+    first step; one whose norms leave the safe range of `simulate_qsme` is
+    run again by the same loop from a copy of its starting psi,
+    renormalizing at every step."""
     n_traj, (r, n) = len(streams), psi0.shape
     d, m = n // 2, len(l_ops)
     block = _noise_block(d, m, n_steps)
     noise = np.empty((block, n_traj, m))  # step-major, refilled per block
-    ratios = np.empty((block, n_traj))  # Tr(M rho M^dag), checked per block
+    reads = np.empty((block + 1, n_traj, 1 + m))
+    ratios = np.empty((block, n_traj, 1))  # s^2 where a step renormalizes
+    safe = np.sqrt(np.finfo(float).tiny)  # every norm in [safe, 1 / safe]
     if diagonal:
         forms = np.tile(forms, (r, 1))
     psi = np.broadcast_to(psi0, (n_traj, r, n)).copy()
     spare = np.empty_like(psi)  # squares, product
+    start_psi = np.empty_like(psi)
     kraus_re = np.empty((n_traj, n * n))
+    basis_flat = basis_re.reshape(-1, n * n)
     if m > 1:  # [R_2 | ... | R_m], rotated
         record_gain = np.concatenate([
             v.T @ _real_form(dt * (l + l.conj().T).T) @ v
             for l in l_ops[1:]], axis=1)
 
-    def squares_read():
-        read = _square_read(psi, weights, spare)
+    def squares_read(out):
+        out[:, :2] = _square_read(psi, weights, spare)
         if m > 1:  # channels 2..m: psi dotted with psi V^T R_j V
             gained = psi.reshape(n_traj * r, n) @ record_gain
-            read = np.hstack([read, np.einsum(
-                "trjc,trc->tj", gained.reshape(n_traj, r, m - 1, n), psi)])
-        return read
+            out[:, 2:] = np.einsum("trjc,trc->tj",
+                                   gained.reshape(n_traj, r, m - 1, n), psi)
 
-    def record(slot):
+    def record(read):
+        nonlocal slot
+        slot += 1
         if diagonal:  # spare holds the squares of the read just taken
             flat = spare.reshape(n_traj, -1)
         else:  # matmul is slow on a swapaxes view; copy it first
@@ -399,41 +417,63 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
                 n_traj, -1)
         values[:, slot] = flat @ forms / read[:, :1]
 
-    read = squares_read()  # [t, t dy_j without noise]
-    max_trace_dev = 0.0
     jj, kk = np.triu_indices(m)
     pair_scale = np.where(jj == kk, 0.5, 1.0)
     pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
     coef = np.ones((n_traj, len(basis_re)))
-    slot = 0
-    record(slot)
+    dy, pair = coef[:, 1:m + 1], coef[:, m + 1:]  # formed in place
+
+    def steps(first, count, period):
+        """The block's steps first .. first + count - 1, psi renormalized
+        at every period-th of them, from the read in row 0."""
+        nonlocal psi, spare
+        for k in range(count):
+            t = reads[k, :, :1]
+            np.divide(reads[k, :, 1:], t, out=dy)
+            np.add(dy, noise[k], out=dy)
+            if m == 1:
+                np.multiply(dy, dy, out=pair)
+            else:
+                np.multiply(dy[:, jj], dy[:, kk], out=pair)
+            np.multiply(pair, pair_scale, out=pair)
+            np.add(pair, pair_shift, out=pair)
+            if k % period:
+                np.matmul(coef, basis_flat, out=kraus_re)
+            else:  # the power of two s with s^2 t in [1/2, 2)
+                s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))
+                np.matmul(coef * s, basis_flat, out=kraus_re)
+                np.multiply(s, s, out=ratios[k])
+            np.matmul(psi, kraus_re.reshape(n_traj, n, n), out=spare)
+            psi, spare = spare, psi
+            squares_read(reads[k + 1])
+            if first + k + 1 in store_set:
+                record(reads[k + 1])
+
+    squares_read(reads[0])
+    max_trace_dev, replayed, slot = 0.0, 0, -1
+    record(reads[0])
     # a non-finite step raises InstabilityError below; numpy's overflow and
     # invalid-value warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, n_steps, block):
-            stop = min(start + block, n_steps)
+            count = min(block, n_steps - start)
             for i, gen in enumerate(streams):
-                noise[:stop - start, i] = gen.normal(0.0, np.sqrt(dt),
-                                                     size=(stop - start, m))
-            for step in range(start, stop):
-                t = read[:, 0]
-                dy = coef[:, 1:m + 1]  # the records, formed in place
-                np.divide(read[:, 1:], t[:, None], out=dy)
-                dy += noise[step - start]
-                coef[:, m + 1:] = dy[:, jj] * dy[:, kk] * pair_scale + pair_shift
-                s = np.ldexp(1.0, -(np.frexp(t)[1] // 2))  # s^2 t in [1/2, 2)
-                np.matmul(coef * s[:, None], basis_re.reshape(-1, n * n),
-                          out=kraus_re)
-                np.matmul(psi, kraus_re.reshape(n_traj, n, n), out=spare)
-                psi, spare = spare, psi
-                read = squares_read()
-                np.divide(read[:, 0], s * s * t, out=ratios[step - start])
-                if step + 1 in store_set:
-                    slot += 1
-                    record(slot)
-            max_trace_dev = max(max_trace_dev,
-                                _trace_deviation(ratios[:stop - start], start))
-    return psi, read[:, 0], max_trace_dev
+                noise[:count, i] = gen.normal(0.0, np.sqrt(dt),
+                                              size=(count, m))
+            start_psi[...], start_slot = psi, slot
+            ratios[:count] = 1.0
+            steps(start, count, count)
+            norms = reads[1:count + 1, :, 0]
+            if not (safe <= norms.min() and norms.max() <= 1.0 / safe):
+                psi[...], slot = start_psi, start_slot
+                steps(start, count, 1)
+                replayed += 1
+            ratio = ratios[:count, :, 0]  # s^2 t, then t' / (s^2 t)
+            np.multiply(ratio, reads[:count, :, 0], out=ratio)
+            np.divide(reads[1:count + 1, :, 0], ratio, out=ratio)
+            max_trace_dev = max(max_trace_dev, _trace_deviation(ratio, start))
+            reads[0] = reads[count]
+    return psi, reads[0, :, 0], max_trace_dev, replayed
 
 
 def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
@@ -546,25 +586,53 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     squares psi^2 and one flat product per trajectory against [1 | lam]
     (`_square_read`); each further channel j >= 2 reads the real dot
     product of psi with psi V^T R_j V, one GEMM for all of them. After the
-    product, Tr(M rho M^dag) is the new t over the old. Rather than a pass
-    that divides psi, M carries the power of two s with s^2 t in [1/2, 2),
-    which keeps psi near unit norm: scaling by a power of two rounds
-    nothing, so psi^2 and t scale together exactly. Without channels V = I,
-    so a step with M = I leaves psi, t and every stored value
+    product, Tr(M rho M^dag) is the new t over the old. No pass divides
+    psi by its norm. A scale by a power of two rounds nothing while the
+    values it scales stay normal, and every output is a quotient by t
+    (the records, the ratios, the stored values, the final states), so
+    where psi is renormalized changes no output bit. At the first step of
+    each block of innovations M carries the power of two s with
+    s^2 t in [1/2, 2), which brings psi to near unit norm; the block's
+    other steps leave the norm to drift by their ratios. Without channels
+    V = I, so a step with M = I leaves psi, t and every stored value
     bit-identical; with a channel the eigenbasis rounds, so psi and its
     rotations agree with phi's to rounding only.
 
+    The safe range. float64's normal magnitudes run from tiny = 2^-1022
+    to just below 2^1024. Renormalizing at every step, as a block of one
+    step does, starts each step at a norm in [1/2, 2); a block
+    renormalized once forms that loop's values times powers of two set by
+    the drift, the same for a whole trajectory: 2^e on psi and its
+    products, 2^2e on their squares and reads, with 2^2e within a factor
+    2 of the norm t the step starts from. The norms are kept in
+    [sqrt(tiny), 1 / sqrt(tiny)] = [2^-511, 2^511], half of the exponent
+    range on either side of 1: every entry of psi is then at most 2^256
+    and its square at most 2^511, half the range below overflow, and a
+    square is subnormal only for an entry below 2^-255 sqrt(t), which adds
+    nothing above rounding to t or to any record. So a block whose every
+    norm lies in the range gives the per-step loop's bits, unless a value
+    of either loop leaves the normal range all the same (such a tiny
+    entry, or a Kraus entry near 2^767), and its ratios lie within
+    [2^-1022, 2^1022], finite and > 0. A block with a norm outside the
+    range, a non-finite one included, is run again from a copy of its
+    starting psi by the same loop renormalizing at every step
+    (`_kraus_steps`), which is the per-step loop itself, and
+    replayed_blocks counts it: 0 on the exact law and on any run whose
+    norms drift by less than a factor 2^510 within a block.
+
     max_trace_deviation is there the largest |Tr(M rho M^dag) - 1|, the
-    step's normalization, not a rounding error. Each step writes its
-    ratios into a block buffer; per block of steps it is max(hi - 1,
-    1 - lo) over the block's smallest and largest ratio, the same float as
-    a max over each step. A step whose new t is not finite and positive
-    raises InstabilityError naming the first such step, once its block
-    ends, with numpy's overflow and invalid-value warnings silenced so
-    that the error is the one report: a finite positive t bounds every
-    entry of psi and of phi^T conj(phi), so the check is on the ratios
-    alone, and psi can stay finite where the state it stands for
-    overflows.
+    step's normalization, not a rounding error. Each step writes its read
+    [t, t dy_j without noise] into a block buffer, and once the block
+    ends its ratios are one division, each t over the one before times
+    s^2 where that step renormalized; max_trace_deviation is max(hi - 1,
+    1 - lo) over each block's smallest and largest ratio, the same float
+    as a max over each step. A step whose new t is not finite and
+    positive raises InstabilityError naming the first such step, once its
+    block ends and has been replayed, with numpy's overflow and
+    invalid-value warnings silenced so that the error is the one report:
+    a finite positive t bounds every entry of psi and of
+    phi^T conj(phi), so the check is on the ratios alone, and psi can
+    stay finite where the state it stands for overflows.
 
     tracked: list of (name, operator) pairs; Tr(rho X) is recorded on the
     stored grid, read in the eigenbasis against each X rotated once
@@ -631,7 +699,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     psi0 = phi0.view(float) @ v  # the float view of phi0 conj(U)
 
     if population:
-        method, max_trace_dev = "exact_law", 0.0
+        method, max_trace_dev, replayed = "exact_law", 0.0, 0
         psi, t = _sample_law(l_ops, k_gen, v, psi0, streams, times, forms,
                              diagonal, values)
     else:
@@ -642,7 +710,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
             warnings.warn(
                 f"dt * generator scale = {dt * gen_scale:.3f} > 0.1; "
                 "the Kraus-map bias may be large", stacklevel=2)
-        psi, t, max_trace_dev = _kraus_steps(
+        psi, t, max_trace_dev, replayed = _kraus_steps(
             l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
             set(store_idx), forms, diagonal, values)
 
@@ -655,7 +723,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         tracked_norms=norms, seed=seed, dt=dt, n_steps=n_steps,
         final_states=rho, max_trace_deviation=max_trace_dev,
         positivity_margin=float(np.linalg.eigvalsh(rho).min()),
-        method=method)
+        method=method, replayed_blocks=replayed)
 
 
 def lindblad_means(ops, rho0, times, tracked):
@@ -716,14 +784,15 @@ def martingale_stats(batch):
         raise PreconditionError(
             f"martingale_stats needs n_traj >= 2 for a standard error, "
             f"got n_traj = {n_traj}")
+    # one reduction over the trajectory axis for all tracked quantities;
+    # row k is quantity k
+    means = batch.tracked_values.mean(axis=0).T
+    ses = batch.tracked_values.std(axis=0, ddof=1).T / np.sqrt(n_traj)
     for k, name in enumerate(batch.tracked_names):
-        vals = batch.tracked_values[:, :, k]
-        means = vals.mean(axis=0)
-        ses = vals.std(axis=0, ddof=1) / np.sqrt(n_traj)
-        drift = float(means[-1] - means[0])
+        drift = float(means[k, -1] - means[k, 0])
         bias = batch.dt * batch.tracked_norms[k] if batch.method == "kraus" else 0.0
-        allowance = 3.0 * (float(ses[-1]) + bias)
+        allowance = 3.0 * (float(ses[k, -1]) + bias)
         out.append(MartingaleEntry(
-            name=name, means=means, standard_errors=ses, drift=drift,
+            name=name, means=means[k], standard_errors=ses[k], drift=drift,
             allowance=allowance, passed=abs(drift) <= allowance))
     return out

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -745,7 +746,7 @@ def test_simulate_command(tmp_path, capsys):
     assert len(lines) > 2
     err = capsys.readouterr().err
     assert err == json.dumps(json.loads(err), indent=2) + "\n"
-    assert set(json.loads(err)) == {"martingale", "method"}
+    assert set(json.loads(err)) == {"martingale", "method", "replayed_blocks"}
 
 
 @pytest.mark.parametrize("omega, method", [(1.0, "exact_law"),
@@ -765,6 +766,26 @@ def test_simulate_reports_its_method(tmp_path, capsys, omega, method):
     assert cli.main(["simulate", _write(tmp_path, doc),
                      "--out", str(out_file)]) == 0
     assert json.loads(capsys.readouterr().err)["method"] == method
+
+
+def test_simulate_reports_replayed_blocks(tmp_path, capsys):
+    """simulate's stderr summary counts the Kraus blocks replayed step by
+    step beside the method: none on the negative control at dt = 1e-3,
+    and its one block of 100 steps at dt = 0.2, whose norm drifts past
+    the safe range."""
+    half = [[0.5 ** 0.5]]
+    doc = cli.emit_spec(qsys.new_system(np.eye(1), half, half, [[1.0]],
+                                        [[-1.0]]))
+    for dt, T, replayed in ((1e-3, 0.05, 0), (0.2, 20.0, 1)):
+        doc["sim"] = {"fock_dim": 8, "dt": dt, "T": T, "n_traj": 8,
+                      "seed": 0}
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dt \\* generator scale")
+            assert cli.main(["simulate", _write(tmp_path, doc), "--out",
+                             str(tmp_path / "traj.csv")]) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["method"] == "kraus"
+        assert summary["replayed_blocks"] == replayed
 
 
 def _sim_doc(**sim):

@@ -993,6 +993,49 @@ def test_outputs_are_byte_identical_whatever_the_noise_block(case, monkeypatch):
                 assert _batch_bytes(smesim.simulate_qsme(ops, rho0, **kw)) == ref
 
 
+def test_a_block_whose_norm_leaves_the_safe_range_is_replayed(monkeypatch):
+    """At dt = 0.2 the negative control's trace ratios reach about 1200, so
+    a block renormalized only at its first step drifts past the safe range
+    [sqrt(tiny), 1 / sqrt(tiny)] = [2^-511, 2^511] while staying finite:
+    its steps' ratios multiply to more than 2^511 (the product of the
+    first few hundred is still finite). The run replays that block step by
+    step and reports it, and every output byte equals that of a run with
+    a block of one step, which renormalizes at every step and replays
+    nothing."""
+    ops = smesim.build_truncated_operators(_negative_control(), fock_dim=8)
+    l = ops.l_ops[0]
+    kw = dict(dt=0.2, T=20.0, n_traj=8, seed=0,
+              tracked=[("L", l), ("L2", l @ l)])
+    rho0 = _half_ground_mixture(8)
+    assert smesim._noise_block(ops.dim, 1, 100) == 100
+    trace_deviation, blocks = smesim._trace_deviation, []
+    monkeypatch.setattr(smesim, "_trace_deviation", lambda ratios, first: (
+        blocks.append(ratios.copy()), trace_deviation(ratios, first))[1])
+    with pytest.warns(UserWarning, match="Kraus-map bias"):
+        batch = smesim.simulate_qsme(ops, rho0, **kw)
+    (ratios,) = blocks
+    drift = np.log2(np.cumprod(ratios, axis=0)).max()
+    assert 511 < drift < 1000, drift
+    assert batch.method == "kraus" and batch.replayed_blocks == 1
+    assert np.isfinite(batch.final_states).all()
+    monkeypatch.setattr(smesim, "_noise_block", lambda d, m, n: 1)
+    with pytest.warns(UserWarning, match="Kraus-map bias"):
+        stepwise = smesim.simulate_qsme(ops, rho0, **kw)
+    assert stepwise.replayed_blocks == 0
+    assert _batch_bytes(batch) == _batch_bytes(stepwise)
+
+
+def test_runs_within_the_safe_range_replay_nothing():
+    """At dt = 1e-3 a block's norms drift by far less than 2^510: the
+    negative control, the two-channel mode and the exact law replay no
+    block."""
+    for system in (_negative_control, _two_channel_mode, _measured_mode):
+        ops = smesim.build_truncated_operators(system(), fock_dim=5)
+        batch = smesim.simulate_qsme(ops, _half_ground_mixture(5), dt=1e-3,
+                                     T=0.3, n_traj=4, seed=2, tracked=[])
+        assert batch.replayed_blocks == 0
+
+
 def _phase_measured_mode():
     """q measured through a complex coupling phase, C- = C+ = 0.2 e^{0.3i}:
     L = 0.2 e^{0.3i} sqrt(2) q, H = 0. K = -1/2 L^dag L is real, but its
@@ -1331,15 +1374,32 @@ def test_settings_are_checked_up_front(setting):
 # ---------------------------------------------------------- martingale stats
 
 def test_martingale_stats_small_ensemble():
+    """The stats of L pass on a law run; the means and standard errors of
+    every tracked quantity, taken in one reduction over the trajectory
+    axis, equal those of each quantity's own slice, bit for bit."""
     ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=8)
     rho0 = _ground_state_mixture(8)
+    l = ops.l_ops[0]
+    a = ops.a_ops[0]
+    tracked = [("L", l), ("L2", l @ l), ("n", a.conj().T @ a)] + [
+        (f"P{j}", p) for j, (_, p) in enumerate(
+            smesim.spectral_projections(l))]
     batch = smesim.simulate_qsme(ops, rho0, dt=1e-3, T=0.2, n_traj=200,
-                                 seed=11, tracked=[("L", ops.l_ops[0])],
-                                 store_every=20)
-    (entry,) = smesim.martingale_stats(batch)
+                                 seed=11, tracked=tracked, store_every=20)
+    stats = smesim.martingale_stats(batch)
+    entry = stats[0]
     assert entry.name == "L"
     assert entry.passed, (entry.drift, entry.allowance)
     assert entry.means.shape == batch.times.shape
+    assert [e.name for e in stats] == [name for name, _ in tracked]
+    for k, e in enumerate(stats):
+        vals = batch.tracked_values[:, :, k]
+        means = vals.mean(axis=0)
+        ses = vals.std(axis=0, ddof=1) / np.sqrt(200)
+        assert means.tobytes() == e.means.tobytes()
+        assert ses.tobytes() == e.standard_errors.tobytes()
+        assert e.drift == float(means[-1] - means[0])
+        assert e.allowance == 3.0 * float(ses[-1])
 
 
 def test_martingale_allowance_follows_the_method():
