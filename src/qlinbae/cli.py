@@ -98,17 +98,22 @@ def load_spec(path, tol=DEFAULT_TOL):
     return sys_obj, doc
 
 
-def _section(doc, key, required=False):
-    """The spec's section `key`, which must be a JSON object when present;
-    {} when absent and not required."""
-    if key not in doc:
-        if required:
-            raise ValueError(f"spec file has no {key!r} section")
-        return {}
-    sec = doc[key]
-    if not isinstance(sec, dict):
-        raise ValueError(f"spec section {key!r} must be a JSON object, got {sec!r}")
-    return sec
+class _Section(dict):
+    """The spec's section `name`, which must be a JSON object when present;
+    empty when absent and not required. Reading a key it lacks raises a
+    ValueError naming the section and the key."""
+
+    def __init__(self, doc, name, required=False):
+        if required and name not in doc:
+            raise ValueError(f"spec file has no {name!r} section")
+        sec = doc.get(name, {})
+        if not isinstance(sec, dict):
+            raise ValueError(f"spec section {name!r} must be a JSON object, got {sec!r}")
+        super().__init__(sec)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ValueError(f"spec section {self.name!r} has no key {key!r}")
 
 
 def emit_spec(sys_obj):
@@ -301,7 +306,7 @@ def _network_from_doc(sys_obj, doc, tol):
     optional k** key must match its rows of C_minus or C_plus at the pair's
     own scale, with no floor (matcore._negligible), so that a change of
     time unit, which scales both alike, keeps the verdict."""
-    fb = _section(doc, "feedback", required=True)
+    fb = _Section(doc, "feedback", required=True)
     m1, m2 = _loop_split(fb["split"])
     net = feedback.FeedbackNetwork(
         plant=sys_obj, m1=m1, m2=m2,
@@ -336,7 +341,7 @@ def cmd_feedback(args):
     if args.max_candidates < 0:
         raise ValueError(
             f"--max-candidates needs a value >= 0, got {args.max_candidates}")
-    fb = _section(doc, "feedback")
+    fb = _Section(doc, "feedback")
     split = _loop_split(fb.get("split", [1, sys_obj.m_channels - 1]))
     cfg = feedback.SearchConfig(seed=args.seed)
     cands = feedback.design_couplings(sys_obj.omega_minus, sys_obj.omega_plus,
@@ -356,7 +361,7 @@ def cmd_feedback(args):
 
 def cmd_kalman(args):
     _, doc = load_spec(args.spec, args.tol)
-    sec = _section(doc, "kalman", required=True)
+    sec = _Section(doc, "kalman", required=True)
 
     def read(key):
         """kalman.<key>: finite, and real at --tol unless it is a Gamma."""
@@ -381,7 +386,7 @@ def cmd_kalman(args):
 
 def cmd_simulate(args):
     sys_obj, doc = load_spec(args.spec, args.tol)
-    sec = _section(doc, "sim")
+    sec = _Section(doc, "sim")
     # a flag overrides the spec whenever it is given; all are checked first
     count = lambda x: type(x) is int and x >= 2  # type(): JSON true is an int
     finite = lambda x: type(x) in (int, float) and np.isfinite(x)

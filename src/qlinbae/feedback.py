@@ -249,42 +249,42 @@ def _sg_matrix(tag, m1, m2):
     raise ValueError(f"unknown plant-scattering tag {tag!r}")
 
 
-def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w,
-                      coupling):
-    """Residual vector whose squared norm is the design objective: the
-    bae._PREDICATES residuals of "Omega purely imaginary" and of the
-    coupling hypothesis ("C real" or "C purely imaginary") on the reduced
-    system, flattened and joined in that order; s12, s22 and the loop gain
-    w belong to one validated, well-posed topology. A batch of points
-    x[..., dim] gives residuals [..., len]."""
+def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w):
+    """The rows of both branches' objectives (_branch_rows): the
+    bae._PREDICATES residuals of "Omega purely imaginary", "C real" and "C
+    purely imaginary" on the reduced system, flattened and joined in that
+    order; s12, s22 and the loop gain w belong to one validated, well-posed
+    topology. A batch of points x[..., dim] gives residuals [..., len]."""
     lead = x.shape[:-1]
     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
     c_minus, c_plus, om, op = _reduce_arrays(k11, k12, k21, k22, s12, s22, w,
                                              omega_minus, omega_plus)
     blocks = {"C": (c_minus, c_plus), "Omega": (om, op)}
     parts = []
-    for hypothesis in ("Omega purely imaginary", coupling):
+    for hypothesis in ("Omega purely imaginary", "C real", "C purely imaginary"):
         name, _, residual = bae._PREDICATES[hypothesis]
         parts.append(residual(*blocks[name]).reshape(*lead, -1))
     return np.concatenate(parts, axis=-1)
 
 
+def _branch_rows(m1, n):
+    """The rows of _design_residuals that the branches "C real" and "C
+    purely imaginary" sum: the 2 n^2 of Omega, then the 2 m1 n of its C."""
+    omega, c = 2 * n * n, 2 * m1 * n
+    return np.arange(omega + c), np.r_[:omega, omega + c:omega + 2 * c]
+
+
 def _unpack(x, m1, m2, n):
-    lead = x.shape[:-1]
-    sizes = [m1 * n, m1 * n, m2 * n, m2 * n]
-    mats = []
-    pos = 0
-    for rows, sz in zip((m1, m1, m2, m2), sizes):
-        re = x[..., pos:pos + sz].reshape(*lead, rows, n)
-        im = x[..., pos + sz:pos + 2 * sz].reshape(*lead, rows, n)
-        mats.append(re + 1j * im)
-        pos += 2 * sz
-    return mats
+    """The gains [k11, k12, k21, k22] that _pack packs into x[..., dim]."""
+    rows = (m1, m1, m2, m2)
+    parts = np.split(x, np.cumsum(np.repeat(rows, 2) * n)[:-1], axis=-1)
+    return [(re + 1j * im).reshape(*x.shape[:-1], r, n)
+            for re, im, r in zip(parts[::2], parts[1::2], rows)]
 
 
-def _quadratic_model(fixed, coupling):
+def _quadratic_model(fixed):
     """Tabulate (r0, L, H) with _design_residuals(x) = r0 + L x + x^T H x / 2
-    exactly, from one batched call of the residual kernel.
+    exactly, for the rows of both branches, from one batched kernel call.
 
     W is fixed, so the reduced C+- = k1. + S12 W k2. are linear in the
     gains, F and G are real-linear in them (through k1.^dag and k2.^dag),
@@ -309,7 +309,7 @@ def _quadratic_model(fixed, coupling):
     om = np.zeros((len(points), n, n), dtype=complex)
     op = np.zeros((len(points), n, n), dtype=complex)
     om[0], op[0] = omega_minus, omega_plus
-    r = _design_residuals(points, om, op, m1, m2, n, *topology, coupling)
+    r = _design_residuals(points, om, op, m1, m2, n, *topology)
     r0, plus, minus = r[0], r[1:dim + 1], r[dim + 1:2 * dim + 1]
     lin = ((plus - minus) / 2).T
     hess = (r[2 * dim + 1:].reshape(dim, dim, -1)
@@ -439,19 +439,19 @@ def _newton(x, r0, lin, hess):
     return x
 
 
-def _kernel_objective(x, fixed, coupling):
-    r = _design_residuals(x, *fixed, coupling)
+def _kernel_objective(x, fixed, rows):
+    r = _design_residuals(x, *fixed)[rows]
     return float(np.sum(r ** 2))
 
 
-def _refine(x0, model, fixed, coupling):
-    """Refine one start on one branch as the designer does, and return the
-    point with its objective J computed by the residual kernel itself.
-    _newton runs first; only where its kernel J is still above
+def _refine(x0, model, fixed, rows):
+    """Refine one start on the branch of rows as the designer does, and
+    return the point with its objective J computed by the residual kernel
+    itself. _newton runs first; only where its kernel J is still above
     CANDIDATE_THRESHOLD does the start go to scipy's trust-region least
     squares from x0, so no candidate that search alone finds is lost."""
     x = _newton(x0, *model)
-    j = _kernel_objective(x, fixed, coupling)
+    j = _kernel_objective(x, fixed, rows)
     if j <= CANDIDATE_THRESHOLD:
         return x, j
     from scipy import optimize  # only on a hand-off, so Newton alone loads no scipy
@@ -460,7 +460,7 @@ def _refine(x0, model, fixed, coupling):
         _quadratic_residuals, x0, jac=_quadratic_jacobian, args=model,
         method="trf", max_nfev=REFINE_MAXITER,
         xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-    return x, _kernel_objective(x, fixed, coupling)
+    return x, _kernel_objective(x, fixed, rows)
 
 
 def _objective_floor(fixed):
@@ -552,7 +552,7 @@ def design_couplings(omega_minus, omega_plus, split,
     sign-definite Hermitian form and cannot cancel an indefinite target.
 
     Random multi-start followed by local refinement, run once per coupling
-    hypothesis, of the objective J, the sum of the squared bae._PREDICATES
+    branch, of the objective J, the sum of the squared bae._PREDICATES
     residuals of the target hypotheses on the reduced system: "Omega
     purely imaginary" and one of "C real" and "C purely imaginary", that is
       J = ||Re Omega-_red||_F^2 + ||Re Omega+_red||_F^2
@@ -565,9 +565,9 @@ def design_couplings(omega_minus, omega_plus, split,
     C+- = k1. + S12 W k2. are linear in x, F and G are linear in x, the
     Omega shift is built from the products F k2. and G k2., and Omega+-
     enter only additively. So r(x) = r0 + L x + x^T H x / 2 holds exactly;
-    (r0, L, H) is tabulated once per topology and hypothesis (_quadratic_model
-    gives the derivation and the formulas), and the refinement runs on the
-    polynomial with its exact Jacobian L + H x.
+    (r0, L, H) is tabulated once per topology for the rows of both branches
+    (_quadratic_model gives the derivation and the formulas), and each
+    branch refines on its rows' polynomial with its exact Jacobian L + H x.
 
     The refinement (_refine) is minimum-norm Gauss-Newton (_newton):
     x <- x - lam J^+ r, lam halved from 1 until ||r||^2 falls. The problem
@@ -594,7 +594,7 @@ def design_couplings(omega_minus, omega_plus, split,
     the candidate threshold never rests on the tabulation. Only a start
     whose kernel J after Newton is still above CANDIDATE_THRESHOLD goes on
     to scipy's trust-region least squares, from the same x0 with the same
-    arguments as a search without Newton, so every start and hypothesis
+    arguments as a search without Newton, so every start and branch
     that gave such a search a candidate still gives one; scipy.optimize is
     imported on that path alone. A topology is skipped
     before any tabulation when its loop is singular, or when
@@ -620,6 +620,7 @@ def design_couplings(omega_minus, omega_plus, split,
 
     candidates = []
     dim = 4 * n * (m1 + m2)
+    branches = _branch_rows(m1, n)
     for sg_tag in s_g_candidates:
         sg = _sg_matrix(sg_tag, m1, m2)
         if sg is None:
@@ -640,11 +641,11 @@ def design_couplings(omega_minus, omega_plus, split,
             fixed = (omega_minus, omega_plus, m1, m2, n, s12, s22, w)
             if _objective_floor(fixed) > CANDIDATE_THRESHOLD:
                 continue  # no refinement here can reach a candidate
-            models = {coupling: _quadratic_model(fixed, coupling)
-                      for coupling in ("C real", "C purely imaginary")}
+            table = _quadratic_model(fixed)
+            models = [(tuple(a[rows] for a in table), rows) for rows in branches]
             for x0 in starts:
-                for coupling, model in models.items():
-                    x, j = _refine(x0, model, fixed, coupling)
+                for model, rows in models:
+                    x, j = _refine(x0, model, fixed, rows)
                     if j > CANDIDATE_THRESHOLD:
                         continue
                     k11, k12, k21, k22 = _unpack(x, m1, m2, n)

@@ -122,10 +122,6 @@ class SMETrajectoryBatch:
         return max(0.0, -self.positivity_margin)
 
 
-def _dagger(x):
-    return x.conj().swapaxes(-1, -2)
-
-
 def _generator(ops):
     """The coupling operators as complex arrays and the non-Hermitian
     generator K = -iH - 1/2 sum_j L_j^dag L_j."""
@@ -205,7 +201,7 @@ def _frame_forms(xs, v, formed=None):
     W' = V^T R(X^T) V, and whether every W' is diagonal in the complex
     frame within the rounding of its formation and its rotation. formed
     bounds the rounding of forming each X, entry by entry, as an array of
-    xs's shape (see `_basis_rounding`); None for xs given exactly.
+    xs's shape (see `_kraus_basis`); None for xs given exactly.
     Returns (forms, diagonal), forms of shape (len(xs), 2d, 2d).
 
     With V = R(conj U), R(Y)^T = R(Y^dag) and R(Y) R(Z) = R(Y Z) give
@@ -241,19 +237,12 @@ def _frame_forms(xs, v, formed=None):
     return rotated, bool((np.abs(rotated) <= bound)[:, off].all())
 
 
-def _kraus_basis(l_ops, k_gen, dt):
-    """The Kraus basis [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k]
-    of `simulate_qsme`, pairs in np.triu_indices order."""
-    jj, kk = np.triu_indices(len(l_ops))
-    return [np.eye(len(k_gen)) + dt * k_gen, *l_ops,
-            *(0.5 * (l_ops[j] @ l_ops[k] + l_ops[k] @ l_ops[j])
-              for j, k in zip(jj, kk))]
-
-
-def _basis_rounding(l_ops, h, dt):
-    """A first-order bound, entry by entry, on the rounding of forming each
-    element of `_kraus_basis` from H and the m coupling operators L_j, as
-    a (n_basis, d, d) array; the `formed` of `_frame_forms`.
+def _kraus_basis(l_ops, k_gen, h, dt):
+    """(basis, formed): the Kraus basis [I + K dt, L_j, P_jk for j <= k] of
+    `simulate_qsme`, pairs in np.triu_indices order, and a first-order
+    bound, entry by entry, on the rounding of forming each element from H
+    and the m coupling operators L_j, as a (n_basis, d, d) array; the
+    `formed` of `_frame_forms`.
 
     With u = eps / 2 and gamma_k = k u / (1 - k u), a complex inner
     product of d terms is within sqrt(2) gamma_{d+2} of its value against
@@ -266,22 +255,27 @@ def _basis_rounding(l_ops, h, dt):
     sum (2u). To first order these add to less than sqrt(2)
     gamma_{d+m+5} times |I| + dt (|H| + 1/2 sum_j |L_j|^T |L_j|). The
     L_j are the operators given, formed by nothing here. A pair
-    1/2 (L_j L_k + L_k L_j) forms two products and one sum, within
-    sqrt(2) gamma_{d+3} times 1/2 (|L_j| |L_k| + |L_k| |L_j|)."""
+    P_jk = 1/2 (L_j L_k + L_k L_j), j < k, forms two products and one sum,
+    P_jj = 1/2 L_j^2 one product, each within sqrt(2) gamma_{d+3} times
+    P_jk formed on the |L_j|."""
     d, m = len(h), len(l_ops)
     u = np.finfo(float).eps / 2
 
     def complex_gamma(k):  # sqrt(2) gamma_k
         return np.sqrt(2.0) * k * u / (1.0 - k * u)
 
+    def pair(x, j, k):  # 1/2 (X_j X_k + X_k X_j), 1/2 X_j^2 where j = k
+        return 0.5 * (x[j] @ x[k] + x[k] @ x[j] if j < k else x[j] @ x[j])
+
     mod = [np.abs(l) for l in l_ops]
     gram = sum((x.T @ x for x in mod), np.zeros((d, d)))
-    jj, kk = np.triu_indices(m)
-    return np.array([
-        complex_gamma(d + m + 5) * (np.eye(d) + dt * (np.abs(h) + 0.5 * gram)),
-        *np.zeros((m, d, d)),
-        *(complex_gamma(d + 3) * 0.5 * (mod[j] @ mod[k] + mod[k] @ mod[j])
-          for j, k in zip(jj, kk))])
+    basis = [np.eye(d) + dt * k_gen, *l_ops]
+    formed = [complex_gamma(d + m + 5) * (np.eye(d) + dt * (np.abs(h) + 0.5 * gram)),
+              *np.zeros((m, d, d))]
+    for j, k in zip(*np.triu_indices(m)):
+        basis.append(pair(l_ops, j, k))
+        formed.append(complex_gamma(d + 3) * pair(mod, j, k))
+    return basis, np.array(formed)
 
 
 def _trace_deviation(ratios, first):
@@ -366,11 +360,11 @@ def _sample_law(l_ops, k_gen, v, psi0, streams, times, forms, diagonal,
 
 
 def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
-                 store_set, forms, diagonal, values):
+                 slots, forms, diagonal, values):
     """The product path of `simulate_qsme`: n_steps steps of the Kraus map
-    on psi, the tracked values written into values after each step of
-    store_set. Returns the last psi, its norm t, max_trace_deviation and
-    the number of blocks replayed step by step.
+    on psi, the tracked values written into values[:, slots[i]] at each
+    step i that slots holds, step 0 included. Returns the last psi, its
+    norm t, max_trace_deviation and the number of blocks replayed.
 
     The steps run a block of c innovations at a time (`_noise_block`).
     Row k of the block's read buffer holds the read [t, t dy_j without
@@ -392,7 +386,6 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
         forms = np.tile(forms, (r, 1))
     psi = np.broadcast_to(psi0, (n_traj, r, n)).copy()
     spare = np.empty_like(psi)  # squares, product
-    start_psi = np.empty_like(psi)
     kraus_re = np.empty((n_traj, n * n))
     basis_flat = basis_re.reshape(-1, n * n)
     if m > 1:  # [R_2 | ... | R_m], rotated
@@ -407,19 +400,16 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
             out[:, 2:] = np.einsum("trjc,trc->tj",
                                    gained.reshape(n_traj, r, m - 1, n), psi)
 
-    def record(read):
-        nonlocal slot
-        slot += 1
+    def record(read, step):
         if diagonal:  # spare holds the squares of the read just taken
             flat = spare.reshape(n_traj, -1)
         else:  # matmul is slow on a swapaxes view; copy it first
             flat = (np.ascontiguousarray(psi.swapaxes(1, 2)) @ psi).reshape(
                 n_traj, -1)
-        values[:, slot] = flat @ forms / read[:, :1]
+        values[:, slots[step]] = flat @ forms / read[:, :1]
 
     jj, kk = np.triu_indices(m)
-    pair_scale = np.where(jj == kk, 0.5, 1.0)
-    pair_shift = np.where(jj == kk, -0.5 * dt, 0.0)
+    pair_shift = np.where(jj == kk, -dt, 0.0)  # the Ito term -delta_jk dt
     coef = np.ones((n_traj, len(basis_re)))
     dy, pair = coef[:, 1:m + 1], coef[:, m + 1:]  # formed in place
 
@@ -435,7 +425,6 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
                 np.multiply(dy, dy, out=pair)
             else:
                 np.multiply(dy[:, jj], dy[:, kk], out=pair)
-            np.multiply(pair, pair_scale, out=pair)
             np.add(pair, pair_shift, out=pair)
             if k % period:
                 np.matmul(coef, basis_flat, out=kraus_re)
@@ -446,12 +435,12 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
             np.matmul(psi, kraus_re.reshape(n_traj, n, n), out=spare)
             psi, spare = spare, psi
             squares_read(reads[k + 1])
-            if first + k + 1 in store_set:
-                record(reads[k + 1])
+            if first + k + 1 in slots:
+                record(reads[k + 1], first + k + 1)
 
     squares_read(reads[0])
-    max_trace_dev, replayed, slot = 0.0, 0, -1
-    record(reads[0])
+    max_trace_dev, replayed = 0.0, 0
+    record(reads[0], 0)
     # a non-finite step raises InstabilityError below; numpy's overflow and
     # invalid-value warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -460,12 +449,12 @@ def _kraus_steps(l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
             for i, gen in enumerate(streams):
                 noise[:count, i] = gen.normal(0.0, np.sqrt(dt),
                                               size=(count, m))
-            start_psi[...], start_slot = psi, slot
+            start_psi = psi.copy()
             ratios[:count] = 1.0
             steps(start, count, count)
             norms = reads[1:count + 1, :, 0]
             if not (safe <= norms.min() and norms.max() <= 1.0 / safe):
-                psi[...], slot = start_psi, start_slot
+                psi[...] = start_psi
                 steps(start, count, 1)
                 replayed += 1
             ratio = ratios[:count, :, 0]  # s^2 t, then t' / (s^2 t)
@@ -508,16 +497,15 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     them.
 
     The path. The rotated form of a Kraus basis element B of
-    [I + K dt, L_j, 1/2 (L_j L_k + L_k L_j) for j <= k] is
-    R((U^dag B U)^T) (`_frame_forms`). When every one is diagonal in the
-    complex frame within the rounding of its formation (`_basis_rounding`)
-    and rotation, as in a QND measurement, where K and every L_j commute
-    with the first record operator and no repeated eigenvalue of it is
-    mixed (a complex coupling phase included, whose K is real but formed
-    with an imaginary part of rounding), the run samples the exact law
-    ("exact_law"); any other system, a record operator with a repeated
-    eigenvalue whose eigenspace some B mixes included, steps the Kraus map
-    ("kraus").
+    [I + K dt, L_j, P_jk for j <= k] (below) is R((U^dag B U)^T)
+    (`_frame_forms`). When every one is diagonal in the complex frame
+    within the rounding of its formation (`_kraus_basis`) and rotation, as
+    in a QND measurement, where K and every L_j commute with the first
+    record operator and no repeated eigenvalue of it is mixed (a complex
+    coupling phase included, whose K is real but formed with an imaginary
+    part of rounding), the run samples the exact law ("exact_law"); any
+    other system, a record operator with a repeated eigenvalue whose
+    eigenspace some B mixes included, steps the Kraus map ("kraus").
 
     The exact law (Adler, Brody, Brun & Hughston 2001, J. Phys. A 34:8795;
     Jacobs & Steck 2006, Contemp. Phys. 47:279). In that frame K and the
@@ -579,8 +567,13 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     psi <- psi V^T R(M^T) V is the coefficients (1, dy_j, c_jk) times the
     rotated real forms V^T R(B^T) V of the basis, one real GEMM for all
     trajectories, then one batched real product; the double sum is
-    symmetric in (j, k), so c_jj = (dy_j^2 - dt) / 2 and, for j < k,
-    c_jk = dy_j dy_k. With rho = phi^T conj(phi) / t, the norm
+    symmetric in (j, k), so against P_jk = 1/2 (L_j L_k + L_k L_j) and
+    P_jj = 1/2 L_j^2 it takes the Ito term c_jk = dy_j dy_k - delta_jk dt.
+    Where the 1/2 of P_jj sits changes no bit: a factor 2 moved between the
+    factors of a product, or of a fused multiply-add, keeps its exact value
+    and so its rounding, and P_jj's forms and rounding bounds halve
+    together. The one exception is a subnormal entry, which a halving may
+    round. With rho = phi^T conj(phi) / t, the norm
     t = ||phi||_F^2 = sum psi^2 and the first record
     Tr[rho dt (L_1 + L_1^dag)] = sum lam psi^2 / t come from one pass of
     squares psi^2 and one flat product per trajectory against [1 | lam]
@@ -678,9 +671,7 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
 
     names = tuple(name for name, _ in tracked)
     norms = tuple(float(np.linalg.norm(x, 2)) for x in obs)
-    store_idx = list(range(0, n_steps + 1, store_every))
-    if store_idx[-1] != n_steps:
-        store_idx.append(n_steps)
+    store_idx = [*range(0, n_steps, store_every), n_steps]
     times = np.array([i * dt for i in store_idx])
     values = np.empty((n_traj, len(store_idx), len(obs)))
 
@@ -688,8 +679,8 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
         v, weights = _eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), r)
     else:  # no record to read; V = I rounds nothing
         v, weights = np.eye(2 * d), np.ones((2 * r * d, 1))
-    basis_re, population = _frame_forms(_kraus_basis(l_ops, k_gen, dt), v,
-                                        _basis_rounding(l_ops, ops.h, dt))
+    basis, formed = _kraus_basis(l_ops, k_gen, ops.h, dt)
+    basis_re, population = _frame_forms(basis, v, formed)
     forms, diagonal = _frame_forms([0.5 * (x + x.conj().T) for x in obs], v)
     if diagonal:  # Tr(rho X) t from the populations
         forms = np.diagonal(forms, axis1=1, axis2=2).T
@@ -712,11 +703,11 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
                 "the Kraus-map bias may be large", stacklevel=2)
         psi, t, max_trace_dev, replayed = _kraus_steps(
             l_ops, basis_re, v, weights, psi0, streams, dt, n_steps,
-            set(store_idx), forms, diagonal, values)
+            {i: s for s, i in enumerate(store_idx)}, forms, diagonal, values)
 
     phi = np.matmul(psi, v.T).view(complex)  # rotated back once
     y = np.matmul(phi.swapaxes(-1, -2), phi.conj())  # phi^T conj(phi)
-    rho = y + _dagger(y)
+    rho = y + y.conj().swapaxes(-1, -2)
     rho /= (2.0 * t)[:, None, None]
     return SMETrajectoryBatch(
         times=times, tracked_names=names, tracked_values=values,

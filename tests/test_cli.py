@@ -711,6 +711,29 @@ def test_required_section_must_be_present(tmp_path, capsys, command, section):
     assert capsys.readouterr().err == f"error: spec file has no {section!r} section\n"
 
 
+@pytest.mark.parametrize("command,section,key", [
+    (["feedback", "reduce"], "feedback", "split"),
+    (["feedback", "reduce"], "feedback", "beamsplitter"),
+    (["kalman"], "kalman", "A_co"),
+    (["kalman"], "kalman", "B_co"),
+    (["kalman"], "kalman", "C_co"),
+    (["kalman"], "kalman", "Gamma_p"),
+], ids=["feedback_split", "feedback_beamsplitter", "kalman_A_co",
+        "kalman_B_co", "kalman_C_co", "kalman_Gamma_p"])
+def test_a_missing_section_key_is_named(tmp_path, capsys, command, section, key):
+    """A section without a key its command reads is one error line naming
+    the section and the key, not the bare key of a KeyError. Gamma_p is
+    read once Gamma_q is given."""
+    doc = _anchor_network_doc() if section == "feedback" else _kalman_doc()
+    if key == "Gamma_p":
+        doc["kalman"] = {"A_co": cli.emit_complex_matrix(-np.eye(2)),
+                         "Gamma_q": [[[1.0, 0.0]]], "Gamma_p": [[[0.0, 1.0]]]}
+    del doc[section][key]
+    assert cli.main([*command, _write(tmp_path, doc)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: spec section {section!r} has no key {key!r}\n")
+
+
 @pytest.mark.parametrize("key,value,words", [
     ("A_co", -np.eye(2) + 0.5j * np.eye(2), "must be real"),
     ("B_co", -np.eye(2) + 1e-3j, "must be real"),

@@ -21,6 +21,8 @@ K11 = np.array([[1.0, 1.0 + 1.0j]])
 K12 = np.array([[1.0, 2.0 - 1.0j]])
 K21 = np.array([[1.0 + 1.0j, 1.0 + 1.0j]])
 K22 = np.array([[1.0 + 1.0j, 2.0 + 2.0j]])
+# the designer's coupling branches, in the order of feedback._branch_rows
+BRANCHES = ("C real", "C purely imaginary")
 
 
 def _anchor_network():
@@ -133,14 +135,14 @@ def test_anchor_network_oracle_and_crossterm_shift():
 # ---------------------------------------------------------------- designer
 
 def _count_refinements(monkeypatch):
-    """Record the branch of every refinement the designer runs: one call of
-    feedback._refine per start and branch."""
+    """Record the branch rows of every refinement the designer runs: one
+    call of feedback._refine per start and branch."""
     calls = []
     refine = feedback._refine
 
-    def counting(x0, model, fixed, coupling):
-        calls.append(coupling)
-        return refine(x0, model, fixed, coupling)
+    def counting(x0, model, fixed, rows):
+        calls.append(rows)
+        return refine(x0, model, fixed, rows)
 
     monkeypatch.setattr(feedback, "_refine", counting)
     return calls
@@ -160,8 +162,9 @@ def _validated_residuals(x, om, op, m1, m2, n, sb, sg, branch):
 
 def test_design_residuals_match_validated_reduction():
     """The search's residual, on the loop gain hoisted once per topology,
-    is bit-identical to the one built through make_network and
-    reduce_network, so hoisting cannot move the optimizer's path."""
+    read on each branch's rows, is bit-identical to the one built through
+    make_network and reduce_network, so hoisting cannot move the
+    optimizer's path."""
     nets = [_anchor_network()]
     rng = np.random.default_rng(2)
     nets += [random_feedback_network(rng, n=2, m1=2, m2=2) for _ in range(20)]
@@ -175,11 +178,10 @@ def test_design_residuals_match_validated_reduction():
                                              net.k21, net.k22, net.s_b,
                                              s_plant=sg)
             w = feedback._loop_gain(topology.s22, topology.s_b)
-            for branch in ("C real", "C purely imaginary"):
-                hoisted = feedback._design_residuals(
-                    x, om, op, m1, m2, n, topology.s12, topology.s22, w,
-                    branch)
-                assert np.array_equal(hoisted, _validated_residuals(
+            hoisted = feedback._design_residuals(
+                x, om, op, m1, m2, n, topology.s12, topology.s22, w)
+            for branch, rows in zip(BRANCHES, feedback._branch_rows(m1, n)):
+                assert np.array_equal(hoisted[rows], _validated_residuals(
                     x, om, op, m1, m2, n, net.s_b, sg, branch))
 
 
@@ -326,7 +328,8 @@ def _topologies():
 
 
 def test_quadratic_model_is_the_residual():
-    """The tabulated polynomial equals the residual kernel, and its Jacobian
+    """The tabulated polynomial, read on each branch's rows as the designer
+    reads it, equals the residual kernel on those rows, and its Jacobian
     equals the kernel's central difference at unit step (exact for a
     quadratic), within 1e-12 (1 + |x|^2) max(1, |Omega|). L and H do not
     depend on Omega at all: at 1e6 times the target they are bit for bit
@@ -338,8 +341,9 @@ def test_quadratic_model_is_the_residual():
         dim = 4 * n * (m1 + m2)
         bound_scale = max(1.0, np.abs(om).max(), np.abs(op).max())
         eye = np.eye(dim)
-        for branch in ("C real", "C purely imaginary"):
-            r0, lin, hess = feedback._quadratic_model(fixed, branch)
+        table = feedback._quadratic_model(fixed)
+        for branch, rows in zip(BRANCHES, feedback._branch_rows(m1, n)):
+            r0, lin, hess = (a[rows] for a in table)
             assert np.array_equal(r0[:2 * om.size], np.concatenate(
                 [np.real(om).ravel(), np.real(op).ravel()]))
             key = (*label, branch)
@@ -351,19 +355,19 @@ def test_quadratic_model_is_the_residual():
             for _ in range(3):
                 x = rng.standard_normal(dim) * 3.0 / np.sqrt(dim)
                 bound = 1e-12 * (1.0 + x @ x) * bound_scale
-                kernel = feedback._design_residuals(x, *fixed, branch)
+                kernel = feedback._design_residuals(x, *fixed)[rows]
                 model = feedback._quadratic_residuals(x, r0, lin, hess)
                 assert np.max(np.abs(model - kernel)) <= bound
-                central = (feedback._design_residuals(x + eye, *fixed, branch)
-                           - feedback._design_residuals(x - eye, *fixed, branch)).T / 2
+                central = (feedback._design_residuals(x + eye, *fixed)
+                           - feedback._design_residuals(x - eye, *fixed))[:, rows].T / 2
                 jac = feedback._quadratic_jacobian(x, r0, lin, hess)
                 assert np.max(np.abs(jac - central)) <= bound
     assert not tables  # every table was compared with its 1e6 scaling
 
 
 def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
-    """One tabulation per refined (topology, branch) and one gate per
-    refinement: the residual kernel's call count does not grow with the
+    """One tabulation per refined topology, for both branches, and one gate
+    per refinement: the residual kernel's call count does not grow with the
     refinement's evaluations of the tabulated polynomial, so finite
     differences cannot return unnoticed. The identity routing with
     S_b = -i is pruned (its floor on the anchor is ||(Re Omega-)_-||_F^2 =
@@ -388,12 +392,12 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
                               s_b_candidates=("-i",),
                               s_g_candidates=("identity", "swap"))
     assert all(swap for _, swap in kernel_calls)  # none on the identity
-    n_tables = 2  # the swap topology x branches
-    assert len(refinements) == n_tables * cfg.n_starts
-    assert len(kernel_calls) == n_tables * (1 + cfg.n_starts)
+    n_branches = 2  # one table, on the swap topology
+    assert len(refinements) == n_branches * cfg.n_starts
+    assert len(kernel_calls) == 1 + n_branches * cfg.n_starts
     assert len(evals) > len(kernel_calls)
-    # the tabulations are batched, the gates single points
-    assert sum(len(shape) == 2 for shape, _ in kernel_calls) == n_tables
+    # the tabulation is batched, the gates single points
+    assert sum(len(shape) == 2 for shape, _ in kernel_calls) == 1
 
 
 def test_a_stalled_newton_hands_every_start_to_the_trust_region(monkeypatch):
@@ -641,11 +645,12 @@ def test_objective_floor_bounds_every_refined_objective():
         want = parts[sign] if sign else 0.0
         assert want - 1e-9 * (1 + want) <= floor <= want
         best = np.inf
-        for branch in ("C real", "C purely imaginary"):
-            model = feedback._quadratic_model(fixed, branch)
+        table = feedback._quadratic_model(fixed)
+        for rows in feedback._branch_rows(m1, n):
+            model = tuple(a[rows] for a in table)
             for _ in range(2):
                 _, j = feedback._refine(rng.standard_normal(4 * n * (m1 + m2)),
-                                        model, fixed, branch)
+                                        model, fixed, rows)
                 assert j >= floor, (j, floor, sign)
                 best = min(best, j)
         attained += sign != 0 and best <= floor + 1e-9 * (1 + floor)

@@ -43,8 +43,7 @@ def _path(ops, dt=1e-3):
         v, _ = smesim._eigenframe(dt * (l_ops[0] + l_ops[0].conj().T), 1)
     else:
         v = np.eye(2 * ops.dim)
-    basis = smesim._kraus_basis(l_ops, k_gen, dt)
-    formed = smesim._basis_rounding(l_ops, ops.h, dt)
+    basis, formed = smesim._kraus_basis(l_ops, k_gen, ops.h, dt)
     return "population" if smesim._frame_forms(basis, v, formed)[1] else "product"
 
 
@@ -533,6 +532,67 @@ def test_real_form_is_the_kron_form_bit_for_bit():
             for y in (x, x.T, x.conj()):
                 kron = np.kron(y.real, np.eye(2)) + np.kron(y.imag, j)
                 assert smesim._real_form(y).tobytes() == kron.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kraus_table_is_the_step_map_and_its_rounding(m):
+    """The Kraus table [I + K dt, L_j, P_jk for j <= k] of m channels on
+    one mode: against the coefficients (1, dy_j, dy_j dy_k - delta_jk dt)
+    it sums to the one-step M = I + K dt + sum_j L_j dy_j
+    + 1/2 sum_jk L_j L_k (dy_j dy_k - delta_jk dt), formed here from ops,
+    within the rounding of both sums; and each row of formed is the
+    rounding bound of the element beside it, the bound of a diagonal pair
+    halved with its element, and holds its formation's error against the
+    element formed in long double."""
+    rng = np.random.default_rng(m)
+    c_minus, c_plus = (rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+                       for _ in range(2))
+    ops = smesim.build_truncated_operators(qsys.new_system(
+        np.eye(m), c_minus, c_plus, np.array([[0.7]]), np.array([[0.2 + 0.1j]])),
+        fock_dim=5)
+    d, dt, eps = ops.dim, 1e-3, np.finfo(float).eps
+    l_ops, k_gen = smesim._generator(ops)
+    basis, formed = smesim._kraus_basis(l_ops, k_gen, ops.h, dt)
+    jj, kk = np.triu_indices(m)
+    assert len(basis) == len(formed) == 1 + m + len(jj)
+
+    mod = [np.abs(l) for l in ops.l_ops]
+    gram = sum(x.T @ x for x in mod)
+    k_ops = -1j * ops.h - 0.5 * sum(l.conj().T @ l for l in ops.l_ops)
+    for _ in range(5):
+        dy = rng.normal(0.0, np.sqrt(dt), m) + dt * rng.standard_normal(m)
+        ito = np.outer(dy, dy) - dt * np.eye(m)
+        coef = [1.0, *dy, *(ito[j, k] for j, k in zip(jj, kk))]
+        table = sum(c * b for c, b in zip(coef, basis))
+        step = (np.eye(d) + dt * k_ops
+                + sum(y * l for y, l in zip(dy, ops.l_ops))
+                + 0.5 * sum(ito[j, k] * ops.l_ops[j] @ ops.l_ops[k]
+                            for j in range(m) for k in range(m)))
+        scale = (np.eye(d) + dt * (np.abs(ops.h) + 0.5 * gram)
+                 + sum(abs(y) * x for y, x in zip(dy, mod))
+                 + sum(abs(ito[j, k]) * mod[j] @ mod[k]
+                       for j in range(m) for k in range(m)))
+        assert (np.abs(table - step) <= 8 * (d + m + 5) * eps * scale).all()
+
+    def gamma(k):  # sqrt(2) gamma_k, u = eps / 2
+        return np.sqrt(2.0) * k * (eps / 2) / (1.0 - k * eps / 2)
+
+    assert np.array_equal(formed[0], gamma(d + m + 5) * (
+        np.eye(d) + dt * (np.abs(ops.h) + 0.5 * gram)))
+    assert not formed[1:m + 1].any()  # the L_j are given, formed by nothing
+    for row, j, k in zip(formed[1 + m:], jj, kk):
+        bound = gamma(d + 3) * 0.5 * (mod[j] @ mod[k] + mod[k] @ mod[j])
+        assert np.array_equal(row, bound / 2 if j == k else bound)
+
+    wide = [l.astype(np.clongdouble) for l in ops.l_ops]
+    exact = [np.eye(d) + dt * (-1j * ops.h.astype(np.clongdouble)
+                               - 0.5 * sum(l.conj().T @ l for l in wide)),
+             *wide, *(0.5 * (wide[j] @ wide[k] + wide[k] @ wide[j])
+                      / (2 if j == k else 1) for j, k in zip(jj, kk))]
+    for b, x, bound in zip(basis, exact, formed):
+        error = b - x
+        assert (np.abs(error.real) <= bound).all()
+        assert (np.abs(error.imag) <= bound).all()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
@@ -1076,7 +1136,7 @@ def test_complex_coupling_phase_matches_the_product_path(monkeypatch):
     """Under C- = C+ = 0.2 e^{0.3i} the off-diagonal entries of the rotated
     I + K dt sit near 1e-22, where the rounding of the rotation alone
     allows about 1e-36: only the rounding of forming K
-    (`smesim._basis_rounding`) admits the exact law. Its complex lam =
+    (`smesim._kraus_basis`) admits the exact law. Its complex lam =
     0.2 e^{0.3i} sqrt(2) q enters the exponent with its phase, and its
     final states and stored values agree with exact.qnd_law_states
     (_check_law). The product path, forced, agrees with _kraus_reference
@@ -1086,10 +1146,11 @@ def test_complex_coupling_phase_matches_the_product_path(monkeypatch):
     assert _path(ops) == "population"
     l_ops, k_gen = smesim._generator(ops)
     v, _ = smesim._eigenframe(1e-3 * (l_ops[0] + l_ops[0].conj().T), 1)
-    forms, _ = smesim._frame_forms(smesim._kraus_basis(l_ops, k_gen, 1e-3), v)
+    basis, _ = smesim._kraus_basis(l_ops, k_gen, ops.h, 1e-3)
+    forms, _ = smesim._frame_forms(basis, v)
     off = np.kron(~np.eye(8, dtype=bool), np.ones((2, 2), dtype=bool))
     assert 0 < np.abs(forms[0])[off].max()
-    assert not smesim._frame_forms(smesim._kraus_basis(l_ops, k_gen, 1e-3), v)[1]
+    assert not smesim._frame_forms(basis, v)[1]
 
     d = ops.dim
     v = _orthonormal_columns(np.random.default_rng(3), d, 3)
