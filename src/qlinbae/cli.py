@@ -342,6 +342,11 @@ def cmd_feedback(args):
         raise ValueError(
             f"--max-candidates needs a value >= 0, got {args.max_candidates}")
     fb = _Section(doc, "feedback")
+    if "split" not in fb and sys_obj.m_channels < 2:
+        raise ValueError(
+            "feedback.split must be two positive integers, got the default "
+            f"[1, channels - 1] = [1, {sys_obj.m_channels - 1}]: a one-channel "
+            "spec needs an explicit split")
     split = _loop_split(fb.get("split", [1, sys_obj.m_channels - 1]))
     cfg = feedback.SearchConfig(seed=args.seed)
     cands = feedback.design_couplings(sys_obj.omega_minus, sys_obj.omega_plus,

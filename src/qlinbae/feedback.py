@@ -253,8 +253,10 @@ def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w):
     """The rows of both branches' objectives (_branch_rows): the
     bae._PREDICATES residuals of "Omega purely imaginary", "C real" and "C
     purely imaginary" on the reduced system, flattened and joined in that
-    order; s12, s22 and the loop gain w belong to one validated, well-posed
-    topology. A batch of points x[..., dim] gives residuals [..., len]."""
+    order, returned with the reduced (C-, C+, Omega-, Omega+) they were
+    read from; s12, s22 and the loop gain w belong to one validated,
+    well-posed topology. A batch of points x[..., dim] gives residuals
+    [..., len] and reduced blocks with the same leading axes."""
     lead = x.shape[:-1]
     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
     c_minus, c_plus, om, op = _reduce_arrays(k11, k12, k21, k22, s12, s22, w,
@@ -264,7 +266,7 @@ def _design_residuals(x, omega_minus, omega_plus, m1, m2, n, s12, s22, w):
     for hypothesis in ("Omega purely imaginary", "C real", "C purely imaginary"):
         name, _, residual = bae._PREDICATES[hypothesis]
         parts.append(residual(*blocks[name]).reshape(*lead, -1))
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate(parts, axis=-1), (c_minus, c_plus, om, op)
 
 
 def _branch_rows(m1, n):
@@ -309,7 +311,7 @@ def _quadratic_model(fixed):
     om = np.zeros((len(points), n, n), dtype=complex)
     op = np.zeros((len(points), n, n), dtype=complex)
     om[0], op[0] = omega_minus, omega_plus
-    r = _design_residuals(points, om, op, m1, m2, n, *topology)
+    r = _design_residuals(points, om, op, m1, m2, n, *topology)[0]
     r0, plus, minus = r[0], r[1:dim + 1], r[dim + 1:2 * dim + 1]
     lin = ((plus - minus) / 2).T
     hess = (r[2 * dim + 1:].reshape(dim, dim, -1)
@@ -338,10 +340,37 @@ def _rounding_floor(x, r0, lin, hess):
     return k * u / (1 - k * u) * np.linalg.norm(rho)
 
 
+def _min_norm_solver(m, n):
+    """solve(J, r) -> (s, singular values of J) for m x n J: the
+    minimum-norm least-squares solution s = J^+ r of J s = r from LAPACK
+    dgelsd, called directly with np.linalg.lstsq's rcond=None cut-off
+    eps max(m, n) (singular values at most that times the largest count as
+    zero). The workspace is queried once here for the shape, where
+    np.linalg.lstsq queries it on every call. np.linalg.LinAlgError when
+    dgelsd's SVD does not converge."""
+    from scipy.linalg import lapack  # on first use, not when feedback is imported
+
+    cond = np.finfo(float).eps * max(m, n)
+    work, iwork, _ = lapack.dgelsd_lwork(m, n, 1, cond)
+    lwork = int(work)
+
+    def solve(jac, r):
+        rhs = np.zeros((max(m, n), 1))
+        rhs[:m, 0] = r
+        s, sv, _, info = lapack.dgelsd(jac, rhs, lwork, iwork, cond)
+        if info:
+            raise np.linalg.LinAlgError(
+                f"SVD did not converge in linear least squares (gelsd info {info})")
+        return s[:n, 0], sv
+
+    return solve
+
+
 def _newton(x, r0, lin, hess):
     """Minimum-norm Gauss-Newton on r(x) = r0 + L x + x^T H x / 2 from x:
     x <- x - lam s with s = J(x)^+ r(x), the minimum-norm least-squares
-    solution of J(x) s = r(x) (np.linalg.lstsq), and lam = 1, 1/2, 1/4, ...
+    solution of J(x) s = r(x) (_min_norm_solver, one per call, for J's
+    fixed shape), and lam = 1, 1/2, 1/4, ...
     the first that lowers ||r||^2; after a full step in the singular regime
     below, x - 2 s is tried too and kept where it is lower still. Returns
     the last accepted point.
@@ -406,6 +435,7 @@ def _newton(x, r0, lin, hess):
     iteration returns x there, but only once ||r||^2 <= CANDIDATE_THRESHOLD,
     so this stop never ends a start that is still above the candidate
     gate."""
+    solve = _min_norm_solver(len(r0), len(x))
     r = _quadratic_residuals(x, r0, lin, hess)
     f = r @ r
     evals = 1
@@ -413,8 +443,7 @@ def _newton(x, r0, lin, hess):
         if (f <= CANDIDATE_THRESHOLD
                 and f <= _rounding_floor(x, r0, lin, hess) ** 2):
             return x
-        step = np.linalg.lstsq(_quadratic_jacobian(x, r0, lin, hess), r,
-                               rcond=None)[0]
+        step = solve(_quadratic_jacobian(x, r0, lin, hess), r)[0]
         rounding = np.finfo(float).eps * np.linalg.norm(x)
         full = True
         while np.linalg.norm(step) > rounding and evals < REFINE_MAXITER:
@@ -440,27 +469,31 @@ def _newton(x, r0, lin, hess):
 
 
 def _kernel_objective(x, fixed, rows):
-    r = _design_residuals(x, *fixed)[rows]
-    return float(np.sum(r ** 2))
+    """J on rows at x from the residual kernel, with the reduced (C-, C+,
+    Omega-, Omega+) the kernel built for it."""
+    r, reduced = _design_residuals(x, *fixed)
+    return float(np.sum(r[rows] ** 2)), reduced
 
 
 def _refine(x0, model, fixed, rows):
     """Refine one start on the branch of rows as the designer does, and
-    return the point with its objective J computed by the residual kernel
-    itself. _newton runs first; only where its kernel J is still above
-    CANDIDATE_THRESHOLD does the start go to scipy's trust-region least
-    squares from x0, so no candidate that search alone finds is lost."""
+    return (x, J, reduced): the point, its objective J computed by the
+    residual kernel itself and the reduced (C-, C+, Omega-, Omega+) that
+    J was read from. _newton runs first; only where its kernel J is not
+    at most CANDIDATE_THRESHOLD does the start go to scipy's trust-region
+    least squares from x0, so no candidate that search alone finds is
+    lost."""
     x = _newton(x0, *model)
-    j = _kernel_objective(x, fixed, rows)
+    j, reduced = _kernel_objective(x, fixed, rows)
     if j <= CANDIDATE_THRESHOLD:
-        return x, j
-    from scipy import optimize  # only on a hand-off, so Newton alone loads no scipy
+        return x, j, reduced
+    from scipy import optimize  # on a hand-off only: Newton loads no scipy.optimize
 
     x = optimize.least_squares(
         _quadratic_residuals, x0, jac=_quadratic_jacobian, args=model,
         method="trf", max_nfev=REFINE_MAXITER,
         xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-    return x, _kernel_objective(x, fixed, rows)
+    return (x, *_kernel_objective(x, fixed, rows))
 
 
 def _objective_floor(fixed):
@@ -559,15 +592,16 @@ def design_couplings(omega_minus, omega_plus, split,
           + min(||Im C_red||_F^2, ||Re C_red||_F^2).
     Validation runs once per search and once per candidate, never per
     residual: a topology's plant scattering and S_b come from fixed tags,
-    unitary by construction, and its loop gain W = S_b (I - S22 S_b)^{-1},
-    which does not depend on the gains, is computed once. With W fixed the
-    residual is exactly quadratic in the packed gains x: the reduced
-    C+- = k1. + S12 W k2. are linear in x, F and G are linear in x, the
-    Omega shift is built from the products F k2. and G k2., and Omega+-
-    enter only additively. So r(x) = r0 + L x + x^T H x / 2 holds exactly;
-    (r0, L, H) is tabulated once per topology for the rows of both branches
-    (_quadratic_model gives the derivation and the formulas), and each
-    branch refines on its rows' polynomial with its exact Jacobian L + H x.
+    unitary by construction, and its loop gain W = S_b (I - S22 S_b)^{-1}
+    and reduced scattering S11 + S12 W S21, which do not depend on the
+    gains, are computed once. With W fixed the residual is exactly
+    quadratic in the packed gains x: the reduced C+- = k1. + S12 W k2. are
+    linear in x, F and G are linear in x, the Omega shift is built from
+    the products F k2. and G k2., and Omega+- enter only additively. So
+    r(x) = r0 + L x + x^T H x / 2 holds exactly; (r0, L, H) is tabulated
+    once per topology for the rows of both branches (_quadratic_model
+    gives the derivation and the formulas), and each branch refines on its
+    rows' polynomial with its exact Jacobian L + H x.
 
     The refinement (_refine) is minimum-norm Gauss-Newton (_newton):
     x <- x - lam J^+ r, lam halved from 1 until ||r||^2 falls. The problem
@@ -604,10 +638,14 @@ def design_couplings(omega_minus, omega_plus, split,
     norm of the part of Re Omega- of the opposite sign. A skipped
     topology's random starts are still drawn, so later topologies see the
     same starts, and the candidates are those the unpruned search finds.
-    Candidates with J at most CANDIDATE_THRESHOLD are re-validated through
-    reduce_network and certified with bae.certify_bae (at a tolerance no
-    finer than the achieved residual), and returned sorted by J. An empty
-    list carries no error.
+    A refinement is a candidate when its kernel J is at most
+    CANDIDATE_THRESHOLD, which a NaN J is not. Its reduced system is the
+    topology's S11 + S12 W S21 with the C+- and Omega+- that the kernel
+    computed for that J, reduce_network's arrays bit for bit, so no
+    network is built; it is validated once by new_system, certified with
+    bae.certify_bae (at a tolerance no finer than the achieved residual),
+    and the candidates are returned sorted by J. An empty list carries no
+    error.
     """
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
@@ -626,7 +664,8 @@ def design_couplings(omega_minus, omega_plus, split,
         if sg is None:
             continue
         routing = np.asarray(sg, dtype=complex)
-        s12, s22 = routing[:m1, m1:], routing[m1:, m1:]
+        s11, s12 = routing[:m1, :m1], routing[:m1, m1:]
+        s21, s22 = routing[m1:, :m1], routing[m1:, m1:]
         for tag in s_b_candidates:
             sb = _sb_matrix(tag, m2)
             # trivial start first: open loop with real external coupling —
@@ -641,17 +680,16 @@ def design_couplings(omega_minus, omega_plus, split,
             fixed = (omega_minus, omega_plus, m1, m2, n, s12, s22, w)
             if _objective_floor(fixed) > CANDIDATE_THRESHOLD:
                 continue  # no refinement here can reach a candidate
+            s_red = s11 + s12 @ w @ s21  # reduce_network's S_red
             table = _quadratic_model(fixed)
             models = [(tuple(a[rows] for a in table), rows) for rows in branches]
             for x0 in starts:
                 for model, rows in models:
-                    x, j = _refine(x0, model, fixed, rows)
-                    if j > CANDIDATE_THRESHOLD:
+                    x, j, reduced = _refine(x0, model, fixed, rows)
+                    if not j <= CANDIDATE_THRESHOLD:  # NaN is no candidate
                         continue
                     k11, k12, k21, k22 = _unpack(x, m1, m2, n)
-                    net = make_network(omega_minus, omega_plus,
-                                       k11, k12, k21, k22, sb, s_plant=sg)
-                    red = reduce_network(net)
+                    red = new_system(s_red, *reduced)
                     cert_tol = max(DEFAULT_TOL, 10.0 * np.sqrt(max(j, 0.0)))
                     report = bae.certify_bae(red, tol=cert_tol)
                     candidates.append(DesignCandidate(

@@ -654,6 +654,23 @@ def test_feedback_design_validates_the_split(tmp_path, capsys):
     assert "feedback.split must be two positive integers" in capsys.readouterr().err
 
 
+def test_feedback_design_names_the_default_split(tmp_path, capsys):
+    """A one-channel spec with no feedback.split gets the default [1, 0]:
+    the one error line says that it is the default and that the spec needs
+    an explicit split, while a split the spec gives is reported as given."""
+    one_channel = cli.emit_spec(qsys.new_system(
+        np.eye(1), np.ones((1, 1)), np.zeros((1, 1)),
+        np.zeros((1, 1)), np.zeros((1, 1))))
+    assert cli.main(["feedback", "design", _write(tmp_path, one_channel)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "the default [1, channels - 1] = [1, 0]" in err
+    assert "needs an explicit split" in err
+    one_channel["feedback"] = {"split": [1, 0]}
+    assert cli.main(["feedback", "design", _write(tmp_path, one_channel)]) == 1
+    err = capsys.readouterr().err
+    assert "got [1, 0]" in err and "default" not in err
+
 
 @pytest.mark.parametrize("action", ["reduce", "design"])
 def test_feedback_split_rejects_booleans(tmp_path, capsys, action):

@@ -164,7 +164,8 @@ def test_design_residuals_match_validated_reduction():
     """The search's residual, on the loop gain hoisted once per topology,
     read on each branch's rows, is bit-identical to the one built through
     make_network and reduce_network, so hoisting cannot move the
-    optimizer's path."""
+    optimizer's path, and so are the reduced C+- and Omega+- it returns
+    with it."""
     nets = [_anchor_network()]
     rng = np.random.default_rng(2)
     nets += [random_feedback_network(rng, n=2, m1=2, m2=2) for _ in range(20)]
@@ -178,8 +179,11 @@ def test_design_residuals_match_validated_reduction():
                                              net.k21, net.k22, net.s_b,
                                              s_plant=sg)
             w = feedback._loop_gain(topology.s22, topology.s_b)
-            hoisted = feedback._design_residuals(
+            hoisted, reduced = feedback._design_residuals(
                 x, om, op, m1, m2, n, topology.s12, topology.s22, w)
+            red = feedback.reduce_network(topology)
+            assert all(np.array_equal(a, b) for a, b in zip(reduced, (
+                red.c_minus, red.c_plus, red.omega_minus, red.omega_plus)))
             for branch, rows in zip(BRANCHES, feedback._branch_rows(m1, n)):
                 assert np.array_equal(hoisted[rows], _validated_residuals(
                     x, om, op, m1, m2, n, net.s_b, sg, branch))
@@ -258,23 +262,60 @@ def test_designer_candidates_hold_the_target_at_a_small_time_unit():
         assert holds["Omega purely imaginary"], cand.objective
 
 
-def test_designer_builds_a_network_per_candidate_only(monkeypatch):
-    """The target is validated once per search and the topologies need no
-    network: make_network runs once per candidate, and an invalid target
-    fails before any search."""
-    calls = []
-    make_network = feedback.make_network
+def test_designer_reduces_each_candidate_without_a_network(monkeypatch):
+    """The search builds no network: design_couplings calls neither
+    make_network nor reduce_network, and new_system runs once for the
+    target and once per candidate, as certify_bae does per candidate. Each
+    candidate's reduced system is, array for array, reduce_network's on a
+    network of its gains, beamsplitter and plant scattering, and its
+    objective is the kernel J of its refinement's branch at its gains. An
+    invalid target fails before any search."""
+    calls, refined = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return make_network(*args, **kwargs)
+    def counting(name, module=feedback):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(feedback, "make_network", counting)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("make_network", "reduce_network", "new_system"):
+        counting(name)
+    counting("certify_bae", bae)
+    refine = feedback._refine
+
+    def recording(x0, model, fixed, rows):
+        x, j, reduced = refine(x0, model, fixed, rows)
+        refined.append((x, rows))
+        return x, j, reduced
+
+    monkeypatch.setattr(feedback, "_refine", recording)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg)
-    assert cands and len(calls) == len(cands)
+    searched = sorted(calls)
+    calls.clear()
     with pytest.raises(ValidationError, match="Omega_minus is not Hermitian"):
         feedback.design_couplings(OM_MINUS + 1j, OM_PLUS, (1, 1), search_cfg=cfg)
+    monkeypatch.undo()
+    assert cands and calls == ["new_system"]
+    assert searched == sorted(["new_system"] * (1 + len(cands))
+                              + ["certify_bae"] * len(cands))
+    for cand in cands:
+        gains = (cand.k11, cand.k12, cand.k21, cand.k22)
+        net = feedback.make_network(OM_MINUS, OM_PLUS, *gains, cand.s_b,
+                                    s_plant=cand.s_plant)
+        red = feedback.reduce_network(net)
+        assert all(np.array_equal(getattr(cand.reduced, f), getattr(red, f))
+                   for f in ("s", "c_minus", "c_plus", "omega_minus", "omega_plus"))
+        x = feedback._pack(*gains)
+        rows = [r for xr, r in refined if np.array_equal(xr, x)]
+        assert len(rows) == 1
+        fixed = (OM_MINUS, OM_PLUS, 1, 1, 2, net.s12, net.s22,
+                 feedback._loop_gain(net.s22, net.s_b))
+        r = feedback._design_residuals(x, *fixed)[0][rows[0]]
+        assert cand.objective == float(np.sum(r ** 2))
+
 
 def test_designer_refines_every_start_at_large_scale(monkeypatch):
     """Every start is refined, whatever the target's scale: at 1e6 times the
@@ -355,11 +396,11 @@ def test_quadratic_model_is_the_residual():
             for _ in range(3):
                 x = rng.standard_normal(dim) * 3.0 / np.sqrt(dim)
                 bound = 1e-12 * (1.0 + x @ x) * bound_scale
-                kernel = feedback._design_residuals(x, *fixed)[rows]
+                kernel = feedback._design_residuals(x, *fixed)[0][rows]
                 model = feedback._quadratic_residuals(x, r0, lin, hess)
                 assert np.max(np.abs(model - kernel)) <= bound
-                central = (feedback._design_residuals(x + eye, *fixed)
-                           - feedback._design_residuals(x - eye, *fixed))[:, rows].T / 2
+                central = (feedback._design_residuals(x + eye, *fixed)[0][:, rows]
+                           - feedback._design_residuals(x - eye, *fixed)[0][:, rows]).T / 2
                 jac = feedback._quadratic_jacobian(x, r0, lin, hess)
                 assert np.max(np.abs(jac - central)) <= bound
     assert not tables  # every table was compared with its 1e6 scaling
@@ -398,6 +439,38 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
     assert len(evals) > len(kernel_calls)
     # the tabulation is batched, the gates single points
     assert sum(len(shape) == 2 for shape, _ in kernel_calls) == 1
+
+
+def test_a_nan_refinement_is_no_candidate(monkeypatch):
+    """A refinement whose kernel J is NaN fails the gate "J at most
+    CANDIDATE_THRESHOLD": with Newton returning NaN gains for the first
+    refinement and the trust region returning NaN gains too, the search
+    raises nothing and returns every other refinement's candidate, bit for
+    bit those of the search left alone."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    kwargs = dict(search_cfg=cfg, s_b_candidates=("-i",), s_g_candidates=("swap",))
+    clean = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), **kwargs)
+    newton, refined, handed = feedback._newton, [], []
+
+    def nan_first(x0, *model):
+        refined.append(x0)
+        return np.full_like(x0, np.nan) if len(refined) == 1 else newton(x0, *model)
+
+    def nan_trust_region(fun, x0, **kwargs):
+        handed.append(x0)
+        return optimize.OptimizeResult(x=np.full_like(x0, np.nan))
+
+    monkeypatch.setattr(feedback, "_newton", nan_first)
+    monkeypatch.setattr(optimize, "least_squares", nan_trust_region)
+    cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), **kwargs)
+    assert len(handed) == 1 and handed[0] is refined[0]
+
+    def key(cand):
+        return (feedback._pack(cand.k11, cand.k12, cand.k21, cand.k22).tobytes(),
+                cand.objective.hex())
+
+    assert len(cands) == len(clean) - 1
+    assert {key(c) for c in cands} < {key(c) for c in clean}
 
 
 def test_a_stalled_newton_hands_every_start_to_the_trust_region(monkeypatch):
@@ -461,15 +534,16 @@ def _newton_runs(monkeypatch, *args, **kwargs):
 def _full_steps(model, iterates):
     """(||r_k||, ||r_k+1||, the bound h ||r_k||^2 / (2 sigma_k^2)) for each
     full Newton step x_k+1 = x_k - J_k^+ r_k among the iterates, with h and
-    sigma_k as in feedback._newton; sigma_k is the smallest singular value
-    that np.linalg.lstsq keeps."""
+    sigma_k as in feedback._newton; the step is re-solved with the
+    designer's own solver, and sigma_k is the smallest singular value it
+    keeps."""
     r0, lin, hess = model
     h = np.linalg.norm(np.linalg.norm(hess, 2, axis=(1, 2)))
     out = []
     for x, x_next in zip(iterates, iterates[1:]):
         r = feedback._quadratic_residuals(x, *model)
         jac = feedback._quadratic_jacobian(x, *model)
-        step, _, _, sv = np.linalg.lstsq(jac, r, rcond=None)
+        step, sv = feedback._min_norm_solver(*jac.shape)(jac, r)
         if not np.array_equal(x_next, x - step):
             continue  # a damped step
         sigma = sv[sv > np.finfo(float).eps * max(jac.shape) * sv[0]].min()
@@ -495,9 +569,43 @@ def test_newton_alone_reaches_the_anchor_candidates(monkeypatch):
                                search_cfg=cfg, s_g_candidates=("swap",))
     assert len(runs) == len(cands) == 3 * 2 * cfg.n_starts
     for model, iterates, jacobians in runs:
-        for r_norm, r_next, bound in _full_steps(model, iterates):
+        steps = _full_steps(model, iterates)
+        assert steps  # the bound is checked on at least one step
+        for r_norm, r_next, bound in steps:
             assert r_next <= bound + ROUNDING_FLOOR, (r_norm, r_next, bound)
         assert jacobians <= 20
+
+
+def test_newton_step_is_the_lstsq_solution(monkeypatch):
+    """On every Jacobian of the anchor's Newton refinements the designer's
+    dgelsd step and singular values are those of np.linalg.lstsq(J, r,
+    rcond=None) within the solver's rounding: the singular values within
+    8 max(m, n) eps sigma_1 and the step within 8 max(m, n) eps kappa of
+    its norm, kappa = sigma_1 / sigma_min over the kept singular values,
+    which lstsq and the step keep alike. Near the singular zeros kappa
+    grows to 1 / (16 eps), so the step bound is checked to be at most
+    1e-8 on more than half of the Jacobians."""
+    cfg = feedback.SearchConfig(n_starts=2, seed=0)
+    _, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
+                           search_cfg=cfg, s_g_candidates=("swap",))
+    monkeypatch.undo()
+    eps = np.finfo(float).eps
+    compared, tight = 0, 0
+    for model, iterates, jacobians in runs:
+        for x in iterates[:jacobians]:
+            jac = feedback._quadratic_jacobian(x, *model)
+            r = feedback._quadratic_residuals(x, *model)
+            step, sv = feedback._min_norm_solver(*jac.shape)(jac, r)
+            want, _, rank, sv_want = np.linalg.lstsq(jac, r, rcond=None)
+            tol = 8 * max(jac.shape) * eps
+            kept = sv[sv > eps * max(jac.shape) * sv[0]]
+            assert len(kept) == rank
+            assert np.max(np.abs(sv - sv_want)) <= tol * sv_want[0]
+            kappa = kept[0] / kept[-1]
+            assert np.linalg.norm(step - want) <= tol * kappa * np.linalg.norm(want)
+            compared += 1
+            tight += tol * kappa <= 1e-8
+    assert compared >= len(runs) and 2 * tight > compared
 
 
 def test_newton_takes_the_doubled_step_at_a_double_root(monkeypatch):
@@ -649,8 +757,8 @@ def test_objective_floor_bounds_every_refined_objective():
         for rows in feedback._branch_rows(m1, n):
             model = tuple(a[rows] for a in table)
             for _ in range(2):
-                _, j = feedback._refine(rng.standard_normal(4 * n * (m1 + m2)),
-                                        model, fixed, rows)
+                _, j, _ = feedback._refine(rng.standard_normal(4 * n * (m1 + m2)),
+                                           model, fixed, rows)
                 assert j >= floor, (j, floor, sign)
                 best = min(best, j)
         attained += sign != 0 and best <= floor + 1e-9 * (1 + floor)
