@@ -352,6 +352,7 @@ def cmd_feedback(args):
     cands = feedback.design_couplings(sys_obj.omega_minus, sys_obj.omega_plus,
                                       split, search_cfg=cfg)
     _write_json({
+        "omega_scale": feedback.omega_scale(sys_obj.omega_minus, sys_obj.omega_plus),
         "n_candidates": len(cands),
         "candidates": [{
             "objective": c.objective,

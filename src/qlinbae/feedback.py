@@ -16,7 +16,7 @@ from .xferfn import COND_LIMIT, _tf_points
 
 REDUCTION_OMEGAS = np.logspace(-2, 2, 16)
 CANDIDATE_THRESHOLD = 1e-12  # largest design objective kept as a candidate
-REFINE_MAXITER = 400  # residual evaluations per start: Newton, then any hand-off
+REFINE_MAXITER = 400  # residual evaluations per Newton refinement
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class DesignCandidate:
+    """A designed loop in the target's units; its objective is the J of the
+    unit-scale search (design_couplings), which is dimensionless."""
+
     k11: np.ndarray
     k12: np.ndarray
     k21: np.ndarray
@@ -468,32 +471,13 @@ def _newton(x, r0, lin, hess):
     return x
 
 
-def _kernel_objective(x, fixed, rows):
-    """J on rows at x from the residual kernel, with the reduced (C-, C+,
-    Omega-, Omega+) the kernel built for it."""
-    r, reduced = _design_residuals(x, *fixed)
-    return float(np.sum(r[rows] ** 2)), reduced
-
-
 def _refine(x0, model, fixed, rows):
-    """Refine one start on the branch of rows as the designer does, and
-    return (x, J, reduced): the point, its objective J computed by the
-    residual kernel itself and the reduced (C-, C+, Omega-, Omega+) that
-    J was read from. _newton runs first; only where its kernel J is not
-    at most CANDIDATE_THRESHOLD does the start go to scipy's trust-region
-    least squares from x0, so no candidate that search alone finds is
-    lost."""
+    """Refine one start on the branch of rows with _newton, and return (x,
+    J, reduced): the point, its objective J computed by the residual kernel
+    itself and the reduced (C-, C+, Omega-, Omega+) that J was read from."""
     x = _newton(x0, *model)
-    j, reduced = _kernel_objective(x, fixed, rows)
-    if j <= CANDIDATE_THRESHOLD:
-        return x, j, reduced
-    from scipy import optimize  # on a hand-off only: Newton loads no scipy.optimize
-
-    x = optimize.least_squares(
-        _quadratic_residuals, x0, jac=_quadratic_jacobian, args=model,
-        method="trf", max_nfev=REFINE_MAXITER,
-        xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-    return (x, *_kernel_objective(x, fixed, rows))
+    r, reduced = _design_residuals(x, *fixed)
+    return x, float(np.sum(r[rows] ** 2)), reduced
 
 
 def _objective_floor(fixed):
@@ -572,6 +556,14 @@ def _pack(k11, k12, k21, k22):
     ])
 
 
+def omega_scale(omega_minus, omega_plus):
+    """2^k, k = 2 floor(e / 2) with e the binary exponent (np.frexp) of
+    ||(Omega-, Omega+)||_F: the even power of two whose quotient puts the
+    pair's norm in [1/2, 2), and 1.0 for a zero pair."""
+    e = np.frexp(np.linalg.norm(np.stack([omega_minus, omega_plus])))[1]
+    return float(np.ldexp(1.0, 2 * (e // 2)))
+
+
 def design_couplings(omega_minus, omega_plus, split,
                      s_b_candidates=("identity", "i", "-i"), search_cfg=None,
                      s_g_candidates=("identity", "swap")):
@@ -604,34 +596,17 @@ def design_couplings(omega_minus, omega_plus, split,
     rows' polynomial with its exact Jacobian L + H x.
 
     The refinement (_refine) is minimum-norm Gauss-Newton (_newton):
-    x <- x - lam J^+ r, lam halved from 1 until ||r||^2 falls. The problem
-    is underdetermined and every candidate is a zero of r; where J has
-    full rank on the distinct residuals the full step leaves exactly
-    s^T H s / 2, so near such a zero ||r|| falls quadratically (Ben-Israel
-    1966, J. Math. Anal. Appl. 15:243-252; Nocedal & Wright 2006,
-    Numerical Optimization, ch. 11). At a zero where J loses rank, as on
-    the swap routings of the two-mode anchor in tests/test_feedback.py
-    (rank 8 against 10 distinct residuals), Newton's error halves per step
-    and ||r|| falls by only about 4 (Decker, Keller & Kelley 1983, SIAM J.
-    Numer. Anal. 20:296-314). So after a full step whose ratio
-    ||r(x - s)|| / ||r|| lies in (1/5, 1/3), the one range where it can
-    help, the step of twice the length is tried too and kept where it
-    lowers ||r||^2, which makes the rate superlinear (Griewank 1985, SIAM
-    Review 27:537-563): on the anchor's 2-start search a refinement takes
-    11-16 Jacobians, against 26-34 with Newton steps alone. It stops when
-    the step, or lam times it, is no longer than eps ||x||, the rounding
-    with which x itself is stored, when no lam lowers ||r||^2, after
-    REFINE_MAXITER residual evaluations, or, once ||r||^2 is at most
-    CANDIDATE_THRESHOLD, where ||r|| is within the rounding of evaluating
-    the polynomial; _newton derives the range and both bounds. Each
+    x <- x - lam J^+ r, lam halved from 1 until ||r||^2 falls, and after a
+    full step that cut ||r|| by a ratio in (1/5, 1/3) the step of twice
+    the length too. Every candidate is a zero of r: ||r|| falls
+    quadratically near a zero where J has full rank on the distinct
+    residuals (Ben-Israel 1966, J. Math. Anal. Appl. 15:243-252), and the
+    doubled step makes the rate superlinear at a zero where J loses rank,
+    as on the swap routings of the two-mode anchor in
+    tests/test_feedback.py; _newton derives both rates and its stops. Each
     refined point's J is recomputed with the residual kernel itself, so
-    the candidate threshold never rests on the tabulation. Only a start
-    whose kernel J after Newton is still above CANDIDATE_THRESHOLD goes on
-    to scipy's trust-region least squares, from the same x0 with the same
-    arguments as a search without Newton, so every start and branch
-    that gave such a search a candidate still gives one; scipy.optimize is
-    imported on that path alone. A topology is skipped
-    before any tabulation when its loop is singular, or when
+    the candidate threshold never rests on the tabulation. A topology is
+    skipped before any tabulation when its loop is singular, or when
     _objective_floor proves that no gains on it give a computed J at most
     CANDIDATE_THRESHOLD: with S12 = 0 the Omega- shift is sign-definite
     wherever (S22 W - (S22 W)^dag) / 2i is, so J is at least the squared
@@ -646,6 +621,18 @@ def design_couplings(omega_minus, omega_plus, split,
     bae.certify_bae (at a tolerance no finer than the achieved residual),
     and the candidates are returned sorted by J. An empty list carries no
     error.
+
+    The search runs on the target in a time unit that gives it unit size:
+    on Omega+- / omega_scale, whose ||(Omega-, Omega+)||_F lies in [1/2, 2).
+    The starts, the gate, _objective_floor, _newton's stops and the
+    certificate's tolerance all act on that unit problem, and the gains
+    and reduced C+- are returned times sqrt(omega_scale), the reduced
+    Omega+- times omega_scale. Every factor is a power of two, so the
+    candidates at 4^j times a target are the unit search's, scaled bit for
+    bit, unless an entry is subnormal or overflows. A candidate's objective
+    is the unit problem's J, which is dimensionless; in the target's units
+    J's Omega terms would scale as omega_scale^2 and its C terms as
+    omega_scale.
     """
     cfg = search_cfg or SearchConfig()
     m1, m2 = split
@@ -654,6 +641,9 @@ def design_couplings(omega_minus, omega_plus, split,
     n = omega_minus.shape[0]
     new_system(np.eye(m1 + m2), np.zeros((m1 + m2, n)), np.zeros((m1 + m2, n)),
                omega_minus, omega_plus)  # the target's one validation
+    scale = omega_scale(omega_minus, omega_plus)
+    gain = np.sqrt(scale)  # exact: scale is an even power of two
+    omega_minus, omega_plus = omega_minus / scale, omega_plus / scale
     rng = np.random.default_rng(cfg.seed)
 
     candidates = []
@@ -688,8 +678,10 @@ def design_couplings(omega_minus, omega_plus, split,
                     x, j, reduced = _refine(x0, model, fixed, rows)
                     if not j <= CANDIDATE_THRESHOLD:  # NaN is no candidate
                         continue
-                    k11, k12, k21, k22 = _unpack(x, m1, m2, n)
-                    red = new_system(s_red, *reduced)
+                    k11, k12, k21, k22 = (gain * k for k in _unpack(x, m1, m2, n))
+                    c_minus, c_plus, om, op = reduced
+                    red = new_system(s_red, gain * c_minus, gain * c_plus,
+                                     scale * om, scale * op)
                     cert_tol = max(DEFAULT_TOL, 10.0 * np.sqrt(max(j, 0.0)))
                     report = bae.certify_bae(red, tol=cert_tol)
                     candidates.append(DesignCandidate(

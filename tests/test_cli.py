@@ -164,25 +164,27 @@ def test_writer_is_indented_json_dumps(doc):
 
 
 def test_import_loads_no_scipy():
-    """Importing the package and its CLI loads no scipy; the designer loads
-    scipy.optimize only when a start is handed to the trust region, here
-    forced by a Newton refinement that returns its start."""
+    """Importing the package and its CLI loads no scipy, and the designer
+    loads no scipy.optimize: neither where Newton reaches a candidate nor
+    where every refinement ends above the candidate threshold, here forced
+    by a Newton refinement that returns its start on a target whose start
+    is no candidate."""
     code = textwrap.dedent("""
         import json, sys
         import qlinbae, qlinbae.cli
         def loaded():
             return sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
-        def design():
+        def design(omega_minus):
             return qlinbae.feedback.design_couplings(
-                [[0.0]], [[0.5j]], (1, 1), s_b_candidates=("-i",),
+                omega_minus, [[0.5j]], (1, 1), s_b_candidates=("-i",),
                 search_cfg=qlinbae.feedback.SearchConfig(n_starts=1))
         at_import = loaded()
-        found = len(design())
+        found = len(design([[0.0]]))
         after_newton = "scipy.optimize" in loaded()
         qlinbae.feedback._newton = lambda x0, *model: x0
-        design()
-        print(json.dumps([at_import, found, after_newton,
+        stalled = len(design([[1.0]]))
+        print(json.dumps([at_import, found, after_newton, stalled,
                           "scipy.optimize" in loaded()]))
     """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -190,10 +192,10 @@ def test_import_loads_no_scipy():
                           text=True, env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    at_import, found, after_newton, after_hand_off = json.loads(proc.stdout)
+    at_import, found, after_newton, stalled, after_stall = json.loads(proc.stdout)
     assert at_import == []
     assert found and not after_newton
-    assert after_hand_off
+    assert stalled == 0 and not after_stall
 
 
 def test_spec_roundtrip(tmp_path):
@@ -617,10 +619,30 @@ def test_feedback_design(tmp_path, capsys):
     out = json.loads(text)
     entries = out["candidates"]
     assert len(entries) == 3 <= out["n_candidates"]
+    assert out["omega_scale"] == 1.0  # ||(Omega-, Omega+)||_F = 0.5
     objectives = [e["objective"] for e in entries]
     assert objectives == sorted(objectives)
     assert objectives[-1] <= feedback.CANDIDATE_THRESHOLD
     assert all(e["certified_pairs"] for e in entries)
+
+
+def test_feedback_design_at_a_small_time_unit(tmp_path, capsys):
+    """The anchor spec with both Omega blocks times 1e-6 exited 1 with
+    "Omega_plus is not symmetric within tolerance": the search ran on the
+    small target with gains drawn at unit scale. It runs on Omega /
+    omega_scale, whose norm lies in [1/2, 2), and emits candidates whose
+    objective, the unit problem's J, is at the threshold."""
+    doc = _anchor_network_doc()
+    for key in ("Omega_minus", "Omega_plus"):
+        doc[key] = cli.emit_complex_matrix(1e-6 * cli.parse_complex_matrix(doc[key], key))
+    doc["feedback"] = {"split": [1, 1]}
+    assert cli.main(["feedback", "design", _write(tmp_path, doc),
+                     "--max-candidates", "1000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["omega_scale"] == 2.0 ** -16  # the norm is 9.75e-6 = 0.64 * 2^-16
+    assert out["n_candidates"] == len(out["candidates"]) >= 180
+    assert all(e["objective"] <= feedback.CANDIDATE_THRESHOLD and e["certified_pairs"]
+               for e in out["candidates"])
 
 
 def test_feedback_design_rejects_negative_max_candidates(tmp_path, capsys, monkeypatch):

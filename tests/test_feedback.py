@@ -3,7 +3,6 @@ coupling-gain designer."""
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from qlinbae import bae, feedback, matcore, qsys, xferfn
 from qlinbae.errors import (DimensionError, PreconditionError, ValidationError,
@@ -244,16 +243,12 @@ def test_designer_skips_a_swap_routing_of_unequal_split(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CANDIDATE_THRESHOLD is absolute: at 1e-6 times the anchor, gains of the "
-    "identity routing reach J = 5e-13 with a reduced Re Omega a quarter of "
-    "Omega_red, and pass as candidates"))
 def test_designer_candidates_hold_the_target_at_a_small_time_unit():
     """The identity routing cannot cancel the anchor's indefinite Re Omega-
-    (_objective_floor), and at 1 and 1e-3 times the anchor it is pruned. A
-    candidate must hold "Omega purely imaginary" at the default tolerance in
-    any time unit; at 1e-6 times the anchor the routing's two candidates do
-    not, nor do they match any cataloged condition."""
+    (_objective_floor). A candidate must hold "Omega purely imaginary" at
+    the default tolerance in any time unit; with an absolute candidate
+    threshold, the routing's two candidates at 1e-6 times the anchor did
+    not, nor did they match any cataloged condition."""
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands = feedback.design_couplings(1e-6 * OM_MINUS, 1e-6 * OM_PLUS, (1, 1),
                                       search_cfg=cfg, s_g_candidates=("identity",))
@@ -262,14 +257,37 @@ def test_designer_candidates_hold_the_target_at_a_small_time_unit():
         assert holds["Omega purely imaginary"], cand.objective
 
 
+@pytest.mark.parametrize("scale,n_starts", [(1e-6, 32), (1e-9, 2)])
+def test_designer_runs_at_a_small_time_unit(scale, n_starts):
+    """At 1e-6 and 1e-9 times the anchor, gains drawn at unit scale for the
+    small target built reduced systems that new_system rejected ("Omega_plus
+    is not symmetric within tolerance"). On the unit-scale target the search
+    returns candidates, each swap-routed and holding "Omega purely
+    imaginary", and every beamsplitter's group of the 1x search: its s_b
+    with both bilateral pairs, or with both cross pairs for s_b = 1."""
+    cfg = feedback.SearchConfig(n_starts=n_starts, seed=0)
+    cands = feedback.design_couplings(scale * OM_MINUS, scale * OM_PLUS, (1, 1),
+                                      search_cfg=cfg)
+    groups = set()
+    for cand in cands:
+        assert cand.s_plant[0, 0] == 0  # the swap routing
+        assert bae._Verdicts(cand.reduced, matcore.DEFAULT_TOL)[
+            "Omega purely imaginary"], cand.objective
+        groups.add((complex(cand.s_b[0, 0]), frozenset(cand.report.certified_pairs)))
+    assert {(1j, frozenset({bae.QQ, bae.PP})), (-1j, frozenset({bae.QQ, bae.PP})),
+            (1, frozenset({bae.QP, bae.PQ}))} <= groups
+
+
 def test_designer_reduces_each_candidate_without_a_network(monkeypatch):
     """The search builds no network: design_couplings calls neither
     make_network nor reduce_network, and new_system runs once for the
     target and once per candidate, as certify_bae does per candidate. Each
     candidate's reduced system is, array for array, reduce_network's on a
-    network of its gains, beamsplitter and plant scattering, and its
-    objective is the kernel J of its refinement's branch at its gains. An
-    invalid target fails before any search."""
+    network of its gains, beamsplitter and plant scattering. The search ran
+    on Omega / omega_scale = Omega / 16, so the candidate's gains are its
+    refinement's times 4, and its objective is the kernel J of that
+    refinement's branch on Omega / 16. An invalid target fails before any
+    search."""
     calls, refined = [], []
 
     def counting(name, module=feedback):
@@ -287,7 +305,7 @@ def test_designer_reduces_each_candidate_without_a_network(monkeypatch):
 
     def recording(x0, model, fixed, rows):
         x, j, reduced = refine(x0, model, fixed, rows)
-        refined.append((x, rows))
+        refined.append((x, rows, fixed))
         return x, j, reduced
 
     monkeypatch.setattr(feedback, "_refine", recording)
@@ -301,6 +319,8 @@ def test_designer_reduces_each_candidate_without_a_network(monkeypatch):
     assert cands and calls == ["new_system"]
     assert searched == sorted(["new_system"] * (1 + len(cands))
                               + ["certify_bae"] * len(cands))
+    scale = feedback.omega_scale(OM_MINUS, OM_PLUS)
+    assert scale == 16.0  # ||(Omega-, Omega+)||_F = sqrt(95)
     for cand in cands:
         gains = (cand.k11, cand.k12, cand.k21, cand.k22)
         net = feedback.make_network(OM_MINUS, OM_PLUS, *gains, cand.s_b,
@@ -308,19 +328,21 @@ def test_designer_reduces_each_candidate_without_a_network(monkeypatch):
         red = feedback.reduce_network(net)
         assert all(np.array_equal(getattr(cand.reduced, f), getattr(red, f))
                    for f in ("s", "c_minus", "c_plus", "omega_minus", "omega_plus"))
-        x = feedback._pack(*gains)
-        rows = [r for xr, r in refined if np.array_equal(xr, x)]
-        assert len(rows) == 1
-        fixed = (OM_MINUS, OM_PLUS, 1, 1, 2, net.s12, net.s22,
+        x = feedback._pack(*gains) / np.sqrt(scale)
+        match = [(r, f) for xr, r, f in refined if np.array_equal(xr, x)]
+        assert len(match) == 1
+        rows, searched = match[0]
+        fixed = (OM_MINUS / scale, OM_PLUS / scale, 1, 1, 2, net.s12, net.s22,
                  feedback._loop_gain(net.s22, net.s_b))
-        r = feedback._design_residuals(x, *fixed)[0][rows[0]]
+        assert all(np.array_equal(a, b) for a, b in zip(fixed, searched))
+        r = feedback._design_residuals(x, *fixed)[0][rows]
         assert cand.objective == float(np.sum(r ** 2))
 
 
 def test_designer_refines_every_start_at_large_scale(monkeypatch):
     """Every start is refined, whatever the target's scale: at 1e6 times the
-    anchor Hamiltonian the starts' objectives exceed 1e12, and the search
-    must still run both branches from each and reach the threshold."""
+    anchor Hamiltonian the search must still run both branches from each
+    and reach the threshold."""
     calls = _count_refinements(monkeypatch)
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
@@ -411,8 +433,9 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
     per refinement: the residual kernel's call count does not grow with the
     refinement's evaluations of the tabulated polynomial, so finite
     differences cannot return unnoticed. The identity routing with
-    S_b = -i is pruned (its floor on the anchor is ||(Re Omega-)_-||_F^2 =
-    0.026): no tabulation, no refinement."""
+    S_b = -i is pruned (its floor on the anchor's unit-scale target
+    Omega / 16 is ||(Re Omega-)_-||_F^2 = 1.0e-4): no tabulation, no
+    refinement."""
     kernel_calls, evals = [], []
     design_residuals = feedback._design_residuals
     quadratic_residuals = feedback._quadratic_residuals
@@ -444,26 +467,19 @@ def test_designer_evaluates_the_residual_a_fixed_number_of_times(monkeypatch):
 def test_a_nan_refinement_is_no_candidate(monkeypatch):
     """A refinement whose kernel J is NaN fails the gate "J at most
     CANDIDATE_THRESHOLD": with Newton returning NaN gains for the first
-    refinement and the trust region returning NaN gains too, the search
-    raises nothing and returns every other refinement's candidate, bit for
-    bit those of the search left alone."""
+    refinement, the search raises nothing and returns every other
+    refinement's candidate, bit for bit those of the search left alone."""
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     kwargs = dict(search_cfg=cfg, s_b_candidates=("-i",), s_g_candidates=("swap",))
     clean = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), **kwargs)
-    newton, refined, handed = feedback._newton, [], []
+    newton, refined = feedback._newton, []
 
     def nan_first(x0, *model):
         refined.append(x0)
         return np.full_like(x0, np.nan) if len(refined) == 1 else newton(x0, *model)
 
-    def nan_trust_region(fun, x0, **kwargs):
-        handed.append(x0)
-        return optimize.OptimizeResult(x=np.full_like(x0, np.nan))
-
     monkeypatch.setattr(feedback, "_newton", nan_first)
-    monkeypatch.setattr(optimize, "least_squares", nan_trust_region)
     cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), **kwargs)
-    assert len(handed) == 1 and handed[0] is refined[0]
 
     def key(cand):
         return (feedback._pack(cand.k11, cand.k12, cand.k21, cand.k22).tobytes(),
@@ -473,39 +489,11 @@ def test_a_nan_refinement_is_no_candidate(monkeypatch):
     assert {key(c) for c in cands} < {key(c) for c in clean}
 
 
-def test_a_stalled_newton_hands_every_start_to_the_trust_region(monkeypatch):
-    """Where Newton makes no progress, every start goes on to the
-    trust-region least squares and the candidates are still found: the
-    anchor search of test_designer_certifies_the_bilateral_pairs_at_any
-    _scale, with Newton returning its start, still gives its four
-    certified candidates."""
-    handoffs = []
-    least_squares = optimize.least_squares
-
-    def counting(*args, **kwargs):
-        handoffs.append(args[1])
-        return least_squares(*args, **kwargs)
-
-    monkeypatch.setattr(feedback, "_newton", lambda x0, *model: x0)
-    monkeypatch.setattr(optimize, "least_squares", counting)
-    refinements = _count_refinements(monkeypatch)
-    cfg = feedback.SearchConfig(n_starts=2, seed=0)
-    cands = feedback.design_couplings(OM_MINUS, OM_PLUS, (1, 1), search_cfg=cfg,
-                                      s_b_candidates=("-i",),
-                                      s_g_candidates=("swap",))
-    assert len(handoffs) == len(refinements) == 2 * cfg.n_starts
-    assert len(cands) == 4
-    for cand in cands:
-        assert cand.objective <= feedback.CANDIDATE_THRESHOLD
-        assert {bae.QQ, bae.PP} <= cand.report.certified_pairs
-        assert cand.report.consistency
-
-
 def _newton_runs(monkeypatch, *args, **kwargs):
-    """design_couplings(*args, **kwargs) with the trust-region hand-off
-    forbidden: its candidates and, per refinement, the tabulated model,
-    Newton's accepted iterates (the points where it took a Jacobian, then
-    the point it returned) and the number of Jacobians it took."""
+    """design_couplings(*args, **kwargs): its candidates and, per
+    refinement, the tabulated model, Newton's accepted iterates (the points
+    where it took a Jacobian, then the point it returned) and the number
+    of Jacobians it took."""
     runs, points = [], []
     jacobian, newton = feedback._quadratic_jacobian, feedback._newton
 
@@ -522,12 +510,8 @@ def _newton_runs(monkeypatch, *args, **kwargs):
         runs.append((model, iterates, len(points)))
         return x
 
-    def no_hand_off(*args, **kwargs):
-        raise AssertionError("a start was handed to the trust region")
-
     monkeypatch.setattr(feedback, "_quadratic_jacobian", recording_jacobian)
     monkeypatch.setattr(feedback, "_newton", recording_newton)
-    monkeypatch.setattr(optimize, "least_squares", no_hand_off)
     return feedback.design_couplings(*args, **kwargs), runs
 
 
@@ -558,12 +542,11 @@ ROUNDING_FLOOR = 1e-12  # a residual norm at or below this is set by rounding
 
 def test_newton_alone_reaches_the_anchor_candidates(monkeypatch):
     """On the anchor's swap routing Newton reaches the threshold from every
-    start and branch with no trust-region hand-off, and every full step
-    obeys _newton's bound ||r_k+1|| <= h ||r_k||^2 / (2 sigma_k^2). J loses
-    rank at the anchor's zeros, where a Newton step cuts ||r|| by only
-    about 4 and a refinement of Newton steps alone takes 26-34 Jacobians;
-    with the doubled step and the rounding-floor stop each takes at most
-    20."""
+    start and branch, and every full step obeys _newton's bound
+    ||r_k+1|| <= h ||r_k||^2 / (2 sigma_k^2). J loses rank at the anchor's
+    zeros, where a Newton step cuts ||r|| by only about 4 and a refinement
+    of Newton steps alone takes 26-34 Jacobians; with the doubled step and
+    the rounding-floor stop each takes at most 20."""
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     cands, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
                                search_cfg=cfg, s_g_candidates=("swap",))
@@ -635,12 +618,9 @@ def test_newton_takes_the_doubled_step_at_a_double_root(monkeypatch):
 def test_newton_stops_at_its_rounding_floor(monkeypatch):
     """On the anchor Newton takes no Jacobian at a point whose ||r||^2 is at
     most CANDIDATE_THRESHOLD and whose ||r|| is within its rounding floor,
-    and some refinements end there. At 1e6 times the anchor, where the
-    floor is within a few decades of the threshold, every candidate is
-    still below it and the stop hands no start to the trust region: at
-    most one start is handed off, as with Newton steps alone (the trivial
-    start's "C purely imaginary" refinement, whose gains grow to a norm of
-    about 7e6), and only one whose Newton ends above the threshold."""
+    and some refinements end there. At 4^10 times the anchor the search
+    runs on the same unit-scale target, so the floor stop loses no start
+    there either: all four refinements are candidates."""
     cfg = feedback.SearchConfig(n_starts=2, seed=0)
     _, runs = _newton_runs(monkeypatch, OM_MINUS, OM_PLUS, (1, 1),
                            search_cfg=cfg, s_g_candidates=("swap",))
@@ -657,28 +637,12 @@ def test_newton_stops_at_its_rounding_floor(monkeypatch):
         floor_stops += len(iterates) > jacobians and at_floor(iterates[-1], model)
     assert floor_stops > 0
 
-    newton_ends, handed = [], []
-    newton, least_squares = feedback._newton, optimize.least_squares
-
-    def recording_newton(x0, *model):
-        x = newton(x0, *model)
-        r = feedback._quadratic_residuals(x, *model)
-        newton_ends.append(r @ r)
-        return x
-
-    def counting(*args, **kwargs):
-        handed.append(newton_ends[-1])
-        return least_squares(*args, **kwargs)
-
-    monkeypatch.setattr(feedback, "_newton", recording_newton)
-    monkeypatch.setattr(optimize, "least_squares", counting)
-    cands = feedback.design_couplings(1e6 * OM_MINUS, 1e6 * OM_PLUS, (1, 1),
-                                      search_cfg=cfg, s_b_candidates=("-i",),
+    refinements = _count_refinements(monkeypatch)
+    cands = feedback.design_couplings(4.0 ** 10 * OM_MINUS, 4.0 ** 10 * OM_PLUS,
+                                      (1, 1), search_cfg=cfg, s_b_candidates=("-i",),
                                       s_g_candidates=("swap",))
-    assert len(cands) == 2 * cfg.n_starts
+    assert len(cands) == len(refinements) == 2 * cfg.n_starts
     assert all(c.objective <= feedback.CANDIDATE_THRESHOLD for c in cands)
-    assert len(handed) <= 1
-    assert all(f > feedback.CANDIDATE_THRESHOLD for f in handed), handed
 
 
 def test_newton_converges_quadratically_at_a_regular_zero(monkeypatch):

@@ -28,7 +28,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qlinbae import bae, qnd, qsys, xferfn
+from qlinbae import bae, feedback, qnd, qsys, xferfn
 
 from conftest import (FAMILY_KWARGS, autonomous_quadrature_system,
                       imag_omega_coupled_system)
@@ -172,3 +172,35 @@ def test_diagnoses_are_time_unit_invariant(transform, tol):
     for sys_obj in systems:
         moved, _, _ = TRANSFORMS[transform](sys_obj, rng)
         assert _diagnosis(moved, tol) == _diagnosis(sys_obj, tol)
+
+
+# the two-mode anchor target of tests/test_feedback.py
+ANCHOR_OMEGA_MINUS = np.array([[2.0, 3.0 + 2.0j], [3.0 - 2.0j, 4.0]])
+ANCHOR_OMEGA_PLUS = np.array([[2.0, 3.0 - 1.0j], [3.0 - 1.0j, 5.0]])
+
+
+def _design(c):
+    """The 32-start designer on the anchor in a time unit c = 4^j, each
+    candidate mapped back to j = 0 (gains and reduced C+- / 2^j, reduced
+    Omega+- / 4^j) as bytes, with its objective's hex and certified pairs."""
+    g = np.sqrt(c)
+    cands = feedback.design_couplings(c * ANCHOR_OMEGA_MINUS, c * ANCHOR_OMEGA_PLUS,
+                                      (1, 1), search_cfg=feedback.SearchConfig())
+    return [([(k / g).tobytes() for k in (d.k11, d.k12, d.k21, d.k22,
+                                          d.reduced.c_minus, d.reduced.c_plus)]
+             + [(o / c).tobytes() for o in (d.reduced.omega_minus, d.reduced.omega_plus)],
+             d.objective.hex(), sorted(d.report.certified_pairs), d.report.consistency)
+            for d in cands]
+
+
+@pytest.mark.parametrize("j", [-10, 10])
+def test_designer_is_exactly_time_unit_equivariant(j):
+    """design_couplings searches on Omega / omega_scale, an even power of
+    two, so in a time unit c = 4^j its candidates are the 1x search's
+    scaled bit for bit: gains and reduced C+- times 2^j, reduced Omega+-
+    times 4^j, the same objective (the unit problem's J) to the last bit
+    and the same certified pairs. This holds for |j| <= 20 on the anchor,
+    where no entry is subnormal or overflows; the test runs j = +-10."""
+    ref = _design(1.0)
+    assert len(ref) >= 180
+    assert _design(4.0 ** j) == ref
