@@ -410,6 +410,7 @@ def cmd_simulate(args):
                              f"must be {requirement}, got {value!r}")
         settings.append(value)
     fock_dim, dt, T, n_traj, seed = settings
+    store_every = max(1, smesim.step_count(dt, T) // 100)
     ops = smesim.build_truncated_operators(sys_obj, fock_dim)
     tracked = [(f"L{j}", 0.5 * (l + l.conj().T))
                for j, l in enumerate(ops.l_ops)]
@@ -417,7 +418,7 @@ def cmd_simulate(args):
     gs[0] = 1.0
     rho0 = 0.5 * np.outer(gs, gs) + 0.5 * np.eye(ops.dim) / ops.dim
     batch = smesim.simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked,
-                                 store_every=max(1, int(round(T / dt)) // 100))
+                                 store_every=store_every)
     stats = smesim.martingale_stats(batch)
     header = ["time"] + [f"{e.name}_mean" for e in stats] + [
         f"{e.name}_se" for e in stats]
@@ -445,50 +446,34 @@ def build_parser():
                     "reduction, and trajectory simulation.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, func, summary, *actions):
+        """The subcommand's parser: [action,] spec, --tol, --out, and func."""
+        sp = sub.add_parser(name, help=summary)
+        if actions:
+            sp.add_argument("action", choices=actions)
         sp.add_argument("spec", help="JSON system-spec file")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="tolerance for validating the spec and for the "
                              "command's checks")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("validate", help="check structural invariants")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("realize", help="emit a state-space realization")
-    common(sp)
+    command("validate", cmd_validate, "check structural invariants")
+    sp = command("realize", cmd_realize, "emit a state-space realization")
     sp.add_argument("--form", choices=("ac", "quad"), default="quad")
-    sp.set_defaults(func=cmd_realize)
-
-    sp = sub.add_parser("tf", help="transfer-function values or sweep CSV")
-    common(sp)
+    sp = command("tf", cmd_tf, "transfer-function values or sweep CSV")
     sp.add_argument("--omega", type=float, default=1.0)
     sp.add_argument("--sweep", nargs=3, type=float, default=None,
                     metavar=("WMIN", "WMAX", "NPTS"))
-    sp.set_defaults(func=cmd_tf)
-
-    sp = sub.add_parser("bae", help="certify zero transfer-quadrature pairs")
-    common(sp)
-    sp.set_defaults(func=cmd_bae)
-
-    sp = sub.add_parser("qnd", help="interaction commutator analysis")
-    common(sp)
-    sp.set_defaults(func=cmd_qnd)
-
-    sp = sub.add_parser("feedback", help="network reduction / coupling design")
-    sp.add_argument("action", choices=("reduce", "design"))
-    common(sp)
+    command("bae", cmd_bae, "certify zero transfer-quadrature pairs")
+    command("qnd", cmd_qnd, "interaction commutator analysis")
+    sp = command("feedback", cmd_feedback, "network reduction / coupling design",
+                 "reduce", "design")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-candidates", type=int, default=5)
-    sp.set_defaults(func=cmd_feedback)
-
-    sp = sub.add_parser("kalman", help="canonical-form zero-product criteria")
-    common(sp)
-    sp.set_defaults(func=cmd_kalman)
-
-    sp = sub.add_parser("simulate", help="conditioned-state trajectories")
-    common(sp)
+    command("kalman", cmd_kalman, "canonical-form zero-product criteria")
+    sp = command("simulate", cmd_simulate, "conditioned-state trajectories")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--fock-dim", type=int, default=None)
     sp.add_argument("--dt", type=float, default=None,
@@ -497,7 +482,6 @@ def build_parser():
                          "store grid")
     sp.add_argument("--T", type=float, default=None)
     sp.add_argument("--traj", type=int, default=None)
-    sp.set_defaults(func=cmd_simulate)
 
     return p
 

@@ -10,9 +10,10 @@ import numpy as np
 
 from . import bae
 from .errors import DimensionError, PreconditionError, WellPosednessError
-from .matcore import DEFAULT_TOL, inf_norm, quadrature_image
+from .matcore import DEFAULT_TOL, is_unitary, quadrature_image, rounding_gamma
 from .qsys import QuantumLinearSystem, new_system, quad_realization
-from .xferfn import COND_LIMIT, _tf_points
+from .smesim import _is_count
+from .xferfn import _cond2, _tf_points
 
 REDUCTION_OMEGAS = np.logspace(-2, 2, 16)
 CANDIDATE_THRESHOLD = 1e-12  # largest design objective kept as a candidate
@@ -40,7 +41,7 @@ class FeedbackNetwork:
             )
         if sb.shape != (self.m2, self.m2):
             raise DimensionError(f"s_b must be {self.m2}x{self.m2}, got {sb.shape}")
-        if not inf_norm(sb @ sb.conj().T - np.eye(self.m2)) <= tol:  # NaN fails
+        if not is_unitary(sb, tol):
             raise DimensionError("s_b must be unitary")
         object.__setattr__(self, "s_b", sb)
 
@@ -100,8 +101,8 @@ def make_network(omega_minus, omega_plus, k11, k12, k21, k22, s_b,
 
 def _loop_gain(s22, s_b):
     loop = np.eye(len(s_b)) - s22 @ s_b
-    cond = np.linalg.cond(loop)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    cond, ok = _cond2(loop)
+    if not ok:
         raise WellPosednessError(
             f"feedback loop I - S22 S_b is singular (condition number {cond:.3e})"
         )
@@ -207,8 +208,7 @@ class SearchConfig:
     def __post_init__(self):
         for name, low in (("n_starts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < low):
+            if not _is_count(value, low):
                 raise PreconditionError(
                     f"SearchConfig {name} must be an integer >= {low}, "
                     f"got {value!r}")
@@ -336,11 +336,9 @@ def _rounding_floor(x, r0, lin, hess):
     """Norm of rho = gamma_{2d+2} (|r0| + (|L| + |H| |x| / 2) |x|), d =
     len(x), the entrywise bound on the rounding error of
     _quadratic_residuals at x; _newton derives it."""
-    k = 2 * len(x) + 2
-    u = np.finfo(float).eps / 2
     abs_x = np.abs(x)
     rho = np.abs(r0) + (np.abs(lin) + np.abs(hess) @ abs_x / 2) @ abs_x
-    return k * u / (1 - k * u) * np.linalg.norm(rho)
+    return rounding_gamma(2 * len(x) + 2) * np.linalg.norm(rho)
 
 
 def _min_norm_solver(m, n):

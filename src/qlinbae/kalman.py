@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .matcore import DEFAULT_TOL, _negligible, check_finite, inf_norm, j_sym
+from .qsys import Realization
+from .xferfn import markov_params
 
 MARKOV_ORDER = 6
 
@@ -133,7 +135,8 @@ def structural_premise_residual(k):
 
 def markov_identity_check(k, tol=DEFAULT_TOL):
     """Residual of C_co A_co^k B_co = (1/2^k)(C_co B_co)^{k+1} for
-    k = 1..MARKOV_ORDER. The identity follows from the structural premise
+    k = 1..MARKOV_ORDER, the left sides read from xferfn.markov_params.
+    The identity follows from the structural premise
     C_co A_co = (1/2) C_co B_co C_co, whose own residual is reported so a
     premise failure is flagged rather than silently producing noise. The
     premise holds when its residual is at most tol max(||C_co|| ||A_co||,
@@ -143,15 +146,11 @@ def markov_identity_check(k, tol=DEFAULT_TOL):
     c_norm = inf_norm(k.c_co)
     scale = max(c_norm * inf_norm(k.a_co), c_norm ** 2 * inf_norm(k.b_co))
     cb = k.c_co @ k.b_co
-    residual = 0.0
-    a_pow = np.eye(k.a_co.shape[0])
-    cb_pow = cb
-    for kk in range(1, MARKOV_ORDER + 1):
-        a_pow = a_pow @ k.a_co
+    r = Realization("quadrature", k.a_co, k.b_co, k.c_co, np.eye(len(cb)))
+    residual, cb_pow = 0.0, cb
+    for kk, lhs in enumerate(markov_params(r, MARKOV_ORDER + 1)[2:], start=1):
         cb_pow = cb_pow @ cb
-        lhs = k.c_co @ a_pow @ k.b_co
-        rhs = cb_pow / (2.0 ** kk)
-        residual = max(residual, float(inf_norm(lhs - rhs)))
+        residual = max(residual, inf_norm(lhs - cb_pow / 2.0 ** kk))
     return {
         "residual": residual,
         "premise_residual": premise,

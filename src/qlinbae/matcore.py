@@ -1,7 +1,7 @@
 """Structural matrix algebra for doubled-up systems.
 
-Doubled-up matrices, the J-weighted adjoint, the realness predicate, the
-quadrature image of a doubled-up matrix, and an orthonormal Krylov kernel.
+Doubled-up matrices, the J-weighted adjoint, the realness and unitarity
+predicates, gamma_k, the quadrature image and an orthonormal Krylov kernel.
 """
 
 import numpy as np
@@ -30,6 +30,20 @@ def is_real(x, tol=DEFAULT_TOL):
     """True when the imaginary part is negligible relative to the matrix;
     the zero matrix counts as both real and purely imaginary."""
     return _negligible(np.imag(x), inf_norm(x), tol)
+
+
+def is_unitary(u, tol):
+    """||U U^H - I||_inf <= tol max(||U||_inf, 1)^2; a NaN entry fails."""
+    scale = max(inf_norm(u), 1.0) ** 2
+    return _negligible(u @ u.conj().T - np.eye(len(u)), scale, tol)
+
+
+def rounding_gamma(k):
+    """gamma_k = k u / (1 - k u), u = eps / 2, bounds the relative error of
+    k roundings (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
 
 
 def check_finite(x, name="matrix"):

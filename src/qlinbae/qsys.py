@@ -90,8 +90,7 @@ def new_system(s, c_minus, c_plus, omega_minus, omega_plus, tol=DEFAULT_TOL):
     s, c_plus, omega_minus, omega_plus = checked
 
     matcore.check_finite(c_minus, "C_minus")
-    scale_s = max(inf_norm(s), 1.0)
-    if inf_norm(s @ s.conj().T - np.eye(m)) > tol * scale_s**2:
+    if not matcore.is_unitary(s, tol):
         violations.append("S is not unitary within tolerance")
     # at the scale ||Omega+-||_inf, with no floor, as every structural test
     if not matcore._negligible(omega_minus - omega_minus.conj().T,

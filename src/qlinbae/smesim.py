@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError, PreconditionError, ResourceError
-from .matcore import DEFAULT_TOL, _negligible
+from .matcore import DEFAULT_TOL, _negligible, rounding_gamma
 
 DIM_CAP = 4096
 
@@ -137,8 +137,18 @@ def _require(ok, name, requirement, value):
             f"simulate_qsme setting {name} must be {requirement}, got {value!r}")
 
 
-def _is_count(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+def _is_count(x, low):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= low
+
+
+def step_count(dt, T):
+    """n_steps = round(T / dt) of `simulate_qsme`; PreconditionError unless
+    dt is finite and > 0, T finite and >= 0, and T / dt finite."""
+    _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
+    _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
+    ratio = float(T) / float(dt)  # inf on overflow, with no warning
+    _require(np.isfinite(ratio), f"T / dt = {T!r} / {dt!r}", "finite", ratio)
+    return int(round(ratio))
 
 
 def _square_operator(caller, name, x, d):
@@ -212,7 +222,7 @@ def _frame_forms(xs, v, formed=None):
 
     Formed as (V^T W) V, two products of inner dimension 2d, W' departs
     from V^T W V by less than 2 gamma |V|^T |W| |V| entry by entry, to
-    first order, with gamma = 2d u / (1 - 2d u), u = eps / 2 (Higham,
+    first order, with gamma = gamma_{2d} (matcore.rounding_gamma; Higham,
     Accuracy and Stability of Numerical Algorithms, sec. 3.5). The
     computed X departs from the X its formula gives in exact arithmetic by
     some F with |F| <= formed, and R is real linear with entries Re and
@@ -227,10 +237,8 @@ def _frame_forms(xs, v, formed=None):
     n = len(v)
     w = np.array([_real_form(x.T) for x in xs]).reshape(len(xs), n, n)
     rotated = v.T @ w @ v
-    nu = n * np.finfo(float).eps / 2
-    gamma = nu / (1.0 - nu)
     av = np.abs(v)
-    bound = 2.0 * gamma * (av.T @ np.abs(w) @ av)
+    bound = 2.0 * rounding_gamma(n) * (av.T @ np.abs(w) @ av)
     if formed is not None:
         bound += av.T @ np.kron(np.swapaxes(formed, 1, 2), np.ones((2, 2))) @ av
     off = np.kron(~np.eye(n // 2, dtype=bool), np.ones((2, 2), dtype=bool))
@@ -259,10 +267,9 @@ def _kraus_basis(l_ops, k_gen, h, dt):
     P_jj = 1/2 L_j^2 one product, each within sqrt(2) gamma_{d+3} times
     P_jk formed on the |L_j|."""
     d, m = len(h), len(l_ops)
-    u = np.finfo(float).eps / 2
 
     def complex_gamma(k):  # sqrt(2) gamma_k
-        return np.sqrt(2.0) * k * u / (1.0 - k * u)
+        return np.sqrt(2.0) * rounding_gamma(k)
 
     def pair(x, j, k):  # 1/2 (X_j X_k + X_k X_j), 1/2 X_j^2 where j = k
         return 0.5 * (x[j] @ x[k] + x[k] @ x[j] if j < k else x[j] @ x[j])
@@ -473,12 +480,13 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     L*(rho) = K rho + rho K^dag + sum_j L_j rho L_j^dag,
     K = -iH - 1/2 sum_j L_j^dag L_j, on the grid of steps dt to
     n_steps = round(T / dt), stored every store_every steps (endpoints
-    included). dt must be finite and > 0, T finite and >= 0, n_traj and
-    store_every integers >= 1, rho0 and every tracked operator finite
-    ops.dim x ops.dim matrices. Trajectories use independent counter-based
-    RNG streams derived from (seed, trajectory index), so results are
-    reproducible and order-independent. Two paths share everything but the
-    time evolution; `method` names the one taken.
+    included). dt must be finite and > 0, T finite and >= 0, T / dt
+    finite (`step_count`), n_traj and store_every integers >= 1, rho0 and
+    every tracked operator finite ops.dim x ops.dim matrices. Trajectories
+    use independent counter-based RNG streams derived from (seed,
+    trajectory index), so results are reproducible and order-independent.
+    Two paths share everything but the time evolution; `method` names the
+    one taken.
 
     The factor. rho0 is Hermitized and factored once: with eigh(rho0) =
     U diag(w) U^dag and only the positive w kept (the precondition rejects
@@ -644,10 +652,9 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     fl(y_ba + conj(y_ab)) over a real, is the exact conjugate of entry
     (a, b), so every final state is exactly Hermitian.
     """
-    _require(np.isfinite(dt) and dt > 0, "dt", "finite and > 0", dt)
-    _require(np.isfinite(T) and T >= 0, "T", "finite and >= 0", T)
-    _require(_is_count(n_traj), "n_traj", "an integer >= 1", n_traj)
-    _require(_is_count(store_every), "store_every", "an integer >= 1",
+    n_steps = step_count(dt, T)
+    _require(_is_count(n_traj, 1), "n_traj", "an integer >= 1", n_traj)
+    _require(_is_count(store_every, 1), "store_every", "an integer >= 1",
              store_every)
     d = ops.dim
     rho0 = _square_operator("simulate_qsme", "rho0", rho0, d)
@@ -664,7 +671,6 @@ def simulate_qsme(ops, rho0, dt, T, n_traj, seed, tracked, store_every=1):
     r = int(keep.sum())
 
     l_ops, k_gen = _generator(ops)
-    n_steps = int(round(T / dt))
     m = len(l_ops)
     streams = [np.random.Generator(np.random.Philox(child))
                for child in np.random.SeedSequence(seed).spawn(n_traj)]

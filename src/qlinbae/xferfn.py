@@ -191,7 +191,7 @@ B C by c, so bar_delta(p), and the verdict, stay.
 The guard. The imaginary axis, where `frequency_sweep` and `eval_tf`
 evaluate, can hold poles. Every solve there is guarded: s is a singular
 point (a resonance) when the 2-norm condition number cond2(sI - A),
-computed from an SVD, is not finite or exceeds COND_LIMIT; a NaN or Inf
+np.linalg.cond's (`_cond2`), is not finite or exceeds COND_LIMIT; a NaN or Inf
 in A, B, C, D or the points is refused with PreconditionError, as
 `block_pattern` refuses it, and never read as a resonance. A grid of more
 than one point takes the Schur form above, which serves both the guard
@@ -229,6 +229,13 @@ from .errors import PreconditionError, SingularityError
 from .matcore import DEFAULT_TOL, check_finite, flat_adjoint, j_diag
 
 COND_LIMIT = 1e12
+
+
+def _cond2(m):
+    """np.linalg.cond(m) and whether it passes the guard: at most COND_LIMIT
+    (so finite; a singular m has cond inf)."""
+    cond = np.linalg.cond(m)
+    return cond, cond <= COND_LIMIT
 
 
 def _cond_bound(schur, points):
@@ -445,21 +452,19 @@ def _resolvent_points(a, points, rhs, lhs):
     not finite or exceeds COND_LIMIT there.
 
     A call of more than one point takes the Schur record of A (one complex
-    Schur form; for a real A, the real Schur form, of its two diagonal
-    half blocks apart when an off-diagonal one is exactly zero, plus one
+    Schur form; for a real A, the real Schur form, of its two diagonal half
+    blocks apart when an off-diagonal one is exactly zero, plus one
     block-diagonal rotation; see `_schur_form`). It certifies, through
     `_cond_bound` and its nu(s), every point whose bound is at most
-    COND_LIMIT / 2, and solves all certified points in one
-    `_schur_solve`; their values lie
-    within the forward-error bound delta(s) of the module docstring. The
-    factor 2 absorbs the roundoff of computed singular values (relative
-    error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12) and the
-    departure of Z from unitarity, so the SVD would have accepted the point
-    too. When every point is certified, that solve is the result, and no
-    per-point buffer is made. Every
-    other point, and the point of a one-point call (where the
-    factorization costs more than the SVD it would save), gets an exact
-    SVD, with cond2 computed exactly as np.linalg.cond computes it, and
+    COND_LIMIT / 2, and solves all certified points in one `_schur_solve`;
+    their values lie within the forward-error bound delta(s) of the module
+    docstring. The factor 2 absorbs the roundoff of computed singular values
+    (relative error about n * eps * cond, ~1e-2 for n <= 64 at cond = 1e12)
+    and the departure of Z from unitarity, so the SVD would have accepted
+    the point too. When every point is certified, that solve is the result,
+    and no per-point buffer is made. Every other point, and the point of a
+    one-point call (where the factorization costs more than the SVD it would
+    save), gets cond2 from np.linalg.cond (`_cond2`) and
     lhs @ np.linalg.solve(sI - A, rhs). A, points, rhs and lhs must be finite.
     """
     points = np.asarray(points, dtype=complex)
@@ -481,17 +486,13 @@ def _resolvent_points(a, points, rhs, lhs):
     for i in np.flatnonzero(~certified):
         s = complex(points[i])
         m = s * eye - a
-        sv = np.linalg.svd(m, compute_uv=False)
-        with np.errstate(all="ignore"):
-            cond = sv[0] / sv[-1]
-        if np.isnan(cond):
-            cond = np.float64(np.inf)  # 0 / 0: np.linalg.cond's NaN rule
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond, ok = _cond2(m)
+        if ok:
+            values[i] = lhs @ np.linalg.solve(m, rhs)
+        else:
             singular[int(i)] = SingularityError(
                 f"resolvent ill-conditioned at s={s}: cond={cond:.3e}", cond=cond
             )
-        else:
-            values[i] = lhs @ np.linalg.solve(m, rhs)
     return values, singular
 
 
@@ -532,21 +533,18 @@ def eval_tf(r, s):
 
 
 def markov_params(r, k):
-    """Markov parameter sequence [D, CB, CAB, ..., C A^{k-1} B].
-
-    The paper's Markov identity, kept as such: no verdict here uses it,
-    since the powers of A outgrow any fixed threshold (and overflow) as
-    N and the scale of A grow; `block_pattern` needs none of them."""
+    """Markov parameter sequence [D, CB, CAB, ..., C A^{k-1} B], formed
+    from A^j B and no power of A; `kalman.markov_identity_check` reads its
+    terms. No verdict here uses them, since the powers of A outgrow any
+    fixed threshold (and overflow) as N and the scale of A grow;
+    `block_pattern` needs none of them."""
     if k < 1:
         raise PreconditionError("markov_params requires K >= 1")
-    a = np.asarray(r.a, dtype=complex)
-    b = np.asarray(r.b, dtype=complex)
-    c = np.asarray(r.c, dtype=complex)
-    out = [np.asarray(r.d, dtype=complex)]
-    akb = b
-    for _ in range(k):
-        out.append(c @ akb)
+    a, akb, c, d = (np.asarray(x, dtype=complex) for x in (r.a, r.b, r.c, r.d))
+    out = [d, c @ akb]
+    for _ in range(k - 1):
         akb = a @ akb
+        out.append(c @ akb)
     return out
 
 

@@ -894,6 +894,20 @@ def test_simulate_rejects_bad_settings(tmp_path, capsys, sim, flags, key):
     assert not out_file.exists()
 
 
+def test_simulate_refuses_an_infinite_step_count(tmp_path, capsys):
+    """--T 1e300 --dt 1e-10 are each finite but T / dt is not: one error
+    line and exit 1, where round(T / dt) used to escape as a traceback."""
+    out_file = tmp_path / "traj.csv"
+    path = _write(tmp_path, _sim_doc())
+    assert cli.main(["simulate", path, "--T", "1e300", "--dt", "1e-10",
+                     "--out", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "T / dt = 1e+300 / 1e-10 must be finite" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
 def _siso_doc():
     return cli.emit_spec(qsys.new_system(np.eye(1), [[1.0j]], [[1.0j]],
                                          [[1.0]], [[0.5]]))

@@ -45,6 +45,30 @@ def test_nonunitary_beamsplitter_rejected():
                               s_b=2.0 * np.eye(1))
 
 
+@pytest.mark.parametrize("tol, accepted", [
+    (1e-9, {1.0, -1j, 1 + 1e-10}),
+    (0.1, {1.0, -1j, 1 + 1e-10, 1 + 1e-8, 0.95, 1.0512})])
+def test_scattering_and_beamsplitter_share_one_unitarity_rule(tol, accepted):
+    """new_system's S and FeedbackNetwork's s_b pass the same matrices:
+    ||U U^H - I||_inf <= tol max(||U||_inf, 1)^2 (matcore.is_unitary). At
+    tol 0.1, [[1.0512]] (residual 0.105 <= 0.1 * 1.0512^2 = 0.1105) passes
+    only through the squared scale, and [[1.06]] (0.1236 > 0.1124) fails."""
+    plant = _anchor_network().plant
+    for x in (1.0, -1j, 1 + 1e-10, 1 + 1e-8, 0.95, 1.0512, 1.06, 2.0):
+        u = np.array([[x]])
+        try:
+            qsys.new_system(u, [[1.0]], [[0.0]], [[0.0]], [[0.0]], tol=tol)
+            as_s = True
+        except ValidationError:
+            as_s = False
+        try:
+            feedback.FeedbackNetwork(plant, 1, 1, u, tol=tol)
+            as_s_b = True
+        except DimensionError:
+            as_s_b = False
+        assert as_s == as_s_b == (x in accepted), (x, tol, as_s, as_s_b)
+
+
 def test_singular_loop_raises():
     net = feedback.make_network(OM_MINUS, OM_PLUS, K11, K12, K21, K22,
                                 s_b=np.eye(1))  # I - S22 S_b = 0

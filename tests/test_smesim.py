@@ -852,6 +852,20 @@ def test_instability_names_the_same_step_whatever_the_block():
                     smesim.simulate_qsme(ops, _ground_state_mixture(4), **kw)
 
 
+@pytest.mark.parametrize("dt, T", [
+    (1e-10, 1e300), (5e-324, 1.0), (np.float64(1e-10), np.float64(1e300))],
+    ids=["floats", "subnormal_dt", "numpy_floats"])
+def test_an_infinite_step_count_is_refused(dt, T):
+    """dt and T may each be finite while T / dt overflows: the run is
+    refused with a PreconditionError naming T and dt, not an OverflowError
+    from round(T / dt), and numpy floats raise no overflow warning."""
+    ops = smesim.build_truncated_operators(_measured_mode(), fock_dim=4)
+    with pytest.raises(PreconditionError,
+                       match=r"setting T / dt = .* must be finite, got inf"):
+        smesim.simulate_qsme(ops, _ground_state_mixture(4), dt=dt, T=T,
+                             n_traj=2, seed=0, tracked=[])
+
+
 def test_law_path_takes_any_finite_step():
     """The exact law takes no step: at dt = 1e200, where the Kraus map
     overflows at its first step, the measured mode's states are finite,

@@ -221,7 +221,8 @@ def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     sys_obj = qsys.random_system(np.random.default_rng(8), 8, 2,
                                  **FAMILY_KWARGS["p_coupling_imag_C"])
     schurs = _recording_schur(monkeypatch)
-    counts = [_counting(monkeypatch, name) for name in ("eig", "svd", "solve")]
+    counts = [_counting(monkeypatch, name)
+              for name in ("eig", "svd", "cond", "solve")]
 
     def no_markov(*args):
         raise AssertionError("markov_params called")
@@ -231,7 +232,7 @@ def test_certify_bae_takes_one_schur_form_and_no_markov_power(monkeypatch):
     report = bae.certify_bae(sys_obj)
     assert report.consistency and bae.PQ in report.certified_pairs
     assert [(a.dtype, a.shape) for a in schurs] == [(np.float64, (16, 16))]
-    assert [len(c) for c in counts] == [0, 0, 0]
+    assert [len(c) for c in counts] == [0, 0, 0, 0]
     assert len(points) == 1 and len(points[0]) > 9
     assert np.all(points[0][9:].real == 0)
 
@@ -472,7 +473,8 @@ def test_guard_is_exact_where_cond_crosses_the_limit():
 
 def _counting(monkeypatch, name, module=np.linalg):
     """Count the calls xferfn makes to <module>.<name> (np.linalg by default;
-    xferfn reaches numpy and scipy.linalg through their module objects)."""
+    xferfn reaches numpy and scipy.linalg through their module objects). The
+    guard's per-point SVD is its np.linalg.cond call."""
     calls = []
     real = getattr(module, name)
 
@@ -509,7 +511,7 @@ def test_grid_takes_one_schur_form(monkeypatch):
     grid = np.logspace(-3.0, 3.0, 200)
     schurs = _recording_schur(monkeypatch)
     eigs, svds, solves = (_counting(monkeypatch, name)
-                          for name in ("eig", "svd", "solve"))
+                          for name in ("eig", "cond", "solve"))
     rows = xferfn.frequency_sweep(r, grid)
     assert np.all(np.isfinite(rows)) and rows.flags.c_contiguous
     assert (len(schurs), len(eigs), len(svds), len(solves)) == (1, 0, 0, 0)
@@ -538,7 +540,7 @@ def test_non_finite_input_is_a_precondition_error(monkeypatch):
     r = qsys.quad_realization(sys_obj)
     omegas = np.array([0.5, 1.0, 2.0, 30.0])
     schurs = _recording_schur(monkeypatch)
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "cond")
     for bad in (np.nan, np.inf, -np.inf):
         for name in "abcd":
             x = getattr(r, name).copy()
@@ -570,13 +572,13 @@ def test_guard_without_schur_form_takes_an_svd_per_point(monkeypatch):
                                **FAMILY_KWARGS["bilateral_diag_real_coupling"])
     omegas = np.array([0.5, 1.0, 2.0, 30.0])
     monkeypatch.setattr(xferfn, "_gees", _schur_fails)
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "cond")
     for sys_obj in (qsys.michelson_system(), block):
         r = qsys.quad_realization(sys_obj)
         svds.clear()
         rows = xferfn.frequency_sweep(r, omegas)
+        assert len(svds) == len(omegas)  # before the reference takes its own
         assert np.array_equal(rows, _reference_sweep(r, omegas), equal_nan=True)
-        assert len(svds) == len(omegas)
 
 
 def test_gees_that_does_not_converge_raises_linalg_error(monkeypatch):
@@ -787,7 +789,7 @@ def test_memo_leaves_every_output_bit_for_bit(n, monkeypatch):
     through the per-point buffer."""
     grid = np.logspace(-3.0, 3.0, 200)
     rng = np.random.default_rng(n)
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "cond")
     early = 0
     for kwargs in FAMILY_KWARGS.values():
         r = qsys.quad_realization(qsys.random_system(rng, n, 2, **kwargs))
@@ -953,7 +955,7 @@ def test_guard_yield_on_the_catalog_families(monkeypatch):
     that: sqrt(N) ||M^{-1}||_inf alone leaves 3.4-5.6 % of them."""
     grid = np.logspace(-3.0, 3.0, 200)
     rs = _catalog_at_32()
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "cond")
     for r in rs:
         xferfn.frequency_sweep(r, grid)
     assert len(svds) <= 0.01 * len(rs) * len(grid)
@@ -967,14 +969,14 @@ def test_certificate_skips_only_well_conditioned_points(monkeypatch):
         r = _jordan_like(t, gap, rotate)
         a = np.asarray(r.a, dtype=complex)
         grid = _crossing_grid()
-        svds = _counting(monkeypatch, "svd")
+        svds = _counting(monkeypatch, "cond")
         xferfn.frequency_sweep(r, grid)
+        monkeypatch.undo()  # _cond below is not counted
         for w in grid:
             m = complex(1j * w) * np.eye(4) - a
             if not any(np.array_equal(m, x) for x in svds):
                 skipped += 1
                 assert _cond(a, w) <= xferfn.COND_LIMIT / 2
-        monkeypatch.undo()
     assert skipped > 0
 
 
